@@ -1,13 +1,19 @@
 """Immutable expression trees for Lipschitz mappings R^d -> R^l.
 
 Every node evaluates exactly (up to arithmetic rounding) and carries a
-certified Lipschitz upper bound computed by structural rules. Two evaluation
-paths share the same node semantics:
+certified Lipschitz upper bound computed by structural rules. The node
+semantics are implemented three times:
 
-* a vectorized float64 path for bulk sampling, and
-* an exact mpmath path used when probing displacements finer than float64
-  resolution (patch radii constructed by deep game rounds fall far below
-  1e-308; see numerics.py).
+* ``_eval_batch``, a vectorized float64 path for bulk sampling;
+* ``_eval``, its single-point float64 counterpart;
+* ``_eval_exact``, the one exact evaluator, used when probing displacements
+  finer than float64 resolution (patch radii constructed by deep game rounds
+  fall far below 1e-308; see numerics.py). Its vectors are tuples of raw
+  libmp values, and every operation is the ``mpmath.libmp`` call the mpf
+  operator would make, in the same order and at the context's working
+  precision, so results are bit-identical to evaluating with mpf objects.
+  Each node converts its constants to raw values once and caches them.
+  ``eval_point`` converts object arrays of mpf at the boundary.
 
 The radial blend node interpolates two mappings between two spheres and is
 the basic gluing device: equal to ``f1`` inside radius ``a``, to ``f2``
@@ -23,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_ge, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub
 
 from .numerics import (
     LipForgeError,
@@ -34,16 +41,24 @@ from .numerics import (
     encode_scalar,
     encode_vector,
     exact_mpf,
+    exact_raw,
     float_vector,
     is_exact_vector,
     is_mpf,
+    mpf_vector,
+    raw_to_float,
+    raw_vector,
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, norm, norm_batch, unit_directions
+from .space import Domain, LinearMap, NormKind, _norm_raw, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
-MAX_TREE_DEPTH = 10_000
+# Deepest node level (root = 0) that serialization accepts. Tree walks are
+# recursive: lip_cert takes three frames per level and the JSON codec up to
+# three nesting levels per patched node, so a tree at this depth still fits
+# under Python's default recursion limit of 1000 with room for the caller.
+MAX_TREE_DEPTH = 200
 
 # A patch sphere is resolvable in float64 when its radius exceeds this
 # fraction of the center scale; below it the sphere collapses onto the
@@ -74,7 +89,10 @@ class LipFun:
     def _lip_cert(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _eval(self, z: np.ndarray, exact: bool) -> np.ndarray:
+    def _eval(self, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _eval_exact(self, z: tuple) -> tuple:
         raise NotImplementedError
 
     def _eval_batch(self, Z: np.ndarray) -> np.ndarray:
@@ -90,8 +108,9 @@ def eval_point(f: LipFun, z) -> np.ndarray:
         z = as_vector(list(z))
     if len(z) != f.in_dim:
         raise LipForgeError(f"dimension mismatch: point has {len(z)}, mapping takes {f.in_dim}")
-    exact = is_exact_vector(z)
-    return f._eval(z, exact)
+    if is_exact_vector(z):
+        return mpf_vector(f._eval_exact(raw_vector(z)))
+    return f._eval(z)
 
 
 def eval_batch(f: LipFun, Z: np.ndarray) -> np.ndarray:
@@ -100,25 +119,6 @@ def eval_batch(f: LipFun, Z: np.ndarray) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != f.in_dim:
         raise LipForgeError("dimension mismatch in batch evaluation")
     return f._eval_batch(Z)
-
-
-def _add(u, v, exact):
-    if exact:
-        return as_vector([exact_mpf(u[i]) + exact_mpf(v[i]) for i in range(len(u))])
-    return u + v
-
-
-def _sub(u, v, exact):
-    if exact:
-        return as_vector([exact_mpf(u[i]) - exact_mpf(v[i]) for i in range(len(u))])
-    return u - v
-
-
-def _scale_vec(c, v, exact):
-    if exact:
-        cc = exact_mpf(c)
-        return as_vector([cc * exact_mpf(x) for x in v])
-    return c * v
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +140,15 @@ class Const(LipFun):
     def _c_float(self):
         return float_vector(self.c)
 
-    def _eval(self, z, exact):
-        if exact:
-            return as_vector([exact_mpf(x) for x in self.c])
+    @cached_property
+    def _c_raw(self) -> tuple:
+        return raw_vector(self.c)
+
+    def _eval(self, z):
         return self._c_float.copy()
+
+    def _eval_exact(self, z):
+        return self._c_raw
 
     def _eval_batch(self, Z):
         return np.broadcast_to(self._c_float, (len(Z), len(self.c))).copy()
@@ -164,8 +169,11 @@ class Linear(LipFun):
     def _lip_cert(self) -> float:
         return self.map.op_norm
 
-    def _eval(self, z, exact):
+    def _eval(self, z):
         return self.map.apply(z)
+
+    def _eval_exact(self, z):
+        return self.map.apply_raw(z)
 
     def _eval_batch(self, Z):
         return self.map.apply_batch(Z)
@@ -202,9 +210,21 @@ class Affine(LipFun):
     def _anchor_float(self):
         return float_vector(self.anchor)
 
-    def _eval(self, z, exact):
-        w = _sub(z, self.anchor, exact)
-        return _add(self.base, self.map.apply(w), exact)
+    @cached_property
+    def _base_raw(self) -> tuple:
+        return raw_vector(self.base)
+
+    @cached_property
+    def _anchor_raw(self) -> tuple:
+        return raw_vector(self.anchor)
+
+    def _eval(self, z):
+        return self.base + self.map.apply(z - self.anchor)
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        w = tuple(mpf_sub(x, a, prec, rnd) for x, a in zip(z, self._anchor_raw))
+        return tuple(mpf_add(b, y, prec, rnd) for b, y in zip(self._base_raw, self.map.apply_raw(w)))
 
     def _eval_batch(self, Z):
         return self._base_float + self.map.apply_batch(Z - self._anchor_float)
@@ -229,11 +249,12 @@ class NormOf(LipFun):
     def _lip_cert(self) -> float:
         return 1.0
 
-    def _eval(self, z, exact):
-        n = norm(z, self.norm_kind)
-        if exact:
-            return as_vector([exact_mpf(self.sign) * n])
-        return np.array([self.sign * n])
+    def _eval(self, z):
+        return np.array([self.sign * norm(z, self.norm_kind)])
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        return (mpf_mul(from_int(self.sign), _norm_raw(z, self.norm_kind), prec, rnd),)
 
     def _eval_batch(self, Z):
         return (self.sign * norm_batch(Z, self.norm_kind))[:, None]
@@ -259,8 +280,12 @@ class Sum(LipFun):
     def _lip_cert(self) -> float:
         return self.f.lip_cert + self.g.lip_cert
 
-    def _eval(self, z, exact):
-        return _add(self.f._eval(z, exact), self.g._eval(z, exact), exact)
+    def _eval(self, z):
+        return self.f._eval(z) + self.g._eval(z)
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        return tuple(mpf_add(u, v, prec, rnd) for u, v in zip(self.f._eval_exact(z), self.g._eval_exact(z)))
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(Z) + self.g._eval_batch(Z)
@@ -289,8 +314,17 @@ class Scale(LipFun):
     def _c_float(self) -> float:
         return to_float(self.c)
 
-    def _eval(self, z, exact):
-        return _scale_vec(self.c if exact else self._c_float, self.f._eval(z, exact), exact)
+    @cached_property
+    def _c_raw(self) -> tuple:
+        return exact_raw(self.c)
+
+    def _eval(self, z):
+        return self._c_float * self.f._eval(z)
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        c = self._c_raw
+        return tuple(mpf_mul(c, x, prec, rnd) for x in self.f._eval_exact(z))
 
     def _eval_batch(self, Z):
         return self._c_float * self.f._eval_batch(Z)
@@ -323,8 +357,16 @@ class AddConst(LipFun):
     def _p_float(self):
         return float_vector(self.p)
 
-    def _eval(self, z, exact):
-        return _add(self.f._eval(z, exact), self.p, exact)
+    @cached_property
+    def _p_raw(self) -> tuple:
+        return raw_vector(self.p)
+
+    def _eval(self, z):
+        return self.f._eval(z) + self.p
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        return tuple(mpf_add(u, p, prec, rnd) for u, p in zip(self.f._eval_exact(z), self._p_raw))
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(Z) + self._p_float
@@ -372,27 +414,40 @@ class RadialBlend(LipFun):
     def _b_float(self) -> float:
         return to_float(self.b)
 
-    def _eval(self, z, exact):
+    @cached_property
+    def _a_raw(self) -> tuple:
+        return exact_raw(self.a)
+
+    @cached_property
+    def _b_raw(self) -> tuple:
+        return exact_raw(self.b)
+
+    def _eval(self, z):
         n = norm(z, self.norm_kind)
-        if exact:
-            a, b = exact_mpf(self.a), exact_mpf(self.b)
-            if n <= a:
-                return self.f1._eval(z, exact)
-            if n >= b:
-                return self.f2._eval(z, exact)
-            c1 = (b - n) / (b - a)
-            c2 = b * (n - a) / (n * (b - a))
-            v1 = self.f1._eval(z, exact)
-            v2 = self.f2._eval(z, exact)
-            return as_vector([c1 * exact_mpf(v1[i]) + c2 * exact_mpf(v2[i]) for i in range(len(v1))])
         a, b = self._a_float, self._b_float
         if n <= a:
-            return self.f1._eval(z, exact)
+            return self.f1._eval(z)
         if n >= b:
-            return self.f2._eval(z, exact)
+            return self.f2._eval(z)
         c1 = (b - n) / (b - a)
         c2 = b * (n - a) / (n * (b - a))
-        return c1 * self.f1._eval(z, exact) + c2 * self.f2._eval(z, exact)
+        return c1 * self.f1._eval(z) + c2 * self.f2._eval(z)
+
+    def _eval_exact(self, z):
+        prec, rnd = mp._prec_rounding
+        n = _norm_raw(z, self.norm_kind)
+        a, b = self._a_raw, self._b_raw
+        if mpf_le(n, a):
+            return self.f1._eval_exact(z)
+        if mpf_ge(n, b):
+            return self.f2._eval_exact(z)
+        # c1 = (b - n) / (b - a) and c2 = b * (n - a) / (n * (b - a))
+        width = mpf_sub(b, a, prec, rnd)
+        c1 = mpf_div(mpf_sub(b, n, prec, rnd), width, prec, rnd)
+        c2 = mpf_div(mpf_mul(b, mpf_sub(n, a, prec, rnd), prec, rnd), mpf_mul(n, width, prec, rnd), prec, rnd)
+        v1 = self.f1._eval_exact(z)
+        v2 = self.f2._eval_exact(z)
+        return tuple(mpf_add(mpf_mul(c1, x1, prec, rnd), mpf_mul(c2, x2, prec, rnd), prec, rnd) for x1, x2 in zip(v1, v2))
 
     def _eval_batch(self, Z):
         n = norm_batch(Z, self.norm_kind)
@@ -429,6 +484,14 @@ class Patch:
     @cached_property
     def radius_float(self) -> float:
         return to_float(self.radius)
+
+    @cached_property
+    def center_raw(self) -> tuple:
+        return raw_vector(self.center)
+
+    @cached_property
+    def radius_raw(self) -> tuple:
+        return exact_raw(self.radius)
 
 
 class _PatchGrid:
@@ -503,17 +566,24 @@ class Patched(LipFun):
 
     def resolve(self, z) -> int | None:
         """Index of the patch whose open ball contains z, or None."""
-        zf = float_vector(z) if is_exact_vector(z) else np.asarray(z, dtype=float)
-        exact = is_exact_vector(z)
+        if is_exact_vector(z):
+            return self._resolve_exact(raw_vector(z))
+        zf = np.asarray(z, dtype=float)
         for idx in self._grid.candidates(zf):
             p = self.patches[idx]
-            if exact:
-                w = _sub(z, p.center, True)
-                if norm(w, self.norm_kind) < exact_mpf(p.radius):
-                    return idx
-            else:
-                if norm(zf - p.center_float, self.norm_kind) < p.radius_float:
-                    return idx
+            if norm(zf - p.center_float, self.norm_kind) < p.radius_float:
+                return idx
+        return None
+
+    def _resolve_exact(self, z: tuple) -> int | None:
+        """resolve for a raw libmp point: ||z - center|| < radius, exactly."""
+        prec, rnd = mp._prec_rounding
+        zf = np.array([raw_to_float(x) for x in z])
+        for idx in self._grid.candidates(zf):
+            p = self.patches[idx]
+            w = tuple(mpf_sub(x, c, prec, rnd) for x, c in zip(z, p.center_raw))
+            if mpf_lt(_norm_raw(w, self.norm_kind), p.radius_raw):
+                return idx
         return None
 
     def resolve_naive(self, z) -> int | None:
@@ -524,11 +594,17 @@ class Patched(LipFun):
                 return idx
         return None
 
-    def _eval(self, z, exact):
+    def _eval(self, z):
         idx = self.resolve(z)
         if idx is None:
-            return self.outer._eval(z, exact)
-        return self.patches[idx].inner._eval(z, exact)
+            return self.outer._eval(z)
+        return self.patches[idx].inner._eval(z)
+
+    def _eval_exact(self, z):
+        idx = self._resolve_exact(z)
+        if idx is None:
+            return self.outer._eval_exact(z)
+        return self.patches[idx].inner._eval_exact(z)
 
     def _eval_batch(self, Z):
         if len(self.patches) >= 16:
@@ -625,8 +701,11 @@ class Precompose(LipFun):
     def _lip_cert(self) -> float:
         return self.f.lip_cert * self.inner_map.lip_cert
 
-    def _eval(self, z, exact):
-        return self.f._eval(self.inner_map._eval(z, exact), exact)
+    def _eval(self, z):
+        return self.f._eval(self.inner_map._eval(z))
+
+    def _eval_exact(self, z):
+        return self.f._eval_exact(self.inner_map._eval_exact(z))
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(self.inner_map._eval_batch(Z))
@@ -753,14 +832,15 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
     for i in exact_idx:
         p = node.patches[i]
         with mp.workdps(working_dps_for_scale(p.radius)):
-            center = as_vector([exact_mpf(x) for x in p.center_float])
-            r = exact_mpf(p.radius)
+            prec, rnd = mp._prec_rounding
+            center = raw_vector(p.center_float)
             for axis in range(d):
                 for sgn in (1, -1):
-                    z = center.copy()
-                    z[axis] = z[axis] + sgn * r
-                    diff = _sub(p.inner._eval(z, True), node.outer._eval(z, True), True)
-                    if to_float(norm(diff, NormKind.SUP)) > tol:
+                    z = list(center)
+                    z[axis] = mpf_add(z[axis], mpf_mul_int(p.radius_raw, sgn, prec, rnd), prec, rnd)
+                    z = tuple(z)
+                    diff = [mpf_sub(u, v, prec, rnd) for u, v in zip(p.inner._eval_exact(z), node.outer._eval_exact(z))]
+                    if raw_to_float(_norm_raw(diff, NormKind.SUP)) > tol:
                         raise LipForgeError("patch boundary mismatch beyond tolerance")
 
 

@@ -11,16 +11,27 @@ Every mpf produced here is an exact binary rational (mantissa * 2**exponent),
 so values round-trip bit-exactly through the (mantissa, exponent) encoding
 used by the file formats, and re-running a construction with the same
 precision setting reproduces identical artifacts byte for byte.
+
+The exact evaluator works below the mpf objects, on their raw libmp values:
+the ``(sign, mantissa, exponent, bitcount)`` tuple an mpf keeps in
+``_mpf_``. It calls the ``mpmath.libmp`` functions (``mpf_add``,
+``mpf_mul``, ``mpf_sqrt``, ...) that the mpf operators call, with the
+context's working precision and rounding, so every result has the same bits
+as the mpf expression it replaces, without an mpf object per operation.
+``exact_raw``, ``raw_vector`` and ``mpf_vector`` convert at the boundary.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Union
 
 import mpmath
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_float
+from mpmath.libmp import to_float as _libmp_to_float
 
 Scalar = Union[float, mpmath.mpf]
 
@@ -54,6 +65,39 @@ def exact_mpf(x) -> mpmath.mpf:
     if is_mpf(x):
         return x
     return mpmath.mpf(x)
+
+
+# Tree constants, grid coordinates and matrix entries repeat across nodes, so
+# one bounded cache serves every float conversion and shares the tuples.
+@lru_cache(maxsize=4096)
+def _float_raw(x: float) -> tuple:
+    return from_float(x)
+
+
+def exact_raw(x) -> tuple:
+    """Raw libmp value of a float/mpf without rounding: the ``_mpf_`` of
+    ``exact_mpf(x)`` at any working precision of at least 53 bits."""
+    if is_mpf(x):
+        return x._mpf_
+    return _float_raw(float(x))
+
+
+def raw_vector(v) -> tuple:
+    """Raw libmp values of a float or mpf vector, converted exactly."""
+    return tuple(exact_raw(x) for x in v)
+
+
+def mpf_vector(raw) -> np.ndarray:
+    """Object array of mpf holding the given raw libmp values."""
+    out = np.empty(len(raw), dtype=object)
+    for i, x in enumerate(raw):
+        out[i] = mp.make_mpf(x)
+    return out
+
+
+def raw_to_float(x: tuple) -> float:
+    """float(mpf) of a raw libmp value, in the context's rounding mode."""
+    return _libmp_to_float(x, rnd=mp._prec_rounding[1])
 
 
 def dec_magnitude(x) -> int:
@@ -164,16 +208,6 @@ def float_matrix(m) -> np.ndarray:
 
 def is_exact_vector(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype == object
-
-
-def sqrt_scalar(x: Scalar) -> Scalar:
-    if is_mpf(x):
-        return mpmath.sqrt(x)
-    return math.sqrt(x)
-
-
-def abs_scalar(x: Scalar) -> Scalar:
-    return abs(x)
 
 
 def scalar_min(*xs: Scalar) -> Scalar:

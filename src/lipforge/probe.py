@@ -13,6 +13,9 @@ certificate for the sub-gradient come from the same machinery.
 Probes pick their working precision from the scale being probed: scales far
 below float64 resolution (produced by deep game rounds) are evaluated in
 exact arithmetic with enough digits to keep x + u distinguishable from x.
+The exact path runs on raw libmp values through the tree's exact evaluator
+(``LipFun._eval_exact``), with the libmp call behind each mpf operator, so
+its quotients have the bits of the same expressions written with mpf objects.
 All reports carry the ladder that produced them; claims are scoped to those
 scales.
 """
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
 
 from .game import GameTranscript, Witness, witnesses
 from .lipfun import LipFun
@@ -31,11 +35,14 @@ from .numerics import (
     Scalar,
     as_vector,
     exact_mpf,
+    exact_raw,
     is_exact_vector,
+    raw_to_float,
+    raw_vector,
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, norm, sample_ball
+from .space import Domain, LinearMap, _norm_raw, norm, sample_ball
 
 # Below this fraction of the base-point scale, float64 differences lose all
 # signal and probes switch to the exact evaluation path.
@@ -111,25 +118,27 @@ def dq_error(
         raise LipForgeError("probe ball escapes the domain")
     if _use_exact(x, r):
         with mp.workdps(working_dps_for_scale(r)):
-            x_e = as_vector([exact_mpf(v) for v in x])
+            prec, rnd = mp._prec_rounding
+            x_e = raw_vector(x)
             r_e = exact_mpf(r)
-            fx = f._eval(x_e, True)
-            best = exact_mpf(0)
+            fx = f._eval_exact(x_e)
+            best = fzero
             for u in sample_ball(np.zeros(d), r_e, budget, seed, operator.in_norm):
-                z = as_vector([x_e[i] + u[i] for i in range(d)])
-                lu = operator.apply(u)
-                fz = f._eval(z, True)
-                resid = as_vector([exact_mpf(fz[i]) - exact_mpf(fx[i]) - exact_mpf(lu[i]) for i in range(f.out_dim)])
-                val = norm(resid, operator.out_norm) / r_e
-                if val > best:
+                u = raw_vector(u)
+                lu = operator.apply_raw(u)
+                fz = f._eval_exact(tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u)))
+                # resid = fz - fx - lu; val = ||resid|| / r
+                resid = [mpf_sub(mpf_sub(a, b, prec, rnd), c, prec, rnd) for a, b, c in zip(fz, fx, lu)]
+                val = mpf_div(_norm_raw(resid, operator.out_norm), r_e._mpf_, prec, rnd)
+                if mpf_gt(val, best):
                     best = val
-            return to_float(best)
+            return raw_to_float(best)
     xf = np.asarray([to_float(v) for v in x], dtype=float)
     rf = to_float(r)
-    fx = f._eval(xf, False)
+    fx = f._eval(xf)
     best = 0.0
     for u in sample_ball(np.zeros(d), rf, budget, seed, operator.in_norm):
-        fz = f._eval(xf + u, False)
+        fz = f._eval(xf + u)
         resid = fz - fx - operator.float_matrix @ u
         best = max(best, float(norm(resid, operator.out_norm)) / rf)
     return best
@@ -154,15 +163,17 @@ def dq_profile(f: LipFun, x, operator: LinearMap, ladder: ScaleLadder,
 def _forward_quotient(f: LipFun, x, v: np.ndarray, t: Scalar) -> float:
     if _use_exact(x, t):
         with mp.workdps(working_dps_for_scale(t)):
-            x_e = as_vector([exact_mpf(c) for c in x])
-            t_e = exact_mpf(t)
-            z = as_vector([x_e[i] + t_e * exact_mpf(float(v[i])) for i in range(len(v))])
-            num = exact_mpf(f._eval(z, True)[0]) - exact_mpf(f._eval(x_e, True)[0])
-            return to_float(num / t_e)
+            prec, rnd = mp._prec_rounding
+            x_e = raw_vector(x)
+            t_e = exact_raw(t)
+            # z = x + t * v; quotient (f(z) - f(x)) / t
+            z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd) for a, c in zip(x_e, v))
+            num = mpf_sub(f._eval_exact(z)[0], f._eval_exact(x_e)[0], prec, rnd)
+            return raw_to_float(mpf_div(num, t_e, prec, rnd))
     xf = np.asarray([to_float(c) for c in x], dtype=float)
     tf = to_float(t)
     z = xf + tf * np.asarray(v, dtype=float)
-    return float((f._eval(z, False)[0] - f._eval(xf, False)[0]) / tf)
+    return float((f._eval(z)[0] - f._eval(xf)[0]) / tf)
 
 
 def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
@@ -182,7 +193,7 @@ def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
         xf = np.asarray([to_float(c) for c in x], dtype=float)
         ts = np.asarray([to_float(ladder.radii[i]) for i in float_idx])
         Z = xf[None, :] + ts[:, None] * v[None, :]
-        fx = float(f._eval(xf, False)[0])
+        fx = float(f._eval(xf)[0])
         vals = eval_batch(f, Z)[:, 0]
         for j, i in enumerate(float_idx):
             out[i] = float((vals[j] - fx) / ts[j])

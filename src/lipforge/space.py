@@ -1,7 +1,10 @@
 """Finite-dimensional normed-space primitives.
 
 Vectors are plain numpy arrays (float64, or object dtype holding mpmath
-values when a computation needs precision beyond float64). Operators are
+values when a computation needs precision beyond float64). The exact
+evaluator passes tuples of raw libmp values instead (see numerics.py);
+``_norm_raw`` and ``LinearMap.apply_raw`` serve it, and the object-array
+branches of ``norm`` and ``LinearMap.apply`` delegate to them. Operators are
 real l x d matrices with an operator norm taken with respect to a chosen
 pair of norms on domain and codomain. Domains are boxes or norm balls with
 exact diameter and boundary-distance formulas.
@@ -15,8 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import mpmath
 import numpy as np
+from mpmath import mp
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sqrt
 
 from .numerics import (
     LipForgeError,
@@ -28,6 +32,8 @@ from .numerics import (
     float_vector,
     is_exact_vector,
     is_mpf,
+    mpf_vector,
+    raw_vector,
     to_float,
 )
 
@@ -55,23 +61,36 @@ def norm(v: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> Scalar:
     """Vector norm under the given kind; exact in the vector's arithmetic."""
     v = np.asarray(v) if not isinstance(v, np.ndarray) else v
     if is_exact_vector(v):
-        if kind is NormKind.EUCLIDEAN:
-            acc = mpmath.mpf(0)
-            for x in v:
-                acc += x * x
-            return mpmath.sqrt(acc)
-        if kind is NormKind.SUP:
-            return max((abs(x) for x in v), default=mpmath.mpf(0))
-        acc = mpmath.mpf(0)
-        for x in v:
-            acc += abs(x)
-        return acc
+        return mp.make_mpf(_norm_raw(raw_vector(v), kind))
     v = np.asarray(v, dtype=float)
     if kind is NormKind.EUCLIDEAN:
         return float(math.sqrt(float(np.dot(v, v))))
     if kind is NormKind.SUP:
         return float(np.max(np.abs(v))) if v.size else 0.0
     return float(np.sum(np.abs(v)))
+
+
+def _norm_raw(v: tuple, kind: NormKind) -> tuple:
+    """Norm of a raw libmp vector in the working precision, with the same
+    operations in the same order as the mpf expressions
+    ``sqrt(sum(x * x))``, ``max(abs(x))`` and ``sum(abs(x))``."""
+    prec, rnd = mp._prec_rounding
+    if kind is NormKind.EUCLIDEAN:
+        acc = fzero
+        for x in v:
+            acc = mpf_add(acc, mpf_mul(x, x, prec, rnd), prec, rnd)
+        return mpf_sqrt(acc, prec, rnd)
+    if kind is NormKind.SUP:
+        best = None
+        for x in v:
+            ax = mpf_abs(x, prec, rnd)
+            if best is None or mpf_gt(ax, best):
+                best = ax
+        return fzero if best is None else best
+    acc = fzero
+    for x in v:
+        acc = mpf_add(acc, mpf_abs(x, prec, rnd), prec, rnd)
+    return acc
 
 
 def norm_batch(Z: np.ndarray, kind: NormKind) -> np.ndarray:
@@ -201,16 +220,26 @@ class LinearMap:
     def float_matrix(self) -> np.ndarray:
         return float_matrix(self.matrix)
 
+    @cached_property
+    def _raw_matrix(self) -> tuple:
+        return tuple(raw_vector(row) for row in self.matrix)
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         if is_exact_vector(v) or self.matrix.dtype == object:
-            rows = []
-            for i in range(self.matrix.shape[0]):
-                acc = mpmath.mpf(0)
-                for j in range(self.matrix.shape[1]):
-                    acc += exact_mpf(self.matrix[i, j]) * exact_mpf(v[j])
-                rows.append(acc)
-            return as_vector(rows)
+            return mpf_vector(self.apply_raw(raw_vector(v)))
         return self.float_matrix @ np.asarray(v, dtype=float)
+
+    def apply_raw(self, v: tuple) -> tuple:
+        """Matrix times a raw libmp vector in the working precision; each row
+        is accumulated from zero as ``acc += m[i, j] * v[j]``."""
+        prec, rnd = mp._prec_rounding
+        out = []
+        for row in self._raw_matrix:
+            acc = fzero
+            for m, x in zip(row, v):
+                acc = mpf_add(acc, mpf_mul(m, x, prec, rnd), prec, rnd)
+            out.append(acc)
+        return tuple(out)
 
     def apply_batch(self, Z: np.ndarray) -> np.ndarray:
         return Z @ self.float_matrix.T
@@ -403,9 +432,41 @@ def _direction(index: int, dim: int, kind: NormKind = NormKind.EUCLIDEAN) -> np.
     return np.eye(dim)[0]
 
 
+def _halton_columns(index: np.ndarray, dim: int) -> np.ndarray:
+    """halton_point of every index as the rows of one array. Each element
+    goes through the float operations of _halton_value in the same order;
+    an index already reduced to zero only adds 0.0, which changes nothing."""
+    if dim > len(_HALTON_BASES):
+        raise LipForgeError("low-discrepancy sampler limited to dimension 10")
+    out = np.empty((len(index), dim))
+    for axis in range(dim):
+        base = _HALTON_BASES[axis]
+        f = np.ones(len(index))
+        r = np.zeros(len(index))
+        i = index.copy()
+        while i.any():
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out[:, axis] = r
+    return out
+
+
 def unit_directions(count: int, dim: int, seed: int, kind: NormKind = NormKind.EUCLIDEAN) -> np.ndarray:
-    base = (seed & 0x7FFFFFFF) * 131 + 1
-    return np.stack([_direction(base + 13 * i, dim, kind) for i in range(count)])
+    """The directions _direction(base + 13 * i) for i < count, bit for bit.
+
+    The first attempt of every direction is drawn in one vectorized pass.
+    Norms stay per row: a batched Euclidean row sum rounds differently from
+    np.dot in a few percent of rows.
+    """
+    first = (seed & 0x7FFFFFFF) * 131 + 1 + 13 * np.arange(count, dtype=np.int64)
+    v = 2.0 * _halton_columns(first + 7, dim) - 1.0
+    n = np.array([float(norm(row, kind)) for row in v])
+    ok = n > 1e-9
+    out = v * ((1.0 - 2.0**-50) / np.where(ok, n, 1.0))[:, None]
+    for row in np.flatnonzero(~ok):
+        out[row] = _direction(int(first[row]), dim, kind)
+    return out
 
 
 def sample_ball(

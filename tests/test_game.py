@@ -15,6 +15,7 @@ from lipforge import (
     TargetSet,
     adversary,
     eval_batch,
+    eval_point,
     load_transcript,
     nested_nets,
     run_game,
@@ -118,10 +119,10 @@ def test_player2_round_identity(small_setup):
     with mp.workdps(working_dps_for_scale(rec2.alpha)):
         for x in state.nets.level(2):
             x_e = np.array([exact_mpf(v) for v in x], dtype=object)
-            gx = rec2.reply_fun._eval(x_e, True)
+            gx = eval_point(rec2.reply_fun, x_e)
             for u in sample_ball(np.zeros(2), exact_mpf(rec2.alpha), 8, 0):
                 z = np.array([x_e[i] + u[i] for i in range(2)], dtype=object)
-                gz = rec2.reply_fun._eval(z, True)
+                gz = eval_point(rec2.reply_fun, z)
                 lu = L.apply(u)
                 assert to_float(abs(gz[0] - gx[0] - lu[0])) <= 1e-12
 

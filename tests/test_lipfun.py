@@ -207,6 +207,41 @@ def test_serialize_depth_guard(monkeypatch):
         serialize(deep)
 
 
+def _scale_chain(levels: int):
+    deep = NormOf(2)
+    for _ in range(levels):
+        deep = Scale(0.5, deep)
+    return deep
+
+
+def test_tree_at_depth_limit_verifies():
+    """The deepest tree the decoder accepts still works end to end under the
+    default recursion limit."""
+    from lipforge.lipfun import MAX_TREE_DEPTH
+    from lipforge.numerics import exact_mpf
+    from lipforge.verify import artifact_suite
+
+    fun = deserialize(serialize(_scale_chain(MAX_TREE_DEPTH)))
+    assert fun.lip_cert == 0.5**MAX_TREE_DEPTH
+    expected = 0.5**MAX_TREE_DEPTH * 5.0**0.5
+    assert eval_point(fun, [1.0, 2.0])[0] == pytest.approx(expected, rel=1e-12)
+    exact = eval_point(fun, np.array([exact_mpf(1.0), exact_mpf(2.0)], dtype=object))
+    assert float(exact[0]) == pytest.approx(expected, rel=1e-12)
+    records = artifact_suite(fun)
+    assert all(r.ok for r in records), [r for r in records if not r.ok]
+
+
+def test_tree_over_depth_limit_rejected_on_decode():
+    import json
+
+    from lipforge.lipfun import MAX_TREE_DEPTH
+
+    obj = json.loads(serialize(_scale_chain(MAX_TREE_DEPTH)))
+    obj["root"] = {"kind": "scale", "c": "0.5", "f": obj["root"]}
+    with pytest.raises(LipForgeError, match="deeper"):
+        deserialize(json.dumps(obj))
+
+
 def test_float_and_exact_paths_agree():
     from lipforge.numerics import exact_mpf
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
-from lipforge.space import norm_batch, op_norm_matrix
+from lipforge.space import _direction, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -142,3 +142,16 @@ def test_sample_ball_containment_and_determinism():
 def test_sample_ball_budget_too_small():
     with pytest.raises(LipForgeError):
         sample_ball(np.zeros(2), 1.0, 4, 0)
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_unit_directions_match_direction_loop(kind):
+    """The vectorized sampler returns the per-direction loop's bits. Seed
+    2131090643 makes the first 1-d draw shorter than 1e-9, so that direction
+    takes the retry path."""
+    for dim in (1, 2, 3, 4, 10):
+        for count in (1, 32, 128, 192):
+            for seed in (0, 7, 360, 2**31 - 1, 2**31 + 5, 2**40 + 3, 2131090643):
+                base = (seed & 0x7FFFFFFF) * 131 + 1
+                loop = np.stack([_direction(base + 13 * i, dim, kind) for i in range(count)])
+                assert np.array_equal(unit_directions(count, dim, seed, kind), loop)
