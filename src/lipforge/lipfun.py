@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -64,6 +64,12 @@ MAX_TREE_DEPTH = 200
 # fraction of the center scale; below it the sphere collapses onto the
 # center at float64 resolution and contracts are checked exactly instead.
 FLOAT_RESOLVE_REL = 1e-12
+
+# Sphere-direction sets kept by _sphere_directions. Continuity checks sweep
+# the patch seeds 0..n-1 in order, so an LRU smaller than one layer's patch
+# count would never hit; 2048 covers the construction and verification
+# sample counts of a 1000-patch layer.
+DIRECTIONS_CACHE_SIZE = 2048
 
 
 def _ratio(a: Scalar, num_b: Scalar) -> float:
@@ -767,7 +773,10 @@ def patch(
     Balls must be pairwise disjoint and strictly inside the domain interior.
     Each inner mapping is compared against the outer one on sampled sphere
     points (64*d by default); spheres finer than float64 resolution are
-    checked in exact arithmetic on an axis sample instead.
+    checked in exact arithmetic on an axis sample instead. The check takes
+    the sphere directions from a bounded cache and evaluates a composed
+    outer once per distinct image of the axis points; see
+    _check_patch_continuity.
     """
     def as_patch(p) -> Patch:
         if isinstance(p, Patch):
@@ -801,7 +810,60 @@ def patch(
     return node
 
 
+@lru_cache(maxsize=DIRECTIONS_CACHE_SIZE)
+def _sphere_directions(count: int, dim: int, seed: int, kind: NormKind) -> np.ndarray:
+    """unit_directions(count, dim, seed, kind), drawn once per key and shared
+    read-only. Each miss calls the module name unit_directions, so a wrapper
+    bound to that name sees every draw."""
+    dirs = unit_directions(count, dim, seed=seed, kind=kind)
+    dirs.setflags(write=False)
+    return dirs
+
+
+def _axis_points(p: Patch, d: int) -> list[tuple]:
+    """The raw points center +- radius * e_a of every axis a, at the
+    context's working precision."""
+    prec, rnd = mp._prec_rounding
+    center = raw_vector(p.center_float)
+    points = []
+    for axis in range(d):
+        for sgn in (1, -1):
+            z = list(center)
+            z[axis] = mpf_add(z[axis], mpf_mul_int(p.radius_raw, sgn, prec, rnd), prec, rnd)
+            points.append(tuple(z))
+    return points
+
+
+def _eval_exact_per_image(f: LipFun, points: list[tuple]) -> list[tuple]:
+    """f._eval_exact at every point. A Precompose evaluates its inner_map at
+    each point and its f once per distinct image: the calls
+    Precompose._eval_exact makes, so the values are bit-identical."""
+    if not isinstance(f, Precompose):
+        return [f._eval_exact(z) for z in points]
+    values: dict[tuple, tuple] = {}
+    out = []
+    for z in points:
+        y = f.inner_map._eval_exact(z)
+        if y not in values:
+            values[y] = f.f._eval_exact(y)
+        out.append(values[y])
+    return out
+
+
 def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: float):
+    """Compare every inner mapping with the outer one on its patch sphere.
+
+    A sphere resolvable in float64 is sampled at `boundary_samples`
+    directions (64*d by default) seeded by the patch index. The directions
+    depend only on (count, dim, seed, norm), so they come from a bounded
+    cache: every layer and round of a game, and the re-check in verify,
+    draws each set once. A finer sphere is compared exactly at its 2d axis
+    points. The affine layer of linearize_near has outer f_shift o P, and the
+    warp P maps all of those points onto the center, so the whole prior tree
+    f_shift is evaluated once per patch instead of 2d times. Every sample
+    and axis point is still compared, and nothing is cached between checks
+    but the directions.
+    """
     d = node.in_dim
     n_samples = boundary_samples if boundary_samples is not None else 64 * d
     resolvable: list[int] = []
@@ -816,7 +878,7 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
         blocks = []
         for i in resolvable:
             p = node.patches[i]
-            dirs = unit_directions(n_samples, d, seed=i, kind=node.norm_kind)
+            dirs = _sphere_directions(n_samples, d, i, node.norm_kind)
             blocks.append(p.center_float + p.radius_float * dirs)
         all_pts = np.concatenate(blocks)
         outer_vals = node.outer._eval_batch(all_pts)
@@ -833,15 +895,13 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
         p = node.patches[i]
         with mp.workdps(working_dps_for_scale(p.radius)):
             prec, rnd = mp._prec_rounding
-            center = raw_vector(p.center_float)
-            for axis in range(d):
-                for sgn in (1, -1):
-                    z = list(center)
-                    z[axis] = mpf_add(z[axis], mpf_mul_int(p.radius_raw, sgn, prec, rnd), prec, rnd)
-                    z = tuple(z)
-                    diff = [mpf_sub(u, v, prec, rnd) for u, v in zip(p.inner._eval_exact(z), node.outer._eval_exact(z))]
-                    if raw_to_float(_norm_raw(diff, NormKind.SUP)) > tol:
-                        raise LipForgeError("patch boundary mismatch beyond tolerance")
+            points = _axis_points(p, d)
+            inner_vals = _eval_exact_per_image(p.inner, points)
+            outer_vals = _eval_exact_per_image(node.outer, points)
+            for u_vec, v_vec in zip(inner_vals, outer_vals):
+                diff = [mpf_sub(u, v, prec, rnd) for u, v in zip(u_vec, v_vec)]
+                if raw_to_float(_norm_raw(diff, NormKind.SUP)) > tol:
+                    raise LipForgeError("patch boundary mismatch beyond tolerance")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ target set; the union over levels is dense in it at resolution 2^-k_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,11 +127,10 @@ def greedy_net(points: np.ndarray, delta: float, seed_set: np.ndarray | None = N
 
 @dataclass(frozen=True)
 class NetFamily:
-    """Nested levels with separation and boundary-margin certificates."""
+    """Nested levels with their separation radii."""
 
     levels: tuple[np.ndarray, ...]
     deltas: tuple[float, ...]
-    margins: tuple[float, ...] = field(default=())
 
     def level(self, k: int) -> np.ndarray:
         return self.levels[k - 1]
@@ -181,15 +180,10 @@ def nested_nets(target: TargetSet, domain: Domain, k_max: int) -> NetFamily:
     if k_max < 1:
         raise LipForgeError("k_max must be >= 1")
     levels: list[np.ndarray] = []
-    margins: list[float] = []
     prev: np.ndarray | None = None
     for k in range(1, k_max + 1):
         admissible = restrict(target, domain, k)
         lvl = greedy_net(admissible, 2.0 ** -k, seed_set=prev, kind=domain.norm)
         levels.append(lvl)
-        if len(lvl):
-            margins.append(min(float(domain.dist_to_boundary(p)) for p in lvl))
-        else:
-            margins.append(math.inf)
         prev = lvl if len(lvl) else prev
-    return NetFamily(tuple(levels), tuple(2.0 ** -k for k in range(1, k_max + 1)), tuple(margins))
+    return NetFamily(tuple(levels), tuple(2.0 ** -k for k in range(1, k_max + 1)))

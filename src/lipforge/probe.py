@@ -296,12 +296,12 @@ def witness_ladder(transcript: GameTranscript, w: Witness, coarse_steps: int = 2
     r0 = margin / 2.0
     for i in range(coarse_steps):
         scales.append(r0 * ratio**i)
-    key = tuple(float(c) for c in w.center)
+    key = np.array([float(c) for c in w.center])
     for rec in transcript.rounds:
         if rec.net_size == 0 or rec.round_k > transcript.nets.k_max:
             continue
         level = transcript.nets.level(rec.round_k)
-        if any(tuple(float(c) for c in p) == key for p in level):
+        if np.any(np.all(level == key, axis=1)):
             scales.append(rec.alpha)
     uniq: list[Scalar] = []
     for s in sorted(scales, reverse=True):

@@ -19,6 +19,7 @@ from .lipfun import (
     LipFun,
     NormOf,
     Linear,
+    Patched,
     Scale,
     Sum,
     deserialize,
@@ -27,6 +28,7 @@ from .lipfun import (
     identity,
     radial_blend,
     serialize,
+    _check_patch_continuity,
     sup_dist,
     zero_map,
 )
@@ -218,8 +220,6 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
             f"worst={worst:.9f} cert={fun.lip_cert:.9f}",
         )
     )
-    from .lipfun import Patched, _check_patch_continuity
-
     checked = 0
     failure = ""
 

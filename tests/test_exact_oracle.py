@@ -34,6 +34,8 @@ from lipforge.lipfun import (
     Patched,
     Precompose,
     RadialBlend,
+    _axis_points,
+    _eval_exact_per_image,
 )
 from lipforge.numerics import as_vector, exact_mpf, float_vector, raw_vector, to_float, working_dps_for_scale
 from lipforge.probe import _forward_quotient, _use_exact, witness_ladder
@@ -185,21 +187,51 @@ def small_game(request):
 
 
 def test_continuity_axis_points(small_game):
-    """The points _check_patch_continuity builds, on every patch."""
-    checked = 0
+    """The points _check_patch_continuity builds, on every patch, and the
+    values its per-image evaluation gives there."""
+    checked = collapsed = 0
     for node in patched_nodes(small_game.final_fun):
         for p in node.patches:
             with mp.workdps(working_dps_for_scale(p.radius)):
                 center = as_vector([exact_mpf(x) for x in p.center_float])
                 r = exact_mpf(p.radius)
+                ref_points = []
                 for axis in range(node.in_dim):
                     for sgn in (1, -1):
                         z = center.copy()
                         z[axis] = z[axis] + sgn * r
                         assert_same_bits(p.inner, z)
                         assert_same_bits(node.outer, z)
+                        ref_points.append(z)
                         checked += 1
+                points = _axis_points(p, node.in_dim)
+                assert points == [raw_vector(z) for z in ref_points]
+                for f in (p.inner, node.outer):
+                    values = _eval_exact_per_image(f, points)
+                    assert values == [tuple(x._mpf_ for x in ref_eval(f, z)) for z in ref_points]
+                if isinstance(node.outer, Precompose):
+                    images = {node.outer.inner_map._eval_exact(z) for z in points}
+                    collapsed += len(images) == 1
     assert checked > 0
+    assert collapsed > 0
+
+
+def test_per_image_evaluation_of_distinct_images():
+    """A Precompose whose inner_map keeps the axis points apart is evaluated
+    at every image."""
+    d = 3
+    f = Precompose(Sum(NormOf(d), Linear(LinearMap(np.array([[0.25, -0.5, 0.125]])))), identity(d))
+    with mp.workdps(80):
+        center = as_vector([exact_mpf(v) for v in (0.5, 0.25, 0.75)])
+        points = []
+        for axis in range(d):
+            for sgn in (1, -1):
+                z = center.copy()
+                z[axis] = z[axis] + sgn * mpmath.mpf(2) ** -200
+                points.append(z)
+        values = _eval_exact_per_image(f, [raw_vector(z) for z in points])
+        assert values == [tuple(x._mpf_ for x in ref_eval(f, z)) for z in points]
+        assert len(set(values)) == 2 * d
 
 
 def test_dq_sample_points(small_game):

@@ -22,8 +22,8 @@ from lipforge import (
     sup_dist,
     zero_map,
 )
-from lipforge.lipfun import Patched, Patch
-from lipforge.space import norm_batch
+from lipforge.lipfun import FLOAT_RESOLVE_REL, Patch, Patched, Precompose, _sphere_directions, shift_conjugate
+from lipforge.space import norm_batch, unit_directions
 
 
 @pytest.fixture
@@ -129,6 +129,64 @@ def test_patch_boundary_mismatch_rejected(unit_box):
         )
 
 
+DEEP_RADIUS = 1e-20  # below FLOAT_RESOLVE_REL: checked exactly on the axis points
+DEEP_CENTER = np.array([0.5, 0.25])
+
+
+def collapsed_norm():
+    """|.| composed with a warp that maps the 0.01-ball around DEEP_CENTER
+    onto DEEP_CENTER, like the outer of linearize_near's affine layer."""
+    warp = radial_blend(0.01, 0.1, zero_map(2, 2), identity(2))
+    return Precompose(NormOf(2), shift_conjugate(warp, DEEP_CENTER, NormKind.EUCLIDEAN))
+
+
+def test_patch_deep_mismatch_rejected(unit_box):
+    assert DEEP_RADIUS < FLOAT_RESOLVE_REL
+    with pytest.raises(LipForgeError, match="mismatch"):
+        patch(Const(np.array([0.0]), 2), [(DEEP_CENTER, DEEP_RADIUS, Const(np.array([1.0]), 2))], unit_box)
+
+
+def test_patch_deep_mismatch_rejected_through_collapsed_outer(unit_box):
+    wrong = Const(np.array([float(np.linalg.norm(DEEP_CENTER)) + 1e-6]), 2)
+    with pytest.raises(LipForgeError, match="mismatch"):
+        patch(collapsed_norm(), [(DEEP_CENTER, DEEP_RADIUS, wrong)], unit_box)
+
+
+def test_patch_deep_match_accepted(unit_box):
+    outer = collapsed_norm()
+    inner = Const(np.array([float(np.linalg.norm(DEEP_CENTER))]), 2)
+    assert isinstance(patch(outer, [(DEEP_CENTER, DEEP_RADIUS, inner)], unit_box), Patched)
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_sphere_directions_cached_and_read_only(kind):
+    _sphere_directions.cache_clear()
+    dirs = _sphere_directions(128, 2, 5, kind)
+    assert np.array_equal(dirs, unit_directions(128, 2, seed=5, kind=kind))
+    assert _sphere_directions(128, 2, 5, kind) is dirs
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+
+
+def test_patch_draws_each_direction_set_once(unit_box, monkeypatch):
+    import lipforge.lipfun as lipfun_mod
+
+    drawn = []
+
+    def counting(count, dim, seed, kind=NormKind.EUCLIDEAN):
+        drawn.append((count, dim, seed, kind))
+        return unit_directions(count, dim, seed=seed, kind=kind)
+
+    monkeypatch.setattr(lipfun_mod, "unit_directions", counting)
+    _sphere_directions.cache_clear()
+    centers = [np.array([0.25, 0.25]), np.array([0.75, 0.25]), np.array([0.5, 0.75])]
+    patches = [(c, 0.1, NormOf(2)) for c in centers]
+    for _ in range(2):
+        patch(NormOf(2), patches, unit_box)
+    assert drawn == [(128, 2, i, NormKind.EUCLIDEAN) for i in range(len(centers))]
+    _sphere_directions.cache_clear()
+
+
 def test_patch_identity_inner_changes_nothing(unit_box):
     outer = NormOf(2)
     f = patch(outer, [(np.array([0.5, 0.5]), 0.2, NormOf(2))], unit_box)
@@ -165,8 +223,6 @@ def test_serialize_round_trip_linear():
 
 
 def test_serialize_round_trip_nested(unit_box):
-    from lipforge.lipfun import shift_conjugate
-
     blend = radial_blend(0.05, 0.1, zero_map(2, 2), identity(2))
     center = np.array([0.5, 0.5])
     warp = patch(identity(2), [(center, 0.1, shift_conjugate(blend, center, NormKind.EUCLIDEAN))], unit_box,
