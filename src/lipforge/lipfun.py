@@ -2,10 +2,11 @@
 
 Every node evaluates exactly (up to arithmetic rounding) and carries a
 certified Lipschitz upper bound computed by structural rules. The node
-semantics are implemented three times:
+semantics are implemented twice:
 
-* ``_eval_batch``, a vectorized float64 path for bulk sampling;
-* ``_eval``, its single-point float64 counterpart;
+* ``_eval_batch``, the one float64 evaluator, on (n, d) arrays of points.
+  A single float point is a one-row batch, and node constants enter as
+  float64 even when they are stored as mpf;
 * ``_eval_exact``, the one exact evaluator, used when probing displacements
   finer than float64 resolution (patch radii constructed by deep game rounds
   fall far below 1e-308; see numerics.py). Its vectors are tuples of raw
@@ -23,6 +24,7 @@ outside radius ``b``, radially mixed in between, with certified constant
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -51,7 +53,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, _norm_raw, norm, norm_batch, unit_directions
+from .space import Domain, LinearMap, NormKind, _norm_raw, halton_point, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
 # Deepest node level (root = 0) that serialization accepts. Tree walks are
@@ -95,9 +97,6 @@ class LipFun:
     def _lip_cert(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _eval(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _eval_exact(self, z: tuple) -> tuple:
         raise NotImplementedError
 
@@ -109,14 +108,16 @@ class LipFun:
 
 
 def eval_point(f: LipFun, z) -> np.ndarray:
-    """Evaluate at a single point; exact path if the point carries mpfs."""
+    """Evaluate at a single point. A point carrying mpfs takes the exact path;
+    a float point is row 0 of a one-row float64 batch, so its value has the
+    bits eval_batch gives that row, even where node constants are mpf."""
     if not isinstance(z, np.ndarray):
         z = as_vector(list(z))
     if len(z) != f.in_dim:
         raise LipForgeError(f"dimension mismatch: point has {len(z)}, mapping takes {f.in_dim}")
     if is_exact_vector(z):
         return mpf_vector(f._eval_exact(raw_vector(z)))
-    return f._eval(z)
+    return f._eval_batch(np.asarray(z, dtype=float)[None, :])[0]
 
 
 def eval_batch(f: LipFun, Z: np.ndarray) -> np.ndarray:
@@ -150,9 +151,6 @@ class Const(LipFun):
     def _c_raw(self) -> tuple:
         return raw_vector(self.c)
 
-    def _eval(self, z):
-        return self._c_float.copy()
-
     def _eval_exact(self, z):
         return self._c_raw
 
@@ -174,9 +172,6 @@ class Linear(LipFun):
 
     def _lip_cert(self) -> float:
         return self.map.op_norm
-
-    def _eval(self, z):
-        return self.map.apply(z)
 
     def _eval_exact(self, z):
         return self.map.apply_raw(z)
@@ -224,9 +219,6 @@ class Affine(LipFun):
     def _anchor_raw(self) -> tuple:
         return raw_vector(self.anchor)
 
-    def _eval(self, z):
-        return self.base + self.map.apply(z - self.anchor)
-
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
         w = tuple(mpf_sub(x, a, prec, rnd) for x, a in zip(z, self._anchor_raw))
@@ -255,9 +247,6 @@ class NormOf(LipFun):
     def _lip_cert(self) -> float:
         return 1.0
 
-    def _eval(self, z):
-        return np.array([self.sign * norm(z, self.norm_kind)])
-
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
         return (mpf_mul(from_int(self.sign), _norm_raw(z, self.norm_kind), prec, rnd),)
@@ -285,9 +274,6 @@ class Sum(LipFun):
 
     def _lip_cert(self) -> float:
         return self.f.lip_cert + self.g.lip_cert
-
-    def _eval(self, z):
-        return self.f._eval(z) + self.g._eval(z)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -323,9 +309,6 @@ class Scale(LipFun):
     @cached_property
     def _c_raw(self) -> tuple:
         return exact_raw(self.c)
-
-    def _eval(self, z):
-        return self._c_float * self.f._eval(z)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -366,9 +349,6 @@ class AddConst(LipFun):
     @cached_property
     def _p_raw(self) -> tuple:
         return raw_vector(self.p)
-
-    def _eval(self, z):
-        return self.f._eval(z) + self.p
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -427,17 +407,6 @@ class RadialBlend(LipFun):
     @cached_property
     def _b_raw(self) -> tuple:
         return exact_raw(self.b)
-
-    def _eval(self, z):
-        n = norm(z, self.norm_kind)
-        a, b = self._a_float, self._b_float
-        if n <= a:
-            return self.f1._eval(z)
-        if n >= b:
-            return self.f2._eval(z)
-        c1 = (b - n) / (b - a)
-        c2 = b * (n - a) / (n * (b - a))
-        return c1 * self.f1._eval(z) + c2 * self.f2._eval(z)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -501,11 +470,12 @@ class Patch:
 
 
 class _PatchGrid:
-    """Uniform hash grid over patch bounding boxes for O(1) point lookup.
+    """Uniform hash grid over patch bounding boxes: a fixed-radius
+    near-neighbour index (Bentley 1975) from cells to candidate patches.
 
     The cell size is the largest padded patch extent, so each ball occupies
     at most two cells per axis even when its radius sits far below the float
-    rounding pad.
+    rounding pad. Each cell lists its patches in index order.
     """
 
     def __init__(self, patches: tuple[Patch, ...]):
@@ -514,29 +484,24 @@ class _PatchGrid:
             scale = 1.0 + float(np.max(np.abs(p.center_float))) if len(p.center_float) else 1.0
             pads.append(p.radius_float + 1e-12 * scale)
         self.cell = max((2.0 * pad for pad in pads), default=1e-9)
+        self.centers = np.array([p.center_float for p in patches])
+        self.radii = np.array([p.radius_float for p in patches])
         self.table: dict[tuple[int, ...], list[int]] = {}
         for idx, p in enumerate(patches):
             c = p.center_float
             pad = pads[idx]
             lo = np.floor((c - pad) / self.cell).astype(np.int64)
             hi = np.floor((c + pad) / self.cell).astype(np.int64)
-            ranges = [range(lo[i], hi[i] + 1) for i in range(len(c))]
-            for key in _iter_cells(ranges):
+            for key in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(len(c)))):
                 self.table.setdefault(key, []).append(idx)
 
+    def cell_keys(self, Z: np.ndarray) -> list[list[float]]:
+        """The cell of every row of Z. The float coordinates hash and compare
+        equal to the integer table keys; NaN and infinite rows match none."""
+        return np.floor(Z / self.cell).tolist()
+
     def candidates(self, z_float: np.ndarray) -> list[int]:
-        key = tuple(int(v) for v in np.floor(z_float / self.cell))
-        return self.table.get(key, [])
-
-
-def _iter_cells(ranges):
-    if len(ranges) == 1:
-        for a in ranges[0]:
-            yield (a,)
-        return
-    for a in ranges[0]:
-        for rest in _iter_cells(ranges[1:]):
-            yield (a,) + rest
+        return self.table.get(tuple(self.cell_keys(z_float[None, :])[0]), [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,12 +539,29 @@ class Patched(LipFun):
         """Index of the patch whose open ball contains z, or None."""
         if is_exact_vector(z):
             return self._resolve_exact(raw_vector(z))
-        zf = np.asarray(z, dtype=float)
-        for idx in self._grid.candidates(zf):
-            p = self.patches[idx]
-            if norm(zf - p.center_float, self.norm_kind) < p.radius_float:
-                return idx
-        return None
+        idx = int(self._claims(np.asarray(z, dtype=float)[None, :])[0])
+        return None if idx < 0 else idx
+
+    def _claims(self, Z: np.ndarray) -> np.ndarray:
+        """For each row of Z, the index of the patch whose open ball contains
+        it, or -1. Each row is tested only against the patches its grid cell
+        lists, in index order, and the first that contains it wins."""
+        grid = self._grid
+        claims = np.full(len(Z), -1, dtype=np.intp)
+        cands = [grid.table.get(tuple(key), ()) for key in grid.cell_keys(Z)]
+        counts = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
+        total = int(counts.sum())
+        if not total:
+            return claims
+        rows = np.repeat(np.arange(len(Z)), counts)
+        pidx = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.intp, count=total)
+        hit = norm_batch(Z[rows] - grid.centers[pidx], self.norm_kind) < grid.radii[pidx]
+        rows, pidx = rows[hit], pidx[hit]
+        # rows is sorted, so the first hit of each row is its first claimant
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        claims[rows[first]] = pidx[first]
+        return claims
 
     def _resolve_exact(self, z: tuple) -> int | None:
         """resolve for a raw libmp point: ||z - center|| < radius, exactly."""
@@ -592,20 +574,6 @@ class Patched(LipFun):
                 return idx
         return None
 
-    def resolve_naive(self, z) -> int | None:
-        """Linear-scan resolution; correctness oracle for the hash grid."""
-        zf = float_vector(z) if is_exact_vector(z) else np.asarray(z, dtype=float)
-        for idx, p in enumerate(self.patches):
-            if norm(zf - p.center_float, self.norm_kind) < p.radius_float:
-                return idx
-        return None
-
-    def _eval(self, z):
-        idx = self.resolve(z)
-        if idx is None:
-            return self.outer._eval(z)
-        return self.patches[idx].inner._eval(z)
-
     def _eval_exact(self, z):
         idx = self._resolve_exact(z)
         if idx is None:
@@ -613,72 +581,16 @@ class Patched(LipFun):
         return self.patches[idx].inner._eval_exact(z)
 
     def _eval_batch(self, Z):
-        if len(self.patches) >= 16:
-            if len(Z) >= 64:
-                return self._eval_batch_grid(Z)
-            # small batch over many patches: per-point hash-grid resolution
-            out = np.empty((len(Z), self.out_dim))
-            claims: dict[int, list[int]] = {}
-            outer_rows: list[int] = []
-            for i in range(len(Z)):
-                idx = self.resolve(Z[i])
-                if idx is None:
-                    outer_rows.append(i)
-                else:
-                    claims.setdefault(idx, []).append(i)
-            if outer_rows:
-                rows = np.asarray(outer_rows)
-                out[rows] = self.outer._eval_batch(Z[rows])
-            for pi, row_list in claims.items():
-                rows = np.asarray(row_list)
-                out[rows] = self.patches[pi].inner._eval_batch(Z[rows])
-            return out
+        """Rows grouped by claim with one stable sort; each group is one batch
+        of its mapping (outer for the unclaimed), in row order."""
         out = np.empty((len(Z), self.out_dim))
-        unclaimed = np.ones(len(Z), dtype=bool)
-        for p in self.patches:
-            if p.radius_float <= 0.0:
-                continue
-            mask = unclaimed & (norm_batch(Z - p.center_float, self.norm_kind) < p.radius_float)
-            if mask.any():
-                out[mask] = p.inner._eval_batch(Z[mask])
-                unclaimed &= ~mask
-        if unclaimed.any():
-            out[unclaimed] = self.outer._eval_batch(Z[unclaimed])
-        return out
-
-    def _eval_batch_grid(self, Z):
-        """Batch path bucketing points by hash-grid cell, so each point is
-        tested only against the patches registered for its cell."""
-        grid = self._grid
-        cells = np.floor(Z / grid.cell).astype(np.int64)
-        uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-        out = np.empty((len(Z), self.out_dim))
-        unclaimed = np.ones(len(Z), dtype=bool)
-        claims: dict[int, list[np.ndarray]] = {}
-        for ui in range(len(uniq)):
-            cand = grid.table.get(tuple(int(v) for v in uniq[ui]))
-            if not cand:
-                continue
-            rows = order[bounds[ui] : bounds[ui + 1]]
-            sub = Z[rows]
-            taken = np.zeros(len(rows), dtype=bool)
-            for pi in cand:
-                p = self.patches[pi]
-                if p.radius_float <= 0.0:
-                    continue
-                mask = (~taken) & (norm_batch(sub - p.center_float, self.norm_kind) < p.radius_float)
-                if mask.any():
-                    claims.setdefault(pi, []).append(rows[mask])
-                    taken |= mask
-            if taken.any():
-                unclaimed[rows[taken]] = False
-        for pi, row_blocks in claims.items():
-            rows = np.concatenate(row_blocks)
-            out[rows] = self.patches[pi].inner._eval_batch(Z[rows])
-        if unclaimed.any():
-            out[unclaimed] = self.outer._eval_batch(Z[unclaimed])
+        claims = self._claims(Z)
+        order = np.argsort(claims, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(claims[order])) + 1):
+            if len(rows):
+                idx = claims[rows[0]]
+                f = self.outer if idx < 0 else self.patches[idx].inner
+                out[rows] = f._eval_batch(Z[rows])
         return out
 
     def children(self):
@@ -706,9 +618,6 @@ class Precompose(LipFun):
 
     def _lip_cert(self) -> float:
         return self.f.lip_cert * self.inner_map.lip_cert
-
-    def _eval(self, z):
-        return self.f._eval(self.inner_map._eval(z))
 
     def _eval_exact(self, z):
         return self.f._eval_exact(self.inner_map._eval_exact(z))
@@ -980,9 +889,7 @@ def sup_dist(
     extra = []
     base = (seed & 0x7FFFFFFF) * 613 + 29
     while len(extra) < max(0, budget - sum(len(p) for p in pts)):
-        cand = lo + (hi - lo) * np.array(
-            [_halton(base + 17 * len(extra), axis) for axis in range(d)]
-        )
+        cand = lo + (hi - lo) * halton_point(base + 17 * len(extra), d)
         if domain.contains(cand):
             extra.append(cand)
         base += 1
@@ -991,12 +898,6 @@ def sup_dist(
     Z = np.concatenate(pts)
     diff = eval_batch(f, Z) - eval_batch(g, Z)
     return float(np.max(norm_batch(diff, out_norm))) if len(diff) else 0.0
-
-
-def _halton(index: int, axis: int) -> float:
-    from .space import _HALTON_BASES, _halton_value
-
-    return _halton_value(index, _HALTON_BASES[axis])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from mpmath import mp
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
 
 from .game import GameTranscript, Witness, witnesses
-from .lipfun import LipFun
+from .lipfun import LipFun, eval_batch
 from .numerics import (
     LipForgeError,
     Scalar,
@@ -135,11 +135,13 @@ def dq_error(
             return raw_to_float(best)
     xf = np.asarray([to_float(v) for v in x], dtype=float)
     rf = to_float(r)
-    fx = f._eval(xf)
+    U = np.asarray(sample_ball(np.zeros(d), rf, budget, seed, operator.in_norm))
+    # One batch [x; x + u_1; ...]. The residual norms stay per sample: norm
+    # and norm_batch can round a Euclidean sum differently.
+    F = eval_batch(f, np.vstack([xf, xf + U]))
     best = 0.0
-    for u in sample_ball(np.zeros(d), rf, budget, seed, operator.in_norm):
-        fz = f._eval(xf + u)
-        resid = fz - fx - operator.float_matrix @ u
+    for u, fz in zip(U, F[1:]):
+        resid = fz - F[0] - operator.float_matrix @ u
         best = max(best, float(norm(resid, operator.out_norm)) / rf)
     return best
 
@@ -161,26 +163,24 @@ def dq_profile(f: LipFun, x, operator: LinearMap, ladder: ScaleLadder,
 
 
 def _forward_quotient(f: LipFun, x, v: np.ndarray, t: Scalar) -> float:
-    if _use_exact(x, t):
-        with mp.workdps(working_dps_for_scale(t)):
-            prec, rnd = mp._prec_rounding
-            x_e = raw_vector(x)
-            t_e = exact_raw(t)
-            # z = x + t * v; quotient (f(z) - f(x)) / t
-            z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd) for a, c in zip(x_e, v))
-            num = mpf_sub(f._eval_exact(z)[0], f._eval_exact(x_e)[0], prec, rnd)
-            return raw_to_float(mpf_div(num, t_e, prec, rnd))
-    xf = np.asarray([to_float(c) for c in x], dtype=float)
-    tf = to_float(t)
-    z = xf + tf * np.asarray(v, dtype=float)
-    return float((f._eval(z)[0] - f._eval(xf)[0]) / tf)
+    """(f(x + t v) - f(x)) / t at a scale float64 cannot resolve, in exact
+    arithmetic at the scale's working precision."""
+    with mp.workdps(working_dps_for_scale(t)):
+        prec, rnd = mp._prec_rounding
+        x_e = raw_vector(x)
+        t_e = exact_raw(t)
+        # z = x + t * v; quotient (f(z) - f(x)) / t
+        z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd) for a, c in zip(x_e, v))
+        num = mpf_sub(f._eval_exact(z)[0], f._eval_exact(x_e)[0], prec, rnd)
+        return raw_to_float(mpf_div(num, t_e, prec, rnd))
 
 
 def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
     """Forward difference quotients (f(x + t v) - f(x)) / t along the ladder.
 
-    Scales resolvable in float64 are evaluated in one vectorized pass; the
-    rest go through the exact path at scale-adapted precision.
+    Scales resolvable in float64 are evaluated in one vectorized pass, with
+    x in row 0; the rest go through the exact path at scale-adapted
+    precision.
     """
     if f.out_dim != 1:
         raise LipForgeError("one-sided derivative probes need scalar codomain")
@@ -188,15 +188,13 @@ def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
     out: list[float | None] = [None] * len(ladder.radii)
     float_idx = [i for i, t in enumerate(ladder.radii) if not _use_exact(x, t)]
     if float_idx:
-        from .lipfun import eval_batch
-
         xf = np.asarray([to_float(c) for c in x], dtype=float)
         ts = np.asarray([to_float(ladder.radii[i]) for i in float_idx])
         Z = xf[None, :] + ts[:, None] * v[None, :]
-        fx = float(f._eval(xf)[0])
-        vals = eval_batch(f, Z)[:, 0]
+        vals = eval_batch(f, np.vstack([xf, Z]))[:, 0]
+        fx = float(vals[0])
         for j, i in enumerate(float_idx):
-            out[i] = float((vals[j] - fx) / ts[j])
+            out[i] = float((vals[j + 1] - fx) / ts[j])
     for i, t in enumerate(ladder.radii):
         if out[i] is None:
             out[i] = _forward_quotient(f, x, v, t)

@@ -28,3 +28,13 @@ def acceptance_run():
         transcript=transcript,
         construct_seconds=construct_seconds,
     )
+
+
+@pytest.fixture(scope="session", params=[2, 3], ids=["2d", "3d"])
+def small_game(request):
+    """A 0.25-grid, 4-round game on the unit square or cube: deep enough for
+    exact-path patches, small enough to probe every witness."""
+    d = request.param
+    lo, hi = [0.0] * d, [1.0] * d
+    ops = (LinearMap(np.array([[0.5] + [0.0] * (d - 1)])), LinearMap(np.array([[-0.5] + [0.0] * (d - 1)])))
+    return run_game(Domain.box(lo, hi), TargetSet.grid(lo, hi, 0.25), ops, "stay", rounds=4, seed=0)

@@ -13,17 +13,14 @@ import pytest
 from mpmath import mp
 
 from lipforge import (
-    Domain,
     LinearMap,
     NormKind,
     NormOf,
     Scale,
     Sum,
-    TargetSet,
     dq_error,
     identity,
     radial_blend,
-    run_game,
     witnesses,
 )
 from lipforge.lipfun import (
@@ -141,7 +138,7 @@ def ref_dq_error(f, x, operator, r, budget, seed):
 
 
 def ref_forward_quotient(f, x, v, t):
-    """_forward_quotient's exact branch written with mpf objects."""
+    """_forward_quotient written with mpf objects."""
     with mp.workdps(working_dps_for_scale(t)):
         x_e = as_vector([exact_mpf(c) for c in x])
         t_e = exact_mpf(t)
@@ -172,14 +169,6 @@ def patched_nodes(f):
             out.append(node)
         stack.extend(node.children())
     return out
-
-
-@pytest.fixture(scope="module", params=[2, 3], ids=["2d", "3d"])
-def small_game(request):
-    d = request.param
-    lo, hi = [0.0] * d, [1.0] * d
-    ops = (LinearMap(np.array([[0.5] + [0.0] * (d - 1)])), LinearMap(np.array([[-0.5] + [0.0] * (d - 1)])))
-    return run_game(Domain.box(lo, hi), TargetSet.grid(lo, hi, 0.25), ops, "stay", rounds=4, seed=0)
 
 
 # ---------------------------------------------------------------------------

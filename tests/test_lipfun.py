@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lipforge import (
     AddConst,
+    Affine,
     Const,
     Domain,
     Linear,
@@ -195,15 +198,104 @@ def test_patch_identity_inner_changes_nothing(unit_box):
     assert np.array_equal(eval_batch(f, Z), eval_batch(outer, Z))
 
 
-def test_patched_grid_agrees_with_naive_scan(unit_box):
-    rng = np.random.default_rng(3)
-    centers = unit_box.grid(6)
-    keep = [c for c in centers if unit_box.dist_to_boundary(c) > 0.06]
-    patches = [Patch(c, 0.05, Const(np.array([0.0]), 2)) for c in keep]
-    node = Patched(Const(np.array([0.0]), 2), tuple(patches), NormKind.EUCLIDEAN)
-    for _ in range(10_000):
-        z = rng.uniform(0, 1, size=2)
-        assert node.resolve(z) == node.resolve_naive(z)
+def naive_claims(node: Patched, Z: np.ndarray) -> np.ndarray:
+    """Reference resolver: a mask over the whole batch per patch, in index
+    order, with the first claiming patch winning; -1 where none claims."""
+    claims = np.full(len(Z), -1)
+    for idx, p in enumerate(node.patches):
+        mask = (claims < 0) & (norm_batch(Z - p.center_float, node.norm_kind) < p.radius_float)
+        claims[mask] = idx
+    return claims
+
+
+def resolve_naive(node: Patched, z: np.ndarray) -> int | None:
+    idx = int(naive_claims(node, z[None, :])[0])
+    return None if idx < 0 else idx
+
+
+def naive_eval_batch(node: Patched, Z: np.ndarray) -> np.ndarray:
+    out = np.empty((len(Z), node.out_dim))
+    claims = naive_claims(node, Z)
+    for idx in range(-1, len(node.patches)):
+        mask = claims == idx
+        if mask.any():
+            f = node.outer if idx < 0 else node.patches[idx].inner
+            out[mask] = f._eval_batch(Z[mask])
+    return out
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("batch", [0, 1, 22, 63, 64, 1000])
+@pytest.mark.parametrize("count", [1, 15, 16, 40])
+def test_patched_grid_agrees_with_naive_scan(count, batch, d, kind):
+    """The hash-grid resolver against the mask loop, bit for bit, at patch
+    centers, on patch spheres and outside every ball."""
+    rng = np.random.default_rng(1000 * count + 10 * batch + d)
+    side = int(np.ceil(count ** (1.0 / d)))
+    cells = np.array(list(itertools.product(range(side), repeat=d))[:count], dtype=float)
+    centers = (cells + 0.5) / side
+    # unequal radii below 0.4 of the lattice spacing keep the balls disjoint
+    radii = rng.uniform(0.1, 0.4, size=count) / side
+    patches = tuple(
+        Patch(c, float(r), Affine(rng.uniform(-1, 1, size=2), LinearMap(rng.uniform(-1, 1, size=(2, d))), c))
+        for c, r in zip(centers, radii)
+    )
+    node = Patched(Linear(LinearMap(rng.uniform(-1, 1, size=(2, d)))), patches, kind)
+    owner = rng.integers(0, count, size=batch)
+    # 0: at the center, 1: on the sphere up to rounding, 2: in the gap between balls
+    where = np.arange(batch) % 3
+    dirs = rng.normal(size=(batch, d))
+    dirs /= norm_batch(dirs, kind)[:, None]
+    Z = centers[owner] + (np.array([0.0, 1.0, 1.5])[where] * radii[owner])[:, None] * dirs
+    claims = naive_claims(node, Z)
+    assert np.array_equal(claims[where == 0], owner[where == 0])
+    assert np.all(claims[where == 2] == -1)
+    assert np.array_equal(node._claims(Z), claims)
+    assert np.array_equal(node._eval_batch(Z), naive_eval_batch(node, Z))
+    assert [node.resolve(z) for z in Z] == [resolve_naive(node, z) for z in Z]
+
+
+def test_overlapping_patches_first_claim_wins():
+    """patch() refuses overlapping balls, but a Patched built directly does
+    not check them; where balls overlap, the lowest patch index claims the
+    point, as in the mask loop."""
+    c = np.array([0.5, 0.5])
+    patches = tuple(Patch(c, r, Const(np.array([float(i)]), 2)) for i, r in enumerate((0.2, 0.3, 0.1)))
+    node = Patched(Const(np.array([-1.0]), 2), patches, NormKind.EUCLIDEAN)
+    Z = np.random.default_rng(8).uniform(0.1, 0.9, size=(500, 2))
+    claims = naive_claims(node, Z)
+    assert set(claims) == {-1, 0, 1}
+    assert np.array_equal(node._claims(Z), claims)
+    assert np.array_equal(node._eval_batch(Z)[:, 0], claims.astype(float))
+
+
+def test_eval_point_is_a_batch_row(small_game):
+    """eval_point at float points gives the eval_batch rows, bit for bit:
+    random points, patch centers and float-resolvable sphere axis points."""
+    f = small_game.final_fun
+    d = f.in_dim
+    rng = np.random.default_rng(7)
+    pts = list(rng.uniform(0.0, 1.0, size=(100, d)))
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Patched):
+            for p in node.patches:
+                pts.append(p.center_float)
+                for axis in range(d):
+                    pts.append(p.center_float + p.radius_float * np.eye(d)[axis])
+        stack.extend(node.children())
+    Z = np.array(pts)
+    singles = np.array([eval_point(f, z) for z in Z])
+    assert singles.dtype == float
+    assert np.array_equal(singles, eval_batch(f, Z))
+
+
+def test_sup_dist_above_ten_dimensions_is_diagnosed():
+    domain = Domain.box([0.0] * 11, [1.0] * 11)
+    with pytest.raises(LipForgeError, match="dimension 10"):
+        sup_dist(NormOf(11), AddConst(NormOf(11), np.array([0.25])), domain, budget=3000)
 
 
 def test_sup_dist_contracts(unit_box):

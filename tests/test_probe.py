@@ -17,11 +17,16 @@ from lipforge import (
     dini_values,
     dq_error,
     dq_profile,
+    eval_point,
     identity,
     run_game,
     witness_bound_report,
     witness_dini_report,
+    witnesses,
 )
+from lipforge.numerics import to_float
+from lipforge.probe import _use_exact, witness_ladder
+from lipforge.space import norm, sample_ball
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +208,30 @@ def test_witness_dini_small_game(small_transcript):
     assert dini
     fired = sum(1 for r in dini if r.report.fires)
     assert fired / len(dini) >= 0.9
+
+
+def loop_dq_error(f, x, operator, r, budget, seed):
+    """dq_error's float branch as a per-sample loop of single-point calls."""
+    xf = np.array([to_float(v) for v in x])
+    rf = to_float(r)
+    fx = eval_point(f, xf)
+    best = 0.0
+    for u in sample_ball(np.zeros(len(xf)), rf, budget, seed, operator.in_norm):
+        resid = eval_point(f, xf + u) - fx - operator.float_matrix @ u
+        best = max(best, float(norm(resid, operator.out_norm)) / rf)
+    return best
+
+
+def test_batched_dq_error_matches_per_sample_loop(small_game):
+    """At every witness and the float-resolvable scales of its ladder."""
+    f = small_game.final_fun
+    checked = 0
+    for w in witnesses(small_game, 1, 0):
+        x = w.point()
+        for i, r in enumerate(witness_ladder(small_game, w).radii[::4]):
+            if _use_exact(x, r):
+                continue
+            budget = 2 * f.in_dim + 1 + i
+            assert dq_error(f, x, w.operator, r, budget, i) == loop_dq_error(f, x, w.operator, r, budget, i)
+            checked += 1
+    assert checked > 0
