@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
-import json
 import logging
 import os
 import sys
@@ -28,8 +26,8 @@ import mpmath
 import numpy as np
 
 from . import verify as verify_mod
-from .game import GameTranscript, load_transcript, run_game
-from .lipfun import deserialize, eval_batch, fun_to_dict
+from .game import GameTranscript, load_transcript, read_artifact, run_game
+from .lipfun import deserialize, eval_batch
 from .nets import TargetSet, nested_nets
 from .numerics import CONSTRUCTION_DPS, LipForgeError, exact_mpf, to_float
 from .probe import (
@@ -274,7 +272,6 @@ def cmd_construct(args) -> int:
     )
     out.mkdir(parents=True, exist_ok=True)
     transcript.save(out / "transcript.json")
-    _write_text(out / "function.json", json.dumps(fun_to_dict(transcript.final_fun), separators=(",", ":")))
     _write_text(out / "nets.csv", transcript.nets.to_csv())
     print(f"rounds: {transcript.k_max}")
     for rec in transcript.rounds:
@@ -309,14 +306,9 @@ def _probe_rows(transcript: GameTranscript, per_round: int, budget: int | None, 
 
 
 def cmd_probe(args) -> int:
-    art_path = Path(args.artifact)
-    if not art_path.exists():
-        raise LipForgeError(f"artifact not found: {art_path}")
-    transcript = load_transcript(args.transcript)
-    fun = deserialize(art_path.read_bytes())
-    # Probe against the standalone artifact tree (transcripts embed the same
-    # mapping; the artifact file is the authority here).
-    transcript = dataclasses.replace(transcript, final_fun=fun)
+    transcript = load_transcript(args.transcript, args.artifact)
+    text = args.dini_direction
+    direction = np.eye(transcript.domain.dim)[0] if text is None else np.asarray(_parse_floats(text), dtype=float)
     out = Path(args.out)
     seed = args.seed if args.seed is not None else transcript.seed
 
@@ -339,7 +331,7 @@ def cmd_probe(args) -> int:
 
     dini = witness_dini_report(
         transcript,
-        args.dini_direction,
+        direction,
         min_round=args.min_round,
         per_round=args.per_round,
         seed=seed,
@@ -349,7 +341,7 @@ def cmd_probe(args) -> int:
     fired = sum(1 for r in dini if r.report.fires)
     summary.append("")
     summary.append("sub-gradient emptiness certificates")
-    summary.append(f"direction: {' '.join(repr(float(v)) for v in args.dini_direction)}")
+    summary.append(f"direction: {' '.join(repr(float(v)) for v in direction)}")
     summary.append(f"witnesses probed (rounds >= {args.min_round}): {len(dini)}")
     summary.append(f"certificates fired: {fired} ({fired / max(len(dini), 1):.1%})")
     fired_by_round: dict[int, list[int]] = {}
@@ -386,14 +378,11 @@ def cmd_verify(args) -> int:
         else:
             for fn, fargs in suites:
                 results += fn(*fargs)
+    transcript = None if args.transcript is None else load_transcript(args.transcript, args.artifact)
     if args.artifact is not None:
-        path = Path(args.artifact)
-        if not path.exists():
-            raise LipForgeError(f"artifact not found: {path}")
-        fun = deserialize(path.read_bytes())
+        fun = deserialize(read_artifact(args.artifact)) if transcript is None else transcript.final_fun
         results += verify_mod.artifact_suite(fun, seed=args.seed or 0)
-    if args.transcript is not None:
-        transcript = load_transcript(args.transcript)
+    if transcript is not None:
         results += verify_mod.transcript_suite(transcript, per_round=args.per_round, budget=args.budget)
 
     failures = [r for r in results if not r.ok]
@@ -408,10 +397,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    path = Path(args.artifact)
-    if not path.exists():
-        raise LipForgeError(f"artifact not found: {path}")
-    fun = deserialize(path.read_bytes())
+    fun = deserialize(read_artifact(args.artifact))
     lo = np.asarray(_parse_floats(args.lo), dtype=float)
     hi = np.asarray(_parse_floats(args.hi), dtype=float)
     if len(lo) != fun.in_dim or len(hi) != fun.in_dim:
@@ -464,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-round", dest="min_round", type=int, default=1)
     p.add_argument("--ladder-steps", dest="ladder_steps", type=int, default=20)
     p.add_argument("--ladder-ratio", dest="ladder_ratio", type=float, default=0.5)
-    p.add_argument("--dini-direction", dest="dini_direction_text", default=None)
+    p.add_argument("--dini-direction", dest="dini_direction", default=None)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(fn=cmd_probe)
 
@@ -496,16 +482,7 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dini_direction_text", None) is not None:
-        args.dini_direction = np.asarray(_parse_floats(args.dini_direction_text), dtype=float)
-    elif args.command == "probe":
-        args.dini_direction = None
     try:
-        if args.command == "probe" and args.dini_direction is None:
-            transcript = load_transcript(args.transcript)
-            direction = np.zeros(transcript.domain.dim)
-            direction[0] = 1.0
-            args.dini_direction = direction
         return args.fn(args)
     except LipForgeError as e:
         print(f"error: {e}", file=sys.stderr)

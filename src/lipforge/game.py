@@ -19,6 +19,7 @@ below 4/k -- the checkable witness bound.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,8 +32,10 @@ from .lipfun import (
     Const,
     LipFun,
     add_const,
+    deserialize,
     fun_from_dict,
     fun_to_dict,
+    serialize,
     sup_dist,
 )
 from .nets import NetFamily, TargetSet, nested_nets
@@ -53,7 +56,8 @@ from .numerics import (
 from .perturb import linearize_near
 from .space import Domain, LinearMap, NormKind, norm, unit_directions
 
-GAME_SCHEMA = "lipforge-game/1"
+GAME_SCHEMA = "lipforge-game/2"
+FUNCTION_FILE = "function.json"
 
 ADVERSARY_KINDS = ("stay", "jitter", "replay")
 
@@ -236,9 +240,39 @@ def adversary(kind: str, state: GameState, replay_rounds: list[dict] | None = No
     raise LipForgeError(f"unknown adversary kind {kind!r}")
 
 
+def _round_records(rounds: tuple[MoveRecord, ...]) -> list[dict]:
+    """Round records as a transcript stores them and the replay adversary reads them."""
+    records = []
+    for rec in rounds:
+        move: dict = {"kind": rec.move_kind}
+        if rec.move_kind == "jitter" and rec.move_shift is not None:
+            move["shift"] = encode_vector(rec.move_shift)
+        if rec.move_kind == "explicit" and rec.move_fun is not None:
+            move["fun"] = fun_to_dict(rec.move_fun)
+        records.append(
+            {
+                "round": rec.round_k,
+                "op_index": rec.op_index,
+                "move": move,
+                "r_offered": encode_scalar(rec.r_offered),
+                "r_accepted": encode_scalar(rec.r_accepted),
+                "s": encode_scalar(rec.s),
+                "alpha": encode_scalar(rec.alpha),
+                "beta": None if rec.beta is None else encode_scalar(rec.beta),
+                "warp_radius": None if rec.warp_radius is None else encode_scalar(rec.warp_radius),
+                "rho_bound": encode_scalar(rec.rho_bound),
+                "rho_sampled": repr(rec.rho_sampled),
+                "net_size": rec.net_size,
+            }
+        )
+    return records
+
+
 @dataclass(frozen=True)
 class GameTranscript:
-    """Complete record of a finished run."""
+    """Complete record of a finished run. On disk (schema lipforge-game/2) it
+    names its function.json by sha256 instead of embedding final_fun; save and
+    load_transcript write and read the pair, so a loaded one has final_fun."""
 
     domain: Domain
     operators: tuple[LinearMap, ...]
@@ -254,33 +288,10 @@ class GameTranscript:
     def k_max(self) -> int:
         return len(self.rounds)
 
-    def operator_for_round(self, k: int) -> LinearMap:
-        return self.operators[self.rounds[k - 1].op_index]
-
     def to_dict(self) -> dict:
-        rounds = []
-        for rec in self.rounds:
-            move: dict = {"kind": rec.move_kind}
-            if rec.move_kind == "jitter" and rec.move_shift is not None:
-                move["shift"] = encode_vector(rec.move_shift)
-            if rec.move_kind == "explicit" and rec.move_fun is not None:
-                move["fun"] = fun_to_dict(rec.move_fun)
-            rounds.append(
-                {
-                    "round": rec.round_k,
-                    "op_index": rec.op_index,
-                    "move": move,
-                    "r_offered": encode_scalar(rec.r_offered),
-                    "r_accepted": encode_scalar(rec.r_accepted),
-                    "s": encode_scalar(rec.s),
-                    "alpha": encode_scalar(rec.alpha),
-                    "beta": None if rec.beta is None else encode_scalar(rec.beta),
-                    "warp_radius": None if rec.warp_radius is None else encode_scalar(rec.warp_radius),
-                    "rho_bound": encode_scalar(rec.rho_bound),
-                    "rho_sampled": repr(rec.rho_sampled),
-                    "net_size": rec.net_size,
-                }
-            )
+        return self._document(serialize(self.final_fun))
+
+    def _document(self, function_bytes: bytes) -> dict:
         return {
             "schema": GAME_SCHEMA,
             "adversary": self.adversary_kind,
@@ -298,18 +309,43 @@ class GameTranscript:
             "net_levels": [
                 [[repr(float(x)) for x in p] for p in lvl] for lvl in self.nets.levels
             ],
-            "rounds": rounds,
+            "rounds": _round_records(self.rounds),
             "tail_bound": encode_scalar(self.tail_bound),
-            "final_fun": fun_to_dict(self.final_fun),
+            "function_sha256": hashlib.sha256(function_bytes).hexdigest(),
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), separators=(",", ":")), encoding="utf-8")
+        """Write the transcript to `path` and final_fun to function.json beside it."""
+        p = Path(path)
+        data = serialize(self.final_fun)
+        p.with_name(FUNCTION_FILE).write_bytes(data)
+        p.write_text(json.dumps(self._document(data), separators=(",", ":")), encoding="utf-8")
 
 
-def _load_dict(obj: dict) -> GameTranscript:
-    if obj.get("schema") != GAME_SCHEMA:
-        raise LipForgeError(f"unknown schema version {obj.get('schema')!r}")
+def read_artifact(path) -> bytes:
+    p = Path(path)
+    if not p.exists():
+        raise LipForgeError(f"artifact not found: {p}")
+    return p.read_bytes()
+
+
+def load_transcript(path, function_path=None) -> GameTranscript:
+    """Read a transcript and the mapping it names from `function_path`, by
+    default function.json beside it. The bytes must hash to the transcript's
+    function_sha256; the tree is then decoded once."""
+    try:
+        obj = json.loads(read_artifact(path))
+    except ValueError as e:
+        raise LipForgeError("malformed artifact") from e
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != GAME_SCHEMA:
+        raise LipForgeError(f"unknown schema version {schema!r}")
+    fp = Path(path).with_name(FUNCTION_FILE) if function_path is None else function_path
+    data = read_artifact(fp)
+    digest, named = hashlib.sha256(data).hexdigest(), obj.get("function_sha256")
+    if digest != named:
+        raise LipForgeError(f"artifact mismatch: {fp} has sha256 {digest}, the transcript names {named}")
+    final_fun = deserialize(data)
     try:
         domain = Domain.decode(obj["domain"])
         operators = tuple(
@@ -357,27 +393,16 @@ def _load_dict(obj: dict) -> GameTranscript:
             operators=operators,
             nets=nets,
             rounds=tuple(rounds),
-            final_fun=fun_from_dict(obj["final_fun"]),
+            final_fun=final_fun,
             tail_bound=decode_scalar(obj["tail_bound"]),
             adversary_kind=obj.get("adversary", "replay"),
             seed=int(obj.get("seed", 0)),
             dps=int(obj.get("dps", CONSTRUCTION_DPS)),
         )
-    except LipForgeError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad transcript record") from e
 
 
-def load_transcript(path) -> GameTranscript:
-    p = Path(path)
-    if not p.exists():
-        raise LipForgeError(f"artifact not found: {p}")
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise LipForgeError("malformed artifact") from e
-    return _load_dict(obj)
 
 
 def run_game(
@@ -416,8 +441,8 @@ def run_game(
     if adversary_kind == "replay":
         if replay_transcript is None:
             raise LipForgeError("replay adversary needs a stored transcript")
-        obj = replay_transcript.to_dict() if isinstance(replay_transcript, GameTranscript) else replay_transcript
-        replay_rounds = obj["rounds"]
+        is_transcript = isinstance(replay_transcript, GameTranscript)
+        replay_rounds = _round_records(replay_transcript.rounds) if is_transcript else replay_transcript["rounds"]
     elif adversary_kind not in ADVERSARY_KINDS:
         raise LipForgeError(f"unknown adversary kind {adversary_kind!r}")
 

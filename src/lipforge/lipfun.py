@@ -506,7 +506,9 @@ class _PatchGrid:
 
 @dataclass(frozen=True, eq=False)
 class Patched(LipFun):
-    """Outer mapping overridden inside disjoint open balls by inner mappings."""
+    """Outer mapping overridden inside disjoint open balls by inner mappings.
+    Balls with ||c_i - c_j|| <= r_i + r_j (float64, the node's norm) are refused
+    as overlapping; such balls share a patch-grid cell, so only those pairs are tested."""
 
     outer: LipFun
     patches: tuple[Patch, ...]
@@ -516,8 +518,17 @@ class Patched(LipFun):
         for p in self.patches:
             if (p.inner.in_dim, p.inner.out_dim) != (self.outer.in_dim, self.outer.out_dim):
                 raise LipForgeError("patch inner mapping has wrong dimensions")
+            if len(p.center) != self.outer.in_dim:
+                raise LipForgeError("patch center has wrong dimension")
             if not p.radius > 0:
                 raise LipForgeError("patch radius must be positive")
+        grid = self._grid
+        pairs = [ij for cell in grid.table.values() for ij in itertools.combinations(cell, 2)]
+        if pairs:
+            i, j = np.array(pairs).T
+            gaps = norm_batch(grid.centers[i] - grid.centers[j], self.norm_kind)
+            if np.any(gaps <= grid.radii[i] + grid.radii[j]):
+                raise LipForgeError("patch overlap")
 
     @property
     def in_dim(self) -> int:
@@ -695,26 +706,10 @@ def patch(
             center = np.asarray(center, dtype=float)
         return Patch(center, radius, inner)
 
-    plist = tuple(as_patch(p) for p in patches)
-    d = outer.in_dim
-    for p in plist:
-        if len(p.center) != d:
-            raise LipForgeError("patch center has wrong dimension")
-        if not p.radius > 0:
-            raise LipForgeError("patch radius must be positive")
-        margin = to_float(domain.dist_to_boundary(p.center_float))
-        if not margin > p.radius_float:
+    node = Patched(outer, tuple(as_patch(p) for p in patches), domain.norm)
+    for p in node.patches:
+        if not to_float(domain.dist_to_boundary(p.center_float)) > p.radius_float:
             raise LipForgeError("patch ball escapes the domain interior")
-    if len(plist) > 1:
-        centers = np.stack([p.center_float for p in plist])
-        radii = np.array([p.radius_float for p in plist])
-        diff = centers[:, None, :] - centers[None, :, :]
-        gaps = norm_batch(diff.reshape(-1, d), domain.norm).reshape(len(plist), len(plist))
-        sums = radii[:, None] + radii[None, :]
-        np.fill_diagonal(gaps, np.inf)
-        if np.any(gaps <= sums):
-            raise LipForgeError("patch overlap")
-    node = Patched(outer, plist, domain.norm)
     _check_patch_continuity(node, boundary_samples, tol)
     return node
 

@@ -137,6 +137,52 @@ def test_probe_missing_artifact(tmp_path, capsys):
     assert "artifact not found" in capsys.readouterr().err
 
 
+def test_probe_and_verify_refuse_another_function_json(tmp_path, capsys):
+    """A function.json changed by one byte, or written by another seed's
+    run, ends probe and verify with an error line, not a traceback."""
+    jitter = tmp_path / "jitter.ini"
+    jitter.write_text(SMALL_CONFIG.replace("adversary = stay", "adversary = jitter"))
+    for seed in ("0", "1"):
+        assert main(["construct", "--config", str(jitter), "--out", str(tmp_path / seed), "--seed", seed]) == 0
+    art, tr = tmp_path / "0" / "function.json", tmp_path / "0" / "transcript.json"
+    good = art.read_bytes()
+    other = (tmp_path / "1" / "function.json").read_bytes()
+    assert other != good
+    i = good.index(b"0.")
+    for data in (good[:i] + b"1" + good[i + 1:], other):
+        art.write_bytes(data)
+        capsys.readouterr()
+        assert main(["probe", "--artifact", str(art), "--transcript", str(tr), "--out", str(tmp_path / "p")]) == 1
+        assert main(["verify", "--artifact", str(art), "--transcript", str(tr)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: artifact mismatch") == 2
+        assert "Traceback" not in err
+
+
+def test_probe_and_verify_decode_the_tree_once(config_path, tmp_path, monkeypatch):
+    """probe and verify read the artifact pair with one decode of the tree."""
+    import lipforge.game as game_mod
+    import lipforge.lipfun as lipfun_mod
+
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    decoded = []
+    original = lipfun_mod.fun_from_dict
+
+    def counting(obj):
+        decoded.append(obj)
+        return original(obj)
+
+    for mod in (game_mod, lipfun_mod):
+        monkeypatch.setattr(mod, "fun_from_dict", counting)
+    pair = ["--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json")]
+    assert main(["probe", *pair, "--out", str(out)]) == 0
+    assert len(decoded) == 1
+    assert main(["verify", *pair]) == 0
+    # the pair once, plus the artifact suite's own serialize/deserialize check
+    assert len(decoded) == 1 + 2
+
+
 def test_verify_selftest(capsys):
     rc = main(["verify"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from lipforge import (
     witnesses,
 )
 from lipforge.game import MoveRecord, player2_move
+from lipforge.lipfun import fun_to_dict
 from lipforge.numerics import exact_mpf, to_float, working_dps_for_scale
 from lipforge.space import norm, sample_ball
 
@@ -220,6 +222,79 @@ def test_load_transcript_bad_schema(tmp_path):
     p.write_text(json.dumps({"schema": "lipforge-game/99"}))
     with pytest.raises(LipForgeError, match="schema"):
         load_transcript(p)
+    p.write_text("[]")
+    with pytest.raises(LipForgeError, match="schema"):
+        load_transcript(p)
+
+
+def test_saved_transcript_names_function_json_by_sha256(tmp_path, small_transcript):
+    tr = small_transcript
+    tr.save(tmp_path / "transcript.json")
+    data = (tmp_path / "function.json").read_bytes()
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    assert data == serialize(tr.final_fun)
+    assert doc["schema"] == "lipforge-game/2"
+    assert "final_fun" not in doc
+    assert doc["function_sha256"] == hashlib.sha256(data).hexdigest()
+    moved = tmp_path / "elsewhere.json"
+    (tmp_path / "function.json").rename(moved)
+    with pytest.raises(LipForgeError, match="artifact not found"):
+        load_transcript(tmp_path / "transcript.json")
+    loaded = load_transcript(tmp_path / "transcript.json", moved)
+    assert serialize(loaded.final_fun) == data
+
+
+def test_load_transcript_refuses_another_function_json(tmp_path, small_setup):
+    """A function.json changed by one byte, or written by another seed's run,
+    is refused with both hashes named."""
+    domain, target, ops = small_setup
+    for seed in (0, 1):
+        (tmp_path / str(seed)).mkdir()
+        run_game(domain, target, ops, "jitter", rounds=3, seed=seed).save(tmp_path / str(seed) / "transcript.json")
+    path = tmp_path / "0" / "transcript.json"
+    good = (tmp_path / "0" / "function.json").read_bytes()
+    other = (tmp_path / "1" / "function.json").read_bytes()
+    assert other != good
+    i = good.index(b"0.")
+    tampered = good[:i] + b"1" + good[i + 1:]
+    for data in (tampered, other):
+        (tmp_path / "0" / "function.json").write_bytes(data)
+        expected = f"artifact mismatch: .* {hashlib.sha256(data).hexdigest()}, .* {hashlib.sha256(good).hexdigest()}"
+        with pytest.raises(LipForgeError, match=expected):
+            load_transcript(path)
+
+
+def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
+    """The old layout, with the tree embedded as final_fun, is not read."""
+    doc = small_transcript.to_dict()
+    del doc["function_sha256"]
+    doc.update(schema="lipforge-game/1", final_fun=fun_to_dict(small_transcript.final_fun))
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    (tmp_path / "function.json").write_bytes(serialize(small_transcript.final_fun))
+    with pytest.raises(LipForgeError, match="unknown schema version 'lipforge-game/1'"):
+        load_transcript(tmp_path / "transcript.json")
+
+
+def test_replay_from_memory_encodes_no_tree(monkeypatch, small_setup, small_transcript):
+    """Replaying a stay game from an in-memory transcript reads its round
+    records without encoding any mapping."""
+    import lipforge.game as game_mod
+    import lipforge.lipfun as lipfun_mod
+
+    calls = []
+    original = lipfun_mod.fun_to_dict
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for mod in (game_mod, lipfun_mod):
+        monkeypatch.setattr(mod, "fun_to_dict", counting)
+    domain, target, ops = small_setup
+    replayed = run_game(domain, target, ops, "replay", rounds=4, seed=0, replay_transcript=small_transcript)
+    assert calls == []
+    monkeypatch.undo()
+    assert serialize(replayed.final_fun) == serialize(small_transcript.final_fun)
 
 
 def test_rerun_is_bit_identical(small_setup, small_transcript):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -25,7 +26,15 @@ from lipforge import (
     sup_dist,
     zero_map,
 )
-from lipforge.lipfun import FLOAT_RESOLVE_REL, Patch, Patched, Precompose, _sphere_directions, shift_conjugate
+from lipforge.lipfun import (
+    FLOAT_RESOLVE_REL,
+    Patch,
+    Patched,
+    Precompose,
+    _sphere_directions,
+    fun_from_dict,
+    shift_conjugate,
+)
 from lipforge.space import norm_batch, unit_directions
 
 
@@ -256,18 +265,54 @@ def test_patched_grid_agrees_with_naive_scan(count, batch, d, kind):
     assert [node.resolve(z) for z in Z] == [resolve_naive(node, z) for z in Z]
 
 
-def test_overlapping_patches_first_claim_wins():
-    """patch() refuses overlapping balls, but a Patched built directly does
-    not check them; where balls overlap, the lowest patch index claims the
-    point, as in the mask loop."""
+def test_overlapping_patches_are_refused():
+    """Two radius-0.2 balls at (0.4, 0.5) and (0.6, 0.5), each with inner
+    0.2 - ||z - c||, would certify lip_cert 1 yet jump by 0.2 across a sphere:
+    Patched refuses them whether built directly or decoded."""
+    def cone(c):
+        dist = Precompose(NormOf(2), Affine(np.zeros(2), LinearMap(np.eye(2)), c))
+        return Sum(Const(np.array([0.2]), 2), Scale(-1.0, dist))
+
+    centers = [np.array([0.4, 0.5]), np.array([0.6, 0.5])]
+    with pytest.raises(LipForgeError, match="patch overlap"):
+        Patched(Const(np.array([0.0]), 2), tuple(Patch(c, 0.2, cone(c)) for c in centers), NormKind.EUCLIDEAN)
+    # encode a disjoint pair, then move the second ball onto its cone's center
+    apart = (Patch(centers[0], 0.2, cone(centers[0])), Patch(np.array([0.8, 0.5]), 0.19, cone(centers[1])))
+    obj = json.loads(serialize(Patched(Const(np.array([0.0]), 2), apart)))
+    obj["root"]["patches"][1].update(center=["0.6", "0.5"], radius="0.2")
+    with pytest.raises(LipForgeError, match="patch overlap"):
+        fun_from_dict(obj)
+    # concentric balls overlap too, whatever their order
     c = np.array([0.5, 0.5])
-    patches = tuple(Patch(c, r, Const(np.array([float(i)]), 2)) for i, r in enumerate((0.2, 0.3, 0.1)))
-    node = Patched(Const(np.array([-1.0]), 2), patches, NormKind.EUCLIDEAN)
-    Z = np.random.default_rng(8).uniform(0.1, 0.9, size=(500, 2))
-    claims = naive_claims(node, Z)
-    assert set(claims) == {-1, 0, 1}
-    assert np.array_equal(node._claims(Z), claims)
-    assert np.array_equal(node._eval_batch(Z)[:, 0], claims.astype(float))
+    nested = tuple(Patch(c, r, Const(np.array([float(i)]), 2)) for i, r in enumerate((0.2, 0.3, 0.1)))
+    with pytest.raises(LipForgeError, match="patch overlap"):
+        Patched(Const(np.array([-1.0]), 2), nested, NormKind.EUCLIDEAN)
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_overlap_check_agrees_with_all_pairs(d, kind):
+    """Testing only the pairs that share a grid cell refuses exactly the
+    patch sets that the test of all n(n-1)/2 pairs refuses, including balls
+    that touch up to rounding."""
+    rng = np.random.default_rng(17 * d + len(kind.value))
+    for trial in range(60):
+        count = int(rng.integers(2, 30))
+        centers = rng.uniform(0.0, 1.0, size=(count, d))
+        radii = rng.uniform(0.005, 0.1, size=count) * rng.choice([1.0, 0.1, 0.01], size=count)
+        if trial % 3 == 0:
+            # make ball 0 touch ball 1 up to rounding
+            radii[0] = float(norm_batch((centers[1] - centers[0])[None, :], kind)[0]) - radii[1]
+            radii[0] = max(radii[0], 1e-6)
+        gaps = norm_batch((centers[:, None, :] - centers[None, :, :]).reshape(-1, d), kind).reshape(count, count)
+        np.fill_diagonal(gaps, np.inf)
+        overlap = bool(np.any(gaps <= radii[:, None] + radii[None, :]))
+        patches = tuple(Patch(c, float(r), Const(np.array([0.0]), d)) for c, r in zip(centers, radii))
+        if overlap:
+            with pytest.raises(LipForgeError, match="patch overlap"):
+                Patched(Const(np.array([0.0]), d), patches, kind)
+        else:
+            Patched(Const(np.array([0.0]), d), patches, kind)
 
 
 def test_eval_point_is_a_batch_row(small_game):
