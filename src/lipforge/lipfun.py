@@ -13,6 +13,9 @@ semantics are implemented twice:
   libmp values, and every operation is the ``mpmath.libmp`` call the mpf
   operator would make, in the same order and at the context's working
   precision, so results are bit-identical to evaluating with mpf objects.
+  A Euclidean norm that only decides a ball or blend branch is compared
+  squared, and its root is taken only where that cannot decide the branch
+  the root would (space._root_side).
   Each node converts its constants to raw values once and caches them.
   ``eval_point`` converts object arrays of mpf at the boundary.
 
@@ -31,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_ge, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub
 
 from .numerics import (
     LipForgeError,
@@ -53,7 +56,8 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, _norm_raw, halton_point, norm, norm_batch, unit_directions
+from .space import Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sum_squares_raw
+from .space import halton_point, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
 # Deepest node level (root = 0) that serialization accepts. Tree walks are
@@ -366,7 +370,9 @@ class RadialBlend(LipFun):
     """Radial interpolation between f1 (inside a) and f2 (outside b).
 
     Both mappings must vanish at the origin; use the radial_blend factory,
-    which verifies this, for user-facing construction.
+    which verifies this, for user-facing construction. The exact evaluator
+    keeps a^2 and b^2 exactly and takes the Euclidean norm's root only in
+    the mid shell or within a few ulps of a sphere (see _eval_exact).
     """
 
     a: Scalar
@@ -408,10 +414,32 @@ class RadialBlend(LipFun):
     def _b_raw(self) -> tuple:
         return exact_raw(self.b)
 
+    @cached_property
+    def _a_sq(self) -> tuple:
+        return mpf_mul(self._a_raw, self._a_raw)
+
+    @cached_property
+    def _b_sq(self) -> tuple:
+        return mpf_mul(self._b_raw, self._b_raw)
+
     def _eval_exact(self, z):
+        """Under the Euclidean norm the branch is decided on one sum of
+        squares against the bands of a^2 and b^2 (see space._root_side).
+        The root n is taken only in the mid shell, where c1 and c2 need it,
+        or when a band is too close to call; then n is compared as for the
+        other norms, so every branch is the one n would pick."""
         prec, rnd = mp._prec_rounding
-        n = _norm_raw(z, self.norm_kind)
         a, b = self._a_raw, self._b_raw
+        if self.norm_kind is NormKind.EUCLIDEAN:
+            acc = _sum_squares_raw(z)
+            side = _root_side(acc, self._a_sq)
+            if side < 0:
+                return self.f1._eval_exact(z)
+            if side > 0 and _root_side(acc, self._b_sq) > 0:
+                return self.f2._eval_exact(z)
+            n = mpf_sqrt(acc, prec, rnd)
+        else:
+            n = _norm_raw(z, self.norm_kind)
         if mpf_le(n, a):
             return self.f1._eval_exact(z)
         if mpf_ge(n, b):
@@ -467,6 +495,11 @@ class Patch:
     @cached_property
     def radius_raw(self) -> tuple:
         return exact_raw(self.radius)
+
+    @cached_property
+    def radius_sq(self) -> tuple:
+        """radius * radius, exact, for the squared-norm ball test."""
+        return mpf_mul(self.radius_raw, self.radius_raw)
 
 
 class _PatchGrid:
@@ -575,13 +608,16 @@ class Patched(LipFun):
         return claims
 
     def _resolve_exact(self, z: tuple) -> int | None:
-        """resolve for a raw libmp point: ||z - center|| < radius, exactly."""
+        """resolve for a raw libmp point: the rounded ||z - center|| < radius,
+        in the working precision. A Euclidean ball is tested on the sum of
+        squares against radius^2 (space._norm_lt_raw), which takes the root
+        only within a few ulps of the sphere and gives the root's answer."""
         prec, rnd = mp._prec_rounding
         zf = np.array([raw_to_float(x) for x in z])
         for idx in self._grid.candidates(zf):
             p = self.patches[idx]
             w = tuple(mpf_sub(x, c, prec, rnd) for x, c in zip(z, p.center_raw))
-            if mpf_lt(_norm_raw(w, self.norm_kind), p.radius_raw):
+            if _norm_lt_raw(w, self.norm_kind, p.radius_raw, p.radius_sq):
                 return idx
         return None
 
@@ -656,10 +692,19 @@ def add_const(f: LipFun, p) -> AddConst:
     return AddConst(f, p if isinstance(p, np.ndarray) else as_vector(list(p)))
 
 
+@lru_cache(maxsize=None)
+def _identity_map(d: int, norm_kind: NormKind) -> LinearMap:
+    """One read-only identity LinearMap per (d, norm), so its operator norm
+    is computed once, not once per translation."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return LinearMap(eye, norm_kind, norm_kind)
+
+
 def shift_conjugate(map_fun: LipFun, x: np.ndarray, norm_kind: NormKind) -> LipFun:
     """z -> x + map_fun(z - x) for a coordinate mapping R^d -> R^d."""
     d = map_fun.in_dim
-    translate = Affine(np.zeros(d), LinearMap(np.eye(d), norm_kind, norm_kind), x)
+    translate = Affine(np.zeros(d), _identity_map(d, norm_kind), x)
     return AddConst(Precompose(map_fun, translate), x)
 
 
@@ -915,9 +960,23 @@ def _decode_map(obj: dict) -> LinearMap:
         raise LipForgeError("malformed artifact: bad linear map") from e
 
 
-def _encode_node(f: LipFun, depth: int) -> dict:
+def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
+    """The record of f, a node at the given depth. memo maps id(node) to the
+    depth and record of its last encoding in this call: a record made at
+    depth d is reused at any depth up to d, where its subtree fits under
+    MAX_TREE_DEPTH too, and a deeper visit encodes again, so a tree that is
+    too deep fails as if every visit were encoded."""
     if depth > MAX_TREE_DEPTH:
         raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
+    hit = memo.get(id(f))
+    if hit is not None and depth <= hit[0]:
+        return hit[1]
+    record = _encode_record(f, depth, memo)
+    memo[id(f)] = (depth, record)
+    return record
+
+
+def _encode_record(f: LipFun, depth: int, memo: dict) -> dict:
     if isinstance(f, Const):
         return {"kind": "const", "c": encode_vector(f.c), "in_dim": f.in_dim}
     if isinstance(f, Linear):
@@ -932,30 +991,30 @@ def _encode_node(f: LipFun, depth: int) -> dict:
     if isinstance(f, NormOf):
         return {"kind": "norm_of", "in_dim": f.in_dim, "sign": f.sign, "norm": f.norm_kind.value}
     if isinstance(f, Sum):
-        return {"kind": "sum", "f": _encode_node(f.f, depth + 1), "g": _encode_node(f.g, depth + 1)}
+        return {"kind": "sum", "f": _encode_node(f.f, depth + 1, memo), "g": _encode_node(f.g, depth + 1, memo)}
     if isinstance(f, Scale):
-        return {"kind": "scale", "c": encode_scalar(f.c), "f": _encode_node(f.f, depth + 1)}
+        return {"kind": "scale", "c": encode_scalar(f.c), "f": _encode_node(f.f, depth + 1, memo)}
     if isinstance(f, AddConst):
-        return {"kind": "add_const", "f": _encode_node(f.f, depth + 1), "p": encode_vector(f.p)}
+        return {"kind": "add_const", "f": _encode_node(f.f, depth + 1, memo), "p": encode_vector(f.p)}
     if isinstance(f, RadialBlend):
         return {
             "kind": "radial_blend",
             "a": encode_scalar(f.a),
             "b": encode_scalar(f.b),
-            "f1": _encode_node(f.f1, depth + 1),
-            "f2": _encode_node(f.f2, depth + 1),
+            "f1": _encode_node(f.f1, depth + 1, memo),
+            "f2": _encode_node(f.f2, depth + 1, memo),
             "norm": f.norm_kind.value,
         }
     if isinstance(f, Patched):
         return {
             "kind": "patched",
-            "outer": _encode_node(f.outer, depth + 1),
+            "outer": _encode_node(f.outer, depth + 1, memo),
             "norm": f.norm_kind.value,
             "patches": [
                 {
                     "center": encode_vector(p.center),
                     "radius": encode_scalar(p.radius),
-                    "inner": _encode_node(p.inner, depth + 1),
+                    "inner": _encode_node(p.inner, depth + 1, memo),
                 }
                 for p in f.patches
             ],
@@ -963,8 +1022,8 @@ def _encode_node(f: LipFun, depth: int) -> dict:
     if isinstance(f, Precompose):
         return {
             "kind": "precompose",
-            "f": _encode_node(f.f, depth + 1),
-            "inner_map": _encode_node(f.inner_map, depth + 1),
+            "f": _encode_node(f.f, depth + 1, memo),
+            "inner_map": _encode_node(f.inner_map, depth + 1, memo),
         }
     raise LipForgeError(f"cannot serialize node {type(f).__name__}")
 
@@ -1014,7 +1073,7 @@ def _decode_node(obj, depth: int) -> LipFun:
 
 
 def fun_to_dict(f: LipFun) -> dict:
-    return {"schema": FUN_SCHEMA, "root": _encode_node(f, 0)}
+    return {"schema": FUN_SCHEMA, "root": _encode_node(f, 0, {})}
 
 
 def fun_from_dict(obj: dict) -> LipFun:

@@ -30,7 +30,7 @@ from typing import Union
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float
+from mpmath.libmp import from_float, from_man_exp
 from mpmath.libmp import to_float as _libmp_to_float
 
 Scalar = Union[float, mpmath.mpf]
@@ -147,10 +147,8 @@ def decode_scalar(obj) -> Scalar:
             exp = int(obj["e"])
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError(f"malformed artifact: bad scalar {obj!r}") from e
-        if man == 0:
-            return mpmath.mpf(0)
-        with mp.workprec(max(8, abs(man).bit_length() + 8)):
-            return mpmath.ldexp(mpmath.mpf(man), exp)
+        # from_man_exp without a precision normalizes exactly, zero included
+        return mp.make_mpf(from_man_exp(man, exp))
     if isinstance(obj, str):
         try:
             return float(obj)

@@ -3,8 +3,9 @@
 Vectors are plain numpy arrays (float64, or object dtype holding mpmath
 values when a computation needs precision beyond float64). The exact
 evaluator passes tuples of raw libmp values instead (see numerics.py);
-``_norm_raw`` and ``LinearMap.apply_raw`` serve it, and the object-array
-branches of ``norm`` and ``LinearMap.apply`` delegate to them. Operators are
+``_norm_raw``, ``_norm_lt_raw``, ``_root_side`` and ``LinearMap.apply_raw``
+serve it, and the object-array branches of ``norm`` and ``LinearMap.apply``
+delegate to them. Operators are
 real l x d matrices with an operator norm taken with respect to a chosen
 pair of norms on domain and codomain. Domains are boxes or norm balls with
 exact diameter and boundary-distance formulas.
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_sqrt
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
 
 from .numerics import (
     LipForgeError,
@@ -73,13 +74,13 @@ def norm(v: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> Scalar:
 def _norm_raw(v: tuple, kind: NormKind) -> tuple:
     """Norm of a raw libmp vector in the working precision, with the same
     operations in the same order as the mpf expressions
-    ``sqrt(sum(x * x))``, ``max(abs(x))`` and ``sum(abs(x))``."""
+    ``sqrt(sum(x * x))``, ``max(abs(x))`` and ``sum(abs(x))``. Callers that
+    only compare a Euclidean norm with a radius use ``_norm_lt_raw`` or
+    ``_root_side`` instead, which take the root only when the comparison
+    needs it."""
     prec, rnd = mp._prec_rounding
     if kind is NormKind.EUCLIDEAN:
-        acc = fzero
-        for x in v:
-            acc = mpf_add(acc, mpf_mul(x, x, prec, rnd), prec, rnd)
-        return mpf_sqrt(acc, prec, rnd)
+        return mpf_sqrt(_sum_squares_raw(v), prec, rnd)
     if kind is NormKind.SUP:
         best = None
         for x in v:
@@ -91,6 +92,62 @@ def _norm_raw(v: tuple, kind: NormKind) -> tuple:
     for x in v:
         acc = mpf_add(acc, mpf_abs(x, prec, rnd), prec, rnd)
     return acc
+
+
+def _sum_squares_raw(v: tuple) -> tuple:
+    """The rounded ``sum(x * x)`` whose root is the Euclidean ``_norm_raw``."""
+    prec, rnd = mp._prec_rounding
+    acc = fzero
+    for x in v:
+        acc = mpf_add(acc, mpf_mul(x, x, prec, rnd), prec, rnd)
+    return acc
+
+
+def _root_side(acc: tuple, r2: tuple) -> int:
+    """Sign of ``mpf_sqrt(acc) - r`` in the working precision and rounding,
+    decided without the root where possible: -1 or 1 when the rounded root
+    is certainly below or above r, 0 when the call is too close to make.
+
+    acc is a rounded sum of squares, so it is not negative, and
+    ``r2 = r * r`` is formed exactly (``mpf_mul`` without a precision) for
+    a positive r. With p the working precision and u = 2^-p, the band is
+    ``r2 -+ r2 * 2^-(p-4)``, that is r^2 (1 -+ 16u), and both ends are
+    exact. Rounded to p bits in any mode, the root q of acc and the true
+    root s = sqrt(acc) lie within one spacing of the p-bit numbers of s's
+    binade, which is at most 2u times either, so q <= s (1 + 2u) and
+    s <= q (1 + 2u): the standard a-priori bound of one rounding (S. M. Rump,
+    Verification methods, Acta Numerica 2010).
+
+    * If acc < r^2 (1 - 16u), then q <= s (1 + 2u) < r, because
+      (1 - 16u)(1 + 2u)^2 = 1 - 12u - 60u^2 - 64u^3 < 1. For p <= 4 the
+      lower end is not positive, and no acc passes.
+    * If acc > r^2 (1 + 16u), then q >= s / (1 + 2u) > r, because
+      (1 + 2u)^2 = 1 + 4u + 4u^2 <= 1 + 16u for every u <= 1/2.
+
+    So a nonzero answer is the one the rounded root compared with r gives;
+    on 0 the caller takes that root and compares it. A NaN acc or r2 fails
+    both tests and also gives 0.
+    """
+    slack = mpf_shift(r2, 4 - mp._prec_rounding[0])
+    if mpf_lt(acc, mpf_sub(r2, slack)):
+        return -1
+    if mpf_gt(acc, mpf_add(r2, slack)):
+        return 1
+    return 0
+
+
+def _norm_lt_raw(v: tuple, kind: NormKind, r: tuple, r2: tuple) -> bool:
+    """``mpf_lt(_norm_raw(v, kind), r)`` for a positive r with r2 = r * r
+    exact. The Euclidean root is taken only when ``_root_side`` cannot
+    decide; the sup and one norms take no root and are compared as is."""
+    if kind is not NormKind.EUCLIDEAN:
+        return mpf_lt(_norm_raw(v, kind), r)
+    acc = _sum_squares_raw(v)
+    side = _root_side(acc, r2)
+    if side:
+        return side < 0
+    prec, rnd = mp._prec_rounding
+    return mpf_lt(mpf_sqrt(acc, prec, rnd), r)
 
 
 def norm_batch(Z: np.ndarray, kind: NormKind) -> np.ndarray:
@@ -229,10 +286,26 @@ class LinearMap:
             return mpf_vector(self.apply_raw(raw_vector(v)))
         return self.float_matrix @ np.asarray(v, dtype=float)
 
+    @cached_property
+    def _is_identity(self) -> bool:
+        """Whether the matrix is exactly the identity (checked once per map,
+        so decoded translations take the fast path of apply_raw too)."""
+        rows = self._raw_matrix
+        return self.out_dim == self.in_dim and all(
+            m == (fone if i == j else fzero) for i, row in enumerate(rows) for j, m in enumerate(row)
+        )
+
     def apply_raw(self, v: tuple) -> tuple:
         """Matrix times a raw libmp vector in the working precision; each row
-        is accumulated from zero as ``acc += m[i, j] * v[j]``."""
+        is accumulated from zero as ``acc += m[i, j] * v[j]``.
+
+        An exact identity returns each coordinate rounded once: ``1 * x``
+        rounds x, rounding is idempotent and the other terms are exact zeros,
+        so the bits are the loop's. A zero times an infinity or NaN is NaN,
+        not zero, so a vector holding one takes the loop."""
         prec, rnd = mp._prec_rounding
+        if self._is_identity and all(x[1] or x == fzero for x in v):
+            return tuple(mpf_pos(x, prec, rnd) for x in v)
         out = []
         for row in self._raw_matrix:
             acc = fzero

@@ -4,7 +4,9 @@ The reference below evaluates a tree with mpmath mpf objects, node by node,
 the way the exact path did before it moved to raw libmp values. The raw
 evaluator must return the same ``_mpf_`` tuples at the points the package
 evaluates exactly: patch-continuity axis points, difference-quotient sample
-points and Dini forward points.
+points and Dini forward points. The reference takes the square root of every
+Euclidean norm it compares, so it is also the oracle for the squared-radius
+ball and blend tests, checked here a few ulps either side of each sphere.
 """
 
 import mpmath
@@ -28,15 +30,20 @@ from lipforge.lipfun import (
     Affine,
     Const,
     Linear,
+    Patch,
     Patched,
     Precompose,
     RadialBlend,
     _axis_points,
     _eval_exact_per_image,
+    _identity_map,
+    deserialize,
+    serialize,
+    shift_conjugate,
 )
 from lipforge.numerics import as_vector, exact_mpf, float_vector, raw_vector, to_float, working_dps_for_scale
 from lipforge.probe import _forward_quotient, _use_exact, witness_ladder
-from lipforge.space import sample_ball
+from lipforge.space import _root_side, _sum_squares_raw, sample_ball
 
 # ---------------------------------------------------------------------------
 # Reference: the mpf-object evaluator
@@ -281,3 +288,137 @@ def test_norm_nodes_under_every_norm(kind):
                 z = as_vector([exact_mpf(v) * (1 + mpmath.mpf(2) ** -150) for v in rng.uniform(-2, 2, size=d)])
                 for f in funs:
                     assert_same_bits(f, z)
+
+
+# ---------------------------------------------------------------------------
+# Sphere boundaries: the squared-radius tests against the rounded root
+
+BOUNDARY_PRECS = (53, 200, 2300, 7600)
+ROUNDINGS = ("n", "f", "c", "d", "u")
+OFFSETS = range(-8, 9)
+
+
+@pytest.fixture(params=[(p, r) for p in BOUNDARY_PRECS for r in ROUNDINGS], ids=lambda pr: f"{pr[0]}{pr[1]}")
+def working(request):
+    """Working precision and rounding mode, restored afterwards."""
+    prec, rnd = request.param
+    saved = tuple(mp._prec_rounding)
+    try:
+        mp.prec = prec
+        mp._prec_rounding[1] = rnd
+        yield prec
+    finally:
+        mp.prec = saved[0]
+        mp._prec_rounding[1] = saved[1]
+
+
+def boundary_radii(prec):
+    """A short float radius, one of the working precision, one with more
+    bits than the working precision and a deep one."""
+    third = mpmath.mpf(1) / 3
+    with mp.workprec(2 * prec + 8):
+        fine = mpmath.mpf(1) / 3
+    return [mpmath.mpf(0.3), third, fine, mpmath.mpf(2) ** -700 * (1 + third)]
+
+
+def near_sphere(center, r, prec):
+    """center + r (1 + k 2^-prec) e for k in OFFSETS along four directions,
+    and the exact axis points center +- r e_a, in the working precision."""
+    center = [exact_mpf(c) for c in center]
+    root = mpmath.sqrt(mpmath.mpf(2)) / 2
+    directions = [(mpmath.mpf(0.6), mpmath.mpf(0.8)), (-mpmath.mpf(0.8), mpmath.mpf(0.6)), (root, -root),
+                  (mpmath.mpf(1), mpmath.mpf(0))]
+    points = []
+    for e in directions:
+        for k in OFFSETS:
+            t = r * (1 + k * mpmath.mpf(2) ** -prec)
+            points.append(as_vector([c + t * ei for c, ei in zip(center, e)]))
+    for axis in range(len(center)):
+        for sgn in (1, -1):
+            z = list(center)
+            z[axis] = mpmath.fadd(z[axis], sgn * r, exact=True)
+            points.append(as_vector(z))
+    return points
+
+
+def count_sides(points, center, r):
+    """How many points _root_side decides and how many it leaves to the root."""
+    r_raw = exact_mpf(r)._mpf_
+    r2 = mpmath.libmp.mpf_mul(r_raw, r_raw)
+    sides = [_root_side(_sum_squares_raw(raw_vector(ref_sub(z, center))), r2) for z in points]
+    return sum(1 for s in sides if s), sum(1 for s in sides if not s)
+
+
+def test_ball_test_on_the_sphere(working):
+    """_resolve_exact decides every point near the patch sphere as the
+    rounded root does, inside and outside the band."""
+    center = as_vector([exact_mpf(0.40625), exact_mpf(0.546875)])
+    decided = deferred = 0
+    for r in boundary_radii(working):
+        node = Patched(NormOf(2), (Patch(center, r, Const(np.zeros(1), 2)),), NormKind.EUCLIDEAN)
+        points = near_sphere(center, r, working)
+        for z in points:
+            assert node._resolve_exact(raw_vector(z)) == ref_resolve(node, z)
+        d, u = count_sides(points, center, r)
+        decided += d
+        deferred += u
+    assert decided > 0 and deferred > 0
+
+
+def test_blend_on_both_spheres(working):
+    """RadialBlend._eval_exact picks the branch the rounded root picks at
+    points near the a and b spheres, with the spheres far apart and a few
+    ulps apart."""
+    origin = as_vector([exact_mpf(0.0), exact_mpf(0.0)])
+    f1, f2 = Scale(0.5, identity(2)), Sum(identity(2), Scale(0.25, identity(2)))
+    for a in boundary_radii(working):
+        for b in (a * 1.75, a * (1 + 4 * mpmath.mpf(2) ** -working)):
+            f = RadialBlend(a, b, f1, f2)
+            for r in (a, b):
+                for z in near_sphere(origin, r, working):
+                    assert_same_bits(f, z)
+
+
+def test_identity_apply_is_the_loop(working):
+    """The identity fast path of apply_raw returns the general loop's bits,
+    also on special values, and on decoded translations."""
+    rng = np.random.default_rng(working)
+    third = mpmath.mpf(1) / 3
+    translate = shift_conjugate(identity(3), np.array([0.25, 0.5, 0.75]), NormKind.EUCLIDEAN).f.inner_map
+    decoded = deserialize(serialize(translate))
+    for m in (_identity_map(3, NormKind.EUCLIDEAN), decoded.map):
+        assert m._is_identity
+        for _ in range(10):
+            v = as_vector([third * exact_mpf(x) for x in rng.uniform(-4, 4, size=3)])
+            assert list(m.apply_raw(raw_vector(v))) == [x._mpf_ for x in ref_apply(m, v)]
+        for special in (mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpf(0)):
+            v = as_vector([third, special, -third])
+            assert list(m.apply_raw(raw_vector(v))) == [x._mpf_ for x in ref_apply(m, v)]
+    near = np.eye(3)
+    near[1, 1] = 1 + 2.0**-52
+    assert not LinearMap(near)._is_identity
+    assert not LinearMap(np.eye(3)[:2])._is_identity
+
+
+def test_root_side_at_every_small_precision():
+    """_root_side against the rounded root for precisions of 1-6 bits,
+    where the band is widest relative to the spacing of the numbers, on a
+    grid of eighths from 0 to 2 r^2 around several radii."""
+    saved = tuple(mp._prec_rounding)
+    try:
+        for prec in range(1, 7):
+            for rnd in ROUNDINGS:
+                mp.prec = prec
+                mp._prec_rounding[1] = rnd
+                for r_man in (1, 3, 5, 7):
+                    r = mpmath.libmp.from_int(r_man)
+                    r2 = mpmath.libmp.mpf_mul(r, r)
+                    for k in range(16 * r_man * r_man):
+                        acc = mpmath.libmp.from_man_exp(k, -3)
+                        side = _root_side(acc, r2)
+                        q = mpmath.libmp.mpf_sqrt(acc, prec, rnd)
+                        if side:
+                            assert side == mpmath.libmp.mpf_cmp(q, r), (prec, rnd, r_man, k)
+    finally:
+        mp.prec = saved[0]
+        mp._prec_rounding[1] = saved[1]

@@ -407,6 +407,68 @@ def _scale_chain(levels: int):
     return deep
 
 
+def test_serialize_encodes_shared_subtree_once(monkeypatch):
+    """A subtree reached along several paths is encoded on its first visit
+    and its record reused; the bytes are those of separate copies."""
+    import lipforge.lipfun as lipfun_mod
+
+    def tree(make_shared):
+        return Sum(Scale(0.5, make_shared()), Sum(make_shared(), make_shared()))
+
+    def subtree():
+        return Sum(Const(np.array([0.5]), 2), NormOf(2))
+
+    shared = subtree()
+    calls = []
+    original = lipfun_mod.encode_vector
+    monkeypatch.setattr(lipfun_mod, "encode_vector", lambda v: calls.append(len(v)) or original(v))
+    data = serialize(tree(lambda: shared))
+    assert len(calls) == 1
+    assert serialize(tree(subtree)) == data
+    assert len(calls) == 1 + 3
+
+
+def test_serialize_reuse_keeps_the_depth_limit(monkeypatch):
+    """A record is reused only as deep as it was made: a shared subtree that
+    fits at its first visit but not at a deeper one is still refused."""
+    import lipforge.lipfun as lipfun_mod
+
+    monkeypatch.setattr(lipfun_mod, "MAX_TREE_DEPTH", 5)
+    chain = _scale_chain(3)  # its NormOf leaf sits 3 levels below its root
+    for tree in (Sum(chain, Scale(0.5, Scale(0.5, chain))), Sum(Scale(0.5, Scale(0.5, chain)), chain)):
+        with pytest.raises(LipForgeError, match="deeper"):
+            serialize(tree)
+    fits = Sum(Scale(0.5, chain), chain)
+    assert serialize(fits) == serialize(Sum(Scale(0.5, _scale_chain(3)), _scale_chain(3)))
+
+
+def _decode_by_ldexp(man: int, exp: int):
+    """decode_scalar's earlier formula, kept as the reference."""
+    import mpmath
+    from mpmath import mp
+
+    if man == 0:
+        return mpmath.mpf(0)
+    with mp.workprec(max(8, abs(man).bit_length() + 8)):
+        return mpmath.ldexp(mpmath.mpf(man), exp)
+
+
+def test_decode_scalar_matches_ldexp_formula():
+    import random
+
+    from lipforge.numerics import decode_scalar
+
+    rng = random.Random(7)
+    cases = [(0, 0), (0, 10**4), (0, -(10**4)), (1, 0), (-1, 0), (6, -3), (-(2**100), 7)]
+    for _ in range(300):
+        man = rng.getrandbits(rng.randint(1, 5000)) << rng.choice((0, 0, rng.randint(1, 64)))
+        exp = rng.choice((10**4, -(10**4), rng.randint(-(10**4), 10**4)))
+        cases.append((rng.choice((1, -1)) * man, exp))
+    for man, exp in cases:
+        x = decode_scalar({"m": str(man), "e": str(exp)})
+        assert x._mpf_ == _decode_by_ldexp(man, exp)._mpf_, (man, exp)
+
+
 def test_tree_at_depth_limit_verifies():
     """The deepest tree the decoder accepts still works end to end under the
     default recursion limit."""
