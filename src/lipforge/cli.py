@@ -61,12 +61,6 @@ class RunConfig:
     seed: int
     dps: int
     sup_budget: int
-    probe_budget: int | None
-    per_round: int
-    min_round: int
-    ladder_steps: int
-    ladder_ratio: float
-    dini_direction: np.ndarray
 
 
 def _cfg_error(path: str, section: str, key: str, message: str) -> LipForgeError:
@@ -170,18 +164,6 @@ def load_config(path: str) -> RunConfig:
         except ValueError as e:
             raise _cfg_error(path, section, key, "not an integer") from e
 
-    def get_float(section: str, key: str, default: str) -> float:
-        try:
-            return float(get(section, key, default))
-        except ValueError as e:
-            raise _cfg_error(path, section, key, "not a decimal") from e
-
-    direction_text = get("probe", "dini_direction", " ".join(["1"] + ["0"] * (domain.dim - 1)))
-    direction = np.asarray(_parse_floats(direction_text), dtype=float)
-    if len(direction) != domain.dim:
-        raise _cfg_error(path, "probe", "dini_direction", "wrong dimension")
-
-    probe_budget = get_int("probe", "budget", "0")
     return RunConfig(
         domain=domain,
         target=target,
@@ -191,12 +173,6 @@ def load_config(path: str) -> RunConfig:
         seed=get_int("game", "seed", "0"),
         dps=get_int("game", "dps", str(CONSTRUCTION_DPS)),
         sup_budget=get_int("game", "sup_budget", "192"),
-        probe_budget=probe_budget if probe_budget > 0 else None,
-        per_round=get_int("probe", "per_round", "1"),
-        min_round=get_int("probe", "min_round", "1"),
-        ladder_steps=get_int("probe", "ladder_steps", "20"),
-        ladder_ratio=get_float("probe", "ladder_ratio", "0.5"),
-        dini_direction=direction,
     )
 
 

@@ -56,7 +56,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sum_squares_raw
+from .space import CellIndex, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sum_squares_raw
 from .space import halton_point, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
@@ -501,47 +501,17 @@ class Patch:
         """radius * radius, exact, for the squared-norm ball test."""
         return mpf_mul(self.radius_raw, self.radius_raw)
 
-
-class _PatchGrid:
-    """Uniform hash grid over patch bounding boxes: a fixed-radius
-    near-neighbour index (Bentley 1975) from cells to candidate patches.
-
-    The cell size is the largest padded patch extent, so each ball occupies
-    at most two cells per axis even when its radius sits far below the float
-    rounding pad. Each cell lists its patches in index order.
-    """
-
-    def __init__(self, patches: tuple[Patch, ...]):
-        pads = []
-        for p in patches:
-            scale = 1.0 + float(np.max(np.abs(p.center_float))) if len(p.center_float) else 1.0
-            pads.append(p.radius_float + 1e-12 * scale)
-        self.cell = max((2.0 * pad for pad in pads), default=1e-9)
-        self.centers = np.array([p.center_float for p in patches])
-        self.radii = np.array([p.radius_float for p in patches])
-        self.table: dict[tuple[int, ...], list[int]] = {}
-        for idx, p in enumerate(patches):
-            c = p.center_float
-            pad = pads[idx]
-            lo = np.floor((c - pad) / self.cell).astype(np.int64)
-            hi = np.floor((c + pad) / self.cell).astype(np.int64)
-            for key in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(len(c)))):
-                self.table.setdefault(key, []).append(idx)
-
-    def cell_keys(self, Z: np.ndarray) -> list[list[float]]:
-        """The cell of every row of Z. The float coordinates hash and compare
-        equal to the integer table keys; NaN and infinite rows match none."""
-        return np.floor(Z / self.cell).tolist()
-
-    def candidates(self, z_float: np.ndarray) -> list[int]:
-        return self.table.get(tuple(self.cell_keys(z_float[None, :])[0]), [])
+    @cached_property
+    def scale(self) -> float:
+        """1 + max|center|; float64 resolves radii above FLOAT_RESOLVE_REL of it."""
+        return 1.0 + float(np.max(np.abs(self.center_float), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class Patched(LipFun):
     """Outer mapping overridden inside disjoint open balls by inner mappings.
     Balls with ||c_i - c_j|| <= r_i + r_j (float64, the node's norm) are refused
-    as overlapping; such balls share a patch-grid cell, so only those pairs are tested."""
+    as overlapping; only pairs that share a cell of the patch index can be."""
 
     outer: LipFun
     patches: tuple[Patch, ...]
@@ -555,13 +525,19 @@ class Patched(LipFun):
                 raise LipForgeError("patch center has wrong dimension")
             if not p.radius > 0:
                 raise LipForgeError("patch radius must be positive")
-        grid = self._grid
-        pairs = [ij for cell in grid.table.values() for ij in itertools.combinations(cell, 2)]
+        centers = np.array([p.center_float for p in self.patches])
+        radii = np.array([p.radius_float for p in self.patches])
+        pads = radii + FLOAT_RESOLVE_REL * np.array([p.scale for p in self.patches])
+        index = CellIndex(2.0 * pads.max() if len(pads) else 1e-9)
+        for j, (c, pad) in enumerate(zip(centers, pads.tolist())):
+            index.add(j, c, pad)
+        pairs = [ij for cell in index.table.values() for ij in itertools.combinations(cell, 2)]
         if pairs:
             i, j = np.array(pairs).T
-            gaps = norm_batch(grid.centers[i] - grid.centers[j], self.norm_kind)
-            if np.any(gaps <= grid.radii[i] + grid.radii[j]):
+            if np.any(norm_batch(centers[i] - centers[j], self.norm_kind) <= radii[i] + radii[j]):
                 raise LipForgeError("patch overlap")
+        for name, value in (("_centers", centers), ("_radii", radii), ("_index", index)):
+            object.__setattr__(self, name, value)
 
     @property
     def in_dim(self) -> int:
@@ -575,10 +551,6 @@ class Patched(LipFun):
         certs = [self.outer.lip_cert] + [p.inner.lip_cert for p in self.patches]
         return max(certs)
 
-    @cached_property
-    def _grid(self) -> _PatchGrid:
-        return _PatchGrid(self.patches)
-
     def resolve(self, z) -> int | None:
         """Index of the patch whose open ball contains z, or None."""
         if is_exact_vector(z):
@@ -588,18 +560,17 @@ class Patched(LipFun):
 
     def _claims(self, Z: np.ndarray) -> np.ndarray:
         """For each row of Z, the index of the patch whose open ball contains
-        it, or -1. Each row is tested only against the patches its grid cell
-        lists, in index order, and the first that contains it wins."""
-        grid = self._grid
+        it, or -1. Each row is tested only against the patches its index
+        cell lists, in index order, and the first that contains it wins."""
         claims = np.full(len(Z), -1, dtype=np.intp)
-        cands = [grid.table.get(tuple(key), ()) for key in grid.cell_keys(Z)]
+        cands = self._index.cell_lists(Z)
         counts = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
         total = int(counts.sum())
         if not total:
             return claims
         rows = np.repeat(np.arange(len(Z)), counts)
         pidx = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.intp, count=total)
-        hit = norm_batch(Z[rows] - grid.centers[pidx], self.norm_kind) < grid.radii[pidx]
+        hit = norm_batch(Z[rows] - self._centers[pidx], self.norm_kind) < self._radii[pidx]
         rows, pidx = rows[hit], pidx[hit]
         # rows is sorted, so the first hit of each row is its first claimant
         first = np.ones(len(rows), dtype=bool)
@@ -614,7 +585,7 @@ class Patched(LipFun):
         only within a few ulps of the sphere and gives the root's answer."""
         prec, rnd = mp._prec_rounding
         zf = np.array([raw_to_float(x) for x in z])
-        for idx in self._grid.candidates(zf):
+        for idx in self._index.cell_lists(zf[None, :])[0]:
             p = self.patches[idx]
             w = tuple(mpf_sub(x, c, prec, rnd) for x, c in zip(z, p.center_raw))
             if _norm_lt_raw(w, self.norm_kind, p.radius_raw, p.radius_sq):
@@ -681,7 +652,7 @@ class Precompose(LipFun):
 
 
 def identity(d: int, norm_kind: NormKind = NormKind.EUCLIDEAN) -> Linear:
-    return Linear(LinearMap(np.eye(d), norm_kind, norm_kind))
+    return Linear(_identity_map(d, norm_kind))
 
 
 def zero_map(in_dim: int, out_dim: int) -> Const:
@@ -818,8 +789,7 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
     resolvable: list[int] = []
     exact_idx: list[int] = []
     for i, p in enumerate(node.patches):
-        scale = 1.0 + float(np.max(np.abs(p.center_float)))
-        if p.radius_float > FLOAT_RESOLVE_REL * scale:
+        if p.radius_float > FLOAT_RESOLVE_REL * p.scale:
             resolvable.append(i)
         else:
             exact_idx.append(i)
@@ -876,16 +846,15 @@ def _collect_probe_points(f: LipFun, cap: int) -> list[np.ndarray]:
         if isinstance(node, Patched):
             for p in node.patches:
                 c = p.center_float
-                scale = 1.0 + float(np.max(np.abs(c)))
                 pts.append(c)
                 radii: set[float] = set()
-                if p.radius_float > FLOAT_RESOLVE_REL * scale:
+                if p.radius_float > FLOAT_RESOLVE_REL * p.scale:
                     radii.add(p.radius_float)
                 blend_radii(p.inner, radii)
                 d = len(c)
                 eye = np.eye(d)
                 for r in sorted(radii):
-                    if r <= FLOAT_RESOLVE_REL * scale:
+                    if r <= FLOAT_RESOLVE_REL * p.scale:
                         continue
                     for axis in range(d):
                         pts.append(c + r * eye[axis])
@@ -953,9 +922,13 @@ def _encode_map(m: LinearMap) -> dict:
 
 
 def _decode_map(obj: dict) -> LinearMap:
+    """A float identity between equal norms decodes to the shared _identity_map."""
     try:
+        in_norm, out_norm, d = NormKind.parse(obj["in_norm"]), NormKind.parse(obj["out_norm"]), len(obj["matrix"])
+        if in_norm is out_norm and obj["matrix"] == [["1.0" if i == j else "0.0" for j in range(d)] for i in range(d)]:
+            return _identity_map(d, in_norm)
         rows = [[decode_scalar(x) for x in row] for row in obj["matrix"]]
-        return LinearMap(as_matrix(rows), NormKind.parse(obj["in_norm"]), NormKind.parse(obj["out_norm"]))
+        return LinearMap(as_matrix(rows), in_norm, out_norm)
     except (KeyError, TypeError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad linear map") from e
 

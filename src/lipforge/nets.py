@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LipForgeError
-from .space import Domain, NormKind, halton_point, norm_batch
+from .space import CellIndex, Domain, NormKind, halton_point, norm_batch
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,28 @@ class TargetSet:
         return len(self.points)
 
 
+def _walk_index(points: np.ndarray, delta: float) -> tuple[CellIndex, float]:
+    """An empty CellIndex and the pad that lists points closer than delta together."""
+    pad = delta / 2 + 1e-12 * (1.0 + float(np.max(np.abs(points), initial=0.0)))
+    return CellIndex(2 * pad), pad
+
+
 def separation(points: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> float:
-    """Minimum pairwise distance; +inf for fewer than two points."""
+    """Minimum pairwise distance; +inf for fewer than two points. The distance
+    from the first point to the rest bounds it, and sets the cell index pad."""
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return math.inf
-    diff = pts[:, None, :] - pts[None, :, :]
-    dists = norm_batch(diff.reshape(-1, pts.shape[1]), kind).reshape(len(pts), len(pts))
-    np.fill_diagonal(dists, np.inf)
-    return float(np.min(dists))
+    best = float(np.min(norm_batch(pts[1:] - pts[0], kind)))
+    if not best > 0:
+        return best
+    index, pad = _walk_index(pts, best)
+    for i, p in enumerate(pts):
+        near = index.near(p, pad)
+        if near:
+            best = min(best, float(norm_batch(pts[near] - p, kind).min()))
+        index.add(i, p, pad)
+    return best
 
 
 def restrict(target: TargetSet, domain: Domain, k: int) -> np.ndarray:
@@ -106,23 +119,24 @@ def greedy_net(points: np.ndarray, delta: float, seed_set: np.ndarray | None = N
     """Maximal delta-separated subset containing seed_set (greedy, input order).
 
     The seed set must itself be delta-separated; the result is maximal with
-    respect to the input list: no remaining input point can be added.
+    respect to the input list: no remaining input point can be added. Each
+    seed, then point, is compared with the chosen points listed near it.
     """
     pts = np.asarray(points, dtype=float)
-    chosen: list[np.ndarray] = []
-    if seed_set is not None and len(seed_set):
-        seeds = np.asarray(seed_set, dtype=float)
-        if separation(seeds, kind) < delta:
-            raise LipForgeError("seed set violates separation")
-        chosen = [s for s in seeds]
-    for p in pts:
-        if not chosen:
-            chosen.append(p)
+    seeds = np.asarray(seed_set if seed_set is not None else (), dtype=float)
+    walk = np.concatenate([a for a in (seeds, pts) if len(a)] or [pts])
+    index, pad = _walk_index(walk, delta)
+    chosen = 0
+    for i, p in enumerate(walk):
+        near = index.near(p, pad)
+        if near and norm_batch(walk[near] - p, kind).min() < delta:
+            if i < len(seeds):
+                raise LipForgeError("seed set violates separation")
             continue
-        d = norm_batch(np.asarray(chosen) - p, kind)
-        if float(np.min(d)) >= delta:
-            chosen.append(p)
-    return np.asarray(chosen) if chosen else np.empty((0, pts.shape[1] if pts.ndim == 2 else 0))
+        walk[chosen] = p
+        index.add(chosen, p, pad)
+        chosen += 1
+    return walk[:chosen].copy()
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,9 @@ class NetFamily:
         return len(self.levels)
 
     def validate(self, domain: Domain, target: TargetSet | None = None) -> None:
-        """Assert the nesting/separation/margin/membership invariants."""
-        prev: np.ndarray | None = None
+        """Assert the nesting/separation/margin/exact membership invariants."""
+        targets = None if target is None else set(map(tuple, target.points.tolist()))
+        prev: set = set()
         for k, lvl in enumerate(self.levels, start=1):
             delta = self.deltas[k - 1]
             if separation(lvl, domain.norm) < delta:
@@ -149,15 +164,12 @@ class NetFamily:
             for p in lvl:
                 if float(domain.dist_to_boundary(p)) < delta:
                     raise LipForgeError(f"level {k} violates the boundary margin")
-            if prev is not None and len(prev):
-                for p in prev:
-                    if not len(lvl) or float(np.min(norm_batch(lvl - p, domain.norm))) > 0:
-                        raise LipForgeError(f"level {k} does not contain level {k - 1}")
-            if target is not None and len(lvl):
-                for p in lvl:
-                    if float(np.min(norm_batch(target.points - p, domain.norm))) > 0:
-                        raise LipForgeError(f"level {k} contains a point outside the target set")
-            prev = lvl
+            rows = set(map(tuple, lvl.tolist()))
+            if not rows >= prev:
+                raise LipForgeError(f"level {k} does not contain level {k - 1}")
+            if targets is not None and not rows <= targets:
+                raise LipForgeError(f"level {k} contains a point outside the target set")
+            prev = rows
 
     def to_csv(self) -> str:
         if not self.levels:

@@ -17,6 +17,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -159,45 +160,75 @@ def norm_batch(Z: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.sum(np.abs(Z), axis=1)
 
 
-def _power_iteration_2norm(m: np.ndarray) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    Deterministic normalized all-ones start, 200 iterations max, relative
-    tolerance 1e-10. If the start is (numerically) orthogonal to the top
-    singular direction, restarts from the best coordinate axis.
+class CellIndex:
+    """The package's fixed-radius near-neighbour index (Bentley 1975): a hash
+    table from the cells of side `cell` to the items whose box center +- pad
+    meets them, in the order they were added. Items less than 2 pad apart in
+    any of the three norms have meeting boxes, so they share a cell; callers
+    widen pads by 1e-12 (1 + max|x|) against the rounding of cell bounds.
     """
-    d = m.shape[1]
+
+    def __init__(self, cell: float):
+        self.cell = cell
+        self.table: dict[tuple[int, ...], list] = {}
+
+    def _cells(self, center: np.ndarray, pad: float):
+        lo, hi = (np.floor((center + s) / self.cell).astype(np.int64).tolist() for s in (-pad, pad))
+        return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+
+    def near(self, center: np.ndarray, pad: float) -> list:
+        """Items listed in the cells the box meets, once per cell listing them."""
+        return [item for key in self._cells(center, pad) for item in self.table.get(key, ())]
+
+    def add(self, item, center: np.ndarray, pad: float) -> None:
+        """List item in every cell its box meets."""
+        for key in self._cells(center, pad):
+            self.table.setdefault(key, []).append(item)
+
+    def cell_lists(self, Z: np.ndarray) -> list:
+        """Each row's cell list. Float keys hash and compare equal to the
+        integer ones; NaN and infinite rows match no cell."""
+        return [self.table.get(tuple(key), ()) for key in np.floor(Z / self.cell).tolist()]
+
+
+def _power_iteration_2norm(m: np.ndarray) -> float:
+    """Estimate of the largest singular value by power iteration on A^T A,
+    from the normalized all-ones vector: 200 iterations at most, relative
+    tolerance 1e-10. It converges from below, and stays below when the start
+    is orthogonal to the top singular direction."""
     b = m.T @ m
-
-    def run(v0: np.ndarray) -> float:
-        v = v0 / np.linalg.norm(v0)
-        lam = 0.0
-        for _ in range(200):
-            w = b @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-            lam_new = float(v @ (b @ v))
-            if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-300):
-                lam = lam_new
-                break
+    v = np.ones(m.shape[1])
+    v = v / np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(200):
+        w = b @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        lam_new = float(v @ (b @ v))
+        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-300):
             lam = lam_new
-        return math.sqrt(max(lam, 0.0))
+            break
+        lam = lam_new
+    return math.sqrt(max(lam, 0.0))
 
-    sigma = run(np.ones(d))
-    # Axis lower bounds certify whether the all-ones start was degenerate.
-    axis_best = 0.0
-    axis_idx = 0
-    for i in range(d):
-        s = float(np.linalg.norm(m[:, i]))
-        if s > axis_best:
-            axis_best, axis_idx = s, i
-    if axis_best > sigma * (1.0 + 1e-12):
-        e = np.zeros(d)
-        e[axis_idx] = 1.0
-        sigma = max(sigma, run(e))
-    return sigma
+
+def _bounds_2norm(m: np.ndarray, t: float) -> bool:
+    """Whether ||A||_2 <= t, i.e. t^2 I - A^T A is PSD, decided by an exact LDL^T
+    in Fractions (floats are rationals): a negative pivot, or a zero pivot with a
+    nonzero row, refutes it. An infinite t bounds every norm and a NaN none."""
+    if not t < math.inf:
+        return t == math.inf
+    a = np.array([[Fraction(x) for x in row] for row in m.tolist()], dtype=object)
+    g = Fraction(t) ** 2 * np.eye(m.shape[1], dtype=int).astype(object) - a.T @ a
+    for k in range(len(g)):
+        pivot, row = g[k, k], g[k, k + 1:]
+        if pivot < 0 or (pivot == 0 and any(row)):
+            return False
+        if pivot:
+            g[k + 1:, k + 1:] -= np.outer(row, row) / pivot
+    return True
 
 
 def _enumerate_sign_norm(m: np.ndarray, out_kind: NormKind) -> float:
@@ -229,7 +260,14 @@ def op_norm_matrix(matrix: np.ndarray, in_norm: NormKind, out_norm: NormKind) ->
         return _enumerate_sign_norm(m, out_norm)
     # euclidean domain
     if out_norm is NormKind.EUCLIDEAN:
-        return _power_iteration_2norm(m)
+        # power iteration converges from below: move up until the bound is proven
+        t = _power_iteration_2norm(m)
+        if not _bounds_2norm(m, t):
+            svd = float(np.linalg.norm(m, 2))
+            t = t if t > svd else svd
+            while not _bounds_2norm(m, t):
+                t = math.nextafter(t, math.inf)
+        return t
     if out_norm is NormKind.SUP:
         return max(float(np.linalg.norm(m[i])) for i in range(m.shape[0]))
     # euclidean -> one: max over sign vectors s of ||A^T s||_2

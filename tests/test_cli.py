@@ -49,6 +49,17 @@ def test_load_config(config_path):
     assert len(cfg.target) == 16
 
 
+def test_probe_section_is_not_read(tmp_path):
+    """Probe settings are flags of `lipforge probe`; a config's [probe]
+    section loads and configures nothing, even with values that are not
+    numbers or a direction of the wrong dimension."""
+    p = tmp_path / "probe.ini"
+    p.write_text(SMALL_CONFIG + "dini_direction = 1 0 0\nladder_ratio = half\nbudget = many\n")
+    cfg = load_config(str(p))
+    assert cfg.rounds == 3 and len(cfg.operators) == 2
+    assert not any(hasattr(cfg, key) for key in ("per_round", "min_round", "dini_direction", "probe_budget"))
+
+
 def test_load_config_diagnostics(tmp_path):
     p = tmp_path / "bad.ini"
     p.write_text("[domain]\nshape = box\nlo = 0 0\n")

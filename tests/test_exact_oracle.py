@@ -82,7 +82,7 @@ def ref_sub(u, v):
 
 
 def ref_resolve(node: Patched, z):
-    for idx in node._grid.candidates(float_vector(z)):
+    for idx in node._index.cell_lists(float_vector(z)[None, :])[0]:
         p = node.patches[idx]
         if ref_norm(ref_sub(z, p.center), node.norm_kind) < exact_mpf(p.radius):
             return idx

@@ -31,6 +31,7 @@ from lipforge.lipfun import (
     Patch,
     Patched,
     Precompose,
+    _identity_map,
     _sphere_directions,
     fun_from_dict,
     shift_conjugate,
@@ -518,3 +519,26 @@ def test_batch_and_point_paths_agree():
     V = eval_batch(f, Z)
     for z, v in zip(Z, V):
         assert np.allclose(eval_point(f, z), v, atol=1e-14)
+
+
+def test_decoded_identities_are_shared():
+    """Float identities between equal norms decode to the one shared
+    identity map, so a decoded tree certifies its norm once; any other
+    encoding keeps its own map, and every tree re-encodes to its bytes."""
+    x = np.array([0.25, 0.5])
+    translate = Affine(np.zeros(2), LinearMap(np.eye(2), NormKind.SUP, NormKind.SUP), x)
+    f = Sum(Precompose(NormOf(2), translate), Linear(LinearMap(np.eye(2)[:1], NormKind.SUP, NormKind.ONE)))
+    data = serialize(f)
+    g = deserialize(data)
+    assert g.f.inner_map.map is _identity_map(2, NormKind.SUP)
+    assert g.g.map is not _identity_map(2, NormKind.SUP)
+    assert serialize(g) == data
+    obj = json.loads(data)
+    record = obj["root"]["f"]["inner_map"]["map"]
+    for change in ({"matrix": [["1.0", "-0.0"], ["0.0", "1.0"]]}, {"out_norm": "one"},
+                   {"matrix": [[{"m": str(int(i == j)), "e": "0"} for j in range(2)] for i in range(2)]}):
+        variant = json.loads(json.dumps(obj))
+        variant["root"]["f"]["inner_map"]["map"] = {**record, **change}
+        h = fun_from_dict(variant)
+        assert h.f.inner_map.map is not _identity_map(2, NormKind.SUP)
+        assert json.loads(serialize(h)) == variant

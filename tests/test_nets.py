@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from lipforge import (
     Domain,
     LipForgeError,
+    NetFamily,
     NormKind,
     TargetSet,
     greedy_net,
@@ -106,6 +109,22 @@ def test_nested_nets_density_surrogate(unit_box):
             assert float(np.min(norm_batch(top - p, NormKind.EUCLIDEAN))) < margin
 
 
+def test_validate_refusals(unit_box):
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.125)
+    family = nested_nets(target, unit_box, 3)
+    family.validate(unit_box, target)
+    dropped = NetFamily((family.levels[0], family.levels[1][1:], family.levels[2]), family.deltas)
+    with pytest.raises(LipForgeError, match="level 2 does not contain level 1"):
+        dropped.validate(unit_box, target)
+    assert len(family.levels[2]) > len(family.levels[1])
+    last = family.levels[2][-1]
+    fewer = TargetSet(target.points[np.any(target.points != last, axis=1)])
+    with pytest.raises(LipForgeError, match="level 3 contains a point outside the target set"):
+        family.validate(unit_box, fewer)
+    with pytest.raises(LipForgeError, match="level 2 violates"):
+        NetFamily((family.levels[0], family.levels[2], family.levels[2]), family.deltas).validate(unit_box)
+
+
 def test_net_csv_format(unit_box):
     target = TargetSet.from_points([[0.5, 0.5], [0.25, 0.25]])
     family = nested_nets(target, unit_box, 2)
@@ -120,3 +139,93 @@ def test_grid_target_is_open_interior():
     assert len(target) == 19 * 19
     assert float(np.min(target.points)) > 0.0
     assert float(np.max(target.points)) < 1.0
+
+
+def ref_separation(points, kind=NormKind.EUCLIDEAN) -> float:
+    """Reference: the minimum over the n x n block of all pairwise distances."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        return math.inf
+    diff = pts[:, None, :] - pts[None, :, :]
+    dists = norm_batch(diff.reshape(-1, pts.shape[1]), kind).reshape(len(pts), len(pts))
+    np.fill_diagonal(dists, np.inf)
+    return float(np.min(dists))
+
+
+def ref_greedy_net(points, delta, seed_set=None, kind=NormKind.EUCLIDEAN) -> np.ndarray:
+    """Reference: each point compared with every chosen point."""
+    pts = np.asarray(points, dtype=float)
+    chosen = []
+    if seed_set is not None and len(seed_set):
+        seeds = np.asarray(seed_set, dtype=float)
+        if ref_separation(seeds, kind) < delta:
+            raise LipForgeError("seed set violates separation")
+        chosen = list(seeds)
+    for p in pts:
+        if not chosen or float(np.min(norm_batch(np.asarray(chosen) - p, kind))) >= delta:
+            chosen.append(p)
+    return np.asarray(chosen) if chosen else np.empty((0, pts.shape[1]))
+
+
+def net_inputs(rng, d: int):
+    """Point sets with duplicates, lattices whose neighbours sit exactly
+    delta apart (step 2^-3) or delta apart up to rounding (step 0.1), with
+    many equidistant ties and, offset by half a step, with the boxes of
+    neighbours touching on cell boundaries, and random clouds, with the
+    deltas to try."""
+    for step, offset in itertools.product((0.125, 0.1), (0.0, 0.5)):
+        axis = step * (np.arange(1, 8) + offset)
+        lattice = np.array(list(itertools.product(axis, repeat=d)))[: 200]
+        yield lattice, (step, step * 2, step * math.sqrt(2), step / 2)
+        yield rng.permutation(lattice), (step, 3 * step)
+    cloud = rng.uniform(-1.0, 2.0, size=(150, d))
+    yield np.concatenate([cloud, cloud[::3], cloud[:5]]), (0.05, 0.2, 0.7)
+    yield rng.integers(0, 4, size=(60, d)) * 0.25, (0.25, 0.5, 1.0)
+    yield np.full((5, d), 0.3), (0.1,)
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_separation_agrees_with_all_pairs(d, kind):
+    rng = np.random.default_rng(d)
+    for pts, _ in net_inputs(rng, d):
+        assert separation(pts, kind) == ref_separation(pts, kind)
+        for n in (0, 1, 2, 3):
+            assert separation(pts[:n], kind) == ref_separation(pts[:n], kind)
+    # clouds with one closest pair, at any place in the walk
+    for _ in range(20):
+        pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 120)), d))
+        assert separation(pts, kind) == ref_separation(pts, kind)
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_greedy_net_agrees_with_rescan(d, kind):
+    rng = np.random.default_rng(10 + d)
+    for pts, deltas in net_inputs(rng, d):
+        for delta in deltas:
+            net = greedy_net(pts, delta, kind=kind)
+            assert net.shape == ref_greedy_net(pts, delta, kind=kind).shape
+            assert np.array_equal(net, ref_greedy_net(pts, delta, kind=kind))
+            # a finer net seeded with this one, as nested_nets builds them
+            finer = greedy_net(pts[::-1], delta / 2, seed_set=net, kind=kind)
+            assert np.array_equal(finer, ref_greedy_net(pts[::-1], delta / 2, seed_set=net, kind=kind))
+            # seeds closer than delta are refused by both
+            bad = np.concatenate([net[:1], net[:1] + np.eye(d)[0] * delta / 2])
+            for greedy in (greedy_net, ref_greedy_net):
+                with pytest.raises(LipForgeError, match="seed set violates separation"):
+                    greedy(pts, delta, seed_set=bad, kind=kind)
+
+
+def test_nested_nets_fine_grid_memory(unit_box):
+    """The 0.02 grid (2401 targets), 8 levels, in bounded memory: building
+    them with an n x n separation block peaks at about 180 MB."""
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.02)
+    tracemalloc.start()
+    try:
+        family = nested_nets(target, unit_box, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(lvl) for lvl in family.levels] == [1, 5, 37, 156, 475, 2401, 2401, 2401]
+    assert peak < 32 * 2**20

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
-from lipforge.space import _direction, norm_batch, op_norm_matrix, unit_directions
+from lipforge.space import _bounds_2norm, _direction, _power_iteration_2norm, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -75,6 +76,73 @@ def test_op_norm_lower_bounded_by_sampled_quotients():
                 if nu < 1e-9:
                     continue
                 assert a.op_norm >= float(norm(m @ u, out_kind)) / float(nu) - 1e-9
+
+
+def exact_2norm(m: np.ndarray):
+    """Reference: the top singular value of the exact float entries, from the
+    eigenvalues of A^T A at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix(m.tolist())
+        return mpmath.sqrt(max(mpmath.eigsy(a.T * a)[0]))
+
+
+def near_degenerate(rng, rows: int, cols: int) -> np.ndarray:
+    """A random rows x cols operator with sigma_2 = sigma_1 (1 - 1e-3)."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    k = min(rows, cols)
+    top = float(rng.uniform(0.1, 2.0))
+    sv = np.concatenate([[top, top * (1 - 1e-3)], rng.uniform(0.0, 0.9 * top, size=k - 2)])
+    s = np.zeros((rows, cols))
+    s[range(k), range(k)] = sv
+    return u @ s @ v.T
+
+
+def test_op_norm_euclidean_is_an_upper_bound():
+    """Power iteration converges from below (1 - 1e-3 of the norm on these
+    spectra); the certified norm is never below the exact one and at most a
+    few ulps above it. np.linalg.norm rounds too, so it is compared up to
+    one part in 2^50."""
+    rng = np.random.default_rng(11)
+    below = 0
+    for _ in range(200):
+        m = near_degenerate(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
+        got = LinearMap(m).op_norm
+        exact = exact_2norm(m)
+        assert mpmath.mpf(got) >= exact
+        assert got <= float(exact) * (1 + 2.0**-48)
+        assert got >= float(np.linalg.norm(m, 2)) * (1 - 2.0**-50)
+        below += _power_iteration_2norm(m) < exact
+    assert below > 0
+
+
+def test_op_norm_keeps_exact_values():
+    """Operators whose power-iteration value is their norm keep it."""
+    for m, want in [
+        (np.array([[0.5, 0.0]]), 0.5),
+        (np.array([[-0.5, 0.0]]), 0.5),
+        (np.array([[0.5, 0.0, 0.0]]), 0.5),
+        (np.eye(2), 1.0),
+        (np.eye(3), 1.0),
+        (np.zeros((2, 3)), 0.0),
+    ]:
+        assert LinearMap(m).op_norm == want
+        if want:
+            assert not _bounds_2norm(m, math.nextafter(want, 0.0))
+
+
+def test_bounds_2norm_zero_pivots():
+    """The elimination passes a zero pivot whose row is zero and refuses one
+    whose row is not; infinity bounds every norm and NaN none."""
+    for m, t in [(np.array([[3.0, 4.0]]), 5.0), (np.array([[0.0, 0.0], [0.0, 1.0]]), 1.0),
+                 (np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)]:
+        assert _bounds_2norm(m, t)
+        assert not _bounds_2norm(m, math.nextafter(t, 0.0))
+        assert LinearMap(m).op_norm == t
+    # t^2 I - A^T A = [[0, -1], [-1, 0]]: a zero pivot with a nonzero row
+    assert not _bounds_2norm(np.array([[1.0, 1.0]]), 1.0)
+    assert _bounds_2norm(np.array([[1.0, 1.0]]), math.inf)
+    assert not _bounds_2norm(np.array([[1.0, 1.0]]), math.nan)
 
 
 def test_op_norm_rejects_nonfinite():
