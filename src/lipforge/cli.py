@@ -164,12 +164,17 @@ def load_config(path: str) -> RunConfig:
         except ValueError as e:
             raise _cfg_error(path, section, key, "not an integer") from e
 
+    # replay needs a transcript, which a config cannot name
+    adversary = get("game", "adversary", "stay").strip().lower()
+    if adversary not in ("stay", "jitter"):
+        raise _cfg_error(path, "game", "adversary", f"unknown adversary {adversary!r}; expected stay or jitter")
+
     return RunConfig(
         domain=domain,
         target=target,
         operators=tuple(ops),
         rounds=get_int("game", "rounds", "8"),
-        adversary=get("game", "adversary", "stay").strip().lower(),
+        adversary=adversary,
         seed=get_int("game", "seed", "0"),
         dps=get_int("game", "dps", str(CONSTRUCTION_DPS)),
         sup_budget=get_int("game", "sup_budget", "192"),

@@ -31,6 +31,8 @@ from .lipfun import (
     AddConst,
     Const,
     LipFun,
+    _decode_map,
+    _encode_map,
     add_const,
     deserialize,
     fun_from_dict,
@@ -50,6 +52,7 @@ from .numerics import (
     encode_scalar,
     encode_vector,
     exact_mpf,
+    float_vector,
     scalar_min,
     to_float,
 )
@@ -93,7 +96,6 @@ class GameState:
     dps: int = CONSTRUCTION_DPS
     seed: int = 0
     sup_budget: int = 192
-    boundary_samples: int | None = None
     history: list[MoveRecord] = field(default_factory=list)
 
     @property
@@ -150,7 +152,7 @@ def validate_move(state: GameState, f: LipFun, r: Scalar) -> Scalar:
         if k >= 2:
             g_prev, s_prev = state.previous()
             rho = _move_distance(f, g_prev, state, k)
-            if exact_mpf(rho) + exact_mpf(r) > exact_mpf(s_prev):
+            if not exact_mpf(rho) + exact_mpf(r) <= exact_mpf(s_prev):
                 raise LipForgeError("move not nested in the previous ball")
         L = state.operators[state.op_index(k)]
         cap = exact_mpf(2) ** -k * (1 - exact_mpf(L.op_norm))
@@ -159,8 +161,7 @@ def validate_move(state: GameState, f: LipFun, r: Scalar) -> Scalar:
 
 def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
                  move_kind: str = "explicit", move_shift: np.ndarray | None = None,
-                 r_offered: Scalar | None = None,
-                 keep_move_fun: bool = True) -> MoveRecord:
+                 r_offered: Scalar | None = None) -> MoveRecord:
     """Respond to an accepted move: linearize near the level-k net and pick
     the reply radius. Empty net levels skip the perturbation entirely."""
     k = state.next_round
@@ -173,10 +174,7 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
             beta = warp_radius = None
             rho_bound = exact_mpf(0)
         else:
-            res = linearize_near(
-                f, gamma, L, r_mp, state.domain,
-                dps=state.dps, boundary_samples=state.boundary_samples,
-            )
+            res = linearize_near(f, gamma, L, r_mp, state.domain, dps=state.dps)
             g, alpha = res.fun, res.alpha
             beta, warp_radius = res.params.beta, res.params.s
             rho_bound = res.rho_bound
@@ -191,7 +189,7 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
             op_index=state.op_index(k),
             move_kind=move_kind,
             move_shift=move_shift,
-            move_fun=f if keep_move_fun else None,
+            move_fun=f,
             r_offered=r_accepted if r_offered is None else r_offered,
             r_accepted=r_mp,
             reply_fun=g,
@@ -207,12 +205,13 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
     return record
 
 
-def adversary(kind: str, state: GameState, replay_rounds: list[dict] | None = None):
+def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...] | None = None):
     """Player I's scripted move for the upcoming round.
 
     stay:   recenter on the previous reply with half its radius.
     jitter: previous reply shifted by a constant of norm s/8, radius s/4.
-    replay: the recorded move of a stored transcript.
+    replay: the move and offered radius of round k of `replay_rounds`, the
+            MoveRecords of a transcript in memory or from load_transcript.
     """
     k = state.next_round
     g_prev, s_prev = state.previous()
@@ -227,45 +226,59 @@ def adversary(kind: str, state: GameState, replay_rounds: list[dict] | None = No
             if replay_rounds is None or k > len(replay_rounds):
                 raise LipForgeError("replay exhausted")
             rec = replay_rounds[k - 1]
-            move = rec["move"]
-            r_off = decode_scalar(rec["r_offered"])
-            if move["kind"] == "stay":
-                return g_prev, r_off, "stay", None
-            if move["kind"] == "jitter":
-                shift = decode_vector(move["shift"])
-                return add_const(g_prev, shift), r_off, "jitter", shift
-            if move["kind"] == "explicit":
-                return fun_from_dict(move["fun"]), r_off, "explicit", None
-            raise LipForgeError(f"unknown recorded move kind {move['kind']!r}")
+            if rec.move_kind == "stay":
+                return g_prev, rec.r_offered, "stay", None
+            if rec.move_kind == "jitter":
+                return add_const(g_prev, rec.move_shift), rec.r_offered, "jitter", rec.move_shift
+            if rec.move_kind == "explicit":
+                return rec.move_fun, rec.r_offered, "explicit", None
+            raise LipForgeError(f"unknown recorded move kind {rec.move_kind!r}")
     raise LipForgeError(f"unknown adversary kind {kind!r}")
 
 
-def _round_records(rounds: tuple[MoveRecord, ...]) -> list[dict]:
-    """Round records as a transcript stores them and the replay adversary reads them."""
-    records = []
-    for rec in rounds:
-        move: dict = {"kind": rec.move_kind}
-        if rec.move_kind == "jitter" and rec.move_shift is not None:
-            move["shift"] = encode_vector(rec.move_shift)
-        if rec.move_kind == "explicit" and rec.move_fun is not None:
-            move["fun"] = fun_to_dict(rec.move_fun)
-        records.append(
-            {
-                "round": rec.round_k,
-                "op_index": rec.op_index,
-                "move": move,
-                "r_offered": encode_scalar(rec.r_offered),
-                "r_accepted": encode_scalar(rec.r_accepted),
-                "s": encode_scalar(rec.s),
-                "alpha": encode_scalar(rec.alpha),
-                "beta": None if rec.beta is None else encode_scalar(rec.beta),
-                "warp_radius": None if rec.warp_radius is None else encode_scalar(rec.warp_radius),
-                "rho_bound": encode_scalar(rec.rho_bound),
-                "rho_sampled": repr(rec.rho_sampled),
-                "net_size": rec.net_size,
-            }
-        )
-    return records
+def _round_record(rec: MoveRecord) -> dict:
+    """A round as transcript.json stores it; load_transcript reads it back."""
+    move: dict = {"kind": rec.move_kind}
+    if rec.move_kind == "jitter":
+        move["shift"] = encode_vector(rec.move_shift)
+    if rec.move_kind == "explicit":
+        move["fun"] = fun_to_dict(rec.move_fun)
+    return {
+        "round": rec.round_k,
+        "op_index": rec.op_index,
+        "move": move,
+        "r_offered": encode_scalar(rec.r_offered),
+        "r_accepted": encode_scalar(rec.r_accepted),
+        "s": encode_scalar(rec.s),
+        "alpha": encode_scalar(rec.alpha),
+        "beta": None if rec.beta is None else encode_scalar(rec.beta),
+        "warp_radius": None if rec.warp_radius is None else encode_scalar(rec.warp_radius),
+        "rho_bound": encode_scalar(rec.rho_bound),
+        "rho_sampled": repr(rec.rho_sampled),
+        "net_size": rec.net_size,
+    }
+
+
+def _decode_move(move) -> tuple[str, np.ndarray | None, LipFun | None]:
+    """Kind, shift and center of a stored move; a jitter needs its shift and
+    an explicit move its mapping."""
+    if not isinstance(move, dict):
+        raise LipForgeError("malformed artifact: round move is not a record")
+    kind = move.get("kind")
+    if kind == "stay":
+        return kind, None, None
+    if kind == "jitter":
+        if "shift" not in move:
+            raise LipForgeError("malformed artifact: jitter move without shift")
+        shift = decode_vector(move["shift"])
+        if not np.all(np.isfinite(float_vector(shift))):
+            raise LipForgeError("malformed artifact: jitter shift is not finite")
+        return kind, shift, None
+    if kind == "explicit":
+        if "fun" not in move:
+            raise LipForgeError("malformed artifact: explicit move without fun")
+        return kind, None, fun_from_dict(move["fun"])
+    raise LipForgeError(f"malformed artifact: unknown move kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -298,18 +311,9 @@ class GameTranscript:
             "seed": self.seed,
             "dps": self.dps,
             "domain": self.domain.encode(),
-            "operators": [
-                {
-                    "matrix": [[repr(float(x)) for x in row] for row in op.float_matrix],
-                    "in_norm": op.in_norm.value,
-                    "out_norm": op.out_norm.value,
-                }
-                for op in self.operators
-            ],
-            "net_levels": [
-                [[repr(float(x)) for x in p] for p in lvl] for lvl in self.nets.levels
-            ],
-            "rounds": _round_records(self.rounds),
+            "operators": [_encode_map(op) for op in self.operators],
+            "net_levels": [[encode_vector(p) for p in lvl] for lvl in self.nets.levels],
+            "rounds": [_round_record(rec) for rec in self.rounds],
             "tail_bound": encode_scalar(self.tail_bound),
             "function_sha256": hashlib.sha256(function_bytes).hexdigest(),
         }
@@ -348,32 +352,26 @@ def load_transcript(path, function_path=None) -> GameTranscript:
     final_fun = deserialize(data)
     try:
         domain = Domain.decode(obj["domain"])
-        operators = tuple(
-            LinearMap(
-                np.asarray([[float(x) for x in row] for row in rec["matrix"]], dtype=float),
-                NormKind.parse(rec["in_norm"]),
-                NormKind.parse(rec["out_norm"]),
-            )
-            for rec in obj["operators"]
-        )
+        operators = tuple(_decode_map(rec) for rec in obj["operators"])
         levels = tuple(
-            np.asarray([[float(x) for x in p] for p in lvl], dtype=float)
-            if lvl
-            else np.empty((0, domain.dim))
+            np.asarray([decode_vector(p) for p in lvl], dtype=float) if lvl else np.empty((0, domain.dim))
             for lvl in obj["net_levels"]
         )
         deltas = tuple(2.0 ** -k for k in range(1, len(levels) + 1))
         nets = NetFamily(levels, deltas)
         rounds = []
-        for rec in obj["rounds"]:
-            move = rec["move"]
-            shift = decode_vector(move["shift"]) if move.get("shift") else None
-            move_fun = fun_from_dict(move["fun"]) if move.get("fun") else None
+        for k, rec in enumerate(obj["rounds"], start=1):
+            kind, shift, move_fun = _decode_move(rec["move"])
+            number, op_index = int(rec["round"]), int(rec["op_index"])
+            if number != k:
+                raise LipForgeError(f"malformed artifact: round record {k} is numbered {number}")
+            if not 0 <= op_index < len(operators):
+                raise LipForgeError(f"malformed artifact: round {k} names operator {op_index} of {len(operators)}")
             rounds.append(
                 MoveRecord(
-                    round_k=int(rec["round"]),
-                    op_index=int(rec["op_index"]),
-                    move_kind=move["kind"],
+                    round_k=k,
+                    op_index=op_index,
+                    move_kind=kind,
                     move_shift=shift,
                     move_fun=move_fun,
                     r_offered=decode_scalar(rec["r_offered"]),
@@ -403,8 +401,6 @@ def load_transcript(path, function_path=None) -> GameTranscript:
         raise LipForgeError("malformed artifact: bad transcript record") from e
 
 
-
-
 def run_game(
     domain: Domain,
     target: TargetSet,
@@ -414,14 +410,14 @@ def run_game(
     seed: int = 0,
     dps: int = CONSTRUCTION_DPS,
     sup_budget: int = 192,
-    boundary_samples: int | None = None,
-    replay_transcript: GameTranscript | dict | None = None,
-    keep_move_funs: bool = True,
+    replay_transcript: GameTranscript | None = None,
 ) -> GameTranscript:
     """Play a full K-round game and return the transcript.
 
     Every operator must have op_norm < 1; they are targeted round-robin.
-    The run is deterministic for fixed (target, operators, seed, dps).
+    The run is deterministic for fixed (target, operators, seed, dps). The
+    replay adversary replays the moves of `replay_transcript`, in memory or
+    from load_transcript.
     """
     ops = tuple(operators)
     if not ops:
@@ -441,8 +437,7 @@ def run_game(
     if adversary_kind == "replay":
         if replay_transcript is None:
             raise LipForgeError("replay adversary needs a stored transcript")
-        is_transcript = isinstance(replay_transcript, GameTranscript)
-        replay_rounds = _round_records(replay_transcript.rounds) if is_transcript else replay_transcript["rounds"]
+        replay_rounds = replay_transcript.rounds
     elif adversary_kind not in ADVERSARY_KINDS:
         raise LipForgeError(f"unknown adversary kind {adversary_kind!r}")
 
@@ -454,17 +449,13 @@ def run_game(
         dps=dps,
         seed=seed,
         sup_budget=sup_budget,
-        boundary_samples=boundary_samples,
     )
     for _ in range(rounds):
         k = state.next_round
         try:
             f, r, kind, shift = adversary(adversary_kind, state, replay_rounds)
             r_acc = validate_move(state, f, r)
-            player2_move(
-                state, f, r_acc,
-                move_kind=kind, move_shift=shift, r_offered=r, keep_move_fun=keep_move_funs,
-            )
+            player2_move(state, f, r_acc, move_kind=kind, move_shift=shift, r_offered=r)
         except LipForgeError as e:
             raise LipForgeError(f"round {k}: {e}") from e
 

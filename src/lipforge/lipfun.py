@@ -525,6 +525,10 @@ class Patched(LipFun):
                 raise LipForgeError("patch center has wrong dimension")
             if not p.radius > 0:
                 raise LipForgeError("patch radius must be positive")
+            # finiteness of the float copies the index and the float path use;
+            # a deep radius underflows to 0.0 and is still finite
+            if not (np.all(np.isfinite(p.center_float)) and np.isfinite(p.radius_float)):
+                raise LipForgeError("patch center and radius must be finite")
         centers = np.array([p.center_float for p in self.patches])
         radii = np.array([p.radius_float for p in self.patches])
         pads = radii + FLOAT_RESOLVE_REL * np.array([p.scale for p in self.patches])

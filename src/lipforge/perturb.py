@@ -126,7 +126,6 @@ class PerturbResult:
     params: PerturbParams
     rho_bound: Scalar
     shift: np.ndarray
-    base_point: np.ndarray
 
     def __iter__(self):
         yield self.fun
@@ -140,7 +139,6 @@ def linearize_near(
     r: Scalar,
     domain: Domain,
     dps: int = CONSTRUCTION_DPS,
-    boundary_samples: int | None = None,
 ) -> PerturbResult:
     """Make f exactly affine with derivative `operator` near every point.
 
@@ -187,7 +185,7 @@ def linearize_near(
         # Warp layer: freeze the input on the beta-ball around each center.
         warp = radial_blend(beta, s_mp, zero_map(d, d), identity(d, domain.norm), domain.norm)
         warp_patches = [(x, s_mp, shift_conjugate(warp, x, domain.norm)) for x in pts]
-        P = patch(identity(d, domain.norm), warp_patches, domain, boundary_samples=boundary_samples)
+        P = patch(identity(d, domain.norm), warp_patches, domain)
         g0 = Precompose(f_shift, P)
 
         # Affine layer: plant base + T (z - x) inside the beta-ball.
@@ -200,7 +198,7 @@ def linearize_near(
             h_x = Affine(base, T, x_exact)
             inner = Precompose(h_x, shift_conjugate(psi, x, domain.norm))
             affine_patches.append((x, beta, inner))
-        g1 = patch(g0, affine_patches, domain, boundary_samples=boundary_samples)
+        g1 = patch(g0, affine_patches, domain)
 
         g2 = Scale((s_mp - beta) / s_mp, g1)
         g = add_const(g2, p_shift)
@@ -210,4 +208,4 @@ def linearize_near(
             raise LipForgeError("analytic distance bound failed to stay below r")
         if g.lip_cert > 1.0 + LIP_ONE_TOL:
             raise LipForgeError("construction lost the certified Lipschitz bound")
-        return PerturbResult(g, alpha, params, rho_bound, np.asarray(p_shift), x0)
+        return PerturbResult(g, alpha, params, rho_bound, np.asarray(p_shift))

@@ -53,7 +53,8 @@ class NormKind(enum.Enum):
     def parse(cls, text: str) -> "NormKind":
         try:
             return cls(text.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
+            # a non-string (a number, null, a list or an object) has no strip
             raise LipForgeError(
                 f"unknown norm {text!r}; expected euclidean, sup or one"
             ) from None

@@ -1,0 +1,103 @@
+"""Seeded one-field mutations of both artifacts of a smoke-size jitter run.
+
+Each case replaces one field (an object member or a list element, at any
+depth) of function.json or transcript.json with a value from a fixed list
+and must end in a LipForgeError or a usable result: for function.json a
+mapping whose lip_cert and eval_batch work, for transcript.json a transcript
+that replays to a mapping with finite values. The cases are drawn from a
+seeded generator, so every run tries the same ones.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+
+from lipforge import Domain, LinearMap, LipForgeError, TargetSet, eval_batch, load_transcript, run_game
+from lipforge.lipfun import fun_from_dict
+
+VALUES = [None, "nan", "inf", -1, 0, [], {}, "x", "1e400", True, {"m": "x"}]
+LO, HI, STEP = [0.0, 0.0], [1.0, 1.0], 0.25
+POINTS = np.array([[0.3, 0.6], [0.5, 0.5]])
+
+
+def _paths(obj, prefix=()):
+    """Paths to every member and element below obj, in document order."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutations(doc, count, seed):
+    """`count` copies of doc, each with one field replaced by a value of VALUES."""
+    paths = list(_paths(doc))
+    rng = random.Random(seed)
+    for _ in range(count):
+        path, value = rng.choice(paths), rng.choice(VALUES)
+        copy = json.loads(json.dumps(doc))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        yield path, value, copy
+
+
+@pytest.fixture(scope="module")
+def jitter_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pair")
+    ops = [LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]]))]
+    run_game(Domain.box(LO, HI), TargetSet.grid(LO, HI, STEP), ops, "jitter", rounds=3, seed=0).save(
+        out / "transcript.json"
+    )
+    return out
+
+
+def _escapes(cases, attempt):
+    escaped = []
+    for path, value, doc in cases:
+        try:
+            attempt(doc)
+        except LipForgeError:
+            pass
+        except Exception as e:  # any other exception is the failure under test
+            escaped.append(f"{'/'.join(map(str, path))} = {value!r}: {type(e).__name__}: {e}")
+    return escaped
+
+
+def test_function_json_mutations_end_in_a_mapping_or_a_diagnostic(jitter_pair):
+    doc = json.loads((jitter_pair / "function.json").read_bytes())
+
+    def attempt(mutated):
+        f = fun_from_dict(mutated)
+        f.lip_cert
+        eval_batch(f, POINTS)
+
+    escaped = _escapes(_mutations(doc, 400, seed=1), attempt)
+    assert not escaped, f"{len(escaped)} of 400 escaped:\n" + "\n".join(escaped[:20])
+
+
+def test_transcript_json_mutations_end_in_a_replay_or_a_diagnostic(jitter_pair, tmp_path):
+    doc = json.loads((jitter_pair / "transcript.json").read_bytes())
+    (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
+    target = TargetSet.grid(LO, HI, STEP)
+
+    def attempt(mutated):
+        (tmp_path / "transcript.json").write_text(json.dumps(mutated))
+        tr = load_transcript(tmp_path / "transcript.json")
+        replayed = run_game(
+            tr.domain, target, tr.operators, "replay",
+            rounds=tr.k_max, seed=tr.seed, dps=tr.dps, replay_transcript=tr,
+        )
+        values = eval_batch(replayed.final_fun, POINTS)
+        if not np.all(np.isfinite(values)):
+            raise AssertionError(f"replay evaluates to {values.tolist()}")
+
+    escaped = _escapes(_mutations(doc, 300, seed=2), attempt)
+    assert not escaped, f"{len(escaped)} of 300 escaped:\n" + "\n".join(escaped[:20])

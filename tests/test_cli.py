@@ -71,6 +71,21 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p2))
 
 
+@pytest.mark.parametrize("kind", ["replay", "confuse"])
+def test_config_adversary_is_stay_or_jitter(tmp_path, capsys, kind):
+    """A config names no transcript, so it cannot set the replay adversary;
+    any kind other than stay or jitter is refused at load, naming both."""
+    p = tmp_path / "adv.ini"
+    p.write_text(SMALL_CONFIG.replace("adversary = stay", f"adversary = {kind}"))
+    with pytest.raises(LipForgeError, match=rf"\[game\] adversary: unknown adversary '{kind}'; expected stay or jitter"):
+        load_config(str(p))
+    assert main(["construct", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert "[game] adversary" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    p.write_text(SMALL_CONFIG.replace("adversary = stay", "adversary = Jitter"))
+    assert load_config(str(p)).adversary == "jitter"
+
+
 def test_construct_probe_verify_pipeline(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["construct", "--config", str(config_path), "--out", str(out)])

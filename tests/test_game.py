@@ -9,11 +9,13 @@ from lipforge import (
     Const,
     Domain,
     GameState,
+    GameTranscript,
     LinearMap,
     LipForgeError,
     NormOf,
     Scale,
     TargetSet,
+    add_const,
     adversary,
     eval_batch,
     eval_point,
@@ -95,6 +97,9 @@ def test_validate_move_rejects_unnested(small_setup):
     far = Const(np.array([5.0]), 2)
     with pytest.raises(LipForgeError, match="not nested"):
         validate_move(state, far, 0.0005)
+    # a NaN distance (a shift holding NaN) does not certify nesting
+    with pytest.raises(LipForgeError, match="not nested"):
+        validate_move(state, add_const(g, np.array([np.nan])), 0.0005)
 
 
 def test_validate_move_rejects_bad_radius_and_cert(small_setup):
@@ -199,7 +204,7 @@ def test_transcript_save_load_replay(tmp_path, small_setup, small_transcript):
     assert loaded.k_max == tr.k_max
     assert loaded.tail_bound == tr.tail_bound
     assert serialize(loaded.final_fun) == serialize(tr.final_fun)
-    replayed = run_game(domain, target, ops, "replay", rounds=4, seed=0, replay_transcript=loaded.to_dict())
+    replayed = run_game(domain, target, ops, "replay", rounds=4, seed=0, replay_transcript=loaded)
     assert serialize(replayed.final_fun) == serialize(tr.final_fun)
     rng = np.random.default_rng(0)
     Z = rng.uniform(0, 1, size=(200, 2))
@@ -275,26 +280,106 @@ def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
         load_transcript(tmp_path / "transcript.json")
 
 
-def test_replay_from_memory_encodes_no_tree(monkeypatch, small_setup, small_transcript):
-    """Replaying a stay game from an in-memory transcript reads its round
-    records without encoding any mapping."""
+def _count_codec_calls(monkeypatch) -> list:
+    """Record every fun_to_dict and fun_from_dict call from here on."""
     import lipforge.game as game_mod
     import lipforge.lipfun as lipfun_mod
 
     calls = []
-    original = lipfun_mod.fun_to_dict
+    for name in ("fun_to_dict", "fun_from_dict"):
+        original = getattr(lipfun_mod, name)
 
-    def counting(f):
-        calls.append(f)
-        return original(f)
+        def wrapper(obj, name=name, original=original):
+            calls.append(name)
+            return original(obj)
 
-    for mod in (game_mod, lipfun_mod):
-        monkeypatch.setattr(mod, "fun_to_dict", counting)
+        for mod in (game_mod, lipfun_mod):
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_replay_from_memory_encodes_no_tree(monkeypatch, tmp_path, small_setup, small_transcript):
+    """Replaying a stay game from an in-memory transcript, or a jitter game
+    from a loaded one, reads its MoveRecords and encodes or decodes no
+    mapping."""
     domain, target, ops = small_setup
-    replayed = run_game(domain, target, ops, "replay", rounds=4, seed=0, replay_transcript=small_transcript)
+    run_game(domain, target, ops, "jitter", rounds=3, seed=3).save(tmp_path / "transcript.json")
+    jitter = load_transcript(tmp_path / "transcript.json")
+    calls = _count_codec_calls(monkeypatch)
+    replayed = [
+        run_game(domain, target, ops, "replay", rounds=tr.k_max, seed=0, replay_transcript=tr)
+        for tr in (small_transcript, jitter)
+    ]
     assert calls == []
     monkeypatch.undo()
-    assert serialize(replayed.final_fun) == serialize(small_transcript.final_fun)
+    assert serialize(replayed[0].final_fun) == serialize(small_transcript.final_fun)
+    assert serialize(replayed[1].final_fun) == (tmp_path / "function.json").read_bytes()
+    assert [rec.move_kind for rec in replayed[1].rounds] == ["jitter"] * 3
+
+
+def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup):
+    """Rounds played with player2_move on explicit move centers, saved and
+    loaded, replay to the same function.json without encoding or decoding
+    the recorded centers again."""
+    domain, target, ops = small_setup
+    state = GameState(domain=domain, nets=nested_nets(target, domain, 3), operators=ops)
+    f = Scale(0.5, NormOf(2))
+    for k in (1, 2, 3):
+        if k > 1:
+            g_prev, s_prev = state.previous()
+            f = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object))
+            r = exact_mpf(s_prev) / 4
+        else:
+            r = exact_mpf(0.5)
+        player2_move(state, f, validate_move(state, f, r), r_offered=r)
+    last = state.history[-1]
+    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), last.reply_fun, last.s, "explicit", 0, state.dps)
+    tr.save(tmp_path / "transcript.json")
+    loaded = load_transcript(tmp_path / "transcript.json")
+    assert [(rec.move_kind, rec.move_shift) for rec in loaded.rounds] == [("explicit", None)] * 3
+    assert all(serialize(a.move_fun) == serialize(b.move_fun) for a, b in zip(loaded.rounds, tr.rounds))
+    calls = _count_codec_calls(monkeypatch)
+    replayed = run_game(domain, target, ops, "replay", rounds=3, seed=0, replay_transcript=loaded)
+    assert calls == []
+    monkeypatch.undo()
+    assert serialize(replayed.final_fun) == (tmp_path / "function.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("move", "stay", "round move is not a record"),
+        ("move", None, "round move is not a record"),
+        ("move", {"kind": "wobble"}, "unknown move kind 'wobble'"),
+        ("move", {"shift": ["0.5"]}, "unknown move kind None"),
+        ("move", {"kind": "jitter"}, "jitter move without shift"),
+        ("move", {"kind": "jitter", "shift": ["nan"]}, "jitter shift is not finite"),
+        ("move", {"kind": "jitter", "shift": ["inf"]}, "jitter shift is not finite"),
+        ("move", {"kind": "explicit"}, "explicit move without fun"),
+        ("round", 0, "round record 2 is numbered 0"),
+        ("round", 3, "round record 2 is numbered 3"),
+        ("op_index", 2, "round 2 names operator 2 of 2"),
+        ("op_index", -1, "round 2 names operator -1 of 2"),
+    ],
+)
+def test_load_transcript_refuses_bad_rounds(tmp_path, small_transcript, field, value, message):
+    """A stored round is refused when its move cannot be replayed, or when it
+    is out of sequence or names no operator (probe and verify index nets and
+    operators by them)."""
+    small_transcript.save(tmp_path / "transcript.json")
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc["rounds"][1][field] = value
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    with pytest.raises(LipForgeError, match=message):
+        load_transcript(tmp_path / "transcript.json")
+
+
+def test_transcript_operators_and_levels_use_the_map_codec(small_transcript):
+    """Operators are written as lipfun writes a LinearMap and net levels as
+    encoded vectors; for float operators these are repr strings."""
+    doc = small_transcript.to_dict()
+    assert doc["operators"][0] == {"matrix": [["0.5", "0.0"]], "in_norm": "euclidean", "out_norm": "euclidean"}
+    assert doc["net_levels"][1] == [[repr(float(x)) for x in p] for p in small_transcript.nets.level(2)]
 
 
 def test_rerun_is_bit_identical(small_setup, small_transcript):

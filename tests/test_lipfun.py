@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -288,6 +289,31 @@ def test_overlapping_patches_are_refused():
     nested = tuple(Patch(c, r, Const(np.array([float(i)]), 2)) for i, r in enumerate((0.2, 0.3, 0.1)))
     with pytest.raises(LipForgeError, match="patch overlap"):
         Patched(Const(np.array([-1.0]), 2), nested, NormKind.EUCLIDEAN)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(["nan", "0.5"], "0.1"), (["0.5", "inf"], "0.1"), (["1e400", "0.5"], "0.1"), (["0.5", "0.5"], "inf")],
+)
+def test_patched_refuses_non_finite_balls(center, radius):
+    """A patch whose center coordinate or radius is not a finite float is
+    refused when built or decoded, before the patch index casts it."""
+    node = Patched(Const(np.array([0.0]), 2), (Patch(np.array([0.5, 0.5]), 0.1, Const(np.array([0.0]), 2)),))
+    obj = json.loads(serialize(node))
+    obj["root"]["patches"][0].update(center=center, radius=radius)
+    with pytest.raises(LipForgeError, match="patch center and radius must be finite"):
+        fun_from_dict(obj)
+    with pytest.raises(LipForgeError, match="patch center and radius must be finite"):
+        Patched(Const(np.array([0.0]), 2), (Patch(np.array([float(x) for x in center]), float(radius), Const(np.array([0.0]), 2)),))
+
+
+def test_patched_accepts_a_radius_below_the_float_range():
+    """Finiteness is tested on the float copy, not its sign: a deep radius
+    whose float underflows to 0.0 is still a ball."""
+    radius = mpmath.mpf(2) ** -2000
+    node = Patched(Const(np.array([0.0]), 2), (Patch(np.array([0.5, 0.5]), radius, Const(np.array([1.0]), 2)),))
+    assert node.patches[0].radius_float == 0.0
+    assert serialize(fun_from_dict(json.loads(serialize(node)))) == serialize(node)
 
 
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)

@@ -150,6 +150,16 @@ def test_op_norm_rejects_nonfinite():
         LinearMap(np.array([[np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("value", ["two", None, 1, 1.5, True, [], ["sup"], {}, {"m": "x"}], ids=repr)
+def test_norm_parse_refuses_what_is_not_a_norm_name(value):
+    """A misspelt name and a norm field holding a number, null, a list or an
+    object end in the same diagnostic, in Domain.decode too."""
+    with pytest.raises(LipForgeError, match=r"unknown norm .*; expected euclidean, sup or one"):
+        NormKind.parse(value)
+    with pytest.raises(LipForgeError, match="unknown norm"):
+        Domain.decode({**Domain.box([0.0], [1.0]).encode(), "norm": value})
+
+
 def test_dist_to_boundary_box():
     d = Domain.box([0.0, 0.0], [1.0, 1.0])
     assert d.dist_to_boundary(np.array([0.5, 0.5])) == 0.5
