@@ -18,7 +18,6 @@ import configparser
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import mpmath
 import numpy as np
 
 from . import verify as verify_mod
-from .game import GameTranscript, load_transcript, read_artifact, run_game
+from .game import load_transcript, read_artifact, run_game
 from .lipfun import deserialize, eval_batch
 from .nets import TargetSet, nested_nets
 from .numerics import CONSTRUCTION_DPS, LipForgeError, exact_mpf, to_float
@@ -263,27 +262,23 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _probe_rows(transcript: GameTranscript, per_round: int, budget: int | None, seed: int):
-    report = witness_bound_report(transcript, per_round=per_round, budget=budget, seed=seed)
-    d = transcript.domain.dim
-    header = "k," + ",".join(f"x{i + 1}" for i in range(d)) + ",op,scale,dq,bound,ok"
-    lines = [header]
-    per_round_vals: dict[int, list[float]] = {}
+def _probe_rows(report, dq_by_round: dict[int, list[float]], d: int) -> list[str]:
+    """probe_report.csv: one row per witness, then one summary row per round."""
+    lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",op,scale,dq,bound,ok"]
     for pr in report:
         w = pr.witness
         x = [to_float(v) for v in (w.center if w.offset is None else w.point())]
-        per_round_vals.setdefault(w.round_k, []).append(pr.value)
         lines.append(
             f"{w.round_k},"
             + ",".join(repr(v) for v in x)
             + f",{w.op_index},{_scale_str(w.alpha)},{pr.value!r},{pr.bound!r},{int(pr.ok)}"
         )
-    for k in sorted(per_round_vals):
-        vals = per_round_vals[k]
+    for k in sorted(dq_by_round):
+        vals = dq_by_round[k]
         ok = sum(1 for v in vals if v <= 4.0 / k + 1e-9)
         fields = [str(k)] + [""] * d + ["summary", "", repr(max(vals)), repr(4.0 / k), f"{ok}/{len(vals)}"]
         lines.append(",".join(fields))
-    return report, lines
+    return lines
 
 
 def cmd_probe(args) -> int:
@@ -293,19 +288,20 @@ def cmd_probe(args) -> int:
     out = Path(args.out)
     seed = args.seed if args.seed is not None else transcript.seed
 
-    report, lines = _probe_rows(transcript, args.per_round, args.budget, seed)
+    report = witness_bound_report(transcript, per_round=args.per_round, budget=args.budget, seed=seed)
+    dq_by_round: dict[int, list[float]] = {}
+    for r in report:
+        dq_by_round.setdefault(r.witness.round_k, []).append(r.value)
+    lines = _probe_rows(report, dq_by_round, transcript.domain.dim)
     ok_count = sum(1 for r in report if r.ok)
     summary = [
         "witness difference-quotient report",
         f"witnesses: {len(report)}",
         f"meeting 4/k bound: {ok_count} ({ok_count / max(len(report), 1):.1%})",
     ]
-    per_round_stats: dict[int, list[float]] = {}
-    for r in report:
-        per_round_stats.setdefault(r.witness.round_k, []).append(r.value)
     plot_points = {}
-    for k in sorted(per_round_stats):
-        vals = per_round_stats[k]
+    for k in sorted(dq_by_round):
+        vals = dq_by_round[k]
         rec = transcript.rounds[k - 1]
         summary.append(f"round {k}: witnesses={len(vals)} max_dq={max(vals)!r} bound={4.0 / k!r}")
         plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), max(vals))
@@ -345,24 +341,11 @@ def cmd_probe(args) -> int:
 def cmd_verify(args) -> int:
     results: list[verify_mod.CheckResult] = []
     if args.artifact is None and args.transcript is None:
-        suites = [
-            (verify_mod.blend_suite, (args.seed or 0,)),
-            (verify_mod.lipschitz_suite, (args.seed or 0,)),
-            (verify_mod.net_suite, ()),
-            (verify_mod.perturb_suite, (args.seed or 0,)),
-        ]
-        if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(fn, *fargs) for fn, fargs in suites]
-                for fut in futures:
-                    results += fut.result()
-        else:
-            for fn, fargs in suites:
-                results += fn(*fargs)
+        results += verify_mod.stock_selftest(args.seed)
     transcript = None if args.transcript is None else load_transcript(args.transcript, args.artifact)
     if args.artifact is not None:
         fun = deserialize(read_artifact(args.artifact)) if transcript is None else transcript.final_fun
-        results += verify_mod.artifact_suite(fun, seed=args.seed or 0)
+        results += verify_mod.artifact_suite(fun, seed=args.seed)
     if transcript is not None:
         results += verify_mod.transcript_suite(transcript, per_round=args.per_round, budget=args.budget)
 
@@ -439,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--artifact", default=None)
     v.add_argument("--transcript", default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--budget", type=int, default=None)
     v.add_argument("--per-round", dest="per_round", type=int, default=1)
     v.set_defaults(fn=cmd_verify)

@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub
+from mpmath.libmp import finf, fnan, fninf, from_int
+from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub
 
 from .numerics import (
     LipForgeError,
@@ -108,7 +111,12 @@ class LipFun:
         raise NotImplementedError
 
     def children(self) -> tuple["LipFun", ...]:
-        return ()
+        """The child nodes, in the order of the node's record (_RECORDS);
+        a Patched node lists outer, then each patch's inner."""
+        out: list[LipFun] = []
+        for _key, attr, codec in _RECORDS[type(self)][1]:
+            out += codec.children(getattr(self, attr))
+        return tuple(out)
 
 
 def eval_point(f: LipFun, z) -> np.ndarray:
@@ -286,9 +294,6 @@ class Sum(LipFun):
     def _eval_batch(self, Z):
         return self.f._eval_batch(Z) + self.g._eval_batch(Z)
 
-    def children(self):
-        return (self.f, self.g)
-
 
 @dataclass(frozen=True, eq=False)
 class Scale(LipFun):
@@ -321,9 +326,6 @@ class Scale(LipFun):
 
     def _eval_batch(self, Z):
         return self._c_float * self.f._eval_batch(Z)
-
-    def children(self):
-        return (self.f,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,9 +362,6 @@ class AddConst(LipFun):
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(Z) + self._p_float
-
-    def children(self):
-        return (self.f,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,9 +468,6 @@ class RadialBlend(LipFun):
             c2 = b * (nm - a) / (nm * (b - a))
             out[mid] = c1[:, None] * self.f1._eval_batch(Z[mid]) + c2[:, None] * self.f2._eval_batch(Z[mid])
         return out
-
-    def children(self):
-        return (self.f1, self.f2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -615,9 +611,6 @@ class Patched(LipFun):
                 out[rows] = f._eval_batch(Z[rows])
         return out
 
-    def children(self):
-        return (self.outer,) + tuple(p.inner for p in self.patches)
-
 
 @dataclass(frozen=True, eq=False)
 class Precompose(LipFun):
@@ -646,9 +639,6 @@ class Precompose(LipFun):
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(self.inner_map._eval_batch(Z))
-
-    def children(self):
-        return (self.f, self.inner_map)
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +927,43 @@ def _decode_map(obj: dict) -> LinearMap:
         raise LipForgeError("malformed artifact: bad linear map") from e
 
 
+class _Codec(NamedTuple):
+    """How a field's value is written and read. encode(value, depth, memo)
+    and decode(obj, depth) get the depth of the record's child nodes, and
+    children(value) lists the child nodes the value holds."""
+
+    encode: Callable
+    decode: Callable
+    children: Callable = lambda value: ()
+
+
+def _finite(decode):
+    """The decoder of node constants: decode, then refuse a NaN or infinite
+    numeral. The exact value is tested: an mpf from an {m, e} pair is finite
+    however deep or huge, while a float numeral may be nan or overflow to inf
+    (and a vector that mixes one with mpfs holds it as an mpf). Decoded
+    values are floats or mpfs."""
+
+    def decode_finite(obj, depth: int):
+        value = decode(obj)
+        for x in value.tolist() if isinstance(value, np.ndarray) else (value,):
+            if (not math.isfinite(x)) if type(x) is float else x._mpf_ in (fnan, finf, fninf):
+                raise LipForgeError(f"malformed artifact: non-finite numeral in {obj!r}")
+        return value
+
+    return decode_finite
+
+
+def _encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> dict:
+    for key, attr, codec in fields:
+        record[key] = codec.encode(getattr(obj, attr), depth, memo)
+    return record
+
+
+def _decode_fields(obj, fields: tuple, depth: int) -> dict:
+    return {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
+
+
 def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     """The record of f, a node at the given depth. memo maps id(node) to the
     depth and record of its last encoding in this call: a record made at
@@ -948,61 +975,13 @@ def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     hit = memo.get(id(f))
     if hit is not None and depth <= hit[0]:
         return hit[1]
-    record = _encode_record(f, depth, memo)
+    decl = _RECORDS.get(type(f))
+    if decl is None:
+        raise LipForgeError(f"cannot serialize node {type(f).__name__}")
+    kind, fields = decl
+    record = _encode_fields(f, fields, depth + 1, memo, {"kind": kind})
     memo[id(f)] = (depth, record)
     return record
-
-
-def _encode_record(f: LipFun, depth: int, memo: dict) -> dict:
-    if isinstance(f, Const):
-        return {"kind": "const", "c": encode_vector(f.c), "in_dim": f.in_dim}
-    if isinstance(f, Linear):
-        return {"kind": "linear", "map": _encode_map(f.map)}
-    if isinstance(f, Affine):
-        return {
-            "kind": "affine",
-            "base": encode_vector(f.base),
-            "map": _encode_map(f.map),
-            "anchor": encode_vector(f.anchor),
-        }
-    if isinstance(f, NormOf):
-        return {"kind": "norm_of", "in_dim": f.in_dim, "sign": f.sign, "norm": f.norm_kind.value}
-    if isinstance(f, Sum):
-        return {"kind": "sum", "f": _encode_node(f.f, depth + 1, memo), "g": _encode_node(f.g, depth + 1, memo)}
-    if isinstance(f, Scale):
-        return {"kind": "scale", "c": encode_scalar(f.c), "f": _encode_node(f.f, depth + 1, memo)}
-    if isinstance(f, AddConst):
-        return {"kind": "add_const", "f": _encode_node(f.f, depth + 1, memo), "p": encode_vector(f.p)}
-    if isinstance(f, RadialBlend):
-        return {
-            "kind": "radial_blend",
-            "a": encode_scalar(f.a),
-            "b": encode_scalar(f.b),
-            "f1": _encode_node(f.f1, depth + 1, memo),
-            "f2": _encode_node(f.f2, depth + 1, memo),
-            "norm": f.norm_kind.value,
-        }
-    if isinstance(f, Patched):
-        return {
-            "kind": "patched",
-            "outer": _encode_node(f.outer, depth + 1, memo),
-            "norm": f.norm_kind.value,
-            "patches": [
-                {
-                    "center": encode_vector(p.center),
-                    "radius": encode_scalar(p.radius),
-                    "inner": _encode_node(p.inner, depth + 1, memo),
-                }
-                for p in f.patches
-            ],
-        }
-    if isinstance(f, Precompose):
-        return {
-            "kind": "precompose",
-            "f": _encode_node(f.f, depth + 1, memo),
-            "inner_map": _encode_node(f.inner_map, depth + 1, memo),
-        }
-    raise LipForgeError(f"cannot serialize node {type(f).__name__}")
 
 
 def _decode_node(obj, depth: int) -> LipFun:
@@ -1011,42 +990,54 @@ def _decode_node(obj, depth: int) -> LipFun:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise LipForgeError("malformed artifact: node record expected")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
+    cls, fields = _KINDS[kind]
     try:
-        if kind == "const":
-            return Const(decode_vector(obj["c"]), int(obj["in_dim"]))
-        if kind == "linear":
-            return Linear(_decode_map(obj["map"]))
-        if kind == "affine":
-            return Affine(decode_vector(obj["base"]), _decode_map(obj["map"]), decode_vector(obj["anchor"]))
-        if kind == "norm_of":
-            return NormOf(int(obj["in_dim"]), int(obj["sign"]), NormKind.parse(obj["norm"]))
-        if kind == "sum":
-            return Sum(_decode_node(obj["f"], depth + 1), _decode_node(obj["g"], depth + 1))
-        if kind == "scale":
-            return Scale(decode_scalar(obj["c"]), _decode_node(obj["f"], depth + 1))
-        if kind == "add_const":
-            return AddConst(_decode_node(obj["f"], depth + 1), decode_vector(obj["p"]))
-        if kind == "radial_blend":
-            return RadialBlend(
-                decode_scalar(obj["a"]),
-                decode_scalar(obj["b"]),
-                _decode_node(obj["f1"], depth + 1),
-                _decode_node(obj["f2"], depth + 1),
-                NormKind.parse(obj["norm"]),
-            )
-        if kind == "patched":
-            patches = tuple(
-                Patch(decode_vector(p["center"]), decode_scalar(p["radius"]), _decode_node(p["inner"], depth + 1))
-                for p in obj["patches"]
-            )
-            return Patched(_decode_node(obj["outer"], depth + 1), patches, NormKind.parse(obj["norm"]))
-        if kind == "precompose":
-            return Precompose(_decode_node(obj["f"], depth + 1), _decode_node(obj["inner_map"], depth + 1))
-    except LipForgeError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+        return cls(**_decode_fields(obj, fields, depth + 1))
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise LipForgeError(f"malformed artifact: bad {kind} node") from e
-    raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
+
+
+_VECTOR = _Codec(lambda v, depth, memo: encode_vector(v), _finite(decode_vector))
+_SCALAR = _Codec(lambda x, depth, memo: encode_scalar(x), _finite(decode_scalar))
+_INT = _Codec(lambda n, depth, memo: n, lambda obj, depth: int(obj))
+_NORM = _Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
+_MAP = _Codec(lambda m, depth, memo: _encode_map(m), lambda obj, depth: _decode_map(obj))
+_NODE = _Codec(_encode_node, _decode_node, lambda f: (f,))
+
+# A patch's ball skips the constants' finiteness check: Patched refuses a
+# center or radius that is not finite, built or decoded, with its own message.
+_PATCH_FIELDS = (
+    ("center", "center", _Codec(_VECTOR.encode, lambda obj, depth: decode_vector(obj))),
+    ("radius", "radius", _Codec(_SCALAR.encode, lambda obj, depth: decode_scalar(obj))),
+    ("inner", "inner", _NODE),
+)
+_PATCHES = _Codec(
+    lambda patches, depth, memo: [_encode_fields(p, _PATCH_FIELDS, depth, memo, {}) for p in patches],
+    lambda obj, depth: tuple(Patch(**_decode_fields(p, _PATCH_FIELDS, depth)) for p in obj),
+    lambda patches: [p.inner for p in patches],
+)
+
+# The record of each node kind: its JSON kind, then its fields in file order,
+# each a (JSON key, attribute, codec). The encoder, the decoder and
+# LipFun.children() all read this table.
+_RECORDS: dict[type, tuple[str, tuple[tuple[str, str, _Codec], ...]]] = {
+    Const: ("const", (("c", "c", _VECTOR), ("in_dim", "in_dim", _INT))),
+    Linear: ("linear", (("map", "map", _MAP),)),
+    Affine: ("affine", (("base", "base", _VECTOR), ("map", "map", _MAP), ("anchor", "anchor", _VECTOR))),
+    NormOf: ("norm_of", (("in_dim", "in_dim", _INT), ("sign", "sign", _INT), ("norm", "norm_kind", _NORM))),
+    Sum: ("sum", (("f", "f", _NODE), ("g", "g", _NODE))),
+    Scale: ("scale", (("c", "c", _SCALAR), ("f", "f", _NODE))),
+    AddConst: ("add_const", (("f", "f", _NODE), ("p", "p", _VECTOR))),
+    RadialBlend: ("radial_blend", (
+        ("a", "a", _SCALAR), ("b", "b", _SCALAR), ("f1", "f1", _NODE), ("f2", "f2", _NODE), ("norm", "norm_kind", _NORM),
+    )),
+    # outer, norm, patches: the file's order, not the dataclass's
+    Patched: ("patched", (("outer", "outer", _NODE), ("norm", "norm_kind", _NORM), ("patches", "patches", _PATCHES))),
+    Precompose: ("precompose", (("f", "f", _NODE), ("inner_map", "inner_map", _NODE))),
+}
+_KINDS = {kind: (cls, fields) for cls, (kind, fields) in _RECORDS.items()}
 
 
 def fun_to_dict(f: LipFun) -> dict:

@@ -363,10 +363,6 @@ class LinearMap:
         return LinearMap(self.float_matrix * float(c), self.in_norm, self.out_norm)
 
 
-def op_norm(a: LinearMap) -> float:
-    return a.op_norm
-
-
 @dataclass(frozen=True)
 class Domain:
     """A closed box or norm ball with nonempty interior.
@@ -500,14 +496,6 @@ def _sub(x, c):
     if is_exact_vector(x):
         return as_vector([exact_mpf(x[i]) - exact_mpf(c[i]) for i in range(len(c))])
     return np.asarray(x, dtype=float) - np.asarray(c, dtype=float)
-
-
-def dist_to_boundary(domain: Domain, x: np.ndarray) -> Scalar:
-    return domain.dist_to_boundary(x)
-
-
-def diam(domain: Domain) -> float:
-    return domain.diam()
 
 
 def _halton_value(index: int, base: int) -> float:

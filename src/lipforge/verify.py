@@ -279,9 +279,6 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
 
 
 def stock_selftest(seed: int = 0) -> list[CheckResult]:
-    results = []
-    results += blend_suite(seed, configs=8, samples=400, pairs=4000)
-    results += lipschitz_suite(seed, pairs=4000)
-    results += net_suite(step=0.1, k_max=4)
-    results += perturb_suite(seed)
-    return results
+    """The suites `lipforge verify` runs when given no artifact, at their
+    default sizes."""
+    return blend_suite(seed) + lipschitz_suite(seed) + net_suite() + perturb_suite(seed)

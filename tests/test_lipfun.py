@@ -568,3 +568,251 @@ def test_decoded_identities_are_shared():
         h = fun_from_dict(variant)
         assert h.f.inner_map.map is not _identity_map(2, NormKind.SUP)
         assert json.loads(serialize(h)) == variant
+
+
+# ---------------------------------------------------------------------------
+# The record codec against the hand-written one it replaced
+
+
+def _reference_encode_node(f, depth: int, memo: dict) -> dict:
+    """The earlier _encode_node, recursing into the reference records."""
+    from lipforge.lipfun import MAX_TREE_DEPTH
+
+    if depth > MAX_TREE_DEPTH:
+        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
+    hit = memo.get(id(f))
+    if hit is not None and depth <= hit[0]:
+        return hit[1]
+    record = _reference_encode_record(f, depth, memo)
+    memo[id(f)] = (depth, record)
+    return record
+
+
+def _reference_encode_record(f, depth: int, memo: dict) -> dict:
+    """The earlier _encode_record, kept as the reference for the record format."""
+    from lipforge.lipfun import RadialBlend, _encode_map
+    from lipforge.numerics import encode_scalar, encode_vector
+
+    enc = _reference_encode_node
+    if isinstance(f, Const):
+        return {"kind": "const", "c": encode_vector(f.c), "in_dim": f.in_dim}
+    if isinstance(f, Linear):
+        return {"kind": "linear", "map": _encode_map(f.map)}
+    if isinstance(f, Affine):
+        return {
+            "kind": "affine",
+            "base": encode_vector(f.base),
+            "map": _encode_map(f.map),
+            "anchor": encode_vector(f.anchor),
+        }
+    if isinstance(f, NormOf):
+        return {"kind": "norm_of", "in_dim": f.in_dim, "sign": f.sign, "norm": f.norm_kind.value}
+    if isinstance(f, Sum):
+        return {"kind": "sum", "f": enc(f.f, depth + 1, memo), "g": enc(f.g, depth + 1, memo)}
+    if isinstance(f, Scale):
+        return {"kind": "scale", "c": encode_scalar(f.c), "f": enc(f.f, depth + 1, memo)}
+    if isinstance(f, AddConst):
+        return {"kind": "add_const", "f": enc(f.f, depth + 1, memo), "p": encode_vector(f.p)}
+    if isinstance(f, RadialBlend):
+        return {
+            "kind": "radial_blend",
+            "a": encode_scalar(f.a),
+            "b": encode_scalar(f.b),
+            "f1": enc(f.f1, depth + 1, memo),
+            "f2": enc(f.f2, depth + 1, memo),
+            "norm": f.norm_kind.value,
+        }
+    if isinstance(f, Patched):
+        return {
+            "kind": "patched",
+            "outer": enc(f.outer, depth + 1, memo),
+            "norm": f.norm_kind.value,
+            "patches": [
+                {
+                    "center": encode_vector(p.center),
+                    "radius": encode_scalar(p.radius),
+                    "inner": enc(p.inner, depth + 1, memo),
+                }
+                for p in f.patches
+            ],
+        }
+    if isinstance(f, Precompose):
+        return {
+            "kind": "precompose",
+            "f": enc(f.f, depth + 1, memo),
+            "inner_map": enc(f.inner_map, depth + 1, memo),
+        }
+    raise LipForgeError(f"cannot serialize node {type(f).__name__}")
+
+
+def _reference_decode_node(obj, depth: int):
+    """The earlier _decode_node, kept as the reference for the record format."""
+    from lipforge.lipfun import MAX_TREE_DEPTH, RadialBlend, _decode_map
+    from lipforge.numerics import decode_scalar, decode_vector
+
+    dec = _reference_decode_node
+    if depth > MAX_TREE_DEPTH:
+        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise LipForgeError("malformed artifact: node record expected")
+    kind = obj["kind"]
+    try:
+        if kind == "const":
+            return Const(decode_vector(obj["c"]), int(obj["in_dim"]))
+        if kind == "linear":
+            return Linear(_decode_map(obj["map"]))
+        if kind == "affine":
+            return Affine(decode_vector(obj["base"]), _decode_map(obj["map"]), decode_vector(obj["anchor"]))
+        if kind == "norm_of":
+            return NormOf(int(obj["in_dim"]), int(obj["sign"]), NormKind.parse(obj["norm"]))
+        if kind == "sum":
+            return Sum(dec(obj["f"], depth + 1), dec(obj["g"], depth + 1))
+        if kind == "scale":
+            return Scale(decode_scalar(obj["c"]), dec(obj["f"], depth + 1))
+        if kind == "add_const":
+            return AddConst(dec(obj["f"], depth + 1), decode_vector(obj["p"]))
+        if kind == "radial_blend":
+            return RadialBlend(
+                decode_scalar(obj["a"]),
+                decode_scalar(obj["b"]),
+                dec(obj["f1"], depth + 1),
+                dec(obj["f2"], depth + 1),
+                NormKind.parse(obj["norm"]),
+            )
+        if kind == "patched":
+            patches = tuple(
+                Patch(decode_vector(p["center"]), decode_scalar(p["radius"]), dec(p["inner"], depth + 1))
+                for p in obj["patches"]
+            )
+            return Patched(dec(obj["outer"], depth + 1), patches, NormKind.parse(obj["norm"]))
+        if kind == "precompose":
+            return Precompose(dec(obj["f"], depth + 1), dec(obj["inner_map"], depth + 1))
+    except LipForgeError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        raise LipForgeError(f"malformed artifact: bad {kind} node") from e
+    raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
+
+
+def _reference_serialize(f) -> bytes:
+    return json.dumps({"schema": "lipforge-fun/1", "root": _reference_encode_node(f, 0, {})},
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _codec_trees() -> dict:
+    """Hand-built trees with every node kind, float and mpf constants (deep
+    and huge ones too), all three norms, nested Patched nodes and shared
+    subtrees."""
+    from lipforge.lipfun import RadialBlend
+
+    deep, huge = mpmath.mpf(3) * mpmath.mpf(2) ** -5000, mpmath.mpf(-5) * mpmath.mpf(2) ** 4000
+    mixed = np.array([mpmath.mpf(0.25), deep], dtype=object)
+    trees = {}
+    for kind in NormKind:
+        leaf = NormOf(2, -1, kind)
+        lin = Linear(LinearMap(np.array([[0.5, -0.25], [0.0, 1.0]]), kind, NormKind.SUP))
+        aff = Affine(mixed, LinearMap(np.array([[1.0, 0.0], [0.0, 1.0]]), kind, kind), np.array([0.5, 0.5]))
+        shared = Sum(Scale(deep, leaf), Const(np.array([0.75]), 2))
+        blend = RadialBlend(mpmath.mpf(0.125), 0.5, AddConst(shared, np.array([-0.75])), Scale(huge, leaf), kind)
+        inner = Patched(Precompose(blend, aff), (Patch(np.array([0.5, 0.5]), deep, shared),), kind)
+        tree = Patched(
+            AddConst(Precompose(shared, lin), mixed[:1]),
+            (
+                Patch(np.array([0.25, 0.25]), 0.125, inner),
+                Patch(mixed, mpmath.mpf(2) ** -300, Sum(shared, Const(np.array([mpmath.mpf(-1)]), 2))),
+                Patch(np.array([0.75, 0.75]), 0.0625, shared),
+            ),
+            kind,
+        )
+        trees[kind.value] = Sum(tree, Scale(0.5, shared))
+    return trees
+
+
+@pytest.mark.parametrize("name", [k.value for k in NormKind])
+def test_codec_writes_and_reads_the_reference_records(name):
+    tree = _codec_trees()[name]
+    data = serialize(tree)
+    assert data == _reference_serialize(tree)
+    assert serialize(deserialize(data)) == data
+    assert _reference_serialize(_reference_decode_node(json.loads(data)["root"], 0)) == data
+    assert serialize(_reference_decode_node(json.loads(data)["root"], 0)) == data
+
+
+def test_codec_on_the_standard_tree(acceptance_run):
+    tree = acceptance_run.transcript.final_fun
+    data = serialize(tree)
+    assert data == _reference_serialize(tree)
+    assert serialize(deserialize(data)) == data
+
+
+def test_every_node_kind_declares_its_record():
+    from lipforge.lipfun import LipFun, _KINDS, _RECORDS
+
+    concrete, todo = set(), [LipFun]
+    while todo:
+        cls = todo.pop()
+        concrete.update(cls.__subclasses__())
+        todo.extend(cls.__subclasses__())
+    assert concrete == set(_RECORDS)
+    assert len(_KINDS) == len(_RECORDS)
+
+
+def test_children_follow_the_reference_order():
+    """Each kind lists its children in the order of the earlier explicit
+    children() overrides: record order, a patch's inner after outer."""
+    from lipforge.lipfun import RadialBlend
+
+    a, b, c = NormOf(2), Scale(0.5, NormOf(2)), Const(np.array([0.0]), 2)
+    patched = Patched(a, (Patch(np.array([0.25, 0.25]), 0.1, b), Patch(np.array([0.75, 0.75]), 0.1, c)))
+    warp = identity(2)
+    expected = [
+        (c, ()),
+        (identity(2), ()),
+        (Affine(np.zeros(2), _identity_map(2, NormKind.EUCLIDEAN), np.ones(2)), ()),
+        (a, ()),
+        (Sum(a, b), (a, b)),
+        (Scale(0.5, a), (a,)),
+        (AddConst(a, np.array([1.0])), (a,)),
+        (RadialBlend(0.5, 1.0, a, b), (a, b)),
+        (patched, (a, b, c)),
+        (Precompose(a, warp), (a, warp)),
+    ]
+    for node, children in expected:
+        got = node.children()
+        assert isinstance(got, tuple)
+        assert len(got) == len(children) and all(x is y for x, y in zip(got, children)), type(node).__name__
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "add_const", "f": {"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "euclidean"}, "p": ["nan"]},
+        {"kind": "scale", "c": "1e400", "f": {"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "euclidean"}},
+        {"kind": "scale", "c": "-inf", "f": {"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "euclidean"}},
+        {"kind": "const", "c": [{"m": "1", "e": "0"}, "inf"], "in_dim": 2},
+        {"kind": "const", "c": [1e400], "in_dim": 2},
+        {"kind": "radial_blend", "a": "0.5", "b": "nan", "f1": {"kind": "const", "c": ["0"], "in_dim": 1},
+         "f2": {"kind": "const", "c": ["0"], "in_dim": 1}, "norm": "euclidean"},
+    ],
+)
+def test_decoder_refuses_non_finite_constants(record):
+    with pytest.raises(LipForgeError, match="non-finite numeral"):
+        fun_from_dict({"schema": "lipforge-fun/1", "root": record})
+
+
+def test_decoder_accepts_deep_and_huge_exact_constants():
+    """An {m, e} constant is finite whatever its exponent, even where its
+    float copy underflows to 0.0 or overflows to inf."""
+    leaf = {"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "euclidean"}
+    for e in ("-100000", "100000"):
+        obj = {"schema": "lipforge-fun/1", "root": {
+            "kind": "add_const", "f": {"kind": "scale", "c": {"m": "3", "e": e}, "f": leaf},
+            "p": [{"m": "-7", "e": e}]}}
+        f = fun_from_dict(obj)
+        assert json.loads(serialize(f)) == obj
+
+
+def test_decoder_refuses_an_overflowing_integer():
+    obj = {"schema": "lipforge-fun/1", "root": {"kind": "const", "c": ["0.5"], "in_dim": 1e400}}
+    with pytest.raises(LipForgeError, match="bad const node"):
+        fun_from_dict(obj)

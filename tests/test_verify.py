@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lipforge import Domain, LinearMap, TargetSet, run_game
-from lipforge.cli import main
 from lipforge.verify import (
     blend_suite,
     lipschitz_suite,
@@ -44,9 +43,3 @@ def test_transcript_suite_green(small_transcript):
     results = transcript_suite(small_transcript, per_round=2, budget=8)
     bad = [r for r in results if not r.ok]
     assert not bad, bad
-
-
-def test_verify_jobs_parallel(capsys):
-    rc = main(["verify", "--jobs", "2"])
-    assert rc == 0
-    assert "checks passed" in capsys.readouterr().out
