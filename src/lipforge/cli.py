@@ -29,10 +29,7 @@ from .game import load_transcript, read_artifact, run_game
 from .lipfun import deserialize, eval_batch
 from .nets import TargetSet, nested_nets
 from .numerics import CONSTRUCTION_DPS, LipForgeError, exact_mpf, to_float
-from .probe import (
-    witness_bound_report,
-    witness_dini_report,
-)
+from .probe import WitnessProbe, witness_bound_report, witness_dini_report
 from .space import Domain, LinearMap, NormKind
 
 log = logging.getLogger("lipforge")
@@ -59,7 +56,6 @@ class RunConfig:
     adversary: str
     seed: int
     dps: int
-    sup_budget: int
 
 
 def _cfg_error(path: str, section: str, key: str, message: str) -> LipForgeError:
@@ -176,7 +172,6 @@ def load_config(path: str) -> RunConfig:
         adversary=adversary,
         seed=get_int("game", "seed", "0"),
         dps=get_int("game", "dps", str(CONSTRUCTION_DPS)),
-        sup_budget=get_int("game", "sup_budget", "192"),
     )
 
 
@@ -248,7 +243,6 @@ def cmd_construct(args) -> int:
         rounds=cfg.rounds,
         seed=seed,
         dps=cfg.dps,
-        sup_budget=cfg.sup_budget,
     )
     out.mkdir(parents=True, exist_ok=True)
     transcript.save(out / "transcript.json")
@@ -262,7 +256,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _probe_rows(report, dq_by_round: dict[int, list[float]], d: int) -> list[str]:
+def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], d: int) -> list[str]:
     """probe_report.csv: one row per witness, then one summary row per round."""
     lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",op,scale,dq,bound,ok"]
     for pr in report:
@@ -273,10 +267,11 @@ def _probe_rows(report, dq_by_round: dict[int, list[float]], d: int) -> list[str
             + ",".join(repr(v) for v in x)
             + f",{w.op_index},{_scale_str(w.alpha)},{pr.value!r},{pr.bound!r},{int(pr.ok)}"
         )
-    for k in sorted(dq_by_round):
-        vals = dq_by_round[k]
-        ok = sum(1 for v in vals if v <= 4.0 / k + 1e-9)
-        fields = [str(k)] + [""] * d + ["summary", "", repr(max(vals)), repr(4.0 / k), f"{ok}/{len(vals)}"]
+    for k in sorted(by_round):
+        probes = by_round[k]
+        ok = sum(1 for p in probes if p.ok)
+        worst = max(p.value for p in probes)
+        fields = [str(k)] + [""] * d + ["summary", "", repr(worst), repr(probes[0].bound), f"{ok}/{len(probes)}"]
         lines.append(",".join(fields))
     return lines
 
@@ -289,10 +284,10 @@ def cmd_probe(args) -> int:
     seed = args.seed if args.seed is not None else transcript.seed
 
     report = witness_bound_report(transcript, per_round=args.per_round, budget=args.budget, seed=seed)
-    dq_by_round: dict[int, list[float]] = {}
+    by_round: dict[int, list[WitnessProbe]] = {}
     for r in report:
-        dq_by_round.setdefault(r.witness.round_k, []).append(r.value)
-    lines = _probe_rows(report, dq_by_round, transcript.domain.dim)
+        by_round.setdefault(r.witness.round_k, []).append(r)
+    lines = _probe_rows(report, by_round, transcript.domain.dim)
     ok_count = sum(1 for r in report if r.ok)
     summary = [
         "witness difference-quotient report",
@@ -300,11 +295,12 @@ def cmd_probe(args) -> int:
         f"meeting 4/k bound: {ok_count} ({ok_count / max(len(report), 1):.1%})",
     ]
     plot_points = {}
-    for k in sorted(dq_by_round):
-        vals = dq_by_round[k]
+    for k in sorted(by_round):
+        probes = by_round[k]
+        worst = max(p.value for p in probes)
         rec = transcript.rounds[k - 1]
-        summary.append(f"round {k}: witnesses={len(vals)} max_dq={max(vals)!r} bound={4.0 / k!r}")
-        plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), max(vals))
+        summary.append(f"round {k}: witnesses={len(probes)} max_dq={worst!r} bound={probes[0].bound!r}")
+        plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), worst)
 
     dini = witness_dini_report(
         transcript,

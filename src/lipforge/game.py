@@ -47,13 +47,13 @@ from .numerics import (
     LipForgeError,
     Scalar,
     as_vector,
+    decode_int,
     decode_scalar,
     decode_vector,
     encode_scalar,
     encode_vector,
     exact_mpf,
     float_vector,
-    scalar_min,
     to_float,
 )
 from .perturb import linearize_near
@@ -63,6 +63,9 @@ GAME_SCHEMA = "lipforge-game/2"
 FUNCTION_FILE = "function.json"
 
 ADVERSARY_KINDS = ("stay", "jitter", "replay")
+
+# Sample size of sup_dist for move distances and rho_sampled.
+SUP_BUDGET = 192
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,6 @@ class GameState:
     operators: tuple[LinearMap, ...]
     dps: int = CONSTRUCTION_DPS
     seed: int = 0
-    sup_budget: int = 192
     history: list[MoveRecord] = field(default_factory=list)
 
     @property
@@ -125,21 +127,24 @@ class GameState:
 def _move_distance(f: LipFun, g_prev: LipFun, state: GameState, k: int) -> Scalar:
     """Distance from a move center to the previous reply center.
 
-    Scripted moves are recognized structurally and measured exactly; anything
-    else falls back to the sampled sup-distance certificate.
+    Scripted moves are recognized structurally and measured exactly. Anything
+    else, an explicit move, falls back to the sampled sup-distance, a lower
+    estimate of the true distance and not a certificate.
     """
     if f is g_prev:
         return exact_mpf(0)
     if isinstance(f, AddConst) and f.f is g_prev:
         return norm(f.p, state.out_norm)
-    return sup_dist(f, g_prev, state.domain, state.sup_budget, state.seed * 31 + k, state.out_norm)
+    return sup_dist(f, g_prev, state.domain, SUP_BUDGET, state.seed * 31 + k, state.out_norm)
 
 
 def validate_move(state: GameState, f: LipFun, r: Scalar) -> Scalar:
     """Accept Player I's move, shrinking the radius to 2^-k (1 - ||L_k||).
 
-    For rounds past the first, requires the nesting certificate
-    dist(f, previous reply) + r <= previous reply radius.
+    For rounds past the first, requires dist(f, previous reply) + r <=
+    previous reply radius. The distance is exact for stay and jitter moves;
+    for an explicit move it is sampled (see _move_distance), so its nesting
+    is checked on the sample, not certified.
     """
     k = state.next_round
     if not r > 0:
@@ -156,7 +161,7 @@ def validate_move(state: GameState, f: LipFun, r: Scalar) -> Scalar:
                 raise LipForgeError("move not nested in the previous ball")
         L = state.operators[state.op_index(k)]
         cap = exact_mpf(2) ** -k * (1 - exact_mpf(L.op_norm))
-        return scalar_min(exact_mpf(r), cap)
+        return min(exact_mpf(r), cap)
 
 
 def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
@@ -178,10 +183,10 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
             g, alpha = res.fun, res.alpha
             beta, warp_radius = res.params.beta, res.params.s
             rho_bound = res.rho_bound
-        s_k = scalar_min(alpha / (k + 1), (r_mp - rho_bound) / 2)
+        s_k = min(alpha / (k + 1), (r_mp - rho_bound) / 2)
         if not (s_k > 0 and s_k < alpha / k):
             raise LipForgeError("reply radius failed its bounds")
-        rho_hat = sup_dist(g, f, state.domain, state.sup_budget, state.seed * 101 + k, state.out_norm)
+        rho_hat = sup_dist(g, f, state.domain, SUP_BUDGET, state.seed * 101 + k, state.out_norm)
         if rho_hat > to_float(rho_bound) + 1e-9:
             raise LipForgeError("sampled distance exceeds the analytic bound")
         record = MoveRecord(
@@ -357,12 +362,11 @@ def load_transcript(path, function_path=None) -> GameTranscript:
             np.asarray([decode_vector(p) for p in lvl], dtype=float) if lvl else np.empty((0, domain.dim))
             for lvl in obj["net_levels"]
         )
-        deltas = tuple(2.0 ** -k for k in range(1, len(levels) + 1))
-        nets = NetFamily(levels, deltas)
+        nets = NetFamily(levels)
         rounds = []
         for k, rec in enumerate(obj["rounds"], start=1):
             kind, shift, move_fun = _decode_move(rec["move"])
-            number, op_index = int(rec["round"]), int(rec["op_index"])
+            number, op_index = decode_int(rec["round"]), decode_int(rec["op_index"])
             if number != k:
                 raise LipForgeError(f"malformed artifact: round record {k} is numbered {number}")
             if not 0 <= op_index < len(operators):
@@ -383,7 +387,7 @@ def load_transcript(path, function_path=None) -> GameTranscript:
                     warp_radius=None if rec["warp_radius"] is None else decode_scalar(rec["warp_radius"]),
                     rho_bound=decode_scalar(rec["rho_bound"]),
                     rho_sampled=float(rec["rho_sampled"]),
-                    net_size=int(rec["net_size"]),
+                    net_size=decode_int(rec["net_size"]),
                 )
             )
         return GameTranscript(
@@ -394,8 +398,8 @@ def load_transcript(path, function_path=None) -> GameTranscript:
             final_fun=final_fun,
             tail_bound=decode_scalar(obj["tail_bound"]),
             adversary_kind=obj.get("adversary", "replay"),
-            seed=int(obj.get("seed", 0)),
-            dps=int(obj.get("dps", CONSTRUCTION_DPS)),
+            seed=decode_int(obj.get("seed", 0)),
+            dps=decode_int(obj.get("dps", CONSTRUCTION_DPS)),
         )
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad transcript record") from e
@@ -409,7 +413,6 @@ def run_game(
     rounds: int = 8,
     seed: int = 0,
     dps: int = CONSTRUCTION_DPS,
-    sup_budget: int = 192,
     replay_transcript: GameTranscript | None = None,
 ) -> GameTranscript:
     """Play a full K-round game and return the transcript.
@@ -442,14 +445,7 @@ def run_game(
         raise LipForgeError(f"unknown adversary kind {adversary_kind!r}")
 
     nets = nested_nets(target, domain, rounds)
-    state = GameState(
-        domain=domain,
-        nets=nets,
-        operators=ops,
-        dps=dps,
-        seed=seed,
-        sup_budget=sup_budget,
-    )
+    state = GameState(domain=domain, nets=nets, operators=ops, dps=dps, seed=seed)
     for _ in range(rounds):
         k = state.next_round
         try:

@@ -44,6 +44,7 @@ from .numerics import (
     Scalar,
     as_matrix,
     as_vector,
+    decode_int,
     decode_scalar,
     decode_vector,
     encode_scalar,
@@ -79,6 +80,9 @@ FLOAT_RESOLVE_REL = 1e-12
 # count would never hit; 2048 covers the construction and verification
 # sample counts of a 1000-patch layer.
 DIRECTIONS_CACHE_SIZE = 2048
+
+# Largest sup-norm gap between inner and outer on a patch sphere that passes.
+CONTINUITY_TOL = 1e-9
 
 
 def _ratio(a: Scalar, num_b: Scalar) -> float:
@@ -691,22 +695,16 @@ def radial_blend(a: Scalar, b: Scalar, f1: LipFun, f2: LipFun,
     return RadialBlend(a, b, f1, f2, norm_kind)
 
 
-def patch(
-    outer: LipFun,
-    patches,
-    domain: Domain,
-    boundary_samples: int | None = None,
-    tol: float = 1e-9,
-) -> Patched:
+def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     """Override `outer` inside disjoint balls, certifying continuity.
 
     Balls must be pairwise disjoint and strictly inside the domain interior.
-    Each inner mapping is compared against the outer one on sampled sphere
-    points (64*d by default); spheres finer than float64 resolution are
-    checked in exact arithmetic on an axis sample instead. The check takes
-    the sphere directions from a bounded cache and evaluates a composed
-    outer once per distinct image of the axis points; see
-    _check_patch_continuity.
+    Each inner mapping is compared against the outer one on 64*d sampled
+    sphere points, up to CONTINUITY_TOL; spheres finer than float64
+    resolution are checked in exact arithmetic on an axis sample instead.
+    The check takes the sphere directions from a bounded cache and
+    evaluates a composed outer once per distinct image of the axis points;
+    see _check_patch_continuity.
     """
     def as_patch(p) -> Patch:
         if isinstance(p, Patch):
@@ -720,7 +718,7 @@ def patch(
     for p in node.patches:
         if not to_float(domain.dist_to_boundary(p.center_float)) > p.radius_float:
             raise LipForgeError("patch ball escapes the domain interior")
-    _check_patch_continuity(node, boundary_samples, tol)
+    _check_patch_continuity(node, 64 * node.in_dim)
     return node
 
 
@@ -764,22 +762,22 @@ def _eval_exact_per_image(f: LipFun, points: list[tuple]) -> list[tuple]:
     return out
 
 
-def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: float):
-    """Compare every inner mapping with the outer one on its patch sphere.
+def _check_patch_continuity(node: Patched, n_samples: int):
+    """Compare every inner mapping with the outer one on its patch sphere, up
+    to CONTINUITY_TOL in the sup norm.
 
-    A sphere resolvable in float64 is sampled at `boundary_samples`
-    directions (64*d by default) seeded by the patch index. The directions
-    depend only on (count, dim, seed, norm), so they come from a bounded
-    cache: every layer and round of a game, and the re-check in verify,
-    draws each set once. A finer sphere is compared exactly at its 2d axis
-    points. The affine layer of linearize_near has outer f_shift o P, and the
-    warp P maps all of those points onto the center, so the whole prior tree
-    f_shift is evaluated once per patch instead of 2d times. Every sample
+    A sphere resolvable in float64 is sampled at `n_samples` directions
+    seeded by the patch index. The directions depend only on (count, dim,
+    seed, norm), so they come from a bounded cache: every layer and round of
+    a game, and the re-check in verify, draws each set once. A finer sphere
+    is compared exactly at its 2d axis points. The affine layer of
+    linearize_near has outer f_shift o P, and the warp P maps all of those
+    points onto the center, so the whole prior tree f_shift is evaluated
+    once per patch instead of 2d times. Every sample
     and axis point is still compared, and nothing is cached between checks
     but the directions.
     """
     d = node.in_dim
-    n_samples = boundary_samples if boundary_samples is not None else 64 * d
     resolvable: list[int] = []
     exact_idx: list[int] = []
     for i, p in enumerate(node.patches):
@@ -801,7 +799,7 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
             pts = all_pts[off : off + n_samples]
             diff = p.inner._eval_batch(pts) - outer_vals[off : off + n_samples]
             err = float(np.max(np.abs(diff))) if diff.size else 0.0
-            if err > tol:
+            if err > CONTINUITY_TOL:
                 raise LipForgeError(f"patch boundary mismatch {err:.3e} beyond tolerance")
             off += n_samples
     for i in exact_idx:
@@ -813,7 +811,7 @@ def _check_patch_continuity(node: Patched, boundary_samples: int | None, tol: fl
             outer_vals = _eval_exact_per_image(node.outer, points)
             for u_vec, v_vec in zip(inner_vals, outer_vals):
                 diff = [mpf_sub(u, v, prec, rnd) for u, v in zip(u_vec, v_vec)]
-                if raw_to_float(_norm_raw(diff, NormKind.SUP)) > tol:
+                if raw_to_float(_norm_raw(diff, NormKind.SUP)) > CONTINUITY_TOL:
                     raise LipForgeError("patch boundary mismatch beyond tolerance")
 
 
@@ -1001,7 +999,7 @@ def _decode_node(obj, depth: int) -> LipFun:
 
 _VECTOR = _Codec(lambda v, depth, memo: encode_vector(v), _finite(decode_vector))
 _SCALAR = _Codec(lambda x, depth, memo: encode_scalar(x), _finite(decode_scalar))
-_INT = _Codec(lambda n, depth, memo: n, lambda obj, depth: int(obj))
+_INT = _Codec(lambda n, depth, memo: n, lambda obj, depth: decode_int(obj))
 _NORM = _Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
 _MAP = _Codec(lambda m, depth, memo: _encode_map(m), lambda obj, depth: _decode_map(obj))
 _NODE = _Codec(_encode_node, _decode_node, lambda f: (f,))

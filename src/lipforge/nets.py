@@ -54,8 +54,8 @@ class TargetSet:
         return cls(np.stack([m.ravel() for m in mesh], axis=1))
 
     @classmethod
-    def low_discrepancy(cls, domain: Domain, count: int, seed: int = 0, predicate=None) -> "TargetSet":
-        """Halton sample of the domain interior, optionally filtered."""
+    def low_discrepancy(cls, domain: Domain, count: int, seed: int = 0) -> "TargetSet":
+        """Halton sample of the domain interior."""
         lo, hi = domain.bounding_box()
         pts = []
         idx = (seed & 0x7FFFFFFF) * 389 + 1
@@ -66,7 +66,7 @@ class TargetSet:
                 inside = domain.dist_to_boundary(cand) > 0
             except LipForgeError:
                 inside = False
-            if inside and (predicate is None or predicate(cand)):
+            if inside:
                 pts.append(cand)
         return cls(np.asarray(pts) if pts else np.empty((0, domain.dim)))
 
@@ -141,10 +141,13 @@ def greedy_net(points: np.ndarray, delta: float, seed_set: np.ndarray | None = N
 
 @dataclass(frozen=True)
 class NetFamily:
-    """Nested levels with their separation radii."""
+    """Nested levels; level k is 2^-k-separated."""
 
     levels: tuple[np.ndarray, ...]
-    deltas: tuple[float, ...]
+
+    @property
+    def deltas(self) -> tuple[float, ...]:
+        return tuple(2.0 ** -k for k in range(1, len(self.levels) + 1))
 
     def level(self, k: int) -> np.ndarray:
         return self.levels[k - 1]
@@ -198,4 +201,4 @@ def nested_nets(target: TargetSet, domain: Domain, k_max: int) -> NetFamily:
         lvl = greedy_net(admissible, 2.0 ** -k, seed_set=prev, kind=domain.norm)
         levels.append(lvl)
         prev = lvl if len(lvl) else prev
-    return NetFamily(tuple(levels), tuple(2.0 ** -k for k in range(1, k_max + 1)))
+    return NetFamily(tuple(levels))

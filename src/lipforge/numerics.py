@@ -113,19 +113,17 @@ def dec_magnitude(x) -> int:
     return int(math.floor(math.log10(abs(x))))
 
 
-def working_dps_for_scale(scale: Scalar, base_dps: int = CONSTRUCTION_DPS) -> int:
+def working_dps_for_scale(scale: Scalar) -> int:
     """Significant digits needed so that x + u stays resolvable for |u| ~ scale.
 
-    Construction numerals carry ~base_dps digits of mantissa; resolving a
-    displacement of the given magnitude around coordinates of order one needs
-    the displacement's leading digit position plus that mantissa width.
+    Construction numerals carry ~CONSTRUCTION_DPS digits of mantissa;
+    resolving a displacement of the given magnitude around coordinates of
+    order one needs the displacement's leading digit position plus that
+    mantissa width.
     """
-    if scale == 0:
-        return base_dps
-    m = dec_magnitude(scale)
-    if m >= -2:
-        return base_dps
-    return max(base_dps, -m + base_dps + 25)
+    if scale == 0 or (m := dec_magnitude(scale)) >= -2:
+        return CONSTRUCTION_DPS
+    return CONSTRUCTION_DPS + 25 - m
 
 
 def encode_scalar(x: Scalar):
@@ -157,6 +155,13 @@ def decode_scalar(obj) -> Scalar:
     if isinstance(obj, (int, float)):
         return float(obj)
     raise LipForgeError(f"malformed artifact: bad numeral {obj!r}")
+
+
+def decode_int(obj) -> int:
+    """A JSON integer as stored; TypeError on a bool, float or string, which int() would coerce."""
+    if type(obj) is not int:
+        raise TypeError(f"integer expected, got {obj!r}")
+    return obj
 
 
 def encode_vector(v) -> list:
@@ -206,11 +211,3 @@ def float_matrix(m) -> np.ndarray:
 
 def is_exact_vector(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype == object
-
-
-def scalar_min(*xs: Scalar) -> Scalar:
-    out = xs[0]
-    for x in xs[1:]:
-        if x < out:
-            out = x
-    return out

@@ -71,16 +71,18 @@ class PerturbParams:
     diam_q: Scalar
 
     def validate(self) -> None:
-        with mp.workdps(CONSTRUCTION_DPS):
-            if not (0 < self.beta < self.s / 2):
-                raise LipForgeError("beta outside (0, s/2)")
-            if self.alpha > self.beta**2 / self.s * (1 + exact_mpf(1e-30)):
-                raise LipForgeError("alpha exceeds beta^2/s")
-            bound = self.r * self.s / (4 * (1 + self.diam_q))
-            if self.beta > bound * (1 + exact_mpf(1e-30)):
-                raise LipForgeError("beta exceeds its admissible bound")
-            if not self.alpha < self.r:
-                raise LipForgeError("alpha must stay below r")
+        """Check the bounds at the working precision the parameters were
+        rounded at, with a relative slack of 2^10 units in the last place."""
+        slack = 1 + mp.ldexp(1, 10 - mp.prec)
+        if not (0 < self.beta < self.s / 2):
+            raise LipForgeError("beta outside (0, s/2)")
+        if self.alpha > self.beta**2 / self.s * slack:
+            raise LipForgeError("alpha exceeds beta^2/s")
+        bound = self.r * self.s / (4 * (1 + self.diam_q))
+        if self.beta > bound * slack:
+            raise LipForgeError("beta exceeds its admissible bound")
+        if not self.alpha < self.r:
+            raise LipForgeError("alpha must stay below r")
 
 
 def choose_s(points: np.ndarray, domain: Domain) -> float:

@@ -48,14 +48,15 @@ from .space import Domain, LinearMap, _norm_raw, norm, sample_ball
 # signal and probes switch to the exact evaluation path.
 FLOAT_PROBE_REL = 1e-11
 
+# Dini certificates fire when both one-sided lower quotients are below -DINI_TOL.
+DINI_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ScaleLadder:
-    """Decreasing probe scales with a per-scale sampling budget and seed."""
+    """Strictly decreasing positive probe scales."""
 
     radii: tuple[Scalar, ...]
-    budget: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.radii:
@@ -69,21 +70,12 @@ class ScaleLadder:
             prev = r
 
     @classmethod
-    def geometric(cls, r0: float, ratio: float = 0.5, count: int = 20,
-                  budget: int | None = None, seed: int = 0,
-                  x_scale: float = 1.0) -> "ScaleLadder":
-        """Geometric ladder from r0 down `count` steps.
-
-        The smallest scale must stay above 1e3 * float64-epsilon * x_scale,
-        the resolution floor of float64 probing; finer scales belong in
-        exact-arithmetic ladders built from construction values.
-        """
+    def geometric(cls, r0: float, ratio: float = 0.5, count: int = 20) -> "ScaleLadder":
+        """Geometric ladder from r0 down `count` steps. Scales below
+        FLOAT_PROBE_REL of the probed point's scale are probed exactly."""
         if not (0 < ratio < 1):
             raise LipForgeError("ladder ratio must lie in (0, 1)")
-        radii = tuple(r0 * ratio**i for i in range(count))
-        if radii[-1] <= 1e3 * 2.22e-16 * x_scale:
-            raise LipForgeError("ladder bottoms out below float64 resolution")
-        return cls(radii, budget, seed)
+        return cls(tuple(r0 * ratio**i for i in range(count)))
 
 
 def _point_scale(x) -> float:
@@ -126,7 +118,9 @@ def dq_error(
             for u in sample_ball(np.zeros(d), r_e, budget, seed, operator.in_norm):
                 u = raw_vector(u)
                 lu = operator.apply_raw(u)
-                fz = f._eval_exact(tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u)))
+                z = tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u))
+                # u = 0 lands on x_e unless x_e has more bits than the precision
+                fz = fx if z == x_e else f._eval_exact(z)
                 # resid = fz - fx - lu; val = ||resid|| / r
                 resid = [mpf_sub(mpf_sub(a, b, prec, rnd), c, prec, rnd) for a, b, c in zip(fz, fx, lu)]
                 val = mpf_div(_norm_raw(resid, operator.out_norm), r_e._mpf_, prec, rnd)
@@ -155,10 +149,11 @@ class DqProfile:
 
 def dq_profile(f: LipFun, x, operator: LinearMap, ladder: ScaleLadder,
                domain: Domain | None = None) -> DqProfile:
-    """Per-scale dq errors; the score is their minimum over the ladder."""
+    """Per-scale dq errors at the default budget, seeded by the scale's
+    index; the score is their minimum over the ladder."""
     values = []
     for i, r in enumerate(ladder.radii):
-        values.append(dq_error(f, x, operator, r, ladder.budget, ladder.seed + i, domain))
+        values.append(dq_error(f, x, operator, r, None, i, domain))
     return DqProfile(tuple(ladder.radii), tuple(values), min(values))
 
 
@@ -219,14 +214,15 @@ class DiniReport:
     scales: tuple[Scalar, ...]
 
 
-def dini_empty_certificate(f: LipFun, x, v, ladder: ScaleLadder, tol: float = 1e-6) -> DiniReport:
-    """Fires when both one-sided lower quotients along +-v are below -tol,
-    certifying (at the ladder's resolution) that no sub-gradient exists."""
+def dini_empty_certificate(f: LipFun, x, v, ladder: ScaleLadder) -> DiniReport:
+    """Fires when both one-sided lower quotients along +-v are below
+    -DINI_TOL, certifying (at the ladder's resolution) that no sub-gradient
+    exists."""
     v = np.asarray(v, dtype=float)
     fwd = dini_values(f, x, v, ladder)
     bwd = dini_values(f, x, -v, ladder)
-    fires = min(fwd) < -tol and min(bwd) < -tol
-    return DiniReport(fires, tuple(fwd), tuple(bwd), tol, tuple(ladder.radii))
+    fires = min(fwd) < -DINI_TOL and min(bwd) < -DINI_TOL
+    return DiniReport(fires, tuple(fwd), tuple(bwd), DINI_TOL, tuple(ladder.radii))
 
 
 def best_local_linear(
@@ -305,7 +301,7 @@ def witness_ladder(transcript: GameTranscript, w: Witness, coarse_steps: int = 2
     for s in sorted(scales, reverse=True):
         if not uniq or s < uniq[-1]:
             uniq.append(s)
-    return ScaleLadder(tuple(uniq), budget=None, seed=0)
+    return ScaleLadder(tuple(uniq))
 
 
 @dataclass(frozen=True)
@@ -320,20 +316,25 @@ def witness_dini_report(
     min_round: int = 1,
     per_round: int = 1,
     seed: int = 0,
-    tol: float = 1e-6,
     coarse_steps: int = 20,
     ratio: float = 0.5,
 ) -> list[WitnessDini]:
-    """Sub-gradient emptiness certificates at witnesses of rounds >= min_round."""
+    """Sub-gradient emptiness certificates at witnesses of rounds >= min_round,
+    one per distinct point: a net center's ladder depends only on the center."""
     fun = transcript.final_fun
     if fun.out_dim != 1:
         raise LipForgeError("one-sided derivative probes need scalar codomain")
+    reports: dict[bytes | int, DiniReport] = {}
     out = []
     for w in witnesses(transcript, per_round, seed):
         if w.round_k < min_round:
             continue
-        ladder = witness_ladder(transcript, w, coarse_steps, ratio)
-        with mp.workdps(working_dps_for_scale(w.s)):
-            x = w.point()
-        out.append(WitnessDini(w, dini_empty_certificate(fun, x, direction, ladder, tol)))
+        # a net center is keyed by its bytes, an offset point by its position
+        key = w.center.tobytes() if w.offset is None else len(out)
+        if key not in reports:
+            ladder = witness_ladder(transcript, w, coarse_steps, ratio)
+            with mp.workdps(working_dps_for_scale(w.s)):
+                x = w.point()
+            reports[key] = dini_empty_certificate(fun, x, direction, ladder)
+        out.append(WitnessDini(w, reports[key]))
     return out

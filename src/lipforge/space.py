@@ -410,11 +410,12 @@ class Domain:
     def dim(self) -> int:
         return len(self.lo) if self.shape == "box" else len(self.center)
 
-    def contains(self, x: np.ndarray, slack: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Membership in the closed domain, widened by 1e-12."""
         if self.shape == "box":
             xf = float_vector(x) if is_exact_vector(x) else np.asarray(x, dtype=float)
-            return bool(np.all(xf >= self.lo - slack) and np.all(xf <= self.hi + slack))
-        return to_float(norm(_sub(x, self.center), self.norm)) <= self.radius + slack
+            return bool(np.all(xf >= self.lo - 1e-12) and np.all(xf <= self.hi + 1e-12))
+        return to_float(norm(_sub(x, self.center), self.norm)) <= self.radius + 1e-12
 
     def dist_to_boundary(self, x: np.ndarray) -> Scalar:
         """Exact distance from an interior point to the domain boundary.

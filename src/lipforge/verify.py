@@ -230,7 +230,7 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
         if isinstance(node, Patched):
             checked += 1
             try:
-                _check_patch_continuity(node, boundary_samples=16 * node.in_dim, tol=1e-9)
+                _check_patch_continuity(node, 16 * node.in_dim)
             except LipForgeError as e:
                 failure = str(e)
                 return

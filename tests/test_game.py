@@ -26,6 +26,7 @@ from lipforge import (
     validate_move,
     witnesses,
 )
+from lipforge import verify
 from lipforge.game import MoveRecord, player2_move
 from lipforge.lipfun import fun_to_dict
 from lipforge.numerics import exact_mpf, to_float, working_dps_for_scale
@@ -360,6 +361,10 @@ def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup)
         ("round", 3, "round record 2 is numbered 3"),
         ("op_index", 2, "round 2 names operator 2 of 2"),
         ("op_index", -1, "round 2 names operator -1 of 2"),
+        ("round", 2.5, "bad transcript record"),
+        ("round", "2", "bad transcript record"),
+        ("op_index", True, "bad transcript record"),
+        ("net_size", 9.0, "bad transcript record"),
     ],
 )
 def test_load_transcript_refuses_bad_rounds(tmp_path, small_transcript, field, value, message):
@@ -372,6 +377,29 @@ def test_load_transcript_refuses_bad_rounds(tmp_path, small_transcript, field, v
     (tmp_path / "transcript.json").write_text(json.dumps(doc))
     with pytest.raises(LipForgeError, match=message):
         load_transcript(tmp_path / "transcript.json")
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", 0.0), ("dps", "60"), ("dps", 60.5)])
+def test_load_transcript_refuses_a_header_integer_that_is_not_an_integer(tmp_path, small_transcript, field, value):
+    small_transcript.save(tmp_path / "transcript.json")
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc[field] = value
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    with pytest.raises(LipForgeError, match="bad transcript record"):
+        load_transcript(tmp_path / "transcript.json")
+
+
+@pytest.mark.parametrize("dps", [15, 20])
+def test_run_game_below_the_construction_precision(dps):
+    """Parameters rounded at a low working precision pass the checks made at
+    that precision, and the run passes the transcript and artifact suites."""
+    domain = Domain.box([0.0, 0.0], [1.0, 1.0])
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
+    ops = (LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]])))
+    tr = run_game(domain, target, ops, "stay", rounds=4, seed=0, dps=dps)
+    assert tr.k_max == 4 and tr.dps == dps
+    results = verify.transcript_suite(tr) + verify.artifact_suite(tr.final_fun)
+    assert [r.name for r in results if not r.ok] == []
 
 
 def test_transcript_operators_and_levels_use_the_map_codec(small_transcript):

@@ -389,8 +389,7 @@ def test_serialize_round_trip_linear():
 def test_serialize_round_trip_nested(unit_box):
     blend = radial_blend(0.05, 0.1, zero_map(2, 2), identity(2))
     center = np.array([0.5, 0.5])
-    warp = patch(identity(2), [(center, 0.1, shift_conjugate(blend, center, NormKind.EUCLIDEAN))], unit_box,
-                 boundary_samples=8)
+    warp = patch(identity(2), [(center, 0.1, shift_conjugate(blend, center, NormKind.EUCLIDEAN))], unit_box)
     f = Scale(0.5, Sum(NormOf(2), Linear(LinearMap(np.array([[0.1, 0.2]])))))
     tree = Sum(f, Scale(0.25, NormOf(2)))
     rng = np.random.default_rng(4)
@@ -810,6 +809,24 @@ def test_decoder_accepts_deep_and_huge_exact_constants():
             "p": [{"m": "-7", "e": e}]}}
         f = fun_from_dict(obj)
         assert json.loads(serialize(f)) == obj
+
+
+@pytest.mark.parametrize(
+    "record, kind",
+    [
+        ({"kind": "norm_of", "in_dim": 2.5, "sign": 1, "norm": "euclidean"}, "norm_of"),
+        ({"kind": "norm_of", "in_dim": True, "sign": 1, "norm": "euclidean"}, "norm_of"),
+        ({"kind": "norm_of", "in_dim": "3", "sign": 1, "norm": "euclidean"}, "norm_of"),
+        ({"kind": "norm_of", "in_dim": 2, "sign": True, "norm": "euclidean"}, "norm_of"),
+        ({"kind": "norm_of", "in_dim": 2, "sign": -1.0, "norm": "euclidean"}, "norm_of"),
+        ({"kind": "const", "c": ["0.5"], "in_dim": 1.0}, "const"),
+    ],
+)
+def test_decoder_refuses_integers_that_are_not_json_integers(record, kind):
+    """int() would read each of these as another integer, which encodes to
+    other bytes."""
+    with pytest.raises(LipForgeError, match=f"bad {kind} node"):
+        fun_from_dict({"schema": "lipforge-fun/1", "root": record})
 
 
 def test_decoder_refuses_an_overflowing_integer():

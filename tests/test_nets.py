@@ -113,7 +113,7 @@ def test_validate_refusals(unit_box):
     target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.125)
     family = nested_nets(target, unit_box, 3)
     family.validate(unit_box, target)
-    dropped = NetFamily((family.levels[0], family.levels[1][1:], family.levels[2]), family.deltas)
+    dropped = NetFamily((family.levels[0], family.levels[1][1:], family.levels[2]))
     with pytest.raises(LipForgeError, match="level 2 does not contain level 1"):
         dropped.validate(unit_box, target)
     assert len(family.levels[2]) > len(family.levels[1])
@@ -122,7 +122,7 @@ def test_validate_refusals(unit_box):
     with pytest.raises(LipForgeError, match="level 3 contains a point outside the target set"):
         family.validate(unit_box, fewer)
     with pytest.raises(LipForgeError, match="level 2 violates"):
-        NetFamily((family.levels[0], family.levels[2], family.levels[2]), family.deltas).validate(unit_box)
+        NetFamily((family.levels[0], family.levels[2], family.levels[2])).validate(unit_box)
 
 
 def test_net_csv_format(unit_box):

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
 from lipforge import (
     AddConst,
@@ -24,8 +26,9 @@ from lipforge import (
     witness_dini_report,
     witnesses,
 )
-from lipforge.numerics import to_float
-from lipforge.probe import _use_exact, witness_ladder
+from lipforge import probe
+from lipforge.numerics import as_vector, to_float, working_dps_for_scale
+from lipforge.probe import DINI_TOL, _use_exact, witness_ladder
 from lipforge.space import norm, sample_ball
 
 
@@ -93,6 +96,25 @@ def test_dq_error_ball_containment(tmp_path):
     L = LinearMap(np.array([[0.0, 0.0]]))
     with pytest.raises(LipForgeError, match="escapes"):
         dq_error(f, [0.05, 0.5], L, 0.2, budget=8, seed=0, domain=domain)
+
+
+def test_dq_error_reuses_fx_at_the_centre_sample(monkeypatch):
+    """On the exact path the centre sample x + 0 is x itself, so f(x) is not
+    evaluated again; an x with more bits than the working precision rounds
+    to another point there and is."""
+    f = Scale(0.5, NormOf(2))
+    L = LinearMap(np.array([[0.25, 0.0]]))
+    calls = []
+    root_eval = Scale._eval_exact
+    monkeypatch.setattr(Scale, "_eval_exact", lambda self, z: calls.append(z) or root_eval(self, z))
+    budget = 9
+    dq_error(f, [0.375, 0.625], L, 1e-13, budget, 0)
+    assert len(calls) == budget
+    calls.clear()
+    with mp.workdps(4 * working_dps_for_scale(1e-13)):
+        fine = as_vector([mpmath.mpf(1) / 3, mpmath.mpf(2) / 3])
+    dq_error(f, fine, L, 1e-13, budget, 0)
+    assert len(calls) == budget + 1
 
 
 def test_dq_profile_linear_all_zero():
@@ -171,8 +193,10 @@ def test_ladder_validation():
         ScaleLadder((0.5, 0.5))
     with pytest.raises(LipForgeError, match="positive"):
         ScaleLadder((0.5, 0.0))
-    with pytest.raises(LipForgeError, match="resolution"):
-        ScaleLadder.geometric(1e-10, 0.5, 20)
+    # no float floor: the scales below FLOAT_PROBE_REL are probed exactly
+    deep = ScaleLadder.geometric(1e-10, 0.5, 20)
+    assert deep.radii[-1] == 1e-10 * 0.5**19
+    assert dq_profile(NormOf(1), [0.5], LinearMap(np.array([[1.0]])), deep).values[-1] == 0.0
     lad = ScaleLadder.geometric(0.5, 0.5, 20)
     assert len(lad.radii) == 20
 
@@ -201,6 +225,31 @@ def test_dq_profile_at_witness_scales(small_transcript):
                 idx = i
         assert idx is not None
         assert prof.values[idx] <= 4.0 / w.round_k + 1e-9
+
+
+def test_witness_dini_certifies_each_distinct_point_once(monkeypatch, small_transcript):
+    """Net centers shared by several rounds get one certificate, listed for
+    each witness; offset points get their own. The reports equal the ones
+    computed witness by witness."""
+    tr = small_transcript
+    direction = np.array([1.0, 0.0])
+    calls = []
+    certify = probe.dini_empty_certificate
+    monkeypatch.setattr(probe, "dini_empty_certificate", lambda *a: calls.append(a) or certify(*a))
+    report = witness_dini_report(tr, direction, per_round=2, seed=3)
+    ws = witnesses(tr, 2, 3)
+    key = lambda w: (w.round_k, w.center.tobytes(), None if w.offset is None else tuple(w.offset))
+    assert [key(r.witness) for r in report] == [key(w) for w in ws]
+    centers = {w.center.tobytes() for w in ws if w.offset is None}
+    offsets = [w for w in ws if w.offset is not None]
+    assert len(centers) < len(ws) - len(offsets)
+    assert len(calls) == len(centers) + len(offsets)
+    for r in report:
+        w = r.witness
+        with mp.workdps(working_dps_for_scale(w.s)):
+            x = w.point()
+        assert r.report == certify(tr.final_fun, x, direction, witness_ladder(tr, w))
+        assert r.report.tol == DINI_TOL
 
 
 def test_witness_dini_small_game(small_transcript):
