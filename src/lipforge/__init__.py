@@ -7,6 +7,8 @@ ball game, and certifies the resulting non-differentiability with sampled
 difference-quotient and one-sided derivative probes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .numerics import CONSTRUCTION_DPS, LipForgeError
 from .space import Domain, LinearMap, NormKind, norm, sample_ball
 from .lipfun import (
@@ -63,66 +65,7 @@ from .probe import (
 
 __version__ = "0.1.0"
 
+# The names imported above; a submodule is not among them.
 __all__ = [
-    "CONSTRUCTION_DPS",
-    "LipForgeError",
-    "Domain",
-    "LinearMap",
-    "NormKind",
-    "norm",
-    "sample_ball",
-    "LipFun",
-    "Const",
-    "Linear",
-    "Affine",
-    "NormOf",
-    "Sum",
-    "Scale",
-    "AddConst",
-    "RadialBlend",
-    "Patch",
-    "Patched",
-    "Precompose",
-    "identity",
-    "zero_map",
-    "add_const",
-    "radial_blend",
-    "patch",
-    "eval_point",
-    "eval_batch",
-    "sup_dist",
-    "serialize",
-    "deserialize",
-    "TargetSet",
-    "NetFamily",
-    "separation",
-    "restrict",
-    "greedy_net",
-    "nested_nets",
-    "PerturbParams",
-    "PerturbResult",
-    "choose_s",
-    "blend_params",
-    "linearize_near",
-    "GameState",
-    "GameTranscript",
-    "MoveRecord",
-    "Witness",
-    "validate_move",
-    "player2_move",
-    "adversary",
-    "run_game",
-    "witnesses",
-    "load_transcript",
-    "ScaleLadder",
-    "DqProfile",
-    "DiniReport",
-    "dq_error",
-    "dq_profile",
-    "dini_values",
-    "dini_lower",
-    "dini_empty_certificate",
-    "best_local_linear",
-    "witness_bound_report",
-    "witness_dini_report",
+    name for name, value in dict(globals()).items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -76,7 +76,10 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as e:
         raise LipForgeError(f"config {path}: {e}") from e
 
+    read = set()
+
     def get(section: str, key: str, default=None):
+        read.add((section, key))
         if not parser.has_section(section) or not parser.has_option(section, key):
             if default is None:
                 raise _cfg_error(path, section, key, "missing required field")
@@ -143,7 +146,7 @@ def load_config(path: str) -> RunConfig:
     ops = []
     idx = 1
     while parser.has_option("operators", f"op{idx}"):
-        flat = _parse_floats(parser.get("operators", f"op{idx}"))
+        flat = _parse_floats(get("operators", f"op{idx}"))
         if rows <= 0 or len(flat) % rows != 0:
             raise _cfg_error(path, "operators", f"op{idx}", f"cannot reshape {len(flat)} entries into {rows} rows")
         cols = len(flat) // rows
@@ -164,7 +167,7 @@ def load_config(path: str) -> RunConfig:
     if adversary not in ("stay", "jitter"):
         raise _cfg_error(path, "game", "adversary", f"unknown adversary {adversary!r}; expected stay or jitter")
 
-    return RunConfig(
+    cfg = RunConfig(
         domain=domain,
         target=target,
         operators=tuple(ops),
@@ -173,6 +176,12 @@ def load_config(path: str) -> RunConfig:
         seed=get_int("game", "seed", "0"),
         dps=get_int("game", "dps", str(CONSTRUCTION_DPS)),
     )
+    # a misspelt key, or one these settings do not use; [probe] is not read
+    for section in ("domain", "target", "operators", "game"):
+        for key in parser.options(section) if parser.has_section(section) else ():
+            if (section, key) not in read:
+                raise _cfg_error(path, section, key, "unused key")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ import numpy as np
 from mpmath import mp
 
 from .lipfun import (
+    MAP,
     AddConst,
     Const,
     LipFun,
-    _decode_map,
-    _encode_map,
     add_const,
     deserialize,
     fun_from_dict,
@@ -43,17 +42,22 @@ from .lipfun import (
 from .nets import NetFamily, TargetSet, nested_nets
 from .numerics import (
     CONSTRUCTION_DPS,
+    FLOAT,
+    FLOAT_VECTOR,
+    INT,
     LIP_ONE_TOL,
+    SCALAR,
+    VECTOR,
+    Codec,
     LipForgeError,
     Scalar,
     as_vector,
-    decode_int,
-    decode_scalar,
+    decode_fields,
     decode_vector,
-    encode_scalar,
-    encode_vector,
+    encode_fields,
     exact_mpf,
-    float_vector,
+    finite,
+    sequence,
     to_float,
 )
 from .perturb import linearize_near
@@ -241,51 +245,6 @@ def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...]
     raise LipForgeError(f"unknown adversary kind {kind!r}")
 
 
-def _round_record(rec: MoveRecord) -> dict:
-    """A round as transcript.json stores it; load_transcript reads it back."""
-    move: dict = {"kind": rec.move_kind}
-    if rec.move_kind == "jitter":
-        move["shift"] = encode_vector(rec.move_shift)
-    if rec.move_kind == "explicit":
-        move["fun"] = fun_to_dict(rec.move_fun)
-    return {
-        "round": rec.round_k,
-        "op_index": rec.op_index,
-        "move": move,
-        "r_offered": encode_scalar(rec.r_offered),
-        "r_accepted": encode_scalar(rec.r_accepted),
-        "s": encode_scalar(rec.s),
-        "alpha": encode_scalar(rec.alpha),
-        "beta": None if rec.beta is None else encode_scalar(rec.beta),
-        "warp_radius": None if rec.warp_radius is None else encode_scalar(rec.warp_radius),
-        "rho_bound": encode_scalar(rec.rho_bound),
-        "rho_sampled": repr(rec.rho_sampled),
-        "net_size": rec.net_size,
-    }
-
-
-def _decode_move(move) -> tuple[str, np.ndarray | None, LipFun | None]:
-    """Kind, shift and center of a stored move; a jitter needs its shift and
-    an explicit move its mapping."""
-    if not isinstance(move, dict):
-        raise LipForgeError("malformed artifact: round move is not a record")
-    kind = move.get("kind")
-    if kind == "stay":
-        return kind, None, None
-    if kind == "jitter":
-        if "shift" not in move:
-            raise LipForgeError("malformed artifact: jitter move without shift")
-        shift = decode_vector(move["shift"])
-        if not np.all(np.isfinite(float_vector(shift))):
-            raise LipForgeError("malformed artifact: jitter shift is not finite")
-        return kind, shift, None
-    if kind == "explicit":
-        if "fun" not in move:
-            raise LipForgeError("malformed artifact: explicit move without fun")
-        return kind, None, fun_from_dict(move["fun"])
-    raise LipForgeError(f"malformed artifact: unknown move kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class GameTranscript:
     """Complete record of a finished run. On disk (schema lipforge-game/2) it
@@ -297,7 +256,6 @@ class GameTranscript:
     nets: NetFamily
     rounds: tuple[MoveRecord, ...]
     final_fun: LipFun
-    tail_bound: Scalar
     adversary_kind: str
     seed: int
     dps: int
@@ -306,22 +264,18 @@ class GameTranscript:
     def k_max(self) -> int:
         return len(self.rounds)
 
+    @property
+    def tail_bound(self) -> Scalar:
+        """s_K: the final mapping is within it of the infinite game's limit."""
+        return self.rounds[-1].s
+
     def to_dict(self) -> dict:
         return self._document(serialize(self.final_fun))
 
     def _document(self, function_bytes: bytes) -> dict:
-        return {
-            "schema": GAME_SCHEMA,
-            "adversary": self.adversary_kind,
-            "seed": self.seed,
-            "dps": self.dps,
-            "domain": self.domain.encode(),
-            "operators": [_encode_map(op) for op in self.operators],
-            "net_levels": [[encode_vector(p) for p in lvl] for lvl in self.nets.levels],
-            "rounds": [_round_record(rec) for rec in self.rounds],
-            "tail_bound": encode_scalar(self.tail_bound),
-            "function_sha256": hashlib.sha256(function_bytes).hexdigest(),
-        }
+        record = encode_fields(self, _HEADER_FIELDS, 0, {}, {"schema": GAME_SCHEMA})
+        record["function_sha256"] = hashlib.sha256(function_bytes).hexdigest()
+        return record
 
     def save(self, path) -> None:
         """Write the transcript to `path` and final_fun to function.json beside it."""
@@ -331,11 +285,101 @@ class GameTranscript:
         p.write_text(json.dumps(self._document(data), separators=(",", ":")), encoding="utf-8")
 
 
+def _decode_move(obj, depth: int) -> dict:
+    """Kind, shift and center of a stored move; a jitter needs its shift and
+    an explicit move its mapping."""
+    if not isinstance(obj, dict):
+        raise LipForgeError("malformed artifact: round move is not a record")
+    kind = obj.get("kind")
+    if kind not in _MOVES:
+        raise LipForgeError(f"malformed artifact: unknown move kind {kind!r}")
+    for key, _attr, _codec in _MOVES[kind]:
+        if key not in obj:
+            raise LipForgeError(f"malformed artifact: {kind} move without {key}")
+    return {"move_kind": kind, "move_shift": None, "move_fun": None, **decode_fields(obj, _MOVES[kind], depth)}
+
+
+# A move's record: its kind, then the field that kind replays from.
+_MOVES = {
+    "stay": (),
+    "jitter": (("shift", "move_shift", Codec(VECTOR.encode, finite(decode_vector, "jitter shift is not finite"))),),
+    "explicit": (
+        ("fun", "move_fun", Codec(lambda f, depth, memo: fun_to_dict(f), lambda obj, depth: fun_from_dict(obj))),
+    ),
+}
+_OPTIONAL_SCALAR = Codec(
+    lambda x, depth, memo: None if x is None else SCALAR.encode(x, depth, memo),
+    lambda obj, depth: None if obj is None else SCALAR.decode(obj, depth),
+)
+_POINTS = sequence(FLOAT_VECTOR)
+# An empty net level decodes to shape (0, 0); _check_transcript holds the
+# others to the domain's dimension.
+_LEVELS = sequence(Codec(_POINTS.encode, lambda obj, depth: np.asarray(_POINTS.decode(obj, depth) or np.empty((0, 0)))))
+
+# transcript.json is "schema", the header fields, then "function_sha256";
+# save and load_transcript read these tables. The move field encodes the
+# round and decodes to its move_kind, move_shift and move_fun.
+_ROUND_FIELDS = (
+    ("round", "round_k", INT),
+    ("op_index", "op_index", INT),
+    ("move", None, Codec(
+        lambda rec, depth, memo: encode_fields(rec, _MOVES[rec.move_kind], depth, memo, {"kind": rec.move_kind}),
+        _decode_move,
+    )),
+    ("r_offered", "r_offered", SCALAR),
+    ("r_accepted", "r_accepted", SCALAR),
+    ("s", "s", SCALAR),
+    ("alpha", "alpha", SCALAR),
+    ("beta", "beta", _OPTIONAL_SCALAR),
+    ("warp_radius", "warp_radius", _OPTIONAL_SCALAR),
+    ("rho_bound", "rho_bound", SCALAR),
+    ("rho_sampled", "rho_sampled", FLOAT),
+    ("net_size", "net_size", INT),
+)
+_HEADER_FIELDS = (
+    # informational: replay takes the moves from the rounds
+    ("adversary", "adversary_kind", Codec(lambda kind, depth, memo: kind, lambda obj, depth: obj)),
+    ("seed", "seed", INT),
+    ("dps", "dps", INT),
+    ("domain", "domain", Codec(lambda domain, depth, memo: domain.encode(), lambda obj, depth: Domain.decode(obj))),
+    ("operators", "operators", sequence(MAP)),
+    ("net_levels", "nets", Codec(
+        lambda nets, depth, memo: _LEVELS.encode(nets.levels, depth, memo),
+        lambda obj, depth: NetFamily(_LEVELS.decode(obj, depth)),
+    )),
+    ("rounds", "rounds", sequence(Codec(
+        lambda rec, depth, memo: encode_fields(rec, _ROUND_FIELDS, depth, memo, {}),
+        lambda obj, depth: MoveRecord(reply_fun=None, **decode_fields(obj, _ROUND_FIELDS, depth)),
+    ))),
+    # derived: the last round's s, written for readers of the file
+    ("tail_bound", "tail_bound", SCALAR),
+)
+
+
 def read_artifact(path) -> bytes:
     p = Path(path)
     if not p.exists():
         raise LipForgeError(f"artifact not found: {p}")
     return p.read_bytes()
+
+
+def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
+    """Refuse stored fields that disagree with each other: probe and verify
+    index operators and net levels by round, and tail_bound and each
+    net_size are derived."""
+    for k, lvl in enumerate(tr.nets.levels, start=1):
+        if len(lvl) and lvl.shape[1] != tr.domain.dim:
+            raise LipForgeError(f"malformed artifact: net level {k} has points of dimension {lvl.shape[1]}")
+    for k, rec in enumerate(tr.rounds, start=1):
+        if rec.round_k != k:
+            raise LipForgeError(f"malformed artifact: round record {k} is numbered {rec.round_k}")
+        if not 0 <= rec.op_index < len(tr.operators):
+            raise LipForgeError(f"malformed artifact: round {k} names operator {rec.op_index} of {len(tr.operators)}")
+        size = len(tr.nets.level(k)) if k <= tr.nets.k_max else 0
+        if rec.net_size != size:
+            raise LipForgeError(f"malformed artifact: round {k} has net_size {rec.net_size}, its net level {size} points")
+    if not tr.rounds or tail_bound != tr.tail_bound:
+        raise LipForgeError("malformed artifact: tail_bound is not the last round's s")
 
 
 def load_transcript(path, function_path=None) -> GameTranscript:
@@ -356,53 +400,13 @@ def load_transcript(path, function_path=None) -> GameTranscript:
         raise LipForgeError(f"artifact mismatch: {fp} has sha256 {digest}, the transcript names {named}")
     final_fun = deserialize(data)
     try:
-        domain = Domain.decode(obj["domain"])
-        operators = tuple(_decode_map(rec) for rec in obj["operators"])
-        levels = tuple(
-            np.asarray([decode_vector(p) for p in lvl], dtype=float) if lvl else np.empty((0, domain.dim))
-            for lvl in obj["net_levels"]
-        )
-        nets = NetFamily(levels)
-        rounds = []
-        for k, rec in enumerate(obj["rounds"], start=1):
-            kind, shift, move_fun = _decode_move(rec["move"])
-            number, op_index = decode_int(rec["round"]), decode_int(rec["op_index"])
-            if number != k:
-                raise LipForgeError(f"malformed artifact: round record {k} is numbered {number}")
-            if not 0 <= op_index < len(operators):
-                raise LipForgeError(f"malformed artifact: round {k} names operator {op_index} of {len(operators)}")
-            rounds.append(
-                MoveRecord(
-                    round_k=k,
-                    op_index=op_index,
-                    move_kind=kind,
-                    move_shift=shift,
-                    move_fun=move_fun,
-                    r_offered=decode_scalar(rec["r_offered"]),
-                    r_accepted=decode_scalar(rec["r_accepted"]),
-                    reply_fun=None,
-                    s=decode_scalar(rec["s"]),
-                    alpha=decode_scalar(rec["alpha"]),
-                    beta=None if rec["beta"] is None else decode_scalar(rec["beta"]),
-                    warp_radius=None if rec["warp_radius"] is None else decode_scalar(rec["warp_radius"]),
-                    rho_bound=decode_scalar(rec["rho_bound"]),
-                    rho_sampled=float(rec["rho_sampled"]),
-                    net_size=decode_int(rec["net_size"]),
-                )
-            )
-        return GameTranscript(
-            domain=domain,
-            operators=operators,
-            nets=nets,
-            rounds=tuple(rounds),
-            final_fun=final_fun,
-            tail_bound=decode_scalar(obj["tail_bound"]),
-            adversary_kind=obj.get("adversary", "replay"),
-            seed=decode_int(obj.get("seed", 0)),
-            dps=decode_int(obj.get("dps", CONSTRUCTION_DPS)),
-        )
+        fields = decode_fields(obj, _HEADER_FIELDS, 0)
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad transcript record") from e
+    tail_bound = fields.pop("tail_bound")
+    transcript = GameTranscript(final_fun=final_fun, **fields)
+    _check_transcript(transcript, tail_bound)
+    return transcript
 
 
 def run_game(
@@ -462,7 +466,6 @@ def run_game(
         nets=nets,
         rounds=tuple(state.history),
         final_fun=last.reply_fun,
-        tail_bound=last.s,
         adversary_kind=adversary_kind,
         seed=seed,
         dps=dps,

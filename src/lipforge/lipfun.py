@@ -29,25 +29,27 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_int
+from mpmath.libmp import from_int
 from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub
 
 from .numerics import (
+    INT,
+    SCALAR,
+    VECTOR,
+    Codec,
     LipForgeError,
     Scalar,
     as_matrix,
     as_vector,
-    decode_int,
+    decode_fields,
     decode_scalar,
     decode_vector,
-    encode_scalar,
+    encode_fields,
     encode_vector,
     exact_mpf,
     exact_raw,
@@ -925,43 +927,6 @@ def _decode_map(obj: dict) -> LinearMap:
         raise LipForgeError("malformed artifact: bad linear map") from e
 
 
-class _Codec(NamedTuple):
-    """How a field's value is written and read. encode(value, depth, memo)
-    and decode(obj, depth) get the depth of the record's child nodes, and
-    children(value) lists the child nodes the value holds."""
-
-    encode: Callable
-    decode: Callable
-    children: Callable = lambda value: ()
-
-
-def _finite(decode):
-    """The decoder of node constants: decode, then refuse a NaN or infinite
-    numeral. The exact value is tested: an mpf from an {m, e} pair is finite
-    however deep or huge, while a float numeral may be nan or overflow to inf
-    (and a vector that mixes one with mpfs holds it as an mpf). Decoded
-    values are floats or mpfs."""
-
-    def decode_finite(obj, depth: int):
-        value = decode(obj)
-        for x in value.tolist() if isinstance(value, np.ndarray) else (value,):
-            if (not math.isfinite(x)) if type(x) is float else x._mpf_ in (fnan, finf, fninf):
-                raise LipForgeError(f"malformed artifact: non-finite numeral in {obj!r}")
-        return value
-
-    return decode_finite
-
-
-def _encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> dict:
-    for key, attr, codec in fields:
-        record[key] = codec.encode(getattr(obj, attr), depth, memo)
-    return record
-
-
-def _decode_fields(obj, fields: tuple, depth: int) -> dict:
-    return {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
-
-
 def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     """The record of f, a node at the given depth. memo maps id(node) to the
     depth and record of its last encoding in this call: a record made at
@@ -977,7 +942,7 @@ def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     if decl is None:
         raise LipForgeError(f"cannot serialize node {type(f).__name__}")
     kind, fields = decl
-    record = _encode_fields(f, fields, depth + 1, memo, {"kind": kind})
+    record = encode_fields(f, fields, depth + 1, memo, {"kind": kind})
     memo[id(f)] = (depth, record)
     return record
 
@@ -992,44 +957,42 @@ def _decode_node(obj, depth: int) -> LipFun:
         raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
     cls, fields = _KINDS[kind]
     try:
-        return cls(**_decode_fields(obj, fields, depth + 1))
+        return cls(**decode_fields(obj, fields, depth + 1))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise LipForgeError(f"malformed artifact: bad {kind} node") from e
 
 
-_VECTOR = _Codec(lambda v, depth, memo: encode_vector(v), _finite(decode_vector))
-_SCALAR = _Codec(lambda x, depth, memo: encode_scalar(x), _finite(decode_scalar))
-_INT = _Codec(lambda n, depth, memo: n, lambda obj, depth: decode_int(obj))
-_NORM = _Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
-_MAP = _Codec(lambda m, depth, memo: _encode_map(m), lambda obj, depth: _decode_map(obj))
-_NODE = _Codec(_encode_node, _decode_node, lambda f: (f,))
+_NORM = Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
+# A LinearMap's record, also the transcript's record of an operator.
+MAP = Codec(lambda m, depth, memo: _encode_map(m), lambda obj, depth: _decode_map(obj))
+_NODE = Codec(_encode_node, _decode_node, lambda f: (f,))
 
 # A patch's ball skips the constants' finiteness check: Patched refuses a
 # center or radius that is not finite, built or decoded, with its own message.
 _PATCH_FIELDS = (
-    ("center", "center", _Codec(_VECTOR.encode, lambda obj, depth: decode_vector(obj))),
-    ("radius", "radius", _Codec(_SCALAR.encode, lambda obj, depth: decode_scalar(obj))),
+    ("center", "center", Codec(VECTOR.encode, lambda obj, depth: decode_vector(obj))),
+    ("radius", "radius", Codec(SCALAR.encode, lambda obj, depth: decode_scalar(obj))),
     ("inner", "inner", _NODE),
 )
-_PATCHES = _Codec(
-    lambda patches, depth, memo: [_encode_fields(p, _PATCH_FIELDS, depth, memo, {}) for p in patches],
-    lambda obj, depth: tuple(Patch(**_decode_fields(p, _PATCH_FIELDS, depth)) for p in obj),
+_PATCHES = Codec(
+    lambda patches, depth, memo: [encode_fields(p, _PATCH_FIELDS, depth, memo, {}) for p in patches],
+    lambda obj, depth: tuple(Patch(**decode_fields(p, _PATCH_FIELDS, depth)) for p in obj),
     lambda patches: [p.inner for p in patches],
 )
 
 # The record of each node kind: its JSON kind, then its fields in file order,
 # each a (JSON key, attribute, codec). The encoder, the decoder and
 # LipFun.children() all read this table.
-_RECORDS: dict[type, tuple[str, tuple[tuple[str, str, _Codec], ...]]] = {
-    Const: ("const", (("c", "c", _VECTOR), ("in_dim", "in_dim", _INT))),
-    Linear: ("linear", (("map", "map", _MAP),)),
-    Affine: ("affine", (("base", "base", _VECTOR), ("map", "map", _MAP), ("anchor", "anchor", _VECTOR))),
-    NormOf: ("norm_of", (("in_dim", "in_dim", _INT), ("sign", "sign", _INT), ("norm", "norm_kind", _NORM))),
+_RECORDS: dict[type, tuple[str, tuple[tuple[str, str, Codec], ...]]] = {
+    Const: ("const", (("c", "c", VECTOR), ("in_dim", "in_dim", INT))),
+    Linear: ("linear", (("map", "map", MAP),)),
+    Affine: ("affine", (("base", "base", VECTOR), ("map", "map", MAP), ("anchor", "anchor", VECTOR))),
+    NormOf: ("norm_of", (("in_dim", "in_dim", INT), ("sign", "sign", INT), ("norm", "norm_kind", _NORM))),
     Sum: ("sum", (("f", "f", _NODE), ("g", "g", _NODE))),
-    Scale: ("scale", (("c", "c", _SCALAR), ("f", "f", _NODE))),
-    AddConst: ("add_const", (("f", "f", _NODE), ("p", "p", _VECTOR))),
+    Scale: ("scale", (("c", "c", SCALAR), ("f", "f", _NODE))),
+    AddConst: ("add_const", (("f", "f", _NODE), ("p", "p", VECTOR))),
     RadialBlend: ("radial_blend", (
-        ("a", "a", _SCALAR), ("b", "b", _SCALAR), ("f1", "f1", _NODE), ("f2", "f2", _NODE), ("norm", "norm_kind", _NORM),
+        ("a", "a", SCALAR), ("b", "b", SCALAR), ("f1", "f1", _NODE), ("f2", "f2", _NODE), ("norm", "norm_kind", _NORM),
     )),
     # outer, norm, patches: the file's order, not the dataclass's
     Patched: ("patched", (("outer", "outer", _NODE), ("norm", "norm_kind", _NORM), ("patches", "patches", _PATCHES))),

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float, from_man_exp
+from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp
 from mpmath.libmp import to_float as _libmp_to_float
 
 Scalar = Union[float, mpmath.mpf]
@@ -58,6 +58,11 @@ def to_float(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def is_finite(x: Scalar) -> bool:
+    """Neither NaN nor infinite; an mpf from an {m, e} pair always is."""
+    return x._mpf_ not in (fnan, finf, fninf) if is_mpf(x) else math.isfinite(x)
 
 
 def exact_mpf(x) -> mpmath.mpf:
@@ -141,8 +146,11 @@ def decode_scalar(obj) -> Scalar:
     """Inverse of encode_scalar; raises LipForgeError on malformed input."""
     if isinstance(obj, dict):
         try:
-            man = int(obj["m"])
-            exp = int(obj["e"])
+            man, exp = obj["m"], obj["e"]
+            # the strings encode_scalar writes: int() would take a bool or truncate a float
+            if type(man) is not str or type(exp) is not str:
+                raise TypeError(f"strings expected, got {man!r} and {exp!r}")
+            man, exp = int(man), int(exp)
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError(f"malformed artifact: bad scalar {obj!r}") from e
         # from_man_exp without a precision normalizes exactly, zero included
@@ -152,7 +160,8 @@ def decode_scalar(obj) -> Scalar:
             return float(obj)
         except ValueError as e:
             raise LipForgeError(f"malformed artifact: bad numeral {obj!r}") from e
-    if isinstance(obj, (int, float)):
+    # a JSON number; True and False are ints to Python but not numerals
+    if type(obj) in (int, float):
         return float(obj)
     raise LipForgeError(f"malformed artifact: bad numeral {obj!r}")
 
@@ -211,3 +220,64 @@ def float_matrix(m) -> np.ndarray:
 
 def is_exact_vector(v) -> bool:
     return isinstance(v, np.ndarray) and v.dtype == object
+
+
+# ---------------------------------------------------------------------------
+# Field codecs. A record is declared as fields in file order, each a (JSON
+# key, attribute, codec), as lipfun._RECORDS and game._HEADER_FIELDS do.
+
+
+class Codec(NamedTuple):
+    """How a field's value is written and read. encode(value, depth, memo)
+    and decode(obj, depth) get the depth of the record's child nodes, and
+    children(value) lists the child nodes the value holds."""
+
+    encode: Callable
+    decode: Callable
+    children: Callable = lambda value: ()
+
+
+def finite(decode, message: str = "non-finite numeral in {obj!r}"):
+    """decode, then refuse a NaN or infinite value."""
+
+    def decode_finite(obj, depth: int):
+        value = decode(obj)
+        for x in value.tolist() if isinstance(value, np.ndarray) else (value,):
+            if not is_finite(x):
+                raise LipForgeError("malformed artifact: " + message.format(obj=obj))
+        return value
+
+    return decode_finite
+
+
+def encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> dict:
+    """Add obj's fields to record; a field whose attribute is None encodes obj."""
+    for key, attr, codec in fields:
+        record[key] = codec.encode(obj if attr is None else getattr(obj, attr), depth, memo)
+    return record
+
+
+def decode_fields(obj, fields: tuple, depth: int) -> dict:
+    """The attributes of a record; a field whose attribute is None decodes to a dict of several."""
+    values = {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
+    values.update(values.pop(None, ()))
+    return values
+
+
+def sequence(codec: Codec) -> Codec:
+    """A JSON list of values of one codec, decoded to a tuple."""
+
+    def decode(obj, depth: int) -> tuple:
+        if not isinstance(obj, list):
+            raise TypeError(f"list expected, got {obj!r}")
+        return tuple(codec.decode(x, depth) for x in obj)
+
+    return Codec(lambda values, depth, memo: [codec.encode(v, depth, memo) for v in values], decode)
+
+
+SCALAR = Codec(lambda x, depth, memo: encode_scalar(x), finite(decode_scalar))
+VECTOR = Codec(lambda v, depth, memo: encode_vector(v), finite(decode_vector))
+INT = Codec(lambda n, depth, memo: n, lambda obj, depth: decode_int(obj))
+# Values kept as floats: a sampled distance, a net point, a domain's bounds.
+FLOAT = Codec(SCALAR.encode, finite(lambda obj: to_float(decode_scalar(obj))))
+FLOAT_VECTOR = Codec(VECTOR.encode, finite(lambda obj: float_vector(decode_vector(obj))))

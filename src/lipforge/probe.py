@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
+from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
 
 from .game import GameTranscript, Witness, witnesses
 from .lipfun import LipFun, eval_batch
@@ -37,6 +37,7 @@ from .numerics import (
     exact_mpf,
     exact_raw,
     is_exact_vector,
+    is_finite,
     raw_to_float,
     raw_vector,
     to_float,
@@ -54,7 +55,7 @@ DINI_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ScaleLadder:
-    """Strictly decreasing positive probe scales."""
+    """Strictly decreasing positive finite probe scales."""
 
     radii: tuple[Scalar, ...]
 
@@ -65,6 +66,8 @@ class ScaleLadder:
         for r in self.radii:
             if not r > 0:
                 raise LipForgeError("ladder scales must be positive")
+            if not is_finite(r):
+                raise LipForgeError("ladder scales must be finite")
             if prev is not None and not r < prev:
                 raise LipForgeError("ladder scales must be strictly decreasing")
             prev = r
@@ -97,13 +100,14 @@ def dq_error(
     seed: int = 0,
     domain: Domain | None = None,
 ) -> float:
-    """Sampled difference-quotient error at scale r (lower estimate)."""
+    """Sampled difference-quotient error at scale r (lower estimate). A NaN
+    sample makes it NaN, which meets no bound."""
     x = x if isinstance(x, np.ndarray) else as_vector(list(x))
     d = f.in_dim
     if len(x) != d or operator.in_dim != d or operator.out_dim != f.out_dim:
         raise LipForgeError("dimension mismatch in probe")
-    if not r > 0:
-        raise LipForgeError("probe scale must be positive")
+    if not (r > 0 and is_finite(r)):
+        raise LipForgeError("probe scale must be positive and finite")
     if budget is None:
         budget = 2 * d + 1
     if domain is not None and domain.dist_to_boundary(x) < r:
@@ -123,6 +127,8 @@ def dq_error(
                 fz = fx if z == x_e else f._eval_exact(z)
                 # resid = fz - fx - lu; val = ||resid|| / r
                 resid = [mpf_sub(mpf_sub(a, b, prec, rnd), c, prec, rnd) for a, b, c in zip(fz, fx, lu)]
+                if fnan in resid:
+                    return float("nan")
                 val = mpf_div(_norm_raw(resid, operator.out_norm), r_e._mpf_, prec, rnd)
                 if mpf_gt(val, best):
                     best = val
@@ -133,11 +139,9 @@ def dq_error(
     # One batch [x; x + u_1; ...]. The residual norms stay per sample: norm
     # and norm_batch can round a Euclidean sum differently.
     F = eval_batch(f, np.vstack([xf, xf + U]))
-    best = 0.0
-    for u, fz in zip(U, F[1:]):
-        resid = fz - F[0] - operator.float_matrix @ u
-        best = max(best, float(norm(resid, operator.out_norm)) / rf)
-    return best
+    vals = [float(norm(fz - F[0] - operator.float_matrix @ u, operator.out_norm)) / rf for u, fz in zip(U, F[1:])]
+    # np.max, unlike max, keeps a NaN
+    return float(np.max(vals, initial=0.0))
 
 
 @dataclass(frozen=True)

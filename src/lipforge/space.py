@@ -25,10 +25,14 @@ from mpmath import mp
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
 
 from .numerics import (
+    FLOAT,
+    FLOAT_VECTOR,
     LipForgeError,
     Scalar,
     as_matrix,
     as_vector,
+    decode_fields,
+    encode_fields,
     exact_mpf,
     float_matrix,
     float_vector,
@@ -365,7 +369,7 @@ class LinearMap:
 
 @dataclass(frozen=True)
 class Domain:
-    """A closed box or norm ball with nonempty interior.
+    """A closed box or norm ball with nonempty interior and finite bounds.
 
     shape is "box" (fields lo, hi) or "ball" (fields center, radius); the
     norm applies to distances, diameters and ball geometry.
@@ -384,6 +388,8 @@ class Domain:
             hi = np.asarray(self.hi, dtype=float)
             if lo.shape != hi.shape or lo.ndim != 1:
                 raise LipForgeError("box needs matching lo/hi vectors")
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise LipForgeError("box corners must be finite")
             if not np.all(lo < hi):
                 raise LipForgeError("box must have nonempty interior (lo < hi)")
             object.__setattr__(self, "lo", lo)
@@ -394,6 +400,8 @@ class Domain:
                 raise LipForgeError("ball needs a center vector")
             if not self.radius > 0:
                 raise LipForgeError("ball must have positive radius")
+            if not (np.all(np.isfinite(c)) and math.isfinite(self.radius)):
+                raise LipForgeError("ball center and radius must be finite")
             object.__setattr__(self, "center", c)
         else:
             raise LipForgeError(f"unknown domain shape {self.shape!r}")
@@ -466,31 +474,24 @@ class Domain:
         return pts
 
     def encode(self) -> dict:
-        if self.shape == "box":
-            return {
-                "shape": "box",
-                "norm": self.norm.value,
-                "lo": [repr(float(v)) for v in self.lo],
-                "hi": [repr(float(v)) for v in self.hi],
-            }
-        return {
-            "shape": "ball",
-            "norm": self.norm.value,
-            "center": [repr(float(v)) for v in self.center],
-            "radius": repr(float(self.radius)),
-        }
+        return encode_fields(self, _SHAPES[self.shape], 0, {}, {"shape": self.shape, "norm": self.norm.value})
 
     @classmethod
     def decode(cls, obj: dict) -> "Domain":
         try:
-            kind = NormKind.parse(obj["norm"])
-            if obj["shape"] == "box":
-                return cls.box([float(v) for v in obj["lo"]], [float(v) for v in obj["hi"]], kind)
-            if obj["shape"] == "ball":
-                return cls.ball([float(v) for v in obj["center"]], float(obj["radius"]), kind)
+            kind, shape = NormKind.parse(obj["norm"]), obj["shape"]
+            if shape in _SHAPES:
+                return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], 0))
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError("malformed artifact: bad domain record") from e
         raise LipForgeError(f"malformed artifact: unknown domain shape {obj.get('shape')!r}")
+
+
+# A domain's record after its shape and norm, as Domain.encode writes it.
+_SHAPES = {
+    "box": (("lo", "lo", FLOAT_VECTOR), ("hi", "hi", FLOAT_VECTOR)),
+    "ball": (("center", "center", FLOAT_VECTOR), ("radius", "radius", FLOAT)),
+}
 
 
 def _sub(x, c):

@@ -4,8 +4,9 @@ Each case replaces one field (an object member or a list element, at any
 depth) of function.json or transcript.json with a value from a fixed list
 and must end in a LipForgeError or a usable result: for function.json a
 mapping whose lip_cert and eval_batch work, for transcript.json a transcript
-that replays to a mapping with finite values. The cases are drawn from a
-seeded generator, so every run tries the same ones.
+whose transcript_suite runs and that replays to a mapping with finite
+values. The cases are drawn from a seeded generator, so every run tries the
+same ones.
 """
 
 import json
@@ -14,7 +15,8 @@ import random
 import numpy as np
 import pytest
 
-from lipforge import Domain, LinearMap, LipForgeError, TargetSet, eval_batch, load_transcript, run_game
+from lipforge import Domain, LinearMap, LipForgeError, TargetSet, eval_batch, load_transcript, run_game, verify
+from lipforge.cli import main
 from lipforge.lipfun import fun_from_dict
 
 VALUES = [None, "nan", "inf", -1, 0, [], {}, "x", "1e400", True, {"m": "x"}]
@@ -91,6 +93,10 @@ def test_transcript_json_mutations_end_in_a_replay_or_a_diagnostic(jitter_pair, 
     def attempt(mutated):
         (tmp_path / "transcript.json").write_text(json.dumps(mutated))
         tr = load_transcript(tmp_path / "transcript.json")
+        try:
+            verify.transcript_suite(tr)
+        except LipForgeError:
+            pass
         replayed = run_game(
             tr.domain, target, tr.operators, "replay",
             rounds=tr.k_max, seed=tr.seed, dps=tr.dps, replay_transcript=tr,
@@ -101,3 +107,62 @@ def test_transcript_json_mutations_end_in_a_replay_or_a_diagnostic(jitter_pair, 
 
     escaped = _escapes(_mutations(doc, 300, seed=2), attempt)
     assert not escaped, f"{len(escaped)} of 300 escaped:\n" + "\n".join(escaped[:20])
+
+
+def _set(path, value):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _drop_last_net_level(doc):
+    doc["net_levels"].pop()
+
+
+REFUSED = {
+    "s-nan": (_set(("rounds", 0, "s"), "nan"), "non-finite numeral"),
+    "alpha-1e400": (_set(("rounds", 0, "alpha"), "1e400"), "non-finite numeral"),
+    "beta-inf": (_set(("rounds", 2, "beta"), "inf"), "non-finite numeral"),
+    "net-point-nan": (_set(("net_levels", 1, 0, 0), "nan"), "non-finite numeral"),
+    "net-point-beyond-float": (_set(("net_levels", 1, 0, 0), {"m": "1", "e": "2000"}), "non-finite numeral"),
+    "tail_bound-nan": (_set(("tail_bound",), "nan"), "non-finite numeral"),
+    "tail_bound-not-s": (_set(("tail_bound",), "0.125"), "tail_bound is not the last round's s"),
+    "net_size-99": (_set(("rounds", 0, "net_size"), 99), "round 1 has net_size 99"),
+    "net_size-past-the-levels": (_drop_last_net_level, "round 3 has net_size"),
+    "rho_sampled-true": (_set(("rounds", 0, "rho_sampled"), True), "bad numeral True"),
+    "rho_sampled-nan": (_set(("rounds", 0, "rho_sampled"), "nan"), "non-finite numeral"),
+    "r_accepted-false": (_set(("rounds", 1, "r_accepted"), False), "bad numeral False"),
+    "mantissa-true": (_set(("rounds", 1, "r_offered", "m"), True), "bad scalar"),
+    "exponent-not-a-string": (_set(("rounds", 1, "r_offered", "e"), -1), "bad scalar"),
+    "domain-hi-inf": (_set(("domain", "hi", 1), "inf"), "non-finite numeral"),
+    "no-rounds": (_set(("rounds",), []), "tail_bound is not the last round's s"),
+}
+
+
+@pytest.mark.parametrize("edit, message", REFUSED.values(), ids=REFUSED.keys())
+def test_transcript_json_refuses_non_finite_and_inconsistent_fields(jitter_pair, tmp_path, edit, message):
+    """A transcript whose numerals are not finite or not written as numerals,
+    or whose derived fields (tail_bound, net_size) disagree with the rounds
+    and nets, is refused when it is loaded, so verify and probe never see
+    it."""
+    doc = json.loads((jitter_pair / "transcript.json").read_bytes())
+    (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
+    edit(doc)
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    with pytest.raises(LipForgeError, match=message):
+        load_transcript(tmp_path / "transcript.json")
+
+
+@pytest.mark.parametrize("command", ["verify", "probe"])
+def test_cli_reports_a_nan_round_scalar_as_an_error(jitter_pair, tmp_path, capsys, command):
+    doc = json.loads((jitter_pair / "transcript.json").read_bytes())
+    doc["rounds"][0]["s"] = "nan"
+    (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    args = ["--artifact", str(tmp_path / "function.json"), "--transcript", str(tmp_path / "transcript.json")]
+    assert main([command, *args] + (["--out", str(tmp_path / "out")] if command == "probe" else [])) == 1
+    assert "error: malformed artifact: non-finite numeral" in capsys.readouterr().err

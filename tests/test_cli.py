@@ -71,6 +71,30 @@ def test_load_config_diagnostics(tmp_path):
         load_config(str(p2))
 
 
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("game", "round = 1"),
+        ("game", "sup_budget = 5"),
+        ("domain", "step = 0.1"),
+        ("target", "steps = 0.1"),
+        ("target", "count = 5"),
+        ("operators", "op4 = 0.25 0"),
+    ],
+)
+def test_load_config_refuses_unknown_keys(tmp_path, capsys, section, line):
+    """A key that load_config does not read, such as a misspelt one, one the
+    settings do not use (count with grid targets) or an operator after a
+    gap, is refused by name instead of being ignored."""
+    p = tmp_path / "typo.ini"
+    p.write_text(SMALL_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    key = line.split(" = ")[0]
+    with pytest.raises(LipForgeError, match=rf"\[{section}\] {key}: unused key"):
+        load_config(str(p))
+    assert main(["construct", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    assert f"[{section}] {key}: unused key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["replay", "confuse"])
 def test_config_adversary_is_stay_or_jitter(tmp_path, capsys, kind):
     """A config names no transcript, so it cannot set the replay adversary;

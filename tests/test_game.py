@@ -334,7 +334,7 @@ def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup)
             r = exact_mpf(0.5)
         player2_move(state, f, validate_move(state, f, r), r_offered=r)
     last = state.history[-1]
-    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), last.reply_fun, last.s, "explicit", 0, state.dps)
+    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), last.reply_fun, "explicit", 0, state.dps)
     tr.save(tmp_path / "transcript.json")
     loaded = load_transcript(tmp_path / "transcript.json")
     assert [(rec.move_kind, rec.move_shift) for rec in loaded.rounds] == [("explicit", None)] * 3

@@ -436,7 +436,7 @@ def _scale_chain(levels: int):
 def test_serialize_encodes_shared_subtree_once(monkeypatch):
     """A subtree reached along several paths is encoded on its first visit
     and its record reused; the bytes are those of separate copies."""
-    import lipforge.lipfun as lipfun_mod
+    import lipforge.numerics as numerics_mod
 
     def tree(make_shared):
         return Sum(Scale(0.5, make_shared()), Sum(make_shared(), make_shared()))
@@ -446,8 +446,8 @@ def test_serialize_encodes_shared_subtree_once(monkeypatch):
 
     shared = subtree()
     calls = []
-    original = lipfun_mod.encode_vector
-    monkeypatch.setattr(lipfun_mod, "encode_vector", lambda v: calls.append(len(v)) or original(v))
+    original = numerics_mod.encode_vector
+    monkeypatch.setattr(numerics_mod, "encode_vector", lambda v: calls.append(len(v)) or original(v))
     data = serialize(tree(lambda: shared))
     assert len(calls) == 1
     assert serialize(tree(subtree)) == data

@@ -5,6 +5,7 @@ from mpmath import mp
 
 from lipforge import (
     AddConst,
+    Const,
     Domain,
     Linear,
     LinearMap,
@@ -28,7 +29,7 @@ from lipforge import (
 )
 from lipforge import probe
 from lipforge.numerics import as_vector, to_float, working_dps_for_scale
-from lipforge.probe import DINI_TOL, _use_exact, witness_ladder
+from lipforge.probe import DINI_TOL, WitnessProbe, _use_exact, witness_ladder
 from lipforge.space import norm, sample_ball
 
 
@@ -186,6 +187,30 @@ def test_best_local_linear_exact_and_singleton():
 def test_best_local_linear_empty():
     with pytest.raises(LipForgeError, match="candidate"):
         best_local_linear(NormOf(1), [0.0], 0.1, [], budget=8, seed=0)
+
+
+@pytest.mark.parametrize("r", [np.inf, mpmath.inf])
+def test_dq_error_refuses_a_non_finite_scale(r):
+    e1 = LinearMap(np.array([[1.0, 0.0]]))
+    with pytest.raises(LipForgeError, match="probe scale must be positive and finite"):
+        dq_error(NormOf(2), (0.5, 0.5), e1, r)
+
+
+@pytest.mark.parametrize("r", [0.1, 1e-30])
+def test_dq_error_of_a_nan_sample_is_nan(small_transcript, r):
+    """A NaN value of the mapping or a NaN point makes the quotient NaN, on
+    the float path and the exact one, and a NaN quotient meets no bound."""
+    e1 = LinearMap(np.array([[1.0, 0.0]]))
+    assert np.isnan(dq_error(Const(np.array([np.nan]), 2), (0.5, 0.5), e1, r))
+    assert np.isnan(dq_error(NormOf(2), (np.nan, 0.5), e1, r))
+    w = witnesses(small_transcript)[0]
+    assert not WitnessProbe(w, dq_error(NormOf(2), (np.nan, 0.5), e1, r), 4.0).ok
+
+
+@pytest.mark.parametrize("radii", [(np.inf, 1.0), (mpmath.inf, 1.0)])
+def test_ladder_refuses_a_non_finite_scale(radii):
+    with pytest.raises(LipForgeError, match="ladder scales must be finite"):
+        ScaleLadder(radii)
 
 
 def test_ladder_validation():

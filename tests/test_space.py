@@ -160,6 +160,21 @@ def test_norm_parse_refuses_what_is_not_a_norm_name(value):
         Domain.decode({**Domain.box([0.0], [1.0]).encode(), "norm": value})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Domain.box([0.0, 0.0], [1.0, math.inf]),
+        lambda: Domain.box([-math.inf, 0.0], [1.0, 1.0]),
+        lambda: Domain.box([0.0, math.nan], [1.0, 1.0]),
+        lambda: Domain.ball([0.0, math.nan], 1.0),
+        lambda: Domain.ball([0.0, 0.0], math.inf),
+    ],
+)
+def test_domain_refuses_non_finite_bounds(make):
+    with pytest.raises(LipForgeError, match="must be finite"):
+        make()
+
+
 def test_dist_to_boundary_box():
     d = Domain.box([0.0, 0.0], [1.0, 1.0])
     assert d.dist_to_boundary(np.array([0.5, 0.5])) == 0.5
