@@ -291,6 +291,8 @@ def cmd_probe(args) -> int:
     direction = np.eye(transcript.domain.dim)[0] if text is None else np.asarray(_parse_floats(text), dtype=float)
     out = Path(args.out)
     seed = args.seed if args.seed is not None else transcript.seed
+    # the Dini report first: it refuses a bad direction before any probing
+    dini = witness_dini_report(transcript, direction, min_round=args.min_round, per_round=args.per_round, seed=seed)
 
     report = witness_bound_report(transcript, per_round=args.per_round, budget=args.budget, seed=seed)
     by_round: dict[int, list[WitnessProbe]] = {}
@@ -311,15 +313,6 @@ def cmd_probe(args) -> int:
         summary.append(f"round {k}: witnesses={len(probes)} max_dq={worst!r} bound={probes[0].bound!r}")
         plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), worst)
 
-    dini = witness_dini_report(
-        transcript,
-        direction,
-        min_round=args.min_round,
-        per_round=args.per_round,
-        seed=seed,
-        coarse_steps=args.ladder_steps,
-        ratio=args.ladder_ratio,
-    )
     fired = sum(1 for r in dini if r.report.fires)
     summary.append("")
     summary.append("sub-gradient emptiness certificates")
@@ -417,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--per-round", dest="per_round", type=int, default=1)
     p.add_argument("--min-round", dest="min_round", type=int, default=1)
-    p.add_argument("--ladder-steps", dest="ladder_steps", type=int, default=20)
-    p.add_argument("--ladder-ratio", dest="ladder_ratio", type=float, default=0.5)
     p.add_argument("--dini-direction", dest="dini_direction", default=None)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(fn=cmd_probe)

@@ -365,16 +365,23 @@ def read_artifact(path) -> bytes:
 
 def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
     """Refuse stored fields that disagree with each other: probe and verify
-    index operators and net levels by round, and tail_bound and each
-    net_size are derived."""
+    index operators and net levels by round, replay adds each jitter shift
+    to the mapping, the nets must keep their invariants in the domain, and
+    tail_bound and each net_size are derived."""
     for k, lvl in enumerate(tr.nets.levels, start=1):
         if len(lvl) and lvl.shape[1] != tr.domain.dim:
             raise LipForgeError(f"malformed artifact: net level {k} has points of dimension {lvl.shape[1]}")
+    try:
+        tr.nets.validate(tr.domain)
+    except LipForgeError as e:
+        raise LipForgeError(f"malformed artifact: {e}") from e
     for k, rec in enumerate(tr.rounds, start=1):
         if rec.round_k != k:
             raise LipForgeError(f"malformed artifact: round record {k} is numbered {rec.round_k}")
         if not 0 <= rec.op_index < len(tr.operators):
             raise LipForgeError(f"malformed artifact: round {k} names operator {rec.op_index} of {len(tr.operators)}")
+        if rec.move_kind == "jitter" and len(rec.move_shift) != tr.final_fun.out_dim:
+            raise LipForgeError(f"malformed artifact: round {k} jitter shift has {len(rec.move_shift)} entries")
         size = len(tr.nets.level(k)) if k <= tr.nets.k_max else 0
         if rec.net_size != size:
             raise LipForgeError(f"malformed artifact: round {k} has net_size {rec.net_size}, its net level {size} points")

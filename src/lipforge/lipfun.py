@@ -34,8 +34,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_int
-from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_mul_int, mpf_sqrt, mpf_sub
+from mpmath.libmp import from_float, from_int
+from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_sqrt, mpf_sub
 
 from .numerics import (
     INT,
@@ -79,8 +79,7 @@ FLOAT_RESOLVE_REL = 1e-12
 
 # Sphere-direction sets kept by _sphere_directions. Continuity checks sweep
 # the patch seeds 0..n-1 in order, so an LRU smaller than one layer's patch
-# count would never hit; 2048 covers the construction and verification
-# sample counts of a 1000-patch layer.
+# count would never hit; construction and verification draw the same sets.
 DIRECTIONS_CACHE_SIZE = 2048
 
 # Largest sup-norm gap between inner and outer on a patch sphere that passes.
@@ -701,12 +700,8 @@ def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     """Override `outer` inside disjoint balls, certifying continuity.
 
     Balls must be pairwise disjoint and strictly inside the domain interior.
-    Each inner mapping is compared against the outer one on 64*d sampled
-    sphere points, up to CONTINUITY_TOL; spheres finer than float64
-    resolution are checked in exact arithmetic on an axis sample instead.
-    The check takes the sphere directions from a bounded cache and
-    evaluates a composed outer once per distinct image of the axis points;
-    see _check_patch_continuity.
+    Each inner mapping must meet the outer one on its sphere, up to
+    CONTINUITY_TOL: see _check_patch_continuity.
     """
     def as_patch(p) -> Patch:
         if isinstance(p, Patch):
@@ -720,7 +715,7 @@ def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     for p in node.patches:
         if not to_float(domain.dist_to_boundary(p.center_float)) > p.radius_float:
             raise LipForgeError("patch ball escapes the domain interior")
-    _check_patch_continuity(node, 64 * node.in_dim)
+    _check_patch_continuity(node)
     return node
 
 
@@ -734,59 +729,52 @@ def _sphere_directions(count: int, dim: int, seed: int, kind: NormKind) -> np.nd
     return dirs
 
 
-def _axis_points(p: Patch, d: int) -> list[tuple]:
-    """The raw points center +- radius * e_a of every axis a, at the
-    context's working precision."""
-    prec, rnd = mp._prec_rounding
-    center = raw_vector(p.center_float)
-    points = []
-    for axis in range(d):
-        for sgn in (1, -1):
-            z = list(center)
-            z[axis] = mpf_add(z[axis], mpf_mul_int(p.radius_raw, sgn, prec, rnd), prec, rnd)
-            points.append(tuple(z))
-    return points
-
-
-def _eval_exact_per_image(f: LipFun, points: list[tuple]) -> list[tuple]:
-    """f._eval_exact at every point. A Precompose evaluates its inner_map at
-    each point and its f once per distinct image: the calls
-    Precompose._eval_exact makes, so the values are bit-identical."""
-    if not isinstance(f, Precompose):
-        return [f._eval_exact(z) for z in points]
-    values: dict[tuple, tuple] = {}
-    out = []
-    for z in points:
-        y = f.inner_map._eval_exact(z)
-        if y not in values:
-            values[y] = f.f._eval_exact(y)
-        out.append(values[y])
-    return out
-
-
-def _check_patch_continuity(node: Patched, n_samples: int):
+def _check_patch_continuity(node: Patched):
     """Compare every inner mapping with the outer one on its patch sphere, up
     to CONTINUITY_TOL in the sup norm.
 
-    A sphere resolvable in float64 is sampled at `n_samples` directions
-    seeded by the patch index. The directions depend only on (count, dim,
-    seed, norm), so they come from a bounded cache: every layer and round of
-    a game, and the re-check in verify, draws each set once. A finer sphere
-    is compared exactly at its 2d axis points. The affine layer of
-    linearize_near has outer f_shift o P, and the warp P maps all of those
-    points onto the center, so the whole prior tree f_shift is evaluated
-    once per patch instead of 2d times. Every sample
-    and axis point is still compared, and nothing is cached between checks
-    but the directions.
+    A sphere resolvable in float64 is sampled at 64*d directions seeded by
+    the patch index. The directions depend only on (count, dim, seed, norm),
+    so they come from a bounded cache: every layer and round of a game, and
+    the re-check in verify, draws each set once.
+
+    A finer sphere, of radius r around x, is bounded from its center as a
+    Lipschitz enclosure (S. M. Rump, Verification methods, Acta Numerica
+    2010). With inner and outer evaluated exactly at x, the patch passes when
+
+        ||inner(x) - outer(x)||_sup + d r (Lip inner + Lip outer) <= CONTINUITY_TOL.
+
+    This bounds the gap on the whole sphere. Let L bound f from a norm A to
+    a norm B, each one of the three, and let N be the node's norm. The sup
+    norm is the smallest of the three and ||w||_1 <= d ||w||_sup, so for
+    ||z - x||_N = r: ||f(z) - f(x)||_sup <= ||f(z) - f(x)||_B
+    <= L ||z - x||_A <= L ||z - x||_1 <= L d ||z - x||_sup <= L d r.
+    Add this for inner and for outer to the gap at x.
+
+    The sum is formed in mpf; in float64, d r Lip underflows to 0 for deep
+    radii (2e-571 in round 8 of the standard run). Each lip_cert is a float,
+    held exactly, and every operation rounds away from zero on terms that
+    are not negative, so the bound is never below the formula's exact value
+    at the stored certificates: no rounding in this check can pass a patch
+    that the formula refuses. A NaN or infinite term makes the bound NaN or
+    infinite, and it is refused.
     """
     d = node.in_dim
+    n_samples = 64 * d
     resolvable: list[int] = []
-    exact_idx: list[int] = []
     for i, p in enumerate(node.patches):
         if p.radius_float > FLOAT_RESOLVE_REL * p.scale:
             resolvable.append(i)
-        else:
-            exact_idx.append(i)
+            continue
+        with mp.workdps(working_dps_for_scale(p.radius)):
+            prec = mp.prec
+            x = p.center_raw
+            gap = [mpf_sub(u, v, prec, "u") for u, v in zip(p.inner._eval_exact(x), node.outer._eval_exact(x))]
+            slope = mpf_add(from_float(p.inner.lip_cert), from_float(node.outer.lip_cert), prec, "u")
+            spread = mpf_mul(mpf_mul(from_int(d), p.radius_raw, prec, "u"), slope, prec, "u")
+            bound = mpf_add(_norm_raw(gap, NormKind.SUP), spread, prec, "u")
+            if not mpf_le(bound, from_float(CONTINUITY_TOL)):
+                raise LipForgeError(f"patch boundary mismatch bound {raw_to_float(bound):.3e} beyond tolerance")
     if resolvable:
         blocks = []
         for i in resolvable:
@@ -804,17 +792,6 @@ def _check_patch_continuity(node: Patched, n_samples: int):
             if err > CONTINUITY_TOL:
                 raise LipForgeError(f"patch boundary mismatch {err:.3e} beyond tolerance")
             off += n_samples
-    for i in exact_idx:
-        p = node.patches[i]
-        with mp.workdps(working_dps_for_scale(p.radius)):
-            prec, rnd = mp._prec_rounding
-            points = _axis_points(p, d)
-            inner_vals = _eval_exact_per_image(p.inner, points)
-            outer_vals = _eval_exact_per_image(node.outer, points)
-            for u_vec, v_vec in zip(inner_vals, outer_vals):
-                diff = [mpf_sub(u, v, prec, rnd) for u, v in zip(u_vec, v_vec)]
-                if raw_to_float(_norm_raw(diff, NormKind.SUP)) > CONTINUITY_TOL:
-                    raise LipForgeError("patch boundary mismatch beyond tolerance")
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ FLOAT_PROBE_REL = 1e-11
 # Dini certificates fire when both one-sided lower quotients are below -DINI_TOL.
 DINI_TOL = 1e-6
 
+# A witness ladder's geometric run: LADDER_STEPS scales from half the
+# boundary margin down, each LADDER_RATIO times the one before.
+LADDER_STEPS = 20
+LADDER_RATIO = 0.5
+
 
 @dataclass(frozen=True)
 class ScaleLadder:
@@ -174,6 +179,17 @@ def _forward_quotient(f: LipFun, x, v: np.ndarray, t: Scalar) -> float:
         return raw_to_float(mpf_div(num, t_e, prec, rnd))
 
 
+def _direction(f: LipFun, v) -> np.ndarray:
+    """v as a float direction in f's domain: f.in_dim finite entries, not
+    all zero."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (f.in_dim,):
+        raise LipForgeError(f"direction has {v.size} entries, the mapping takes {f.in_dim}")
+    if not (np.all(np.isfinite(v)) and np.any(v)):
+        raise LipForgeError("direction must be finite and nonzero")
+    return v
+
+
 def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
     """Forward difference quotients (f(x + t v) - f(x)) / t along the ladder.
 
@@ -183,7 +199,7 @@ def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
     """
     if f.out_dim != 1:
         raise LipForgeError("one-sided derivative probes need scalar codomain")
-    v = np.asarray(v, dtype=float)
+    v = _direction(f, v)
     out: list[float | None] = [None] * len(ladder.radii)
     float_idx = [i for i, t in enumerate(ladder.radii) if not _use_exact(x, t)]
     if float_idx:
@@ -283,17 +299,16 @@ def witness_bound_report(
     return out
 
 
-def witness_ladder(transcript: GameTranscript, w: Witness, coarse_steps: int = 20,
-                   ratio: float = 0.5) -> ScaleLadder:
-    """Probe scales for a witness: a geometric ladder from half the boundary
-    margin down, plus the exact construction scales alpha_j of every round
-    whose net contains the witness center (levels are nested, so this covers
-    all rounds from the center's first appearance on)."""
+def witness_ladder(transcript: GameTranscript, w: Witness) -> ScaleLadder:
+    """Probe scales for a witness: LADDER_STEPS geometric scales from half
+    the boundary margin down, plus the exact construction scales alpha_j of
+    every round whose net contains the witness center (levels are nested, so
+    this covers all rounds from the center's first appearance on)."""
     scales: list[Scalar] = []
     margin = to_float(transcript.domain.dist_to_boundary(w.center))
     r0 = margin / 2.0
-    for i in range(coarse_steps):
-        scales.append(r0 * ratio**i)
+    for i in range(LADDER_STEPS):
+        scales.append(r0 * LADDER_RATIO**i)
     key = np.array([float(c) for c in w.center])
     for rec in transcript.rounds:
         if rec.net_size == 0 or rec.round_k > transcript.nets.k_max:
@@ -320,14 +335,13 @@ def witness_dini_report(
     min_round: int = 1,
     per_round: int = 1,
     seed: int = 0,
-    coarse_steps: int = 20,
-    ratio: float = 0.5,
 ) -> list[WitnessDini]:
     """Sub-gradient emptiness certificates at witnesses of rounds >= min_round,
     one per distinct point: a net center's ladder depends only on the center."""
     fun = transcript.final_fun
     if fun.out_dim != 1:
         raise LipForgeError("one-sided derivative probes need scalar codomain")
+    direction = _direction(fun, direction)
     reports: dict[bytes | int, DiniReport] = {}
     out = []
     for w in witnesses(transcript, per_round, seed):
@@ -336,7 +350,7 @@ def witness_dini_report(
         # a net center is keyed by its bytes, an offset point by its position
         key = w.center.tobytes() if w.offset is None else len(out)
         if key not in reports:
-            ladder = witness_ladder(transcript, w, coarse_steps, ratio)
+            ladder = witness_ladder(transcript, w)
             with mp.workdps(working_dps_for_scale(w.s)):
                 x = w.point()
             reports[key] = dini_empty_certificate(fun, x, direction, ladder)

@@ -464,6 +464,8 @@ class Domain:
 
     def grid(self, per_axis: int) -> np.ndarray:
         """Deterministic evaluation grid inside the domain (row-major order)."""
+        if per_axis < 1:
+            raise LipForgeError(f"grid needs at least one point per axis, got {per_axis}")
         lo, hi = self.bounding_box()
         axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")

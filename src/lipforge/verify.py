@@ -230,7 +230,7 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
         if isinstance(node, Patched):
             checked += 1
             try:
-                _check_patch_continuity(node, 16 * node.in_dim)
+                _check_patch_continuity(node)
             except LipForgeError as e:
                 failure = str(e)
                 return

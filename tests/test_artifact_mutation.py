@@ -140,15 +140,20 @@ REFUSED = {
     "exponent-not-a-string": (_set(("rounds", 1, "r_offered", "e"), -1), "bad scalar"),
     "domain-hi-inf": (_set(("domain", "hi", 1), "inf"), "non-finite numeral"),
     "no-rounds": (_set(("rounds",), []), "tail_bound is not the last round's s"),
+    "jitter-shift-empty": (_set(("rounds", 2, "move", "shift"), []), "round 3 jitter shift has 0 entries"),
+    "jitter-shift-too-long": (_set(("rounds", 0, "move", "shift"), ["0.0", "0.0"]), "round 1 jitter shift has 2 entries"),
+    "net-point-on-boundary": (_set(("net_levels", 2, 0, 0), "0.0"), "level 3 violates the boundary margin"),
+    "net-point-outside": (_set(("net_levels", 2, 0, 0), "-1.0"), "point outside domain"),
 }
 
 
 @pytest.mark.parametrize("edit, message", REFUSED.values(), ids=REFUSED.keys())
 def test_transcript_json_refuses_non_finite_and_inconsistent_fields(jitter_pair, tmp_path, edit, message):
     """A transcript whose numerals are not finite or not written as numerals,
-    or whose derived fields (tail_bound, net_size) disagree with the rounds
-    and nets, is refused when it is loaded, so verify and probe never see
-    it."""
+    whose derived fields (tail_bound, net_size) disagree with the rounds and
+    nets, whose jitter shift cannot be added to the mapping or whose net
+    points leave the domain's margins, is refused when it is loaded, so
+    verify and probe never see it."""
     doc = json.loads((jitter_pair / "transcript.json").read_bytes())
     (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
     edit(doc)

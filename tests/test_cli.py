@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lipforge
 from lipforge.cli import load_config, main
 from lipforge.numerics import LipForgeError
 
@@ -295,6 +300,54 @@ def test_eval_command(config_path, tmp_path, capsys):
     lines = (out / "eval.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,f1"
     assert len(lines) == 1 + 25
+
+
+def _run_cli(*args):
+    """`python -m lipforge.cli` in a child process, importing this lipforge."""
+    env = dict(os.environ)
+    src = str(Path(lipforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lipforge.cli", *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("per_axis", ["-1", "0"])
+def test_eval_refuses_a_grid_without_points(config_path, tmp_path, per_axis):
+    """--per-axis below 1 is an error line, not numpy's traceback."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    done = _run_cli("eval", "--artifact", str(out / "function.json"), "--out", str(out / "eval"),
+                    "--lo", "0 0", "--hi", "1 1", "--per-axis", per_axis)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: grid needs at least one point per axis")
+    assert "Traceback" not in done.stderr
+    assert not (out / "eval").exists()
+
+
+@pytest.mark.parametrize("direction, message", [
+    ("1", "direction has 1 entries, the mapping takes 2"),
+    ("1 0 0", "direction has 3 entries, the mapping takes 2"),
+    ("nan 0", "direction must be finite and nonzero"),
+    ("0 0", "direction must be finite and nonzero"),
+], ids=["short", "long", "nan", "zero"])
+def test_probe_refuses_a_bad_dini_direction(config_path, tmp_path, capsys, direction, message):
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["probe", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json"),
+               "--out", str(out / "probe"), "--dini-direction", direction])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "probe").exists()
+
+
+def test_probe_has_no_ladder_flags(config_path, tmp_path, capsys):
+    """The witness ladder's steps and ratio are probe constants."""
+    out = tmp_path / "out"
+    for flag, value in (("--ladder-steps", "0"), ("--ladder-ratio", "1.5")):
+        with pytest.raises(SystemExit):
+            main(["probe", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json"),
+                  "--out", str(out), flag, value])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_net_command(config_path, tmp_path, capsys):

@@ -28,6 +28,7 @@ from lipforge import (
     zero_map,
 )
 from lipforge.lipfun import (
+    CONTINUITY_TOL,
     FLOAT_RESOLVE_REL,
     Patch,
     Patched,
@@ -143,7 +144,7 @@ def test_patch_boundary_mismatch_rejected(unit_box):
         )
 
 
-DEEP_RADIUS = 1e-20  # below FLOAT_RESOLVE_REL: checked exactly on the axis points
+DEEP_RADIUS = 1e-20  # below FLOAT_RESOLVE_REL: bounded exactly from the center
 DEEP_CENTER = np.array([0.5, 0.25])
 
 
@@ -170,6 +171,40 @@ def test_patch_deep_match_accepted(unit_box):
     outer = collapsed_norm()
     inner = Const(np.array([float(np.linalg.norm(DEEP_CENTER))]), 2)
     assert isinstance(patch(outer, [(DEEP_CENTER, DEEP_RADIUS, inner)], unit_box), Patched)
+
+
+def off_axis_jump():
+    """1e12 * (||z - x||_1 - r) around x = DEEP_CENTER: exactly 0 at the 2d
+    axis points x +- r*e_a, but (sqrt(2) - 1) * 1e-8 on the sphere's
+    diagonal, beyond CONTINUITY_TOL."""
+    translate = Affine(np.zeros(2), _identity_map(2, NormKind.EUCLIDEAN), DEEP_CENTER)
+    return Scale(1e12, AddConst(Precompose(NormOf(2, 1, NormKind.ONE), translate), np.array([-DEEP_RADIUS])))
+
+
+def test_off_axis_jump_is_between_the_axis_points():
+    from lipforge.numerics import exact_mpf
+
+    inner = off_axis_jump()
+    with mpmath.workdps(80):
+        x = [exact_mpf(c) for c in DEEP_CENTER]
+        r = exact_mpf(DEEP_RADIUS)
+        assert eval_point(inner, np.array([x[0] + r, x[1]], dtype=object))[0] == 0
+        diag = eval_point(inner, np.array([x[0] + r / mpmath.sqrt(2), x[1] + r / mpmath.sqrt(2)], dtype=object))[0]
+        assert diag > CONTINUITY_TOL
+
+
+def test_patch_deep_off_axis_mismatch_rejected(unit_box):
+    with pytest.raises(LipForgeError, match="mismatch"):
+        patch(Const(np.array([0.0]), 2), [(DEEP_CENTER, DEEP_RADIUS, off_axis_jump())], unit_box)
+
+
+def test_decoded_deep_off_axis_mismatch_fails_verify():
+    from lipforge.verify import artifact_suite
+
+    node = Patched(Const(np.array([0.0]), 2), (Patch(DEEP_CENTER, DEEP_RADIUS, off_axis_jump()),))
+    results = {r.name: r for r in artifact_suite(deserialize(serialize(node)))}
+    assert not results["artifact patch continuity"].ok
+    assert "mismatch" in results["artifact patch continuity"].detail
 
 
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)

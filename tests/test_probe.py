@@ -156,6 +156,28 @@ def test_dini_requires_scalar_codomain():
         dini_values(identity(2), [0.1, 0.1], [1.0, 0.0], ladder)
 
 
+BAD_DIRECTIONS = {
+    "short": ([1.0], "direction has 1 entries, the mapping takes 2"),
+    "long": ([1.0, 0.0, 0.0], "direction has 3 entries, the mapping takes 2"),
+    "nan": ([float("nan"), 0.0], "direction must be finite and nonzero"),
+    "inf": ([0.0, float("inf")], "direction must be finite and nonzero"),
+    "zero": ([0.0, 0.0], "direction must be finite and nonzero"),
+}
+
+
+@pytest.mark.parametrize("v, message", BAD_DIRECTIONS.values(), ids=BAD_DIRECTIONS.keys())
+def test_dini_refuses_a_bad_direction(small_transcript, v, message):
+    """Refused before any rung: a short direction would be truncated by the
+    exact rungs and broadcast by the float ones, and a non-finite or zero
+    one gives NaN or zero quotients."""
+    f = small_transcript.final_fun
+    ladder = ScaleLadder((0.25, 1e-20))
+    with pytest.raises(LipForgeError, match=message):
+        dini_values(f, [0.5, 0.5], v, ladder)
+    with pytest.raises(LipForgeError, match=message):
+        witness_dini_report(small_transcript, v, min_round=99)
+
+
 def test_dini_certificate_fires_on_negative_cone():
     ladder = ScaleLadder.geometric(0.25, 0.5, 12)
     rep = dini_empty_certificate(NormOf(1, sign=-1), [0.0], [1.0], ladder)
