@@ -270,7 +270,7 @@ def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], d: int) -> list
     lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",op,scale,dq,bound,ok"]
     for pr in report:
         w = pr.witness
-        x = [to_float(v) for v in (w.center if w.offset is None else w.point())]
+        x = [to_float(v) for v in w.point()]
         lines.append(
             f"{w.round_k},"
             + ",".join(repr(v) for v in x)
@@ -340,12 +340,13 @@ def cmd_verify(args) -> int:
     results: list[verify_mod.CheckResult] = []
     if args.artifact is None and args.transcript is None:
         results += verify_mod.stock_selftest(args.seed)
+    # a transcript is loaded with its mapping, which the artifact suite checks too
     transcript = None if args.transcript is None else load_transcript(args.transcript, args.artifact)
-    if args.artifact is not None:
-        fun = deserialize(read_artifact(args.artifact)) if transcript is None else transcript.final_fun
-        results += verify_mod.artifact_suite(fun, seed=args.seed)
     if transcript is not None:
+        results += verify_mod.artifact_suite(transcript.final_fun, seed=args.seed)
         results += verify_mod.transcript_suite(transcript, per_round=args.per_round, budget=args.budget)
+    elif args.artifact is not None:
+        results += verify_mod.artifact_suite(deserialize(read_artifact(args.artifact)), seed=args.seed)
 
     failures = [r for r in results if not r.ok]
     for r in results:

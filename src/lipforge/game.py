@@ -59,6 +59,7 @@ from .numerics import (
     finite,
     sequence,
     to_float,
+    working_dps_for_scale,
 )
 from .perturb import linearize_near
 from .space import Domain, LinearMap, NormKind, norm, unit_directions
@@ -494,10 +495,12 @@ class Witness:
 
     def point(self) -> np.ndarray:
         """The witness point center + offset, exact in the offset's arithmetic
-        at the caller's working precision."""
+        at the working precision of the reply radius s, whatever the
+        caller's."""
         if self.offset is None:
             return self.center
-        return as_vector([exact_mpf(self.center[i]) + exact_mpf(self.offset[i]) for i in range(len(self.center))])
+        with mp.workdps(working_dps_for_scale(self.s)):
+            return as_vector([exact_mpf(self.center[i]) + exact_mpf(self.offset[i]) for i in range(len(self.center))])
 
 
 def witnesses(transcript: GameTranscript, per_round: int = 1, seed: int = 0) -> list[Witness]:

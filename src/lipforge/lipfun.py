@@ -63,7 +63,7 @@ from .numerics import (
     working_dps_for_scale,
 )
 from .space import CellIndex, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sum_squares_raw
-from .space import halton_point, norm, norm_batch, unit_directions
+from .space import _halton, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
 # Deepest node level (root = 0) that serialization accepts. Tree walks are
@@ -869,7 +869,7 @@ def sup_dist(
     extra = []
     base = (seed & 0x7FFFFFFF) * 613 + 29
     while len(extra) < max(0, budget - sum(len(p) for p in pts)):
-        cand = lo + (hi - lo) * halton_point(base + 17 * len(extra), d)
+        cand = lo + (hi - lo) * _halton(np.array([base + 17 * len(extra)]), d)[0]
         if domain.contains(cand):
             extra.append(cand)
         base += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LipForgeError
-from .space import CellIndex, Domain, NormKind, halton_point, norm_batch
+from .space import CellIndex, Domain, NormKind, _halton, norm_batch
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,25 @@ class TargetSet:
 
     @classmethod
     def low_discrepancy(cls, domain: Domain, count: int, seed: int = 0) -> "TargetSet":
-        """Halton sample of the domain interior."""
+        """Halton sample of the domain interior: the first `count` points of
+        the bounding box, from index (seed mod 2^31) * 389 + 1 up to the
+        index 10^7, that lie strictly inside the domain."""
         lo, hi = domain.bounding_box()
         pts = []
         idx = (seed & 0x7FFFFFFF) * 389 + 1
         while len(pts) < count and idx < 10_000_000:
-            cand = lo + (hi - lo) * halton_point(idx, domain.dim)
-            idx += 1
-            try:
-                inside = domain.dist_to_boundary(cand) > 0
-            except LipForgeError:
-                inside = False
-            if inside:
-                pts.append(cand)
+            # candidates come in blocks; a point's bits do not depend on its block
+            block = np.arange(idx, min(idx + 4096, 10_000_000), dtype=np.int64)
+            idx += len(block)
+            for cand in lo + (hi - lo) * _halton(block, domain.dim):
+                try:
+                    inside = domain.dist_to_boundary(cand) > 0
+                except LipForgeError:
+                    inside = False
+                if inside:
+                    pts.append(cand)
+                    if len(pts) == count:
+                        break
         return cls(np.asarray(pts) if pts else np.empty((0, domain.dim)))
 
     def __len__(self) -> int:

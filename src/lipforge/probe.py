@@ -292,9 +292,7 @@ def witness_bound_report(
     fun = transcript.final_fun
     out = []
     for w in witnesses(transcript, per_round, seed):
-        with mp.workdps(working_dps_for_scale(w.s)):
-            x = w.point()
-        val = dq_error(fun, x, w.operator, w.alpha, budget, seed)
+        val = dq_error(fun, w.point(), w.operator, w.alpha, budget, seed)
         out.append(WitnessProbe(w, val, 4.0 / w.round_k))
     return out
 
@@ -304,11 +302,8 @@ def witness_ladder(transcript: GameTranscript, w: Witness) -> ScaleLadder:
     the boundary margin down, plus the exact construction scales alpha_j of
     every round whose net contains the witness center (levels are nested, so
     this covers all rounds from the center's first appearance on)."""
-    scales: list[Scalar] = []
     margin = to_float(transcript.domain.dist_to_boundary(w.center))
-    r0 = margin / 2.0
-    for i in range(LADDER_STEPS):
-        scales.append(r0 * LADDER_RATIO**i)
+    scales: list[Scalar] = list(ScaleLadder.geometric(margin / 2.0, LADDER_RATIO, LADDER_STEPS).radii)
     key = np.array([float(c) for c in w.center])
     for rec in transcript.rounds:
         if rec.net_size == 0 or rec.round_k > transcript.nets.k_max:
@@ -350,9 +345,6 @@ def witness_dini_report(
         # a net center is keyed by its bytes, an offset point by its position
         key = w.center.tobytes() if w.offset is None else len(out)
         if key not in reports:
-            ladder = witness_ladder(transcript, w)
-            with mp.workdps(working_dps_for_scale(w.s)):
-                x = w.point()
-            reports[key] = dini_empty_certificate(fun, x, direction, ladder)
+            reports[key] = dini_empty_certificate(fun, w.point(), direction, witness_ladder(transcript, w))
         out.append(WitnessDini(w, reports[key]))
     return out

@@ -238,6 +238,20 @@ def test_probe_and_verify_decode_the_tree_once(config_path, tmp_path, monkeypatc
     assert len(decoded) == 1 + 2
 
 
+def test_verify_transcript_alone_checks_its_mapping(config_path, tmp_path, capsys):
+    """verify --transcript without --artifact loads function.json beside it
+    and runs the same checks as the pair form."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json")]) == 0
+    pair = capsys.readouterr().out
+    assert main(["verify", "--transcript", str(out / "transcript.json")]) == 0
+    alone = capsys.readouterr().out
+    assert "artifact patch continuity" in alone
+    assert alone == pair
+
+
 def test_verify_selftest(capsys):
     rc = main(["verify"])
     assert rc == 0

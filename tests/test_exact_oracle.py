@@ -206,8 +206,7 @@ def test_dq_sample_points(small_game):
     f = small_game.final_fun
     exact_witnesses = 0
     for w in witnesses(small_game, 1, 0):
-        with mp.workdps(working_dps_for_scale(w.s)):
-            x = w.point()
+        x = w.point()
         budget = 2 * f.in_dim + 1
         with mp.workdps(working_dps_for_scale(w.alpha)):
             x_e = as_vector([exact_mpf(v) for v in x])
@@ -227,8 +226,7 @@ def test_dini_forward_points(small_game):
     e1 = np.eye(f.in_dim)[0]
     exact_scales = 0
     for w in witnesses(small_game, 1, 0):
-        with mp.workdps(working_dps_for_scale(w.s)):
-            x = w.point()
+        x = w.point()
         for t in witness_ladder(small_game, w).radii:
             if not _use_exact(x, t):
                 continue

@@ -196,6 +196,19 @@ def test_witnesses_centers_and_membership(small_transcript):
         assert np.array_equal(a.center, b.center)
 
 
+def test_witness_point_sets_its_own_precision(small_transcript):
+    """An offset witness point is summed at its reply radius's working
+    precision, so an ambient 15 or 2000 digits gives the same bits."""
+    ws = [w for w in witnesses(small_transcript, per_round=2, seed=5) if w.offset is not None]
+    assert ws
+    for w in ws:
+        with mp.workdps(working_dps_for_scale(w.s)):
+            ref = [(exact_mpf(c) + exact_mpf(o))._mpf_ for c, o in zip(w.center, w.offset)]
+        for dps in (15, 2000):
+            with mp.workdps(dps):
+                assert [x._mpf_ for x in w.point()] == ref
+
+
 def test_transcript_save_load_replay(tmp_path, small_setup, small_transcript):
     domain, target, ops = small_setup
     tr = small_transcript

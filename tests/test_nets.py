@@ -16,7 +16,7 @@ from lipforge import (
     restrict,
     separation,
 )
-from lipforge.space import norm_batch
+from lipforge.space import _halton, norm_batch
 
 
 @pytest.fixture
@@ -229,3 +229,33 @@ def test_nested_nets_fine_grid_memory(unit_box):
         tracemalloc.stop()
     assert [len(lvl) for lvl in family.levels] == [1, 5, 37, 156, 475, 2401, 2401, 2401]
     assert peak < 32 * 2**20
+
+
+def loop_low_discrepancy(domain, count, seed):
+    """TargetSet.low_discrepancy's points drawn one index at a time."""
+    lo, hi = domain.bounding_box()
+    pts = []
+    idx = (seed & 0x7FFFFFFF) * 389 + 1
+    while len(pts) < count and idx < 10_000_000:
+        cand = lo + (hi - lo) * _halton(np.array([idx]), domain.dim)[0]
+        idx += 1
+        try:
+            inside = domain.dist_to_boundary(cand) > 0
+        except LipForgeError:
+            inside = False
+        if inside:
+            pts.append(cand)
+    return np.asarray(pts) if pts else np.empty((0, domain.dim))
+
+
+def test_low_discrepancy_matches_per_index_loop():
+    """Block draws accept the same points as single draws, across blocks
+    and up to the index cap: seed 25706 starts 365 indices below 10^7."""
+    domains = (Domain.box([0, 0], [1, 1]), Domain.ball([0.2, 0.1, 0.3], 0.7, NormKind.SUP), Domain.ball([0, 0], 1.0))
+    cases = [(dom, seed, count) for dom in domains for seed, count in ((0, 0), (0, 1), (3, 100), (25706, 1000))]
+    for domain, seed, count in cases + [(domains[0], 0, 5000)]:
+        got = TargetSet.low_discrepancy(domain, count, seed).points
+        ref = loop_low_discrepancy(domain, count, seed)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    assert len(TargetSet.low_discrepancy(domains[0], 1000, 25706)) == 365

@@ -293,8 +293,7 @@ def test_witness_dini_certifies_each_distinct_point_once(monkeypatch, small_tran
     assert len(calls) == len(centers) + len(offsets)
     for r in report:
         w = r.witness
-        with mp.workdps(working_dps_for_scale(w.s)):
-            x = w.point()
+        x = w.point()
         assert r.report == certify(tr.final_fun, x, direction, witness_ladder(tr, w))
         assert r.report.tol == DINI_TOL
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
-from lipforge.space import _bounds_2norm, _direction, _power_iteration_2norm, norm_batch, op_norm_matrix, unit_directions
+from lipforge.numerics import as_vector, exact_mpf, is_exact_vector, is_mpf
+from lipforge.space import _bounds_2norm, _halton, _power_iteration_2norm, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -145,6 +147,28 @@ def test_bounds_2norm_zero_pivots():
     assert not _bounds_2norm(np.array([[1.0, 1.0]]), math.nan)
 
 
+def ref_euclidean_to_one(m: np.ndarray) -> float:
+    """The euclidean -> one norm as its own sign enumeration: the max over
+    s in {-1, +1}^l with s_1 = 1 of ||A^T s||_2."""
+    best = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=m.shape[0] - 1):
+        s = np.array((1.0,) + signs)
+        best = max(best, float(np.linalg.norm(m.T @ s)))
+    return best
+
+
+def test_op_norm_euclidean_to_one_matches_sign_enumeration():
+    """The dual-pair enumeration of A^T gives the same bits as enumerating
+    the signs of A's rows directly."""
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        m = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+        got = op_norm_matrix(m, NormKind.EUCLIDEAN, NormKind.ONE)
+        assert got.hex() == ref_euclidean_to_one(m).hex()
+    with pytest.raises(LipForgeError, match="enumeration limited"):
+        op_norm_matrix(np.ones((21, 2)), NormKind.EUCLIDEAN, NormKind.ONE)
+
+
 def test_op_norm_rejects_nonfinite():
     with pytest.raises(LipForgeError):
         LinearMap(np.array([[np.nan, 0.0]]))
@@ -237,14 +261,120 @@ def test_sample_ball_budget_too_small():
         sample_ball(np.zeros(2), 1.0, 4, 0)
 
 
+# Per-index reference implementations of the Halton sampler, the direction
+# loop and the ball sampler: _halton, unit_directions and sample_ball must
+# match them bit for bit.
+
+
+def ref_halton_value(index: int, base: int) -> float:
+    f = 1.0
+    r = 0.0
+    i = index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+def ref_halton_point(index: int, dim: int) -> np.ndarray:
+    return np.array([ref_halton_value(index, b) for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)[:dim]])
+
+
+def ref_direction(index: int, dim: int, kind: NormKind = NormKind.EUCLIDEAN) -> np.ndarray:
+    for attempt in range(64):
+        v = 2.0 * ref_halton_point(index + 7 + attempt * 977, dim) - 1.0
+        n = float(norm(v, kind))
+        if n > 1e-9:
+            return v * ((1.0 - 2.0**-50) / n)
+    return np.eye(dim)[0]
+
+
+def ref_sample_ball(c, r, budget, seed, kind=NormKind.EUCLIDEAN):
+    c = np.asarray(c) if not isinstance(c, np.ndarray) else c
+    d = len(c)
+    exact = is_mpf(r) or is_exact_vector(c)
+
+    def shift(direction, scale):
+        if exact:
+            rr = exact_mpf(r) * exact_mpf(scale) if not is_mpf(scale) else exact_mpf(r) * scale
+            return as_vector([exact_mpf(c[i]) + rr * exact_mpf(direction[i]) for i in range(d)])
+        return np.asarray(c, dtype=float) + (float(r) * float(scale)) * direction
+
+    pts = []
+    eye = np.eye(d)
+    for i in range(d):
+        pts.append(shift(eye[i], 1.0))
+        pts.append(shift(-eye[i], 1.0))
+    base = (seed & 0x7FFFFFFF) * 257 + 11
+    for j in range(budget - 2 * d):
+        if j == 0:
+            pts.append(shift(np.zeros(d), 0.0))
+            continue
+        direction = ref_direction(base + 31 * j, d, kind)
+        if j % 2 == 1:
+            pts.append(shift(direction, 1.0))
+        else:
+            u = ref_halton_value(base + 31 * j, 3)
+            pts.append(shift(direction, u ** (1.0 / d)))
+    return pts
+
+
+def test_halton_matches_per_index_loop():
+    idx = [0, 1, 2, 3, 7, 977, 2**20 + 1, 2**31 - 1, 389 * (2**31 - 1) + 1, 2**53 + 7]
+    idx += list(range(100, 400, 7))
+    for dim in range(1, 11):
+        got = _halton(np.array(idx, dtype=np.int64), dim)
+        assert got.tobytes() == np.stack([ref_halton_point(i, dim) for i in idx]).tobytes()
+    with pytest.raises(LipForgeError, match="dimension 10"):
+        _halton(np.array([1], dtype=np.int64), 11)
+
+
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
 def test_unit_directions_match_direction_loop(kind):
     """The vectorized sampler returns the per-direction loop's bits. Seed
     2131090643 makes the first 1-d draw shorter than 1e-9, so that direction
     takes the retry path."""
+    assert abs(2.0 * ref_halton_point(2131090643 * 131 + 8, 1)[0] - 1.0) <= 1e-9
     for dim in (1, 2, 3, 4, 10):
         for count in (1, 32, 128, 192):
             for seed in (0, 7, 360, 2**31 - 1, 2**31 + 5, 2**40 + 3, 2131090643):
                 base = (seed & 0x7FFFFFFF) * 131 + 1
-                loop = np.stack([_direction(base + 13 * i, dim, kind) for i in range(count)])
-                assert np.array_equal(unit_directions(count, dim, seed, kind), loop)
+                loop = np.stack([ref_direction(base + 13 * i, dim, kind) for i in range(count)])
+                assert unit_directions(count, dim, seed, kind).tobytes() == loop.tobytes()
+
+
+# Seed 802172880 makes the first 1-d sample_ball direction (j = 1) shorter
+# than 1e-9, so it takes the retry path; 2131090643 does in unit_directions.
+BALL_SEEDS = (0, 5, 2**31 + 5, 802172880, 2131090643)
+
+
+def assert_same_points(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        if is_exact_vector(b):
+            assert is_exact_vector(a)
+            assert [x._mpf_ for x in a] == [x._mpf_ for x in b]
+        else:
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_sample_ball_matches_reference(kind):
+    """Float and exact branches, dims 1 to 10, budgets from the cheapest on,
+    against the per-point loop, bit for bit."""
+    assert abs(2.0 * ref_halton_point(802172880 * 257 + 11 + 31 + 7, 1)[0] - 1.0) <= 1e-9
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 10):
+        c = rng.normal(size=d)
+        for budget in sorted({2 * d + 1, 2 * d + 2, 17, 64}):
+            if budget < 2 * d + 1:
+                continue
+            for seed in BALL_SEEDS:
+                assert_same_points(sample_ball(c, 0.37, budget, seed, kind), ref_sample_ball(c, 0.37, budget, seed, kind))
+                with mpmath.mp.workdps(80):
+                    r_e = mpmath.mpf(2) ** -200 / 3
+                    assert_same_points(sample_ball(c, r_e, budget, seed, kind), ref_sample_ball(c, r_e, budget, seed, kind))
+                    c_e = as_vector([exact_mpf(x) + mpmath.mpf(2) ** -100 for x in c])
+                    assert_same_points(sample_ball(c_e, 0.37, budget, seed, kind), ref_sample_ball(c_e, 0.37, budget, seed, kind))
