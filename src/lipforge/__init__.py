@@ -40,6 +40,7 @@ from .perturb import PerturbParams, PerturbResult, blend_params, choose_s, linea
 from .game import (
     GameState,
     GameTranscript,
+    Move,
     MoveRecord,
     Witness,
     adversary,

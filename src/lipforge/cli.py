@@ -63,7 +63,10 @@ def _cfg_error(path: str, section: str, key: str, message: str) -> LipForgeError
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        return [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise LipForgeError(f"not a list of decimals: {text!r}") from None
 
 
 def load_config(path: str) -> RunConfig:
@@ -78,75 +81,66 @@ def load_config(path: str) -> RunConfig:
 
     read = set()
 
-    def get(section: str, key: str, default=None):
+    def get(section: str, key: str, parse=str, default=None):
+        """The key's value read by parse, or default when the key is absent;
+        a key without a default is required."""
         read.add((section, key))
-        if not parser.has_section(section) or not parser.has_option(section, key):
+        if not parser.has_option(section, key):
             if default is None:
                 raise _cfg_error(path, section, key, "missing required field")
             return default
-        return parser.get(section, key)
-
-    # domain
-    shape = get("domain", "shape", "box").strip().lower()
-    kind = NormKind.parse(get("domain", "norm", "euclidean"))
-    try:
-        if shape == "box":
-            lo = _parse_floats(get("domain", "lo"))
-            hi = _parse_floats(get("domain", "hi"))
-            domain = Domain.box(lo, hi, kind)
-        elif shape == "ball":
-            center = _parse_floats(get("domain", "center"))
-            radius = float(get("domain", "radius"))
-            domain = Domain.ball(center, radius, kind)
-        else:
-            raise _cfg_error(path, "domain", "shape", f"unknown shape {shape!r}")
-    except ValueError as e:
-        raise _cfg_error(path, "domain", "lo/hi", str(e)) from e
-
-    # target set
-    tkind = get("target", "kind", "grid").strip().lower()
-    if tkind == "grid":
         try:
-            step = float(get("target", "step"))
-        except ValueError as e:
-            raise _cfg_error(path, "target", "step", "not a decimal") from e
-        if domain.shape != "box":
-            raise _cfg_error(path, "target", "kind", "grid targets need a box domain")
-        target = TargetSet.grid(domain.lo, domain.hi, step)
-    elif tkind == "points":
-        file = get("target", "file")
-        fpath = Path(file)
-        if not fpath.is_absolute():
-            fpath = p.parent / fpath
+            return parse(parser.get(section, key))
+        except (ValueError, LipForgeError) as e:
+            raise _cfg_error(path, section, key, str(e)) from e
+
+    def read_points(file: str) -> TargetSet:
+        # relative to the config; an absolute file name replaces the directory
+        fpath = p.parent / file
         if not fpath.exists():
-            raise _cfg_error(path, "target", "file", f"file not found: {fpath}")
+            raise LipForgeError(f"file not found: {fpath}")
         rows = [
             _parse_floats(line)
             for line in fpath.read_text(encoding="utf-8").splitlines()
             if line.strip() and not line.lstrip().startswith("#")
         ]
-        target = TargetSet.from_points(rows)
+        if len({len(row) for row in rows}) > 1:
+            raise LipForgeError(f"{fpath}: points of different dimensions")
+        return TargetSet.from_points(rows)
+
+    # domain
+    shape = get("domain", "shape", default="box").strip().lower()
+    kind = get("domain", "norm", NormKind.parse, NormKind.EUCLIDEAN)
+    if shape == "box":
+        domain = Domain.box(get("domain", "lo", _parse_floats), get("domain", "hi", _parse_floats), kind)
+    elif shape == "ball":
+        domain = Domain.ball(get("domain", "center", _parse_floats), get("domain", "radius", float), kind)
+    else:
+        raise _cfg_error(path, "domain", "shape", f"unknown shape {shape!r}")
+
+    # target set
+    tkind = get("target", "kind", default="grid").strip().lower()
+    if tkind == "grid":
+        if domain.shape != "box":
+            raise _cfg_error(path, "target", "kind", "grid targets need a box domain")
+        target = get("target", "step", lambda text: TargetSet.grid(domain.lo, domain.hi, float(text)))
+    elif tkind == "points":
+        target = get("target", "file", read_points)
     elif tkind == "halton":
-        try:
-            count = int(get("target", "count"))
-        except ValueError as e:
-            raise _cfg_error(path, "target", "count", "not an integer") from e
-        target = TargetSet.low_discrepancy(domain, count, seed=int(get("target", "seed", "0")))
+        count = get("target", "count", int)
+        target = TargetSet.low_discrepancy(domain, count, seed=get("target", "seed", int, 0))
     else:
         raise _cfg_error(path, "target", "kind", f"unknown target kind {tkind!r}")
 
     # operators
     if not parser.has_section("operators"):
         raise _cfg_error(path, "operators", "op1", "missing section")
-    try:
-        rows = int(get("operators", "rows", "1"))
-    except ValueError as e:
-        raise _cfg_error(path, "operators", "rows", "not an integer") from e
-    out_kind = NormKind.parse(get("operators", "out_norm", "euclidean"))
+    rows = get("operators", "rows", int, 1)
+    out_kind = get("operators", "out_norm", NormKind.parse, NormKind.EUCLIDEAN)
     ops = []
     idx = 1
     while parser.has_option("operators", f"op{idx}"):
-        flat = _parse_floats(get("operators", f"op{idx}"))
+        flat = get("operators", f"op{idx}", _parse_floats)
         if rows <= 0 or len(flat) % rows != 0:
             raise _cfg_error(path, "operators", f"op{idx}", f"cannot reshape {len(flat)} entries into {rows} rows")
         cols = len(flat) // rows
@@ -156,14 +150,8 @@ def load_config(path: str) -> RunConfig:
     if not ops:
         raise _cfg_error(path, "operators", "op1", "need at least one operator")
 
-    def get_int(section: str, key: str, default: str) -> int:
-        try:
-            return int(get(section, key, default))
-        except ValueError as e:
-            raise _cfg_error(path, section, key, "not an integer") from e
-
     # replay needs a transcript, which a config cannot name
-    adversary = get("game", "adversary", "stay").strip().lower()
+    adversary = get("game", "adversary", default="stay").strip().lower()
     if adversary not in ("stay", "jitter"):
         raise _cfg_error(path, "game", "adversary", f"unknown adversary {adversary!r}; expected stay or jitter")
 
@@ -171,10 +159,10 @@ def load_config(path: str) -> RunConfig:
         domain=domain,
         target=target,
         operators=tuple(ops),
-        rounds=get_int("game", "rounds", "8"),
+        rounds=get("game", "rounds", int, 8),
         adversary=adversary,
-        seed=get_int("game", "seed", "0"),
-        dps=get_int("game", "dps", str(CONSTRUCTION_DPS)),
+        seed=get("game", "seed", int, 0),
+        dps=get("game", "dps", int, CONSTRUCTION_DPS),
     )
     # a misspelt key, or one these settings do not use; [probe] is not read
     for section in ("domain", "target", "operators", "game"):

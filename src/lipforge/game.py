@@ -22,14 +22,15 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_le, mpf_mul, mpf_sub
 
 from .lipfun import (
     MAP,
-    AddConst,
     Const,
     LipFun,
     add_const,
@@ -56,13 +57,16 @@ from .numerics import (
     decode_vector,
     encode_fields,
     exact_mpf,
+    exact_raw,
     finite,
+    is_finite,
+    raw_vector,
     sequence,
     to_float,
     working_dps_for_scale,
 )
 from .perturb import linearize_near
-from .space import Domain, LinearMap, NormKind, norm, unit_directions
+from .space import Domain, LinearMap, NormKind, unit_directions
 
 GAME_SCHEMA = "lipforge-game/2"
 FUNCTION_FILE = "function.json"
@@ -74,14 +78,54 @@ SUP_BUDGET = 192
 
 
 @dataclass(frozen=True)
+class Move:
+    """Player I's move: its center is the previous reply (stay), the previous
+    reply plus a constant shift (jitter) or a given mapping (explicit)."""
+
+    kind: str
+    shift: np.ndarray | None = None
+    fun: LipFun | None = None
+
+    def __post_init__(self):
+        if self.kind not in _MOVES:
+            raise LipForgeError(f"unknown move kind {self.kind!r}")
+        for key, attr, _codec in _MOVES[self.kind]:
+            if getattr(self, attr) is None:
+                raise LipForgeError(f"{self.kind} move without {key}")
+
+    def center(self, g_prev: LipFun) -> LipFun:
+        """The move's center, given the previous reply's center."""
+        if self.kind == "jitter":
+            return add_const(g_prev, self.shift)
+        return g_prev if self.kind == "stay" else self.fun
+
+    def nested(self, r: Scalar, s_prev: Scalar, out_norm: NormKind) -> bool | None:
+        """Whether ||shift|| + r <= s_prev, the ball of radius r around the
+        center inside the previous reply ball, decided exactly in binary
+        rationals (a stay's shift is zero). None for an explicit move, whose
+        distance to the previous reply can only be sampled."""
+        if self.kind == "explicit":
+            return None
+        shift = self.shift if self.kind == "jitter" else ()
+        room = mpf_sub(exact_raw(s_prev), exact_raw(r))
+        if not (all(is_finite(x) for x in shift) and mpf_le(fzero, room)):
+            return False
+        # libmp arithmetic without a precision is exact
+        x = raw_vector(shift)
+        if out_norm is NormKind.EUCLIDEAN:
+            return mpf_le(reduce(mpf_add, (mpf_mul(v, v) for v in x), fzero), mpf_mul(room, room))
+        if out_norm is NormKind.SUP:
+            return all(mpf_le(mpf_abs(v), room) for v in x)
+        return mpf_le(reduce(mpf_add, (mpf_abs(v) for v in x), fzero), room)
+
+
+@dataclass(frozen=True)
 class MoveRecord:
     """One completed round: Player I's accepted move and Player II's reply."""
 
     round_k: int
     op_index: int
-    move_kind: str
-    move_shift: np.ndarray | None
-    move_fun: LipFun | None
+    move: Move
     r_offered: Scalar
     r_accepted: Scalar
     reply_fun: LipFun | None
@@ -129,52 +173,41 @@ class GameState:
         return Const(np.zeros(self.out_dim), self.domain.dim), exact_mpf(1)
 
 
-def _move_distance(f: LipFun, g_prev: LipFun, state: GameState, k: int) -> Scalar:
-    """Distance from a move center to the previous reply center.
-
-    Scripted moves are recognized structurally and measured exactly. Anything
-    else, an explicit move, falls back to the sampled sup-distance, a lower
-    estimate of the true distance and not a certificate.
-    """
-    if f is g_prev:
-        return exact_mpf(0)
-    if isinstance(f, AddConst) and f.f is g_prev:
-        return norm(f.p, state.out_norm)
-    return sup_dist(f, g_prev, state.domain, SUP_BUDGET, state.seed * 31 + k, state.out_norm)
-
-
-def validate_move(state: GameState, f: LipFun, r: Scalar) -> Scalar:
+def validate_move(state: GameState, move: Move, r: Scalar) -> Scalar:
     """Accept Player I's move, shrinking the radius to 2^-k (1 - ||L_k||).
 
-    For rounds past the first, requires dist(f, previous reply) + r <=
-    previous reply radius. The distance is exact for stay and jitter moves;
-    for an explicit move it is sampled (see _move_distance), so its nesting
+    For rounds past the first, requires dist(center, previous reply) + r <=
+    previous reply radius: exactly for stay and jitter moves (Move.nested);
+    an explicit move's distance is sampled, a lower estimate, so its nesting
     is checked on the sample, not certified.
     """
     k = state.next_round
     if not r > 0:
         raise LipForgeError("move radius must be positive")
+    g_prev, s_prev = state.previous()
+    f = move.center(g_prev)
     if f.in_dim != state.domain.dim or f.out_dim != state.out_dim:
         raise LipForgeError("move has wrong dimensions")
     if f.lip_cert > 1.0 + LIP_ONE_TOL:
         raise LipForgeError("move center is not certified 1-Lipschitz")
     with mp.workdps(state.dps):
         if k >= 2:
-            g_prev, s_prev = state.previous()
-            rho = _move_distance(f, g_prev, state, k)
-            if not exact_mpf(rho) + exact_mpf(r) <= exact_mpf(s_prev):
+            nested = move.nested(r, s_prev, state.out_norm)
+            if nested is None:
+                rho = sup_dist(f, g_prev, state.domain, SUP_BUDGET, state.seed * 31 + k, state.out_norm)
+                nested = exact_mpf(rho) + exact_mpf(r) <= exact_mpf(s_prev)
+            if not nested:
                 raise LipForgeError("move not nested in the previous ball")
         L = state.operators[state.op_index(k)]
         cap = exact_mpf(2) ** -k * (1 - exact_mpf(L.op_norm))
         return min(exact_mpf(r), cap)
 
 
-def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
-                 move_kind: str = "explicit", move_shift: np.ndarray | None = None,
-                 r_offered: Scalar | None = None) -> MoveRecord:
+def player2_move(state: GameState, move: Move, r_accepted: Scalar, r_offered: Scalar | None = None) -> MoveRecord:
     """Respond to an accepted move: linearize near the level-k net and pick
     the reply radius. Empty net levels skip the perturbation entirely."""
     k = state.next_round
+    f = move.center(state.previous()[0])
     gamma = state.nets.level(k) if k <= state.nets.k_max else np.empty((0, state.domain.dim))
     L = state.operators[state.op_index(k)]
     with mp.workdps(state.dps):
@@ -197,9 +230,7 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
         record = MoveRecord(
             round_k=k,
             op_index=state.op_index(k),
-            move_kind=move_kind,
-            move_shift=move_shift,
-            move_fun=f,
+            move=move,
             r_offered=r_accepted if r_offered is None else r_offered,
             r_accepted=r_mp,
             reply_fun=g,
@@ -216,7 +247,7 @@ def player2_move(state: GameState, f: LipFun, r_accepted: Scalar,
 
 
 def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...] | None = None):
-    """Player I's scripted move for the upcoming round.
+    """Player I's scripted move and offered radius for the upcoming round.
 
     stay:   recenter on the previous reply with half its radius.
     jitter: previous reply shifted by a constant of norm s/8, radius s/4.
@@ -224,25 +255,19 @@ def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...]
             MoveRecords of a transcript in memory or from load_transcript.
     """
     k = state.next_round
-    g_prev, s_prev = state.previous()
+    s_prev = state.previous()[1]
     with mp.workdps(state.dps):
         if kind == "stay":
-            return g_prev, exact_mpf(s_prev) / 2, "stay", None
+            return Move("stay"), exact_mpf(s_prev) / 2
         if kind == "jitter":
             direction = unit_directions(1, state.out_dim, state.seed * 977 + k, state.out_norm)[0]
             shift = as_vector([exact_mpf(s_prev) / 8 * exact_mpf(float(v)) for v in direction])
-            return add_const(g_prev, shift), exact_mpf(s_prev) / 4, "jitter", shift
+            return Move("jitter", shift), exact_mpf(s_prev) / 4
         if kind == "replay":
             if replay_rounds is None or k > len(replay_rounds):
                 raise LipForgeError("replay exhausted")
             rec = replay_rounds[k - 1]
-            if rec.move_kind == "stay":
-                return g_prev, rec.r_offered, "stay", None
-            if rec.move_kind == "jitter":
-                return add_const(g_prev, rec.move_shift), rec.r_offered, "jitter", rec.move_shift
-            if rec.move_kind == "explicit":
-                return rec.move_fun, rec.r_offered, "explicit", None
-            raise LipForgeError(f"unknown recorded move kind {rec.move_kind!r}")
+            return rec.move, rec.r_offered
     raise LipForgeError(f"unknown adversary kind {kind!r}")
 
 
@@ -286,26 +311,24 @@ class GameTranscript:
         p.write_text(json.dumps(self._document(data), separators=(",", ":")), encoding="utf-8")
 
 
-def _decode_move(obj, depth: int) -> dict:
-    """Kind, shift and center of a stored move; a jitter needs its shift and
-    an explicit move its mapping."""
+def _decode_move(obj, depth: int) -> Move:
+    """A stored move; Move refuses an unknown kind or a missing field."""
     if not isinstance(obj, dict):
         raise LipForgeError("malformed artifact: round move is not a record")
     kind = obj.get("kind")
-    if kind not in _MOVES:
-        raise LipForgeError(f"malformed artifact: unknown move kind {kind!r}")
-    for key, _attr, _codec in _MOVES[kind]:
-        if key not in obj:
-            raise LipForgeError(f"malformed artifact: {kind} move without {key}")
-    return {"move_kind": kind, "move_shift": None, "move_fun": None, **decode_fields(obj, _MOVES[kind], depth)}
+    fields = {attr: codec.decode(obj[key], depth) for key, attr, codec in _MOVES.get(kind, ()) if key in obj}
+    try:
+        return Move(kind, **fields)
+    except LipForgeError as e:
+        raise LipForgeError(f"malformed artifact: {e}") from e
 
 
 # A move's record: its kind, then the field that kind replays from.
 _MOVES = {
     "stay": (),
-    "jitter": (("shift", "move_shift", Codec(VECTOR.encode, finite(decode_vector, "jitter shift is not finite"))),),
+    "jitter": (("shift", "shift", Codec(VECTOR.encode, finite(decode_vector, "jitter shift is not finite"))),),
     "explicit": (
-        ("fun", "move_fun", Codec(lambda f, depth, memo: fun_to_dict(f), lambda obj, depth: fun_from_dict(obj))),
+        ("fun", "fun", Codec(lambda f, depth, memo: fun_to_dict(f), lambda obj, depth: fun_from_dict(obj))),
     ),
 }
 _OPTIONAL_SCALAR = Codec(
@@ -318,13 +341,12 @@ _POINTS = sequence(FLOAT_VECTOR)
 _LEVELS = sequence(Codec(_POINTS.encode, lambda obj, depth: np.asarray(_POINTS.decode(obj, depth) or np.empty((0, 0)))))
 
 # transcript.json is "schema", the header fields, then "function_sha256";
-# save and load_transcript read these tables. The move field encodes the
-# round and decodes to its move_kind, move_shift and move_fun.
+# save and load_transcript read these tables.
 _ROUND_FIELDS = (
     ("round", "round_k", INT),
     ("op_index", "op_index", INT),
-    ("move", None, Codec(
-        lambda rec, depth, memo: encode_fields(rec, _MOVES[rec.move_kind], depth, memo, {"kind": rec.move_kind}),
+    ("move", "move", Codec(
+        lambda move, depth, memo: encode_fields(move, _MOVES[move.kind], depth, memo, {"kind": move.kind}),
         _decode_move,
     )),
     ("r_offered", "r_offered", SCALAR),
@@ -368,7 +390,7 @@ def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
     """Refuse stored fields that disagree with each other: probe and verify
     index operators and net levels by round, replay adds each jitter shift
     to the mapping, the nets must keep their invariants in the domain, and
-    tail_bound and each net_size are derived."""
+    tail_bound, each op_index and each net_size are derived."""
     for k, lvl in enumerate(tr.nets.levels, start=1):
         if len(lvl) and lvl.shape[1] != tr.domain.dim:
             raise LipForgeError(f"malformed artifact: net level {k} has points of dimension {lvl.shape[1]}")
@@ -379,10 +401,12 @@ def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
     for k, rec in enumerate(tr.rounds, start=1):
         if rec.round_k != k:
             raise LipForgeError(f"malformed artifact: round record {k} is numbered {rec.round_k}")
-        if not 0 <= rec.op_index < len(tr.operators):
-            raise LipForgeError(f"malformed artifact: round {k} names operator {rec.op_index} of {len(tr.operators)}")
-        if rec.move_kind == "jitter" and len(rec.move_shift) != tr.final_fun.out_dim:
-            raise LipForgeError(f"malformed artifact: round {k} jitter shift has {len(rec.move_shift)} entries")
+        scheduled = (k - 1) % len(tr.operators)
+        if rec.op_index != scheduled:
+            raise LipForgeError(f"malformed artifact: round {k} names operator {rec.op_index} of "
+                                f"{len(tr.operators)}, its round-robin operator is {scheduled}")
+        if rec.move.kind == "jitter" and len(rec.move.shift) != tr.final_fun.out_dim:
+            raise LipForgeError(f"malformed artifact: round {k} jitter shift has {len(rec.move.shift)} entries")
         size = len(tr.nets.level(k)) if k <= tr.nets.k_max else 0
         if rec.net_size != size:
             raise LipForgeError(f"malformed artifact: round {k} has net_size {rec.net_size}, its net level {size} points")
@@ -461,9 +485,8 @@ def run_game(
     for _ in range(rounds):
         k = state.next_round
         try:
-            f, r, kind, shift = adversary(adversary_kind, state, replay_rounds)
-            r_acc = validate_move(state, f, r)
-            player2_move(state, f, r_acc, move_kind=kind, move_shift=shift, r_offered=r)
+            move, r = adversary(adversary_kind, state, replay_rounds)
+            player2_move(state, move, validate_move(state, move, r), r_offered=r)
         except LipForgeError as e:
             raise LipForgeError(f"round {k}: {e}") from e
 

@@ -38,8 +38,8 @@ class TargetSet:
         """Axis-aligned grid strictly inside the open box (lo, hi)."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if step <= 0:
-            raise LipForgeError("grid step must be positive")
+        if not 0 < step < math.inf:
+            raise LipForgeError("grid step must be positive and finite")
         axes = []
         for i in range(len(lo)):
             vals = []

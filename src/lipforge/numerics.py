@@ -251,17 +251,15 @@ def finite(decode, message: str = "non-finite numeral in {obj!r}"):
 
 
 def encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> dict:
-    """Add obj's fields to record; a field whose attribute is None encodes obj."""
+    """Add obj's fields to record."""
     for key, attr, codec in fields:
-        record[key] = codec.encode(obj if attr is None else getattr(obj, attr), depth, memo)
+        record[key] = codec.encode(getattr(obj, attr), depth, memo)
     return record
 
 
 def decode_fields(obj, fields: tuple, depth: int) -> dict:
-    """The attributes of a record; a field whose attribute is None decodes to a dict of several."""
-    values = {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
-    values.update(values.pop(None, ()))
-    return values
+    """The attributes of a record."""
+    return {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
 
 
 def sequence(codec: Codec) -> Codec:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_add, mpf_le, mpf_lt, mpf_mul
 
 from .lipfun import (
     LipFun,
@@ -33,7 +34,7 @@ from .lipfun import (
     zero_map,
 )
 from .nets import TargetSet, greedy_net, nested_nets, restrict
-from .numerics import LipForgeError, exact_mpf, to_float, working_dps_for_scale
+from .numerics import LipForgeError, exact_mpf, exact_raw, to_float, working_dps_for_scale
 from .game import GameTranscript
 from .perturb import linearize_near
 from .probe import witness_bound_report
@@ -249,21 +250,28 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
 
 
 def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int | None = None) -> list[CheckResult]:
-    """Reply-radius bounds, ball nesting and the 4/k witness bound."""
+    """Reply-radius bounds, ball nesting and the 4/k witness bound. The
+    radius and nesting inequalities are decided exactly, in libmp
+    arithmetic without a precision; a move's nesting is re-checked from the
+    stored move, except for an explicit move, whose distance was sampled."""
     out = []
+    out_norm = transcript.operators[0].out_norm
     prev = None
     for rec in transcript.rounds:
         k = rec.round_k
-        ok = rec.s > 0 and rec.s < exact_mpf(rec.alpha) / k
+        s = exact_raw(rec.s)
+        ok = rec.s > 0 and mpf_lt(mpf_mul(s, from_int(k)), exact_raw(rec.alpha))
         out.append(CheckResult(f"round {k} reply radius below alpha/k", bool(ok)))
-        ok2 = exact_mpf(rec.rho_bound) + exact_mpf(rec.s) <= exact_mpf(rec.r_accepted)
+        ok2 = mpf_le(mpf_add(exact_raw(rec.rho_bound), s), exact_raw(rec.r_accepted))
         out.append(CheckResult(f"round {k} reply ball nested", bool(ok2)))
         ok3 = rec.rho_sampled <= to_float(rec.rho_bound) + 1e-9
         out.append(CheckResult(f"round {k} sampled distance below analytic bound", ok3,
                                f"sampled={rec.rho_sampled:.3e}"))
         if prev is not None:
-            ok4 = exact_mpf(rec.r_accepted) <= exact_mpf(prev.s)
-            out.append(CheckResult(f"round {k} move nested in round {k - 1}", bool(ok4)))
+            ok4, detail = rec.move.nested(rec.r_offered, prev.s, out_norm), ""
+            if ok4 is None:
+                ok4, detail = exact_mpf(rec.r_accepted) <= exact_mpf(prev.s), "distance sampled in play"
+            out.append(CheckResult(f"round {k} move nested in round {k - 1}", bool(ok4), detail))
         prev = rec
     probes = witness_bound_report(transcript, per_round=per_round, budget=budget)
     bad = [p for p in probes if not p.ok]

@@ -14,10 +14,13 @@ import random
 
 import numpy as np
 import pytest
+from mpmath import mp
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_mul, mpf_sub
 
 from lipforge import Domain, LinearMap, LipForgeError, TargetSet, eval_batch, load_transcript, run_game, verify
 from lipforge.cli import main
 from lipforge.lipfun import fun_from_dict
+from lipforge.numerics import decode_scalar, encode_scalar, exact_raw
 
 VALUES = [None, "nan", "inf", -1, 0, [], {}, "x", "1e400", True, {"m": "x"}]
 LO, HI, STEP = [0.0, 0.0], [1.0, 1.0], 0.25
@@ -144,6 +147,8 @@ REFUSED = {
     "jitter-shift-too-long": (_set(("rounds", 0, "move", "shift"), ["0.0", "0.0"]), "round 1 jitter shift has 2 entries"),
     "net-point-on-boundary": (_set(("net_levels", 2, 0, 0), "0.0"), "level 3 violates the boundary margin"),
     "net-point-outside": (_set(("net_levels", 2, 0, 0), "-1.0"), "point outside domain"),
+    "op_index-not-round-robin": (_set(("rounds", 2, "op_index"), 1),
+                                 "round 3 names operator 1 of 2, its round-robin operator is 0"),
 }
 
 
@@ -160,6 +165,41 @@ def test_transcript_json_refuses_non_finite_and_inconsistent_fields(jitter_pair,
     (tmp_path / "transcript.json").write_text(json.dumps(doc))
     with pytest.raises(LipForgeError, match=message):
         load_transcript(tmp_path / "transcript.json")
+
+
+def _scalar(obj) -> tuple:
+    return exact_raw(decode_scalar(obj))
+
+
+def _rho_bound_past_the_reply_ball(doc):
+    """Round 2's rho_bound + s exceeds r_accepted by 2^-200."""
+    rec = doc["rounds"][1]
+    excess = mpf_add(mpf_sub(_scalar(rec["r_accepted"]), _scalar(rec["s"])), from_man_exp(1, -200))
+    rec["rho_bound"] = encode_scalar(mp.make_mpf(excess))
+
+
+def _jitter_shift_times_ten(doc):
+    rec = doc["rounds"][1]
+    rec["move"]["shift"] = [encode_scalar(mp.make_mpf(mpf_mul(_scalar(x), from_int(10)))) for x in rec["move"]["shift"]]
+
+
+UNNESTED = {
+    "rho_bound-over-by-2^-200": (_rho_bound_past_the_reply_ball, "round 2 reply ball nested"),
+    "jitter-shift-times-10": (_jitter_shift_times_ten, "round 2 move nested in round 1"),
+}
+
+
+@pytest.mark.parametrize("edit, failing", UNNESTED.values(), ids=UNNESTED.keys())
+def test_transcript_suite_decides_nesting_exactly(jitter_pair, tmp_path, edit, failing):
+    """A reply ball that leaves the accepted ball by 2^-200, below the
+    resolution of 53 bits, or a stored jitter shift too long for its offered
+    ball, fails exactly the one nesting check."""
+    doc = json.loads((jitter_pair / "transcript.json").read_bytes())
+    (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
+    edit(doc)
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    results = verify.transcript_suite(load_transcript(tmp_path / "transcript.json"))
+    assert [r.name for r in results if not r.ok] == [failing]
 
 
 @pytest.mark.parametrize("command", ["verify", "probe"])

@@ -100,6 +100,33 @@ def test_load_config_refuses_unknown_keys(tmp_path, capsys, section, line):
     assert f"[{section}] {key}: unused key" in capsys.readouterr().err
 
 
+GRID_TARGET = "[target]\nkind = grid\nstep = 0.2\n"
+
+
+@pytest.mark.parametrize("old, new, points, message", [
+    ("op1 = 0.5 0", "op1 = 0.5 x", None, r"\[operators\] op1: not a list of decimals: '0.5 x'"),
+    (GRID_TARGET, "[target]\nkind = halton\ncount = 9\nseed = abc\n", None, r"\[target\] seed: invalid literal"),
+    (GRID_TARGET, "[target]\nkind = points\nfile = pts.txt\n", "0.2 0.3\n0.2 z\n",
+     r"\[target\] file: not a list of decimals: '0.2 z'"),
+    (GRID_TARGET, "[target]\nkind = points\nfile = pts.txt\n", "0.2 0.3\n0.4\n",
+     r"\[target\] file: .*pts.txt: points of different dimensions"),
+    ("step = 0.2", "step = nan", None, r"\[target\] step: grid step must be positive and finite"),
+], ids=["operator", "halton-seed", "points-entry", "points-ragged", "grid-step-nan"])
+def test_load_config_reports_a_bad_value_by_key(tmp_path, capsys, old, new, points, message):
+    """A value that does not parse ends construct with one error line naming
+    its section and key, not a traceback or a run without targets."""
+    p = tmp_path / "bad.ini"
+    p.write_text(SMALL_CONFIG.replace(old, new))
+    if points is not None:
+        (tmp_path / "pts.txt").write_text(points)
+    with pytest.raises(LipForgeError, match=message):
+        load_config(str(p))
+    assert main(["construct", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["replay", "confuse"])
 def test_config_adversary_is_stay_or_jitter(tmp_path, capsys, kind):
     """A config names no transcript, so it cannot set the replay adversary;
@@ -352,6 +379,24 @@ def test_probe_refuses_a_bad_dini_direction(config_path, tmp_path, capsys, direc
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "probe").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "probe"])
+def test_eval_and_probe_report_a_bad_vector_flag(config_path, tmp_path, capsys, command):
+    """A --lo or --dini-direction that is not a list of decimals is one error
+    line, not a traceback."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    art = ["--artifact", str(out / "function.json"), "--out", str(out / command)]
+    if command == "eval":
+        args = ["eval", *art, "--lo", "0 x", "--hi", "1 1"]
+    else:
+        args = ["probe", *art, "--transcript", str(out / "transcript.json"), "--dini-direction", "a b"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a list of decimals: ") and err.count("\n") == 1
+    assert not (out / command).exists()
 
 
 def test_probe_has_no_ladder_flags(config_path, tmp_path, capsys):

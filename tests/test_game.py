@@ -12,6 +12,8 @@ from lipforge import (
     GameTranscript,
     LinearMap,
     LipForgeError,
+    Move,
+    NormKind,
     NormOf,
     Scale,
     TargetSet,
@@ -59,9 +61,7 @@ def _fake_record(k, g, s):
     return MoveRecord(
         round_k=k,
         op_index=0,
-        move_kind="stay",
-        move_shift=None,
-        move_fun=None,
+        move=Move("stay"),
         r_offered=exact_mpf(1),
         r_accepted=exact_mpf(1),
         reply_fun=g,
@@ -75,19 +75,54 @@ def _fake_record(k, g, s):
     )
 
 
+def test_move_refuses_an_unknown_kind_or_a_missing_field():
+    with pytest.raises(LipForgeError, match="unknown move kind 'wobble'"):
+        Move("wobble")
+    with pytest.raises(LipForgeError, match="jitter move without shift"):
+        Move("jitter")
+    with pytest.raises(LipForgeError, match="explicit move without fun"):
+        Move("explicit", shift=np.zeros(1))
+
+
+def test_move_center():
+    g = Const(np.zeros(1), 2)
+    f = Scale(0.5, NormOf(2))
+    assert Move("stay").center(g) is g
+    assert Move("explicit", fun=f).center(g) is f
+    jitter = Move("jitter", np.array([0.25])).center(g)
+    assert jitter.f is g and jitter.p.tolist() == [0.25]
+
+
+@pytest.mark.parametrize("kind, r", [(NormKind.EUCLIDEAN, 0.375), (NormKind.SUP, 0.5), (NormKind.ONE, 0.125)])
+def test_move_nested_decides_exactly(kind, r):
+    """||(0.375, 0.5)|| + r is exactly 1 in each norm: nested in a ball of
+    radius 1, not in one of radius 1 - 2^-200, which 53 bits cannot tell
+    apart."""
+    move = Move("jitter", np.array([0.375, 0.5]))
+    with mp.workdps(80):
+        below = exact_mpf(1) - exact_mpf(2) ** -200
+    assert below < 1
+    assert move.nested(r, 1.0, kind) is True
+    assert move.nested(r, below, kind) is False
+    assert Move("stay").nested(1.0, 1.0, kind) is True
+    assert Move("stay").nested(1.0, below, kind) is False
+    assert Move("jitter", np.array([np.nan, 0.0])).nested(0.0, 1.0, kind) is False
+    assert Move("explicit", fun=Const(np.zeros(2), 2)).nested(r, 1.0, kind) is None
+
+
 def test_validate_move_shrinks_radius(small_setup):
     state = _fresh_state(small_setup)
     g = Const(np.zeros(1), 2)
     state.history.append(_fake_record(1, g, 2.0))
     state.history.append(_fake_record(2, g, 1.5))
-    accepted = validate_move(state, g, 1.0)
+    accepted = validate_move(state, Move("stay"), 1.0)
     # round 3 targets the first operator (norm 0.5): cap 2^-3 * 0.5
     assert to_float(accepted) == pytest.approx(0.0625)
 
 
 def test_validate_move_first_round_unconstrained(small_setup):
     state = _fresh_state(small_setup)
-    accepted = validate_move(state, Const(np.zeros(1), 2), 0.5)
+    accepted = validate_move(state, Move("explicit", fun=Const(np.zeros(1), 2)), 0.5)
     assert to_float(accepted) == pytest.approx(0.25)
 
 
@@ -95,32 +130,31 @@ def test_validate_move_rejects_unnested(small_setup):
     state = _fresh_state(small_setup)
     g = Const(np.zeros(1), 2)
     state.history.append(_fake_record(1, g, 0.001))
-    far = Const(np.array([5.0]), 2)
+    far = Move("explicit", fun=Const(np.array([5.0]), 2))
     with pytest.raises(LipForgeError, match="not nested"):
         validate_move(state, far, 0.0005)
     # a NaN distance (a shift holding NaN) does not certify nesting
     with pytest.raises(LipForgeError, match="not nested"):
-        validate_move(state, add_const(g, np.array([np.nan])), 0.0005)
+        validate_move(state, Move("jitter", np.array([np.nan])), 0.0005)
 
 
 def test_validate_move_rejects_bad_radius_and_cert(small_setup):
     state = _fresh_state(small_setup)
     with pytest.raises(LipForgeError, match="positive"):
-        validate_move(state, Const(np.zeros(1), 2), 0.0)
+        validate_move(state, Move("explicit", fun=Const(np.zeros(1), 2)), 0.0)
     with pytest.raises(LipForgeError, match="1-Lipschitz"):
-        validate_move(state, Scale(2.0, NormOf(2)), 0.5)
+        validate_move(state, Move("explicit", fun=Scale(2.0, NormOf(2))), 0.5)
 
 
 def test_player2_round_identity(small_setup):
     state = _fresh_state(small_setup)
     f = Const(np.zeros(1), 2)
-    r = validate_move(state, f, 0.5)
-    rec = player2_move(state, f, r)
+    move = Move("explicit", fun=f)
+    rec = player2_move(state, move, validate_move(state, move, 0.5))
     # round 1 on the 0.2-grid has an empty net: reply is the move itself
     assert rec.net_size == 0 and rec.reply_fun is f
-    f2, r2, kind, shift = adversary("stay", state, None)
-    r2a = validate_move(state, f2, r2)
-    rec2 = player2_move(state, f2, r2a)
+    move2, r2 = adversary("stay", state, None)
+    rec2 = player2_move(state, move2, validate_move(state, move2, r2))
     assert rec2.net_size > 0
     assert rec2.s < exact_mpf(rec2.alpha) / 2
     L = state.operators[1]
@@ -137,15 +171,15 @@ def test_player2_round_identity(small_setup):
 
 def test_adversary_stay_and_jitter(small_setup):
     state = _fresh_state(small_setup)
-    f, r, kind, shift = adversary("stay", state, None)
-    assert kind == "stay" and to_float(r) == pytest.approx(0.5)
-    rec = player2_move(state, f, validate_move(state, f, r))
-    f2, r2, kind2, shift2 = adversary("stay", state, None)
-    assert f2 is rec.reply_fun and r2 == exact_mpf(rec.s) / 2
-    f3, r3, kind3, shift3 = adversary("jitter", state, None)
-    assert kind3 == "jitter"
-    assert to_float(norm(shift3)) <= to_float(rec.s) / 4 + 1e-18
-    validate_move(state, f3, r3)
+    move, r = adversary("stay", state, None)
+    assert move.kind == "stay" and to_float(r) == pytest.approx(0.5)
+    rec = player2_move(state, move, validate_move(state, move, r))
+    move2, r2 = adversary("stay", state, None)
+    assert move2.center(rec.reply_fun) is rec.reply_fun and r2 == exact_mpf(rec.s) / 2
+    move3, r3 = adversary("jitter", state, None)
+    assert move3.kind == "jitter"
+    assert to_float(norm(move3.shift)) <= to_float(rec.s) / 4 + 1e-18
+    validate_move(state, move3, r3)
 
 
 def test_adversary_unknown_kind(small_setup):
@@ -328,7 +362,7 @@ def test_replay_from_memory_encodes_no_tree(monkeypatch, tmp_path, small_setup, 
     monkeypatch.undo()
     assert serialize(replayed[0].final_fun) == serialize(small_transcript.final_fun)
     assert serialize(replayed[1].final_fun) == (tmp_path / "function.json").read_bytes()
-    assert [rec.move_kind for rec in replayed[1].rounds] == ["jitter"] * 3
+    assert [rec.move.kind for rec in replayed[1].rounds] == ["jitter"] * 3
 
 
 def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup):
@@ -345,18 +379,37 @@ def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup)
             r = exact_mpf(s_prev) / 4
         else:
             r = exact_mpf(0.5)
-        player2_move(state, f, validate_move(state, f, r), r_offered=r)
+        move = Move("explicit", fun=f)
+        player2_move(state, move, validate_move(state, move, r), r_offered=r)
     last = state.history[-1]
     tr = GameTranscript(domain, ops, state.nets, tuple(state.history), last.reply_fun, "explicit", 0, state.dps)
     tr.save(tmp_path / "transcript.json")
     loaded = load_transcript(tmp_path / "transcript.json")
-    assert [(rec.move_kind, rec.move_shift) for rec in loaded.rounds] == [("explicit", None)] * 3
-    assert all(serialize(a.move_fun) == serialize(b.move_fun) for a, b in zip(loaded.rounds, tr.rounds))
+    assert [(rec.move.kind, rec.move.shift) for rec in loaded.rounds] == [("explicit", None)] * 3
+    assert all(serialize(a.move.fun) == serialize(b.move.fun) for a, b in zip(loaded.rounds, tr.rounds))
     calls = _count_codec_calls(monkeypatch)
     replayed = run_game(domain, target, ops, "replay", rounds=3, seed=0, replay_transcript=loaded)
     assert calls == []
     monkeypatch.undo()
     assert serialize(replayed.final_fun) == (tmp_path / "function.json").read_bytes()
+
+
+def test_transcript_suite_marks_explicit_moves_sampled(small_setup):
+    """An explicit move's distance was sampled in play, so the suite checks
+    its nesting on the radii alone and says so."""
+    domain, target, ops = small_setup
+    state = GameState(domain=domain, nets=nested_nets(target, domain, 2), operators=ops)
+    f, r = Scale(0.5, NormOf(2)), exact_mpf(0.5)
+    for k in (1, 2):
+        move = Move("explicit", fun=f)
+        player2_move(state, move, validate_move(state, move, r), r_offered=r)
+        g_prev, s_prev = state.previous()
+        f, r = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object)), exact_mpf(s_prev) / 4
+    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), state.history[-1].reply_fun, "explicit", 0,
+                        state.dps)
+    results = {c.name: c for c in verify.transcript_suite(tr)}
+    assert all(c.ok for c in results.values())
+    assert results["round 2 move nested in round 1"].detail == "distance sampled in play"
 
 
 @pytest.mark.parametrize(
@@ -435,5 +488,5 @@ def test_jitter_game_runs(small_setup):
     domain, target, ops = small_setup
     tr = run_game(domain, target, ops, "jitter", rounds=3, seed=7)
     assert tr.k_max == 3
-    assert tr.rounds[1].move_kind == "jitter"
-    assert tr.rounds[1].move_shift is not None
+    assert tr.rounds[1].move.kind == "jitter"
+    assert tr.rounds[1].move.shift is not None

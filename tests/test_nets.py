@@ -141,6 +141,13 @@ def test_grid_target_is_open_interior():
     assert float(np.max(target.points)) < 1.0
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+def test_grid_refuses_a_step_that_is_not_positive_and_finite(step):
+    """A NaN or infinite step would give a grid without points."""
+    with pytest.raises(LipForgeError, match="grid step must be positive and finite"):
+        TargetSet.grid([0.0, 0.0], [1.0, 1.0], step)
+
+
 def ref_separation(points, kind=NormKind.EUCLIDEAN) -> float:
     """Reference: the minimum over the n x n block of all pairwise distances."""
     pts = np.asarray(points, dtype=float)
