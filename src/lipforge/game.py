@@ -22,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_le, mpf_mul, mpf_sub
+from mpmath.libmp import mpf_sub
 
 from .lipfun import (
     MAP,
@@ -66,7 +65,7 @@ from .numerics import (
     working_dps_for_scale,
 )
 from .perturb import linearize_near
-from .space import Domain, LinearMap, NormKind, unit_directions
+from .space import Domain, LinearMap, NormKind, _norm_le_exact, unit_directions
 
 GAME_SCHEMA = "lipforge-game/2"
 FUNCTION_FILE = "function.json"
@@ -108,15 +107,7 @@ class Move:
             return None
         shift = self.shift if self.kind == "jitter" else ()
         room = mpf_sub(exact_raw(s_prev), exact_raw(r))
-        if not (all(is_finite(x) for x in shift) and mpf_le(fzero, room)):
-            return False
-        # libmp arithmetic without a precision is exact
-        x = raw_vector(shift)
-        if out_norm is NormKind.EUCLIDEAN:
-            return mpf_le(reduce(mpf_add, (mpf_mul(v, v) for v in x), fzero), mpf_mul(room, room))
-        if out_norm is NormKind.SUP:
-            return all(mpf_le(mpf_abs(v), room) for v in x)
-        return mpf_le(reduce(mpf_add, (mpf_abs(v) for v in x), fzero), room)
+        return all(is_finite(x) for x in shift) and _norm_le_exact(raw_vector(shift), out_norm, room)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
+from mpmath.libmp import round_nearest
 
 from .numerics import (
     FLOAT,
@@ -77,14 +78,16 @@ def norm(v: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> Scalar:
     return float(np.sum(np.abs(v)))
 
 
-def _norm_raw(v: tuple, kind: NormKind) -> tuple:
+def _norm_raw(v: tuple, kind: NormKind, exact: bool = False) -> tuple:
     """Norm of a raw libmp vector in the working precision, with the same
     operations in the same order as the mpf expressions
     ``sqrt(sum(x * x))``, ``max(abs(x))`` and ``sum(abs(x))``. Callers that
     only compare a Euclidean norm with a radius use ``_norm_lt_raw`` or
     ``_root_side`` instead, which take the root only when the comparison
-    needs it."""
-    prec, rnd = mp._prec_rounding
+    needs it. With exact, the sup and one norms round nothing (libmp
+    arithmetic without a precision); exact is not for the Euclidean norm,
+    whose root has no exact form: ``_norm_le_exact`` compares its square."""
+    prec, rnd = (0, round_nearest) if exact else mp._prec_rounding
     if kind is NormKind.EUCLIDEAN:
         return mpf_sqrt(_sum_squares_raw(v), prec, rnd)
     if kind is NormKind.SUP:
@@ -100,9 +103,10 @@ def _norm_raw(v: tuple, kind: NormKind) -> tuple:
     return acc
 
 
-def _sum_squares_raw(v: tuple) -> tuple:
-    """The rounded ``sum(x * x)`` whose root is the Euclidean ``_norm_raw``."""
-    prec, rnd = mp._prec_rounding
+def _sum_squares_raw(v: tuple, exact: bool = False) -> tuple:
+    """The rounded ``sum(x * x)`` whose root is the Euclidean ``_norm_raw``;
+    with exact, the sum rounds nothing."""
+    prec, rnd = (0, round_nearest) if exact else mp._prec_rounding
     acc = fzero
     for x in v:
         acc = mpf_add(acc, mpf_mul(x, x, prec, rnd), prec, rnd)
@@ -154,6 +158,16 @@ def _norm_lt_raw(v: tuple, kind: NormKind, r: tuple, r2: tuple) -> bool:
         return side < 0
     prec, rnd = mp._prec_rounding
     return mpf_lt(mpf_sqrt(acc, prec, rnd), r)
+
+
+def _norm_le_exact(v: tuple, kind: NormKind, r: tuple) -> bool:
+    """Whether ``norm(v, kind) <= r`` for a raw libmp vector, decided
+    exactly: the Euclidean norm through its square, the others as is."""
+    if not mpf_le(fzero, r):
+        return False
+    if kind is NormKind.EUCLIDEAN:
+        return mpf_le(_sum_squares_raw(v, exact=True), mpf_mul(r, r))
+    return mpf_le(_norm_raw(v, kind, exact=True), r)
 
 
 def norm_batch(Z: np.ndarray, kind: NormKind) -> np.ndarray:

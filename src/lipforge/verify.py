@@ -268,7 +268,7 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
         out.append(CheckResult(f"round {k} sampled distance below analytic bound", ok3,
                                f"sampled={rec.rho_sampled:.3e}"))
         if prev is not None:
-            ok4, detail = rec.move.nested(rec.r_offered, prev.s, out_norm), ""
+            ok4, detail = rec.move.nested(rec.r_accepted, prev.s, out_norm), ""
             if ok4 is None:
                 ok4, detail = exact_mpf(rec.r_accepted) <= exact_mpf(prev.s), "distance sampled in play"
             out.append(CheckResult(f"round {k} move nested in round {k - 1}", bool(ok4), detail))

@@ -183,17 +183,23 @@ def _jitter_shift_times_ten(doc):
     rec["move"]["shift"] = [encode_scalar(mp.make_mpf(mpf_mul(_scalar(x), from_int(10)))) for x in rec["move"]["shift"]]
 
 
+def _accepted_radius_one(doc):
+    doc["rounds"][1]["r_accepted"] = encode_scalar(mp.mpf(1))
+
+
 UNNESTED = {
     "rho_bound-over-by-2^-200": (_rho_bound_past_the_reply_ball, "round 2 reply ball nested"),
     "jitter-shift-times-10": (_jitter_shift_times_ten, "round 2 move nested in round 1"),
+    "r_accepted-one": (_accepted_radius_one, "round 2 move nested in round 1"),
 }
 
 
 @pytest.mark.parametrize("edit, failing", UNNESTED.values(), ids=UNNESTED.keys())
 def test_transcript_suite_decides_nesting_exactly(jitter_pair, tmp_path, edit, failing):
     """A reply ball that leaves the accepted ball by 2^-200, below the
-    resolution of 53 bits, or a stored jitter shift too long for its offered
-    ball, fails exactly the one nesting check."""
+    resolution of 53 bits, a stored jitter shift too long for its ball, or
+    an accepted radius larger than the previous reply's, fails exactly the
+    one nesting check."""
     doc = json.loads((jitter_pair / "transcript.json").read_bytes())
     (tmp_path / "function.json").write_bytes((jitter_pair / "function.json").read_bytes())
     edit(doc)
