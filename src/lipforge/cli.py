@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from . import verify as verify_mod
-from .game import load_transcript, read_artifact, run_game
+from .game import check_dps, load_transcript, read_artifact, run_game
 from .lipfun import deserialize, eval_batch
 from .nets import TargetSet, nested_nets
 from .numerics import CONSTRUCTION_DPS, LipForgeError, exact_mpf, to_float
@@ -127,8 +127,8 @@ def load_config(path: str) -> RunConfig:
     elif tkind == "points":
         target = get("target", "file", read_points)
     elif tkind == "halton":
-        count = get("target", "count", int)
-        target = TargetSet.low_discrepancy(domain, count, seed=get("target", "seed", int, 0))
+        seed = get("target", "seed", int, 0)
+        target = get("target", "count", lambda text: TargetSet.low_discrepancy(domain, int(text), seed=seed))
     else:
         raise _cfg_error(path, "target", "kind", f"unknown target kind {tkind!r}")
 
@@ -162,7 +162,7 @@ def load_config(path: str) -> RunConfig:
         rounds=get("game", "rounds", int, 8),
         adversary=adversary,
         seed=get("game", "seed", int, 0),
-        dps=get("game", "dps", int, CONSTRUCTION_DPS),
+        dps=get("game", "dps", lambda text: check_dps(int(text)), CONSTRUCTION_DPS),
     )
     # a misspelt key, or one these settings do not use; [probe] is not read
     for section in ("domain", "target", "operators", "game"):

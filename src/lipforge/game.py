@@ -370,6 +370,13 @@ _HEADER_FIELDS = (
 )
 
 
+def check_dps(dps: int) -> int:
+    """The working precision dps, in significant digits; refused below 1."""
+    if dps < 1:
+        raise LipForgeError(f"working precision must be at least 1 digit (got dps {dps})")
+    return dps
+
+
 def read_artifact(path) -> bytes:
     p = Path(path)
     if not p.exists():
@@ -386,6 +393,7 @@ def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
         if len(lvl) and lvl.shape[1] != tr.domain.dim:
             raise LipForgeError(f"malformed artifact: net level {k} has points of dimension {lvl.shape[1]}")
     try:
+        check_dps(tr.dps)
         tr.nets.validate(tr.domain)
     except LipForgeError as e:
         raise LipForgeError(f"malformed artifact: {e}") from e
@@ -411,7 +419,7 @@ def load_transcript(path, function_path=None) -> GameTranscript:
     function_sha256; the tree is then decoded once."""
     try:
         obj = json.loads(read_artifact(path))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise LipForgeError("malformed artifact") from e
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != GAME_SCHEMA:
@@ -454,6 +462,7 @@ def run_game(
         raise LipForgeError("need at least one target operator")
     if rounds < 1:
         raise LipForgeError("need at least one round")
+    check_dps(dps)
     shape = (ops[0].out_dim, ops[0].in_dim)
     for op in ops:
         if (op.out_dim, op.in_dim) != shape:

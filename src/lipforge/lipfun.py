@@ -27,8 +27,10 @@ outside radius ``b``, radially mixed in between, with certified constant
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -991,18 +993,28 @@ def fun_from_dict(obj: dict) -> LipFun:
     return _decode_node(obj.get("root"), 0)
 
 
+@contextmanager
+def _collector_paused():
+    """The block runs with the cyclic collector off: records, JSON containers
+    and nodes hold no cycles, so a full collection there could free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def serialize(f: LipFun) -> bytes:
-    return json.dumps(fun_to_dict(f), separators=(",", ":")).encode("utf-8")
+    with _collector_paused():
+        return json.dumps(fun_to_dict(f), separators=(",", ":")).encode("utf-8")
 
 
 def deserialize(data) -> LipFun:
-    if isinstance(data, bytes):
+    with _collector_paused():
         try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
+            obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise LipForgeError("malformed artifact") from e
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise LipForgeError("malformed artifact") from e
-    return fun_from_dict(obj)
+        return fun_from_dict(obj)

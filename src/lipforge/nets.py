@@ -58,6 +58,8 @@ class TargetSet:
         """Halton sample of the domain interior: the first `count` points of
         the bounding box, from index (seed mod 2^31) * 389 + 1 up to the
         index 10^7, that lie strictly inside the domain."""
+        if count < 1:
+            raise LipForgeError(f"need at least one target point (got count {count})")
         lo, hi = domain.bounding_box()
         pts = []
         idx = (seed & 0x7FFFFFFF) * 389 + 1

@@ -212,6 +212,7 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
     clone = deserialize(serialize(fun))
     Z = rng.uniform(0.05, 0.95, size=(1000, fun.in_dim))
     gap = float(np.max(np.abs(eval_batch(fun, Z) - eval_batch(clone, Z))))
+    del clone
     out.append(CheckResult("artifact round-trip", gap == 0.0, f"gap={gap:.3e}"))
     worst = _quotient_check(fun, rng, 10_000, 1.0)
     out.append(

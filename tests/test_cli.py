@@ -111,7 +111,12 @@ GRID_TARGET = "[target]\nkind = grid\nstep = 0.2\n"
     (GRID_TARGET, "[target]\nkind = points\nfile = pts.txt\n", "0.2 0.3\n0.4\n",
      r"\[target\] file: .*pts.txt: points of different dimensions"),
     ("step = 0.2", "step = nan", None, r"\[target\] step: grid step must be positive and finite"),
-], ids=["operator", "halton-seed", "points-entry", "points-ragged", "grid-step-nan"])
+    (GRID_TARGET, "[target]\nkind = halton\ncount = 0\n", None, r"\[target\] count: need at least one target point"),
+    (GRID_TARGET, "[target]\nkind = halton\ncount = -5\n", None, r"\[target\] count: need at least one target point"),
+    ("dps = 60", "dps = 0", None, r"\[game\] dps: working precision must be at least 1 digit"),
+    ("dps = 60", "dps = -3", None, r"\[game\] dps: working precision must be at least 1 digit"),
+], ids=["operator", "halton-seed", "points-entry", "points-ragged", "grid-step-nan", "halton-count-zero",
+        "halton-count-negative", "dps-zero", "dps-negative"])
 def test_load_config_reports_a_bad_value_by_key(tmp_path, capsys, old, new, points, message):
     """A value that does not parse ends construct with one error line naming
     its section and key, not a traceback or a run without targets."""
@@ -362,6 +367,17 @@ def test_eval_refuses_a_grid_without_points(config_path, tmp_path, per_axis):
     assert done.stderr.startswith("error: grid needs at least one point per axis")
     assert "Traceback" not in done.stderr
     assert not (out / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_eval_and_verify_refuse_a_deeply_nested_artifact(tmp_path, command):
+    """JSON nested past the parser's recursion limit is an error line, not a traceback."""
+    bad = tmp_path / "function.json"
+    bad.write_text("[" * 100_000)
+    grid = ["--out", str(tmp_path / "eval"), "--lo", "0 0", "--hi", "1 1"] if command == "eval" else []
+    done = _run_cli(command, "--artifact", str(bad), *grid)
+    assert done.returncode == 1
+    assert done.stderr == "error: malformed artifact\n"
 
 
 @pytest.mark.parametrize("direction, message", [

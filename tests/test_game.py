@@ -280,6 +280,14 @@ def test_load_transcript_bad_schema(tmp_path):
         load_transcript(p)
 
 
+def test_load_transcript_refuses_deep_nesting(tmp_path):
+    """JSON nested past the parser's recursion limit is a malformed artifact."""
+    p = tmp_path / "transcript.json"
+    p.write_text("[" * 100_000)
+    with pytest.raises(LipForgeError, match="^malformed artifact$"):
+        load_transcript(p)
+
+
 def test_saved_transcript_names_function_json_by_sha256(tmp_path, small_transcript):
     tr = small_transcript
     tr.save(tmp_path / "transcript.json")
@@ -453,6 +461,28 @@ def test_load_transcript_refuses_a_header_integer_that_is_not_an_integer(tmp_pat
     (tmp_path / "transcript.json").write_text(json.dumps(doc))
     with pytest.raises(LipForgeError, match="bad transcript record"):
         load_transcript(tmp_path / "transcript.json")
+
+
+@pytest.mark.parametrize("dps", [0, -3])
+def test_working_precision_below_one_is_refused(tmp_path, small_setup, small_transcript, dps):
+    """run_game refuses dps < 1 before it plays a round, and load_transcript
+    refuses a stored one."""
+    domain, target, ops = small_setup
+    with pytest.raises(LipForgeError, match=f"working precision must be at least 1 digit \\(got dps {dps}\\)"):
+        run_game(domain, target, ops, "stay", rounds=2, dps=dps)
+    small_transcript.save(tmp_path / "transcript.json")
+    doc = json.loads((tmp_path / "transcript.json").read_text())
+    doc["dps"] = dps
+    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    with pytest.raises(LipForgeError, match="^malformed artifact: working precision must be at least 1 digit"):
+        load_transcript(tmp_path / "transcript.json")
+
+
+def test_run_game_at_one_digit(small_setup):
+    """One digit is the floor: a stay game on the 0.25 grid still plays every round."""
+    domain, _, ops = small_setup
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
+    assert run_game(domain, target, ops, "stay", rounds=3, dps=1).k_max == 3
 
 
 @pytest.mark.parametrize("dps", [15, 20])

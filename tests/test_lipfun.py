@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -443,6 +444,57 @@ def test_deserialize_rejects_garbage():
     blob = serialize(NormOf(2))
     with pytest.raises(LipForgeError, match="malformed artifact"):
         deserialize(blob[: len(blob) // 2])
+
+
+def test_deserialize_refuses_deep_nesting():
+    """JSON nested past the parser's recursion limit is a malformed artifact."""
+    for data in (b"[" * 100_000, "[" * 100_000):
+        with pytest.raises(LipForgeError, match="^malformed artifact$"):
+            deserialize(data)
+
+
+def test_codec_makes_no_full_collection(acceptance_run):
+    """serialize and deserialize run with the cyclic collector paused: no
+    generation-2 collection starts inside either call on the standard tree."""
+    tree = acceptance_run.transcript.final_fun
+    inside, full = [], []
+
+    def on_collect(phase, info):
+        if phase == "start" and info["generation"] == 2 and inside:
+            full.append(inside[-1])
+
+    gc.callbacks.append(on_collect)
+    try:
+        for _ in range(3):
+            inside.append("serialize")
+            data = serialize(tree)
+            inside[-1] = "deserialize"
+            deserialize(data)
+            inside.clear()
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert full == []
+
+
+def test_codec_restores_the_collector():
+    """The collector is on after a call that returns or raises, and a caller
+    that turned it off finds it off."""
+    blob = serialize(NormOf(2))
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert serialize(deserialize(blob)) == blob
+            assert gc.isenabled() is enabled
+            for bad in (b"{not json", b"[" * 100_000, b'{"schema": "lipforge-fun/1", "root": {"kind": "sum"}}'):
+                with pytest.raises(LipForgeError, match="malformed artifact"):
+                    deserialize(bad)
+                assert gc.isenabled() is enabled
+            with pytest.raises(LipForgeError, match="cannot serialize"):
+                serialize(object())
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_eval_dimension_mismatch():

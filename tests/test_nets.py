@@ -148,6 +148,13 @@ def test_grid_refuses_a_step_that_is_not_positive_and_finite(step):
         TargetSet.grid([0.0, 0.0], [1.0, 1.0], step)
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_low_discrepancy_refuses_a_count_below_one(count):
+    """A count below one would give a run without targets."""
+    with pytest.raises(LipForgeError, match=f"need at least one target point \\(got count {count}\\)"):
+        TargetSet.low_discrepancy(Domain.box([0.0, 0.0], [1.0, 1.0]), count)
+
+
 def ref_separation(points, kind=NormKind.EUCLIDEAN) -> float:
     """Reference: the minimum over the n x n block of all pairwise distances."""
     pts = np.asarray(points, dtype=float)
@@ -259,7 +266,7 @@ def test_low_discrepancy_matches_per_index_loop():
     """Block draws accept the same points as single draws, across blocks
     and up to the index cap: seed 25706 starts 365 indices below 10^7."""
     domains = (Domain.box([0, 0], [1, 1]), Domain.ball([0.2, 0.1, 0.3], 0.7, NormKind.SUP), Domain.ball([0, 0], 1.0))
-    cases = [(dom, seed, count) for dom in domains for seed, count in ((0, 0), (0, 1), (3, 100), (25706, 1000))]
+    cases = [(dom, seed, count) for dom in domains for seed, count in ((0, 1), (3, 100), (25706, 1000))]
     for domain, seed, count in cases + [(domains[0], 0, 5000)]:
         got = TargetSet.low_discrepancy(domain, count, seed).points
         ref = loop_low_discrepancy(domain, count, seed)
