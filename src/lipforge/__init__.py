@@ -38,7 +38,6 @@ from .lipfun import (
 from .nets import NetFamily, TargetSet, greedy_net, nested_nets, restrict, separation
 from .perturb import PerturbParams, PerturbResult, blend_params, choose_s, linearize_near
 from .game import (
-    GameState,
     GameTranscript,
     Move,
     MoveRecord,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,9 @@ class Move:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One completed round: Player I's accepted move and Player II's reply."""
+    """One completed round: Player I's accepted move and Player II's reply.
+    A loaded transcript keeps reply_fun only on its last round, where it is
+    the final mapping; the earlier replies are None."""
 
     round_k: int
     op_index: int
@@ -129,42 +131,7 @@ class MoveRecord:
     net_size: int
 
 
-@dataclass
-class GameState:
-    """Mutable run state; history grows by one record per completed round."""
-
-    domain: Domain
-    nets: NetFamily
-    operators: tuple[LinearMap, ...]
-    dps: int = CONSTRUCTION_DPS
-    seed: int = 0
-    history: list[MoveRecord] = field(default_factory=list)
-
-    @property
-    def next_round(self) -> int:
-        return len(self.history) + 1
-
-    @property
-    def out_dim(self) -> int:
-        return self.operators[0].out_dim
-
-    @property
-    def out_norm(self) -> NormKind:
-        return self.operators[0].out_norm
-
-    def op_index(self, k: int) -> int:
-        return (k - 1) % len(self.operators)
-
-    def previous(self) -> tuple[LipFun, Scalar]:
-        """Player II's last reply ball; a notional unit ball around the zero
-        mapping before the first round."""
-        if self.history:
-            rec = self.history[-1]
-            return rec.reply_fun, rec.s
-        return Const(np.zeros(self.out_dim), self.domain.dim), exact_mpf(1)
-
-
-def validate_move(state: GameState, move: Move, r: Scalar) -> Scalar:
+def validate_move(tr: GameTranscript, move: Move, r: Scalar) -> Scalar:
     """Accept Player I's move, shrinking the radius to 2^-k (1 - ||L_k||).
 
     For rounds past the first, requires dist(center, previous reply) + r <=
@@ -172,55 +139,55 @@ def validate_move(state: GameState, move: Move, r: Scalar) -> Scalar:
     an explicit move's distance is sampled, a lower estimate, so its nesting
     is checked on the sample, not certified.
     """
-    k = state.next_round
+    k = tr.next_round
     if not r > 0:
         raise LipForgeError("move radius must be positive")
-    g_prev, s_prev = state.previous()
+    g_prev, s_prev = tr.previous()
     f = move.center(g_prev)
-    if f.in_dim != state.domain.dim or f.out_dim != state.out_dim:
+    if f.in_dim != tr.domain.dim or f.out_dim != tr.out_dim:
         raise LipForgeError("move has wrong dimensions")
     if f.lip_cert > 1.0 + LIP_ONE_TOL:
         raise LipForgeError("move center is not certified 1-Lipschitz")
-    with mp.workdps(state.dps):
+    with mp.workdps(tr.dps):
         if k >= 2:
-            nested = move.nested(r, s_prev, state.out_norm)
+            nested = move.nested(r, s_prev, tr.out_norm)
             if nested is None:
-                rho = sup_dist(f, g_prev, state.domain, SUP_BUDGET, state.seed * 31 + k, state.out_norm)
+                rho = sup_dist(f, g_prev, tr.domain, SUP_BUDGET, tr.seed * 31 + k, tr.out_norm)
                 nested = exact_mpf(rho) + exact_mpf(r) <= exact_mpf(s_prev)
             if not nested:
                 raise LipForgeError("move not nested in the previous ball")
-        L = state.operators[state.op_index(k)]
+        L = tr.operators[tr.op_index(k)]
         cap = exact_mpf(2) ** -k * (1 - exact_mpf(L.op_norm))
         return min(exact_mpf(r), cap)
 
 
-def player2_move(state: GameState, move: Move, r_accepted: Scalar, r_offered: Scalar | None = None) -> MoveRecord:
+def player2_move(tr: GameTranscript, move: Move, r_accepted: Scalar, r_offered: Scalar | None = None) -> MoveRecord:
     """Respond to an accepted move: linearize near the level-k net and pick
     the reply radius. Empty net levels skip the perturbation entirely."""
-    k = state.next_round
-    f = move.center(state.previous()[0])
-    gamma = state.nets.level(k) if k <= state.nets.k_max else np.empty((0, state.domain.dim))
-    L = state.operators[state.op_index(k)]
-    with mp.workdps(state.dps):
+    k = tr.next_round
+    f = move.center(tr.previous()[0])
+    gamma = tr.nets.level(k) if k <= tr.nets.k_max else np.empty((0, tr.domain.dim))
+    L = tr.operators[tr.op_index(k)]
+    with mp.workdps(tr.dps):
         r_mp = exact_mpf(r_accepted)
         if len(gamma) == 0:
             g, alpha = f, r_mp / 2
             beta = warp_radius = None
             rho_bound = exact_mpf(0)
         else:
-            res = linearize_near(f, gamma, L, r_mp, state.domain, dps=state.dps)
+            res = linearize_near(f, gamma, L, r_mp, tr.domain, dps=tr.dps)
             g, alpha = res.fun, res.alpha
             beta, warp_radius = res.params.beta, res.params.s
             rho_bound = res.rho_bound
         s_k = min(alpha / (k + 1), (r_mp - rho_bound) / 2)
         if not (s_k > 0 and s_k < alpha / k):
             raise LipForgeError("reply radius failed its bounds")
-        rho_hat = sup_dist(g, f, state.domain, SUP_BUDGET, state.seed * 101 + k, state.out_norm)
+        rho_hat = sup_dist(g, f, tr.domain, SUP_BUDGET, tr.seed * 101 + k, tr.out_norm)
         if rho_hat > to_float(rho_bound) + 1e-9:
             raise LipForgeError("sampled distance exceeds the analytic bound")
         record = MoveRecord(
             round_k=k,
-            op_index=state.op_index(k),
+            op_index=tr.op_index(k),
             move=move,
             r_offered=r_accepted if r_offered is None else r_offered,
             r_accepted=r_mp,
@@ -233,11 +200,11 @@ def player2_move(state: GameState, move: Move, r_accepted: Scalar, r_offered: Sc
             rho_sampled=rho_hat,
             net_size=len(gamma),
         )
-    state.history.append(record)
+    tr.rounds.append(record)
     return record
 
 
-def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...] | None = None):
+def adversary(tr: GameTranscript, kind: str, replay_rounds: list[MoveRecord] | None = None):
     """Player I's scripted move and offered radius for the upcoming round.
 
     stay:   recenter on the previous reply with half its radius.
@@ -245,13 +212,13 @@ def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...]
     replay: the move and offered radius of round k of `replay_rounds`, the
             MoveRecords of a transcript in memory or from load_transcript.
     """
-    k = state.next_round
-    s_prev = state.previous()[1]
-    with mp.workdps(state.dps):
+    k = tr.next_round
+    s_prev = tr.previous()[1]
+    with mp.workdps(tr.dps):
         if kind == "stay":
             return Move("stay"), exact_mpf(s_prev) / 2
         if kind == "jitter":
-            direction = unit_directions(1, state.out_dim, state.seed * 977 + k, state.out_norm)[0]
+            direction = unit_directions(1, tr.out_dim, tr.seed * 977 + k, tr.out_norm)[0]
             shift = as_vector([exact_mpf(s_prev) / 8 * exact_mpf(float(v)) for v in direction])
             return Move("jitter", shift), exact_mpf(s_prev) / 4
         if kind == "replay":
@@ -264,22 +231,51 @@ def adversary(kind: str, state: GameState, replay_rounds: tuple[MoveRecord, ...]
 
 @dataclass(frozen=True)
 class GameTranscript:
-    """Complete record of a finished run. On disk (schema lipforge-game/2) it
-    names its function.json by sha256 instead of embedding final_fun; save and
-    load_transcript write and read the pair, so a loaded one has final_fun."""
+    """The record of a run: the game's inputs and its rounds, which
+    player2_move appends to as the game is played. On disk (schema
+    lipforge-game/2) it names its function.json by sha256 instead of
+    embedding final_fun; save and load_transcript write and read the pair."""
 
     domain: Domain
     operators: tuple[LinearMap, ...]
     nets: NetFamily
-    rounds: tuple[MoveRecord, ...]
-    final_fun: LipFun
     adversary_kind: str
-    seed: int
-    dps: int
+    seed: int = 0
+    dps: int = CONSTRUCTION_DPS
+    rounds: list[MoveRecord] = field(default_factory=list)
 
     @property
     def k_max(self) -> int:
         return len(self.rounds)
+
+    @property
+    def next_round(self) -> int:
+        return len(self.rounds) + 1
+
+    @property
+    def out_dim(self) -> int:
+        return self.operators[0].out_dim
+
+    @property
+    def out_norm(self) -> NormKind:
+        return self.operators[0].out_norm
+
+    def op_index(self, k: int) -> int:
+        """Round k's operator: the operators are scheduled round-robin."""
+        return (k - 1) % len(self.operators)
+
+    def previous(self) -> tuple[LipFun, Scalar]:
+        """Player II's last reply ball; a notional unit ball around the zero
+        mapping before the first round."""
+        if self.rounds:
+            rec = self.rounds[-1]
+            return rec.reply_fun, rec.s
+        return Const(np.zeros(self.out_dim), self.domain.dim), exact_mpf(1)
+
+    @property
+    def final_fun(self) -> LipFun:
+        """g_K, the last round's reply."""
+        return self.rounds[-1].reply_fun
 
     @property
     def tail_bound(self) -> Scalar:
@@ -400,7 +396,7 @@ def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
     for k, rec in enumerate(tr.rounds, start=1):
         if rec.round_k != k:
             raise LipForgeError(f"malformed artifact: round record {k} is numbered {rec.round_k}")
-        scheduled = (k - 1) % len(tr.operators)
+        scheduled = tr.op_index(k)
         if rec.op_index != scheduled:
             raise LipForgeError(f"malformed artifact: round {k} names operator {rec.op_index} of "
                                 f"{len(tr.operators)}, its round-robin operator is {scheduled}")
@@ -435,7 +431,10 @@ def load_transcript(path, function_path=None) -> GameTranscript:
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad transcript record") from e
     tail_bound = fields.pop("tail_bound")
-    transcript = GameTranscript(final_fun=final_fun, **fields)
+    rounds = list(fields.pop("rounds"))
+    if rounds:
+        rounds[-1] = replace(rounds[-1], reply_fun=final_fun)
+    transcript = GameTranscript(rounds=rounds, **fields)
     _check_transcript(transcript, tail_bound)
     return transcript
 
@@ -480,27 +479,14 @@ def run_game(
     elif adversary_kind not in ADVERSARY_KINDS:
         raise LipForgeError(f"unknown adversary kind {adversary_kind!r}")
 
-    nets = nested_nets(target, domain, rounds)
-    state = GameState(domain=domain, nets=nets, operators=ops, dps=dps, seed=seed)
-    for _ in range(rounds):
-        k = state.next_round
+    tr = GameTranscript(domain, ops, nested_nets(target, domain, rounds), adversary_kind, seed, dps)
+    for k in range(1, rounds + 1):
         try:
-            move, r = adversary(adversary_kind, state, replay_rounds)
-            player2_move(state, move, validate_move(state, move, r), r_offered=r)
+            move, r = adversary(tr, adversary_kind, replay_rounds)
+            player2_move(tr, move, validate_move(tr, move, r), r_offered=r)
         except LipForgeError as e:
             raise LipForgeError(f"round {k}: {e}") from e
-
-    last = state.history[-1]
-    return GameTranscript(
-        domain=domain,
-        operators=ops,
-        nets=nets,
-        rounds=tuple(state.history),
-        final_fun=last.reply_fun,
-        adversary_kind=adversary_kind,
-        seed=seed,
-        dps=dps,
-    )
+    return tr
 
 
 @dataclass(frozen=True)

@@ -714,9 +714,8 @@ def patch(outer: LipFun, patches, domain: Domain) -> Patched:
         return Patch(center, radius, inner)
 
     node = Patched(outer, tuple(as_patch(p) for p in patches), domain.norm)
-    for p in node.patches:
-        if not to_float(domain.dist_to_boundary(p.center_float)) > p.radius_float:
-            raise LipForgeError("patch ball escapes the domain interior")
+    if node.patches and not np.all(domain.margins(node._centers) > node._radii):
+        raise LipForgeError("patch ball escapes the domain interior")
     _check_patch_continuity(node)
     return node
 

@@ -67,15 +67,8 @@ class TargetSet:
             # candidates come in blocks; a point's bits do not depend on its block
             block = np.arange(idx, min(idx + 4096, 10_000_000), dtype=np.int64)
             idx += len(block)
-            for cand in lo + (hi - lo) * _halton(block, domain.dim):
-                try:
-                    inside = domain.dist_to_boundary(cand) > 0
-                except LipForgeError:
-                    inside = False
-                if inside:
-                    pts.append(cand)
-                    if len(pts) == count:
-                        break
+            cands = lo + (hi - lo) * _halton(block, domain.dim)
+            pts.extend(cands[domain.margins(cands) > 0][: count - len(pts)])
         return cls(np.asarray(pts) if pts else np.empty((0, domain.dim)))
 
     def __len__(self) -> int:
@@ -110,16 +103,10 @@ def restrict(target: TargetSet, domain: Domain, k: int) -> np.ndarray:
     """Target points with boundary distance at least 2^-k (may be empty)."""
     if k < 1:
         raise LipForgeError("level index must be >= 1")
-    margin = 2.0 ** -k
-    keep = []
-    for p in target.points:
-        try:
-            ok = float(domain.dist_to_boundary(p)) >= margin
-        except LipForgeError as e:
-            raise LipForgeError("target point outside the domain") from e
-        if ok:
-            keep.append(p)
-    return np.asarray(keep) if keep else np.empty((0, target.points.shape[1] if target.points.ndim == 2 else 0))
+    margins = domain.margins(target.points)
+    if np.any(margins < 0):
+        raise LipForgeError("target point outside the domain")
+    return target.points[margins >= 2.0 ** -k]
 
 
 def greedy_net(points: np.ndarray, delta: float, seed_set: np.ndarray | None = None,
@@ -172,9 +159,10 @@ class NetFamily:
             delta = self.deltas[k - 1]
             if separation(lvl, domain.norm) < delta:
                 raise LipForgeError(f"level {k} violates {delta}-separation")
-            for p in lvl:
-                if float(domain.dist_to_boundary(p)) < delta:
-                    raise LipForgeError(f"level {k} violates the boundary margin")
+            margins = domain.margins(lvl) if len(lvl) else np.empty(0)
+            short = margins[margins < delta]
+            if len(short):
+                raise LipForgeError("point outside domain" if short[0] < 0 else f"level {k} violates the boundary margin")
             rows = set(map(tuple, lvl.tolist()))
             if not rows >= prev:
                 raise LipForgeError(f"level {k} does not contain level {k - 1}")

@@ -200,7 +200,10 @@ def linearize_near(
             h_x = Affine(base, T, x_exact)
             inner = Precompose(h_x, shift_conjugate(psi, x, domain.norm))
             affine_patches.append((x, beta, inner))
-        g1 = patch(g0, affine_patches, domain)
+        try:
+            g1 = patch(g0, affine_patches, domain)
+        except LipForgeError as e:
+            raise LipForgeError(f"{e} in the affine layer, whose constants are rounded at dps {dps}") from e
 
         g2 = Scale((s_mp - beta) / s_mp, g1)
         g = add_const(g2, p_shift)

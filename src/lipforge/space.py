@@ -456,6 +456,15 @@ class Domain:
             raise LipForgeError("point outside domain")
         return out
 
+    def margins(self, X: np.ndarray) -> np.ndarray:
+        """The float dist_to_boundary of each row of an (n, d) array, negative
+        outside the domain. A ball takes one norm per row: a batched
+        Euclidean row sum rounds differently from norm's dot product."""
+        X = np.asarray(X, dtype=float)
+        if self.shape == "box":
+            return np.minimum(X - self.lo, self.hi - X).min(axis=1)
+        return np.array([self.radius - norm(x - self.center, self.norm) for x in X], dtype=float)
+
     def diam(self) -> float:
         if self.shape == "box":
             return float(norm(self.hi - self.lo, self.norm))

@@ -256,7 +256,6 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
     arithmetic without a precision; a move's nesting is re-checked from the
     stored move, except for an explicit move, whose distance was sampled."""
     out = []
-    out_norm = transcript.operators[0].out_norm
     prev = None
     for rec in transcript.rounds:
         k = rec.round_k
@@ -269,7 +268,7 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
         out.append(CheckResult(f"round {k} sampled distance below analytic bound", ok3,
                                f"sampled={rec.rho_sampled:.3e}"))
         if prev is not None:
-            ok4, detail = rec.move.nested(rec.r_accepted, prev.s, out_norm), ""
+            ok4, detail = rec.move.nested(rec.r_accepted, prev.s, transcript.out_norm), ""
             if ok4 is None:
                 ok4, detail = exact_mpf(rec.r_accepted) <= exact_mpf(prev.s), "distance sampled in play"
             out.append(CheckResult(f"round {k} move nested in round {k - 1}", bool(ok4), detail))

@@ -8,7 +8,6 @@ from mpmath import mp
 from lipforge import (
     Const,
     Domain,
-    GameState,
     GameTranscript,
     LinearMap,
     LipForgeError,
@@ -26,9 +25,10 @@ from lipforge import (
     run_game,
     serialize,
     validate_move,
+    witness_bound_report,
     witnesses,
 )
-from lipforge import verify
+from lipforge import game, verify
 from lipforge.game import MoveRecord, player2_move
 from lipforge.lipfun import fun_to_dict
 from lipforge.numerics import exact_mpf, to_float, working_dps_for_scale
@@ -52,9 +52,9 @@ def small_transcript(small_setup):
     return run_game(domain, target, ops, "stay", rounds=4, seed=0)
 
 
-def _fresh_state(small_setup, rounds=4):
+def _fresh_record(small_setup, rounds=4):
     domain, target, ops = small_setup
-    return GameState(domain=domain, nets=nested_nets(target, domain, rounds), operators=ops)
+    return GameTranscript(domain, ops, nested_nets(target, domain, rounds), "explicit")
 
 
 def _fake_record(k, g, s):
@@ -111,55 +111,55 @@ def test_move_nested_decides_exactly(kind, r):
 
 
 def test_validate_move_shrinks_radius(small_setup):
-    state = _fresh_state(small_setup)
+    tr = _fresh_record(small_setup)
     g = Const(np.zeros(1), 2)
-    state.history.append(_fake_record(1, g, 2.0))
-    state.history.append(_fake_record(2, g, 1.5))
-    accepted = validate_move(state, Move("stay"), 1.0)
+    tr.rounds.append(_fake_record(1, g, 2.0))
+    tr.rounds.append(_fake_record(2, g, 1.5))
+    accepted = validate_move(tr, Move("stay"), 1.0)
     # round 3 targets the first operator (norm 0.5): cap 2^-3 * 0.5
     assert to_float(accepted) == pytest.approx(0.0625)
 
 
 def test_validate_move_first_round_unconstrained(small_setup):
-    state = _fresh_state(small_setup)
-    accepted = validate_move(state, Move("explicit", fun=Const(np.zeros(1), 2)), 0.5)
+    tr = _fresh_record(small_setup)
+    accepted = validate_move(tr, Move("explicit", fun=Const(np.zeros(1), 2)), 0.5)
     assert to_float(accepted) == pytest.approx(0.25)
 
 
 def test_validate_move_rejects_unnested(small_setup):
-    state = _fresh_state(small_setup)
+    tr = _fresh_record(small_setup)
     g = Const(np.zeros(1), 2)
-    state.history.append(_fake_record(1, g, 0.001))
+    tr.rounds.append(_fake_record(1, g, 0.001))
     far = Move("explicit", fun=Const(np.array([5.0]), 2))
     with pytest.raises(LipForgeError, match="not nested"):
-        validate_move(state, far, 0.0005)
+        validate_move(tr, far, 0.0005)
     # a NaN distance (a shift holding NaN) does not certify nesting
     with pytest.raises(LipForgeError, match="not nested"):
-        validate_move(state, Move("jitter", np.array([np.nan])), 0.0005)
+        validate_move(tr, Move("jitter", np.array([np.nan])), 0.0005)
 
 
 def test_validate_move_rejects_bad_radius_and_cert(small_setup):
-    state = _fresh_state(small_setup)
+    tr = _fresh_record(small_setup)
     with pytest.raises(LipForgeError, match="positive"):
-        validate_move(state, Move("explicit", fun=Const(np.zeros(1), 2)), 0.0)
+        validate_move(tr, Move("explicit", fun=Const(np.zeros(1), 2)), 0.0)
     with pytest.raises(LipForgeError, match="1-Lipschitz"):
-        validate_move(state, Move("explicit", fun=Scale(2.0, NormOf(2))), 0.5)
+        validate_move(tr, Move("explicit", fun=Scale(2.0, NormOf(2))), 0.5)
 
 
 def test_player2_round_identity(small_setup):
-    state = _fresh_state(small_setup)
+    tr = _fresh_record(small_setup)
     f = Const(np.zeros(1), 2)
     move = Move("explicit", fun=f)
-    rec = player2_move(state, move, validate_move(state, move, 0.5))
+    rec = player2_move(tr, move, validate_move(tr, move, 0.5))
     # round 1 on the 0.2-grid has an empty net: reply is the move itself
     assert rec.net_size == 0 and rec.reply_fun is f
-    move2, r2 = adversary("stay", state, None)
-    rec2 = player2_move(state, move2, validate_move(state, move2, r2))
+    move2, r2 = adversary(tr, "stay")
+    rec2 = player2_move(tr, move2, validate_move(tr, move2, r2))
     assert rec2.net_size > 0
     assert rec2.s < exact_mpf(rec2.alpha) / 2
-    L = state.operators[1]
+    L = tr.operators[1]
     with mp.workdps(working_dps_for_scale(rec2.alpha)):
-        for x in state.nets.level(2):
+        for x in tr.nets.level(2):
             x_e = np.array([exact_mpf(v) for v in x], dtype=object)
             gx = eval_point(rec2.reply_fun, x_e)
             for u in sample_ball(np.zeros(2), exact_mpf(rec2.alpha), 8, 0):
@@ -170,22 +170,22 @@ def test_player2_round_identity(small_setup):
 
 
 def test_adversary_stay_and_jitter(small_setup):
-    state = _fresh_state(small_setup)
-    move, r = adversary("stay", state, None)
+    tr = _fresh_record(small_setup)
+    move, r = adversary(tr, "stay")
     assert move.kind == "stay" and to_float(r) == pytest.approx(0.5)
-    rec = player2_move(state, move, validate_move(state, move, r))
-    move2, r2 = adversary("stay", state, None)
+    rec = player2_move(tr, move, validate_move(tr, move, r))
+    move2, r2 = adversary(tr, "stay")
     assert move2.center(rec.reply_fun) is rec.reply_fun and r2 == exact_mpf(rec.s) / 2
-    move3, r3 = adversary("jitter", state, None)
+    move3, r3 = adversary(tr, "jitter")
     assert move3.kind == "jitter"
     assert to_float(norm(move3.shift)) <= to_float(rec.s) / 4 + 1e-18
-    validate_move(state, move3, r3)
+    validate_move(tr, move3, r3)
 
 
 def test_adversary_unknown_kind(small_setup):
-    state = _fresh_state(small_setup)
+    tr = _fresh_record(small_setup)
     with pytest.raises(LipForgeError, match="unknown adversary"):
-        adversary("confuse", state, None)
+        adversary(tr, "confuse")
 
 
 def test_run_game_round_count_and_monotone_radii(small_transcript):
@@ -378,19 +378,17 @@ def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup)
     loaded, replay to the same function.json without encoding or decoding
     the recorded centers again."""
     domain, target, ops = small_setup
-    state = GameState(domain=domain, nets=nested_nets(target, domain, 3), operators=ops)
+    tr = GameTranscript(domain, ops, nested_nets(target, domain, 3), "explicit")
     f = Scale(0.5, NormOf(2))
     for k in (1, 2, 3):
         if k > 1:
-            g_prev, s_prev = state.previous()
+            g_prev, s_prev = tr.previous()
             f = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object))
             r = exact_mpf(s_prev) / 4
         else:
             r = exact_mpf(0.5)
         move = Move("explicit", fun=f)
-        player2_move(state, move, validate_move(state, move, r), r_offered=r)
-    last = state.history[-1]
-    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), last.reply_fun, "explicit", 0, state.dps)
+        player2_move(tr, move, validate_move(tr, move, r), r_offered=r)
     tr.save(tmp_path / "transcript.json")
     loaded = load_transcript(tmp_path / "transcript.json")
     assert [(rec.move.kind, rec.move.shift) for rec in loaded.rounds] == [("explicit", None)] * 3
@@ -406,15 +404,13 @@ def test_transcript_suite_marks_explicit_moves_sampled(small_setup):
     """An explicit move's distance was sampled in play, so the suite checks
     its nesting on the radii alone and says so."""
     domain, target, ops = small_setup
-    state = GameState(domain=domain, nets=nested_nets(target, domain, 2), operators=ops)
+    tr = GameTranscript(domain, ops, nested_nets(target, domain, 2), "explicit")
     f, r = Scale(0.5, NormOf(2)), exact_mpf(0.5)
     for k in (1, 2):
         move = Move("explicit", fun=f)
-        player2_move(state, move, validate_move(state, move, r), r_offered=r)
-        g_prev, s_prev = state.previous()
+        player2_move(tr, move, validate_move(tr, move, r), r_offered=r)
+        g_prev, s_prev = tr.previous()
         f, r = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object)), exact_mpf(s_prev) / 4
-    tr = GameTranscript(domain, ops, state.nets, tuple(state.history), state.history[-1].reply_fun, "explicit", 0,
-                        state.dps)
     results = {c.name: c for c in verify.transcript_suite(tr)}
     assert all(c.ok for c in results.values())
     assert results["round 2 move nested in round 1"].detail == "distance sampled in play"
@@ -476,6 +472,46 @@ def test_working_precision_below_one_is_refused(tmp_path, small_setup, small_tra
     (tmp_path / "transcript.json").write_text(json.dumps(doc))
     with pytest.raises(LipForgeError, match="^malformed artifact: working precision must be at least 1 digit"):
         load_transcript(tmp_path / "transcript.json")
+
+
+def test_run_game_returns_the_record_it_played_into(monkeypatch, small_setup):
+    domain, target, ops = small_setup
+    played, inner = [], game.player2_move
+
+    def spy(tr, *args, **kwargs):
+        played.append(tr)
+        return inner(tr, *args, **kwargs)
+
+    monkeypatch.setattr(game, "player2_move", spy)
+    tr = run_game(domain, target, ops, "stay", rounds=3, seed=0)
+    assert len(played) == 3 and all(p is tr for p in played)
+    assert tr.final_fun is tr.rounds[-1].reply_fun
+
+
+def test_low_precision_failure_names_its_precision(small_setup):
+    """On the 0.2 grid the affine layer's constants, rounded at 4 digits,
+    miss the outer mapping on the patch spheres; the error says so."""
+    domain, target, ops = small_setup
+    with pytest.raises(LipForgeError, match=r"^round 2: patch boundary mismatch .* in the affine layer, "
+                                            r"whose constants are rounded at dps 4$"):
+        run_game(domain, target, ops, "stay", rounds=3, dps=4)
+
+
+@pytest.mark.parametrize("out_norm", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("in_norm", list(NormKind), ids=lambda k: k.value)
+def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm):
+    """A 4-round stay game into R^2 on a box in the in-norm, for each of the
+    nine (in, out) norm pairs: every witness meets 4/k and both suites pass."""
+    domain = Domain.box([0.0, 0.0], [1.0, 1.0], in_norm)
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
+    m = np.array([[0.3, 0.1], [-0.1, 0.2]])
+    ops = (LinearMap(m, in_norm, out_norm), LinearMap(-m, in_norm, out_norm))
+    tr = run_game(domain, target, ops, "stay", rounds=4, seed=0)
+    assert tr.out_dim == 2 and tr.out_norm is out_norm
+    probes = witness_bound_report(tr)
+    assert len(probes) == 28 and all(p.ok for p in probes)
+    results = verify.transcript_suite(tr) + verify.artifact_suite(tr.final_fun)
+    assert [r.name for r in results if not r.ok] == []
 
 
 def test_run_game_at_one_digit(small_setup):

@@ -232,6 +232,30 @@ def test_dist_to_boundary_vanishes_on_boundary():
         assert abs(float(ball.dist_to_boundary(sphere))) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("shape", ["box", "ball"])
+def test_margins_match_dist_to_boundary_bit_for_bit(shape, kind):
+    """margins is the float dist_to_boundary of each row, negated by the
+    same rounding outside the domain."""
+    if shape == "box":
+        domain = Domain.box([-0.3, 0.1, 0.0], [0.7, 1.3, 0.9], kind)
+    else:
+        domain = Domain.ball([0.1, -0.2, 0.3], 0.9, kind)
+    lo, hi = domain.bounding_box()
+    X = np.random.default_rng(5).uniform(lo - 0.4, hi + 0.4, size=(400, 3))
+    outside = 0
+    for x, m in zip(X, domain.margins(X).tolist()):
+        try:
+            want = float(domain.dist_to_boundary(x))
+        except LipForgeError:
+            assert m < 0
+            outside += 1
+            continue
+        assert m == want
+    assert 0 < outside < len(X)
+    assert domain.margins(np.empty((0, 3))).shape == (0,)
+
+
 def test_diam():
     assert Domain.box([0, 0], [1, 1]).diam() == pytest.approx(math.sqrt(2.0))
     assert Domain.ball([0, 0], 1.0).diam() == 2.0
