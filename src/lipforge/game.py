@@ -382,9 +382,12 @@ def read_artifact(path) -> bytes:
 
 def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:
     """Refuse stored fields that disagree with each other: probe and verify
-    index operators and net levels by round, replay adds each jitter shift
-    to the mapping, the nets must keep their invariants in the domain, and
-    tail_bound, each op_index and each net_size are derived."""
+    index operators (at least one) and net levels by round, replay adds
+    each jitter shift to the mapping, the nets must keep their invariants
+    in the domain, and tail_bound, each op_index and each net_size are
+    derived."""
+    if not tr.operators:
+        raise LipForgeError("malformed artifact: no target operators")
     for k, lvl in enumerate(tr.nets.levels, start=1):
         if len(lvl) and lvl.shape[1] != tr.domain.dim:
             raise LipForgeError(f"malformed artifact: net level {k} has points of dimension {lvl.shape[1]}")

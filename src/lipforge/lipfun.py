@@ -140,7 +140,9 @@ def eval_point(f: LipFun, z) -> np.ndarray:
 
 
 def eval_batch(f: LipFun, Z: np.ndarray) -> np.ndarray:
-    """Vectorized float64 evaluation of an (n, d) array of points."""
+    """Vectorized float64 evaluation of an (n, d) array of points. Rows are
+    evaluated independently: a row has the same bits in any batch, alone
+    or stacked with others, which lets probes put many points in one call."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != f.in_dim:
         raise LipForgeError("dimension mismatch in batch evaluation")
@@ -885,12 +887,17 @@ def sup_dist(
 # Serialization (schema lipforge-fun/1)
 
 
-def _encode_map(m: LinearMap) -> dict:
-    return {
-        "matrix": [encode_vector(row) for row in m.matrix],
-        "in_norm": m.in_norm.value,
-        "out_norm": m.out_norm.value,
-    }
+def _encode_map(m: LinearMap, memo: dict) -> dict:
+    """The record of m, made once per encoding: memo maps id(m) to it, as it
+    maps a node's id to its depth and record."""
+    record = memo.get(id(m))
+    if record is None:
+        record = memo[id(m)] = {
+            "matrix": [encode_vector(row) for row in m.matrix],
+            "in_norm": m.in_norm.value,
+            "out_norm": m.out_norm.value,
+        }
+    return record
 
 
 def _decode_map(obj: dict) -> LinearMap:
@@ -942,7 +949,7 @@ def _decode_node(obj, depth: int) -> LipFun:
 
 _NORM = Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
 # A LinearMap's record, also the transcript's record of an operator.
-MAP = Codec(lambda m, depth, memo: _encode_map(m), lambda obj, depth: _decode_map(obj))
+MAP = Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, depth: _decode_map(obj))
 _NODE = Codec(_encode_node, _decode_node, lambda f: (f,))
 
 # A patch's ball skips the constants' finiteness check: Patched refuses a

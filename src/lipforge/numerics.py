@@ -174,6 +174,9 @@ def decode_int(obj) -> int:
 
 
 def encode_vector(v) -> list:
+    """encode_scalar of each entry; a float64 array as the repr of each float."""
+    if isinstance(v, np.ndarray) and v.dtype == np.float64:
+        return list(map(repr, v.tolist()))
     return [encode_scalar(x) for x in v]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
+from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sqrt, mpf_sub
 
 from .game import GameTranscript, Witness, witnesses
 from .lipfun import LipFun, eval_batch
@@ -43,7 +43,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, _norm_raw, norm, sample_ball
+from .space import Domain, LinearMap, NormKind, _norm_raw, _sum_squares_raw, norm, sample_ball
 
 # Below this fraction of the base-point scale, float64 differences lose all
 # signal and probes switch to the exact evaluation path.
@@ -123,6 +123,9 @@ def dq_error(
             x_e = raw_vector(x)
             r_e = exact_mpf(r)
             fx = f._eval_exact(x_e)
+            # The largest ||resid|| / r is the largest sum of squares (rooted)
+            # or norm, divided once: mpf_sqrt and mpf_div are non-decreasing.
+            euclidean = operator.out_norm is NormKind.EUCLIDEAN
             best = fzero
             for u in sample_ball(np.zeros(d), r_e, budget, seed, operator.in_norm):
                 u = raw_vector(u)
@@ -130,14 +133,16 @@ def dq_error(
                 z = tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u))
                 # u = 0 lands on x_e unless x_e has more bits than the precision
                 fz = fx if z == x_e else f._eval_exact(z)
-                # resid = fz - fx - lu; val = ||resid|| / r
+                # resid = fz - fx - lu
                 resid = [mpf_sub(mpf_sub(a, b, prec, rnd), c, prec, rnd) for a, b, c in zip(fz, fx, lu)]
                 if fnan in resid:
                     return float("nan")
-                val = mpf_div(_norm_raw(resid, operator.out_norm), r_e._mpf_, prec, rnd)
-                if mpf_gt(val, best):
-                    best = val
-            return raw_to_float(best)
+                size = _sum_squares_raw(resid) if euclidean else _norm_raw(resid, operator.out_norm)
+                if mpf_gt(size, best):
+                    best = size
+            if euclidean:
+                best = mpf_sqrt(best, prec, rnd)
+            return raw_to_float(mpf_div(best, r_e._mpf_, prec, rnd))
     xf = np.asarray([to_float(v) for v in x], dtype=float)
     rf = to_float(r)
     U = np.asarray(sample_ball(np.zeros(d), rf, budget, seed, operator.in_norm))
@@ -166,22 +171,11 @@ def dq_profile(f: LipFun, x, operator: LinearMap, ladder: ScaleLadder,
     return DqProfile(tuple(ladder.radii), tuple(values), min(values))
 
 
-def _forward_quotient(f: LipFun, x, v: np.ndarray, t: Scalar) -> float:
-    """(f(x + t v) - f(x)) / t at a scale float64 cannot resolve, in exact
-    arithmetic at the scale's working precision."""
-    with mp.workdps(working_dps_for_scale(t)):
-        prec, rnd = mp._prec_rounding
-        x_e = raw_vector(x)
-        t_e = exact_raw(t)
-        # z = x + t * v; quotient (f(z) - f(x)) / t
-        z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd) for a, c in zip(x_e, v))
-        num = mpf_sub(f._eval_exact(z)[0], f._eval_exact(x_e)[0], prec, rnd)
-        return raw_to_float(mpf_div(num, t_e, prec, rnd))
-
-
 def _direction(f: LipFun, v) -> np.ndarray:
     """v as a float direction in f's domain: f.in_dim finite entries, not
-    all zero."""
+    all zero. A mapping without scalar codomain is refused first."""
+    if f.out_dim != 1:
+        raise LipForgeError("one-sided derivative probes need scalar codomain")
     v = np.asarray(v, dtype=float)
     if v.shape != (f.in_dim,):
         raise LipForgeError(f"direction has {v.size} entries, the mapping takes {f.in_dim}")
@@ -190,30 +184,47 @@ def _direction(f: LipFun, v) -> np.ndarray:
     return v
 
 
-def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
-    """Forward difference quotients (f(x + t v) - f(x)) / t along the ladder.
-
-    Scales resolvable in float64 are evaluated in one vectorized pass, with
-    x in row 0; the rest go through the exact path at scale-adapted
-    precision.
-    """
-    if f.out_dim != 1:
-        raise LipForgeError("one-sided derivative probes need scalar codomain")
-    v = _direction(f, v)
-    out: list[float | None] = [None] * len(ladder.radii)
-    float_idx = [i for i, t in enumerate(ladder.radii) if not _use_exact(x, t)]
-    if float_idx:
-        xf = np.asarray([to_float(c) for c in x], dtype=float)
-        ts = np.asarray([to_float(ladder.radii[i]) for i in float_idx])
-        Z = xf[None, :] + ts[:, None] * v[None, :]
-        vals = eval_batch(f, np.vstack([xf, Z]))[:, 0]
-        fx = float(vals[0])
-        for j, i in enumerate(float_idx):
-            out[i] = float((vals[j + 1] - fx) / ts[j])
-    for i, t in enumerate(ladder.radii):
-        if out[i] is None:
-            out[i] = _forward_quotient(f, x, v, t)
+def _forward_quotients(f: LipFun, probes, directions) -> list[list[list[float]]]:
+    """Forward difference quotients (f(x + t v) - f(x)) / t for each
+    (x, ladder) in probes: out[p][j] lists probe p's along directions[j],
+    one per scale. The float64-resolvable scales of all probes go through
+    one eval_batch call, whose rows are x, then x + t v for each scale and
+    direction; the others are exact at the scale's working precision, with
+    one f(x) per scale for all directions."""
+    V = np.asarray(directions)
+    rows = []
+    for x, ladder in probes:
+        ts = [to_float(t) for t in ladder.radii if not _use_exact(x, t)]
+        if ts:
+            xf = np.asarray([to_float(c) for c in x], dtype=float)
+            rows += [xf[None, :], xf + (np.asarray(ts)[:, None, None] * V).reshape(-1, len(xf))]
+    vals = iter(eval_batch(f, np.vstack(rows))[:, 0].tolist() if rows else ())
+    out = []
+    for x, ladder in probes:
+        x_e, fx, quotients = raw_vector(x), None, [[] for _ in directions]
+        for t in ladder.radii:
+            if not _use_exact(x, t):
+                if fx is None:
+                    fx = next(vals)
+                for q in quotients:
+                    q.append((next(vals) - fx) / to_float(t))
+                continue
+            with mp.workdps(working_dps_for_scale(t)):
+                prec, rnd = mp._prec_rounding
+                t_e = exact_raw(t)
+                fx_e = f._eval_exact(x_e)[0]
+                for q, v in zip(quotients, directions):
+                    # z = x + t * v; quotient (f(z) - f(x)) / t
+                    z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd)
+                              for a, c in zip(x_e, v))
+                    q.append(raw_to_float(mpf_div(mpf_sub(f._eval_exact(z)[0], fx_e, prec, rnd), t_e, prec, rnd)))
+        out.append(quotients)
     return out
+
+
+def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
+    """Forward difference quotients (f(x + t v) - f(x)) / t along the ladder."""
+    return _forward_quotients(f, [(x, ladder)], (_direction(f, v),))[0][0]
 
 
 def dini_lower(f: LipFun, x, v, ladder: ScaleLadder) -> float:
@@ -233,16 +244,19 @@ class DiniReport:
     tol: float
     scales: tuple[Scalar, ...]
 
+    @classmethod
+    def of(cls, forward, backward, ladder: ScaleLadder) -> "DiniReport":
+        """Fires when both one-sided lower quotients are below -DINI_TOL."""
+        fires = min(forward) < -DINI_TOL and min(backward) < -DINI_TOL
+        return cls(fires, tuple(forward), tuple(backward), DINI_TOL, tuple(ladder.radii))
+
 
 def dini_empty_certificate(f: LipFun, x, v, ladder: ScaleLadder) -> DiniReport:
     """Fires when both one-sided lower quotients along +-v are below
     -DINI_TOL, certifying (at the ladder's resolution) that no sub-gradient
     exists."""
-    v = np.asarray(v, dtype=float)
-    fwd = dini_values(f, x, v, ladder)
-    bwd = dini_values(f, x, -v, ladder)
-    fires = min(fwd) < -DINI_TOL and min(bwd) < -DINI_TOL
-    return DiniReport(fires, tuple(fwd), tuple(bwd), DINI_TOL, tuple(ladder.radii))
+    v = _direction(f, v)
+    return DiniReport.of(*_forward_quotients(f, [(x, ladder)], (v, -v))[0], ladder)
 
 
 def best_local_linear(
@@ -332,19 +346,20 @@ def witness_dini_report(
     seed: int = 0,
 ) -> list[WitnessDini]:
     """Sub-gradient emptiness certificates at witnesses of rounds >= min_round,
-    one per distinct point: a net center's ladder depends only on the center."""
+    one per distinct point: a net center's ladder depends only on the center.
+    The quotients of all distinct points are computed together."""
     fun = transcript.final_fun
-    if fun.out_dim != 1:
-        raise LipForgeError("one-sided derivative probes need scalar codomain")
     direction = _direction(fun, direction)
-    reports: dict[bytes | int, DiniReport] = {}
-    out = []
+    index, probes, listed = {}, [], []
     for w in witnesses(transcript, per_round, seed):
         if w.round_k < min_round:
             continue
         # a net center is keyed by its bytes, an offset point by its position
-        key = w.center.tobytes() if w.offset is None else len(out)
-        if key not in reports:
-            reports[key] = dini_empty_certificate(fun, w.point(), direction, witness_ladder(transcript, w))
-        out.append(WitnessDini(w, reports[key]))
-    return out
+        key = w.center.tobytes() if w.offset is None else len(listed)
+        if key not in index:
+            index[key] = len(probes)
+            probes.append((w.point(), witness_ladder(transcript, w)))
+        listed.append((w, index[key]))
+    quotients = _forward_quotients(fun, probes, (direction, -direction))
+    reports = [DiniReport.of(fwd, bwd, ladder) for (_, ladder), (fwd, bwd) in zip(probes, quotients)]
+    return [WitnessDini(w, reports[i]) for w, i in listed]

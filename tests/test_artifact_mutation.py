@@ -147,6 +147,7 @@ REFUSED = {
     "jitter-shift-too-long": (_set(("rounds", 0, "move", "shift"), ["0.0", "0.0"]), "round 1 jitter shift has 2 entries"),
     "net-point-on-boundary": (_set(("net_levels", 2, 0, 0), "0.0"), "level 3 violates the boundary margin"),
     "net-point-outside": (_set(("net_levels", 2, 0, 0), "-1.0"), "point outside domain"),
+    "operators-empty": (_set(("operators",), []), "no target operators"),
     "op_index-not-round-robin": (_set(("rounds", 2, "op_index"), 1),
                                  "round 3 names operator 1 of 2, its round-robin operator is 0"),
 }

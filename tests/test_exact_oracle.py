@@ -16,14 +16,17 @@ import pytest
 from mpmath import mp
 
 from lipforge import (
+    Domain,
     LinearMap,
     NormKind,
     NormOf,
     Scale,
     Sum,
+    TargetSet,
     dq_error,
     identity,
     radial_blend,
+    run_game,
     witnesses,
 )
 from lipforge.lipfun import (
@@ -41,7 +44,7 @@ from lipforge.lipfun import (
     shift_conjugate,
 )
 from lipforge.numerics import as_vector, exact_mpf, float_vector, raw_vector, to_float, working_dps_for_scale
-from lipforge.probe import _forward_quotient, _use_exact, witness_ladder
+from lipforge.probe import _forward_quotients, _use_exact, witness_ladder
 from lipforge.space import _root_side, _sum_squares_raw, sample_ball
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def ref_dq_error(f, x, operator, r, budget, seed):
 
 
 def ref_forward_quotient(f, x, v, t):
-    """_forward_quotient written with mpf objects."""
+    """An exact forward quotient of _forward_quotients written with mpf objects."""
     with mp.workdps(working_dps_for_scale(t)):
         x_e = as_vector([exact_mpf(c) for c in x])
         t_e = exact_mpf(t)
@@ -220,24 +223,69 @@ def test_dq_sample_points(small_game):
     assert exact_witnesses > 0
 
 
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_dq_error_roots_only_the_largest_sample(kind, acceptance_run):
+    """The exact dq_error roots and divides only its largest rounded sum of
+    squares or norm; its value is the per-sample reference's, in each
+    out-norm, on a small game into R^2 and at deep standard-run witnesses."""
+    m = np.array([[0.3, 0.1], [-0.1, 0.2]])
+    unit = Domain.box([0.0, 0.0], [1.0, 1.0])
+    ops = (LinearMap(m, out_norm=kind), LinearMap(-m, out_norm=kind))
+    small = run_game(unit, TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25), ops, "stay", rounds=4, seed=0)
+    std = acceptance_run.transcript
+    cases = [(small.final_fun, w) for w in witnesses(small, 1, 0)]
+    cases += [(std.final_fun, w) for k in (5, 8) for w in witnesses(std, 1, 0) if w.round_k == k][::120]
+    checked = 0
+    for f, w in cases:
+        x = w.point()
+        if not _use_exact(x, w.alpha):
+            continue
+        op = LinearMap(w.operator.matrix, w.operator.in_norm, kind)
+        budget = 2 * f.in_dim + 1
+        assert dq_error(f, x, op, w.alpha, budget, 0) == ref_dq_error(f, x, op, w.alpha, budget, 0)
+        checked += f is std.final_fun
+    assert checked >= 3
+
+
 def test_dini_forward_points(small_game):
-    """The exact scales of every witness ladder, along +-e1."""
+    """The exact scales of every witness ladder, along +-e1: each
+    direction's quotient, computed with the other direction's from one f(x)."""
     f = small_game.final_fun
     e1 = np.eye(f.in_dim)[0]
     exact_scales = 0
     for w in witnesses(small_game, 1, 0):
         x = w.point()
-        for t in witness_ladder(small_game, w).radii:
+        ladder = witness_ladder(small_game, w)
+        quotients = _forward_quotients(f, [(x, ladder)], (e1, -e1))[0]
+        for k, t in enumerate(ladder.radii):
             if not _use_exact(x, t):
                 continue
             exact_scales += 1
-            for v in (e1, -e1):
+            for v, values in zip((e1, -e1), quotients):
                 with mp.workdps(working_dps_for_scale(t)):
                     t_e = exact_mpf(t)
                     x_e = as_vector([exact_mpf(c) for c in x])
                     assert_same_bits(f, as_vector([x_e[i] + t_e * exact_mpf(float(v[i])) for i in range(len(v))]))
-                assert _forward_quotient(f, x, v, t) == ref_forward_quotient(f, x, v, t)
+                assert values[k] == ref_forward_quotient(f, x, v, t)
     assert exact_scales > 0
+
+
+def test_dini_forward_points_on_the_deep_standard_tree(acceptance_run):
+    """At two level-8 centers of the standard tree plus the Euclidean norm,
+    whose f(x) has no exact binary form: each exact scale, from about 1e-14
+    down to alpha_8 (about 1e-1139), takes f(x) at its own precision."""
+    tr = acceptance_run.transcript
+    f = Sum(tr.final_fun, NormOf(2))
+    e1 = np.eye(2)[0]
+    ws = [w for w in witnesses(tr, 1, 0) if w.round_k == tr.k_max][100:102]
+    probes = [(w.point(), witness_ladder(tr, w)) for w in ws]
+    exact_scales = 0
+    for (x, ladder), quotients in zip(probes, _forward_quotients(f, probes, (e1, -e1))):
+        for k, t in enumerate(ladder.radii):
+            if _use_exact(x, t):
+                exact_scales += 1
+                assert [q[k] for q in quotients] == [ref_forward_quotient(f, x, v, t) for v in (e1, -e1)]
+    assert exact_scales >= 10
 
 
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)

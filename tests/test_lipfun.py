@@ -378,6 +378,42 @@ def test_overlap_check_agrees_with_all_pairs(d, kind):
             Patched(Const(np.array([0.0]), d), patches, kind)
 
 
+def _assert_stacked_blocks_keep_their_bits(tr):
+    """The Dini report's blocks at every distinct witness point (x, then
+    x + t v for the float scales along +-e1), plus random blocks, evaluated
+    in one batch and block by block."""
+    from lipforge import witnesses
+    from lipforge.probe import _use_exact, witness_ladder
+
+    f = tr.final_fun
+    d = f.in_dim
+    rng = np.random.default_rng(3)
+    e1 = np.eye(d)[0]
+    blocks, seen = [], set()
+    for w in witnesses(tr, 1, 0):
+        x = w.point()
+        if x.tobytes() in seen:
+            continue
+        seen.add(x.tobytes())
+        ts = np.array([t for t in witness_ladder(tr, w).radii if not _use_exact(x, t)], dtype=float)
+        blocks.append(np.vstack([x[None, :]] + [x[None, :] + ts[:, None] * v[None, :] for v in (e1, -e1)]))
+        if rng.random() < 0.1:
+            blocks.append(rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 40)), d)))
+    whole = eval_batch(f, np.vstack(blocks))
+    assert whole.tobytes() == np.vstack([eval_batch(f, b) for b in blocks]).tobytes()
+    return len(whole)
+
+
+def test_eval_batch_of_stacked_blocks_is_the_blocks(small_game):
+    """Rows are evaluated independently, so the Dini report may stack the
+    blocks of all its points into one batch; on the 2-D and 3-D games."""
+    assert _assert_stacked_blocks_keep_their_bits(small_game) > 0
+
+
+def test_eval_batch_of_stacked_blocks_is_the_blocks_on_the_standard_tree(acceptance_run):
+    assert _assert_stacked_blocks_keep_their_bits(acceptance_run.transcript) > 10_000
+
+
 def test_eval_point_is_a_batch_row(small_game):
     """eval_point at float points gives the eval_batch rows, bit for bit:
     random points, patch centers and float-resolvable sphere axis points."""
@@ -676,8 +712,18 @@ def _reference_encode_node(f, depth: int, memo: dict) -> dict:
 
 def _reference_encode_record(f, depth: int, memo: dict) -> dict:
     """The earlier _encode_record, kept as the reference for the record format."""
-    from lipforge.lipfun import RadialBlend, _encode_map
-    from lipforge.numerics import encode_scalar, encode_vector
+    from lipforge.lipfun import RadialBlend
+    from lipforge.numerics import encode_scalar
+
+    def encode_vector(v):
+        return [encode_scalar(x) for x in v]
+
+    def _encode_map(m):
+        return {
+            "matrix": [encode_vector(row) for row in m.matrix],
+            "in_norm": m.in_norm.value,
+            "out_norm": m.out_norm.value,
+        }
 
     enc = _reference_encode_node
     if isinstance(f, Const):

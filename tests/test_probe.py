@@ -13,6 +13,7 @@ from lipforge import (
     NormOf,
     Scale,
     ScaleLadder,
+    Sum,
     TargetSet,
     best_local_linear,
     dini_empty_certificate,
@@ -276,13 +277,14 @@ def test_dq_profile_at_witness_scales(small_transcript):
 
 def test_witness_dini_certifies_each_distinct_point_once(monkeypatch, small_transcript):
     """Net centers shared by several rounds get one certificate, listed for
-    each witness; offset points get their own. The reports equal the ones
-    computed witness by witness."""
+    each witness; offset points get their own. All distinct points go to one
+    quotient computation, and the reports equal the ones computed witness by
+    witness."""
     tr = small_transcript
     direction = np.array([1.0, 0.0])
     calls = []
-    certify = probe.dini_empty_certificate
-    monkeypatch.setattr(probe, "dini_empty_certificate", lambda *a: calls.append(a) or certify(*a))
+    quotients = probe._forward_quotients
+    monkeypatch.setattr(probe, "_forward_quotients", lambda *a: calls.append(a) or quotients(*a))
     report = witness_dini_report(tr, direction, per_round=2, seed=3)
     ws = witnesses(tr, 2, 3)
     key = lambda w: (w.round_k, w.center.tobytes(), None if w.offset is None else tuple(w.offset))
@@ -290,12 +292,57 @@ def test_witness_dini_certifies_each_distinct_point_once(monkeypatch, small_tran
     centers = {w.center.tobytes() for w in ws if w.offset is None}
     offsets = [w for w in ws if w.offset is not None]
     assert len(centers) < len(ws) - len(offsets)
-    assert len(calls) == len(centers) + len(offsets)
+    assert len(calls) == 1
+    assert len(calls[0][1]) == len(centers) + len(offsets)
     for r in report:
         w = r.witness
         x = w.point()
-        assert r.report == certify(tr.final_fun, x, direction, witness_ladder(tr, w))
+        assert r.report == dini_empty_certificate(tr.final_fun, x, direction, witness_ladder(tr, w))
         assert r.report.tol == DINI_TOL
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_witness_dini_report_has_the_bits_of_each_certificate(small_game):
+    """The report's batched float scales and shared exact f(x) give every
+    quotient the bits of the point's own certificate, on the 2-D and 3-D
+    games, at the last round's net centers and offset points."""
+    tr = small_game
+    direction = np.eye(tr.domain.dim)[0]
+    report = witness_dini_report(tr, direction, min_round=tr.k_max, per_round=2, seed=1)
+    assert any(r.witness.offset is not None for r in report)
+    exact, seen = 0, set()
+    for r in report:
+        x = r.witness.point()
+        if x.tobytes() in seen:
+            continue
+        seen.add(x.tobytes())
+        ladder = witness_ladder(tr, r.witness)
+        alone = dini_empty_certificate(tr.final_fun, x, direction, ladder)
+        assert (r.report.fires, _bits(r.report.forward), _bits(r.report.backward), r.report.scales) == (
+            alone.fires, _bits(alone.forward), _bits(alone.backward), alone.scales)
+        if len(seen) % 4 == 1:
+            assert _bits(alone.forward) == _bits(dini_values(tr.final_fun, x, direction, ladder))
+            assert _bits(alone.backward) == _bits(dini_values(tr.final_fun, x, -direction, ladder))
+        exact += sum(_use_exact(x, t) for t in ladder.radii)
+    assert exact > 0
+
+
+def test_forward_quotients_of_many_points_are_each_points_own(small_game):
+    """Each point's quotients in a many-point call are the ones it gets
+    alone, on a mapping whose f(x) differs from point to point and has no
+    exact binary form (the game's mapping is 0 at every net center)."""
+    tr = small_game
+    d = tr.domain.dim
+    f = Sum(tr.final_fun, NormOf(d))
+    e1 = np.eye(d)[0]
+    probes = [(w.point(), witness_ladder(tr, w)) for w in witnesses(tr, 1, 0) if w.round_k == tr.k_max]
+    together = probe._forward_quotients(f, probes, (e1, -e1))
+    assert len({float(eval_point(f, x)[0]) for x, _ in probes}) > 1
+    for p, quotients in zip(probes, together):
+        assert [_bits(q) for q in quotients] == [_bits(q) for q in probe._forward_quotients(f, [p], (e1, -e1))[0]]
 
 
 def test_witness_dini_small_game(small_transcript):
