@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from mpmath import mp
 from mpmath.libmp import from_float, from_int
-from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_sqrt, mpf_sub
+from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_sub
 
 from .numerics import (
     INT,
@@ -64,7 +64,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import CellIndex, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sum_squares_raw
+from .space import CellIndex, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
 from .space import _halton, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
@@ -445,7 +445,7 @@ class RadialBlend(LipFun):
                 return self.f1._eval_exact(z)
             if side > 0 and _root_side(acc, self._b_sq) > 0:
                 return self.f2._eval_exact(z)
-            n = mpf_sqrt(acc, prec, rnd)
+            n = _sqrt_raw(acc, prec, rnd)
         else:
             n = _norm_raw(z, self.norm_kind)
         if mpf_le(n, a):

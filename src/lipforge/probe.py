@@ -22,11 +22,12 @@ scales.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sqrt, mpf_sub
+from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_sub
 
 from .game import GameTranscript, Witness, witnesses
 from .lipfun import LipFun, eval_batch
@@ -43,7 +44,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, _norm_raw, _sum_squares_raw, norm, sample_ball
+from .space import Domain, LinearMap, NormKind, _norm_raw, _sqrt_raw, _sum_squares_raw, norm, sample_ball
 
 # Below this fraction of the base-point scale, float64 differences lose all
 # signal and probes switch to the exact evaluation path.
@@ -96,6 +97,24 @@ def _use_exact(x, r) -> bool:
     return is_exact_vector(x) or rf == 0.0 or rf < FLOAT_PROBE_REL * _point_scale(x)
 
 
+# Exact values of a final mapping that its witness and Dini reports share
+# (the per-call probes keep none): f(x + u) keyed by (x, u, prec, rounding).
+# Keyed weakly by the tree's root, they live as long as the tree.
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _exact_value(f: LipFun, memo: dict, x_e: tuple, u: tuple | None) -> tuple:
+    """f(x + u) at the working precision, u the raw displacement or None for
+    f(x); z = x + u is formed and evaluated only when memo lacks the value."""
+    prec, rnd = mp._prec_rounding
+    key = (x_e, u, prec, rnd)
+    fz = memo.get(key)
+    if fz is None:
+        z = x_e if u is None else tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u))
+        fz = memo[key] = f._eval_exact(z)
+    return fz
+
+
 def dq_error(
     f: LipFun,
     x,
@@ -107,6 +126,11 @@ def dq_error(
 ) -> float:
     """Sampled difference-quotient error at scale r (lower estimate). A NaN
     sample makes it NaN, which meets no bound."""
+    return _dq_error(f, x, operator, r, budget, seed, domain, {})
+
+
+def _dq_error(f, x, operator, r, budget, seed, domain, memo) -> float:
+    """dq_error with its exact values read from and kept in memo."""
     x = x if isinstance(x, np.ndarray) else as_vector(list(x))
     d = f.in_dim
     if len(x) != d or operator.in_dim != d or operator.out_dim != f.out_dim:
@@ -122,17 +146,17 @@ def dq_error(
             prec, rnd = mp._prec_rounding
             x_e = raw_vector(x)
             r_e = exact_mpf(r)
-            fx = f._eval_exact(x_e)
+            fx = _exact_value(f, memo, x_e, None)
             # The largest ||resid|| / r is the largest sum of squares (rooted)
-            # or norm, divided once: mpf_sqrt and mpf_div are non-decreasing.
+            # or norm, divided once: the root and mpf_div are non-decreasing.
             euclidean = operator.out_norm is NormKind.EUCLIDEAN
             best = fzero
+            # u = 0 lands on x unless x has more bits than the precision
+            at_x = (fzero,) * d if all(bc <= prec for _, _, _, bc in x_e) else None
             for u in sample_ball(np.zeros(d), r_e, budget, seed, operator.in_norm):
                 u = raw_vector(u)
                 lu = operator.apply_raw(u)
-                z = tuple(mpf_add(a, b, prec, rnd) for a, b in zip(x_e, u))
-                # u = 0 lands on x_e unless x_e has more bits than the precision
-                fz = fx if z == x_e else f._eval_exact(z)
+                fz = fx if u == at_x else _exact_value(f, memo, x_e, u)
                 # resid = fz - fx - lu
                 resid = [mpf_sub(mpf_sub(a, b, prec, rnd), c, prec, rnd) for a, b, c in zip(fz, fx, lu)]
                 if fnan in resid:
@@ -141,7 +165,7 @@ def dq_error(
                 if mpf_gt(size, best):
                     best = size
             if euclidean:
-                best = mpf_sqrt(best, prec, rnd)
+                best = _sqrt_raw(best, prec, rnd)
             return raw_to_float(mpf_div(best, r_e._mpf_, prec, rnd))
     xf = np.asarray([to_float(v) for v in x], dtype=float)
     rf = to_float(r)
@@ -184,13 +208,13 @@ def _direction(f: LipFun, v) -> np.ndarray:
     return v
 
 
-def _forward_quotients(f: LipFun, probes, directions) -> list[list[list[float]]]:
+def _forward_quotients(f: LipFun, probes, directions, memo: dict) -> list[list[list[float]]]:
     """Forward difference quotients (f(x + t v) - f(x)) / t for each
     (x, ladder) in probes: out[p][j] lists probe p's along directions[j],
     one per scale. The float64-resolvable scales of all probes go through
     one eval_batch call, whose rows are x, then x + t v for each scale and
     direction; the others are exact at the scale's working precision, with
-    one f(x) per scale for all directions."""
+    one f(x) per scale for all directions, read from and kept in memo."""
     V = np.asarray(directions)
     rows = []
     for x, ladder in probes:
@@ -212,19 +236,19 @@ def _forward_quotients(f: LipFun, probes, directions) -> list[list[list[float]]]
             with mp.workdps(working_dps_for_scale(t)):
                 prec, rnd = mp._prec_rounding
                 t_e = exact_raw(t)
-                fx_e = f._eval_exact(x_e)[0]
+                fx_e = _exact_value(f, memo, x_e, None)[0]
                 for q, v in zip(quotients, directions):
-                    # z = x + t * v; quotient (f(z) - f(x)) / t
-                    z = tuple(mpf_add(a, mpf_mul(t_e, exact_raw(float(c)), prec, rnd), prec, rnd)
-                              for a, c in zip(x_e, v))
-                    q.append(raw_to_float(mpf_div(mpf_sub(f._eval_exact(z)[0], fx_e, prec, rnd), t_e, prec, rnd)))
+                    # u = t * v; quotient (f(x + u) - f(x)) / t
+                    u = tuple(mpf_mul(t_e, exact_raw(float(c)), prec, rnd) for c in v)
+                    fz = _exact_value(f, memo, x_e, u)[0]
+                    q.append(raw_to_float(mpf_div(mpf_sub(fz, fx_e, prec, rnd), t_e, prec, rnd)))
         out.append(quotients)
     return out
 
 
 def dini_values(f: LipFun, x, v, ladder: ScaleLadder) -> list[float]:
     """Forward difference quotients (f(x + t v) - f(x)) / t along the ladder."""
-    return _forward_quotients(f, [(x, ladder)], (_direction(f, v),))[0][0]
+    return _forward_quotients(f, [(x, ladder)], (_direction(f, v),), {})[0][0]
 
 
 def dini_lower(f: LipFun, x, v, ladder: ScaleLadder) -> float:
@@ -256,7 +280,7 @@ def dini_empty_certificate(f: LipFun, x, v, ladder: ScaleLadder) -> DiniReport:
     -DINI_TOL, certifying (at the ladder's resolution) that no sub-gradient
     exists."""
     v = _direction(f, v)
-    return DiniReport.of(*_forward_quotients(f, [(x, ladder)], (v, -v))[0], ladder)
+    return DiniReport.of(*_forward_quotients(f, [(x, ladder)], (v, -v), {})[0], ladder)
 
 
 def best_local_linear(
@@ -302,11 +326,13 @@ def witness_bound_report(
     seed: int = 0,
 ) -> list[WitnessProbe]:
     """dq error of the final mapping at every witness, at that witness's
-    construction scale, against the bound 4/k."""
+    construction scale, against the bound 4/k. Exact values are shared
+    with the Dini report (_SHARED)."""
     fun = transcript.final_fun
+    memo = _SHARED.setdefault(fun, {})
     out = []
     for w in witnesses(transcript, per_round, seed):
-        val = dq_error(fun, w.point(), w.operator, w.alpha, budget, seed)
+        val = _dq_error(fun, w.point(), w.operator, w.alpha, budget, seed, None, memo)
         out.append(WitnessProbe(w, val, 4.0 / w.round_k))
     return out
 
@@ -347,7 +373,8 @@ def witness_dini_report(
 ) -> list[WitnessDini]:
     """Sub-gradient emptiness certificates at witnesses of rounds >= min_round,
     one per distinct point: a net center's ladder depends only on the center.
-    The quotients of all distinct points are computed together."""
+    The quotients of all distinct points are computed together, with exact
+    values shared with the witness report (_SHARED)."""
     fun = transcript.final_fun
     direction = _direction(fun, direction)
     index, probes, listed = {}, [], []
@@ -360,6 +387,6 @@ def witness_dini_report(
             index[key] = len(probes)
             probes.append((w.point(), witness_ladder(transcript, w)))
         listed.append((w, index[key]))
-    quotients = _forward_quotients(fun, probes, (direction, -direction))
+    quotients = _forward_quotients(fun, probes, (direction, -direction), _SHARED.setdefault(fun, {}))
     reports = [DiniReport.of(fwd, bwd, ladder) for (_, ladder), (fwd, bwd) in zip(probes, quotients)]
     return [WitnessDini(w, reports[i]) for w, i in listed]

@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
-from mpmath.libmp import round_nearest
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sub
+from mpmath.libmp import ComplexResult, normalize, round_nearest
 
 from .numerics import (
     FLOAT,
@@ -89,7 +89,7 @@ def _norm_raw(v: tuple, kind: NormKind, exact: bool = False) -> tuple:
     whose root has no exact form: ``_norm_le_exact`` compares its square."""
     prec, rnd = (0, round_nearest) if exact else mp._prec_rounding
     if kind is NormKind.EUCLIDEAN:
-        return mpf_sqrt(_sum_squares_raw(v), prec, rnd)
+        return _sqrt_raw(_sum_squares_raw(v), prec, rnd)
     if kind is NormKind.SUP:
         best = None
         for x in v:
@@ -111,6 +111,27 @@ def _sum_squares_raw(v: tuple, exact: bool = False) -> tuple:
     for x in v:
         acc = mpf_add(acc, mpf_mul(x, x, prec, rnd), prec, rnd)
     return acc
+
+
+def _sqrt_raw(s: tuple, prec: int, rnd: str) -> tuple:
+    """``mpf_sqrt(s, prec, rnd)`` bit for bit, with ``math.isqrt`` for the
+    integer root and its trailing zeros (many, for an exact square) stripped
+    in one step rather than by ``normalize``'s loop of one byte a turn."""
+    sign, man, exp, bc = s
+    if sign:
+        raise ComplexResult("square root of a negative number")
+    if not man:
+        return s
+    if exp & 1:
+        exp, man, bc = exp - 1, man << 1, bc + 1
+    shift = max(4, 2 * prec - bc + 4)
+    shift += shift & 1
+    x = man << shift
+    y = math.isqrt(x)
+    if rnd not in "fd" and x != y * y:
+        y, shift = (y << 1) + 1, shift + 2
+    y >>= (tz := (y & -y).bit_length() - 1)
+    return normalize(0, y, (exp - shift) // 2 + tz, y.bit_length(), prec, rnd)
 
 
 def _root_side(acc: tuple, r2: tuple) -> int:
@@ -157,7 +178,7 @@ def _norm_lt_raw(v: tuple, kind: NormKind, r: tuple, r2: tuple) -> bool:
     if side:
         return side < 0
     prec, rnd = mp._prec_rounding
-    return mpf_lt(mpf_sqrt(acc, prec, rnd), r)
+    return mpf_lt(_sqrt_raw(acc, prec, rnd), r)
 
 
 def _norm_le_exact(v: tuple, kind: NormKind, r: tuple) -> bool:

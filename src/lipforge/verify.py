@@ -30,6 +30,7 @@ from .lipfun import (
     radial_blend,
     serialize,
     _check_patch_continuity,
+    _collector_paused,
     sup_dist,
     zero_map,
 )
@@ -204,9 +205,10 @@ def perturb_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+@_collector_paused()
 def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
     """Serialization round-trip, certified-bound and patch-continuity checks
-    for a stored tree."""
+    for a stored tree, run with the cyclic collector paused."""
     rng = np.random.default_rng(seed + 3)
     out = []
     clone = deserialize(serialize(fun))

@@ -256,7 +256,7 @@ def test_dini_forward_points(small_game):
     for w in witnesses(small_game, 1, 0):
         x = w.point()
         ladder = witness_ladder(small_game, w)
-        quotients = _forward_quotients(f, [(x, ladder)], (e1, -e1))[0]
+        quotients = _forward_quotients(f, [(x, ladder)], (e1, -e1), {})[0]
         for k, t in enumerate(ladder.radii):
             if not _use_exact(x, t):
                 continue
@@ -280,7 +280,7 @@ def test_dini_forward_points_on_the_deep_standard_tree(acceptance_run):
     ws = [w for w in witnesses(tr, 1, 0) if w.round_k == tr.k_max][100:102]
     probes = [(w.point(), witness_ladder(tr, w)) for w in ws]
     exact_scales = 0
-    for (x, ladder), quotients in zip(probes, _forward_quotients(f, probes, (e1, -e1))):
+    for (x, ladder), quotients in zip(probes, _forward_quotients(f, probes, (e1, -e1), {})):
         for k, t in enumerate(ladder.radii):
             if _use_exact(x, t):
                 exact_scales += 1

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -23,13 +26,14 @@ from lipforge import (
     dq_profile,
     eval_point,
     identity,
+    load_transcript,
     run_game,
     witness_bound_report,
     witness_dini_report,
     witnesses,
 )
 from lipforge import probe
-from lipforge.numerics import as_vector, to_float, working_dps_for_scale
+from lipforge.numerics import as_vector, raw_vector, to_float, working_dps_for_scale
 from lipforge.probe import DINI_TOL, WitnessProbe, _use_exact, witness_ladder
 from lipforge.space import norm, sample_ball
 
@@ -339,10 +343,10 @@ def test_forward_quotients_of_many_points_are_each_points_own(small_game):
     f = Sum(tr.final_fun, NormOf(d))
     e1 = np.eye(d)[0]
     probes = [(w.point(), witness_ladder(tr, w)) for w in witnesses(tr, 1, 0) if w.round_k == tr.k_max]
-    together = probe._forward_quotients(f, probes, (e1, -e1))
+    together = probe._forward_quotients(f, probes, (e1, -e1), {})
     assert len({float(eval_point(f, x)[0]) for x, _ in probes}) > 1
     for p, quotients in zip(probes, together):
-        assert [_bits(q) for q in quotients] == [_bits(q) for q in probe._forward_quotients(f, [p], (e1, -e1))[0]]
+        assert [_bits(q) for q in quotients] == [_bits(q) for q in probe._forward_quotients(f, [p], (e1, -e1), {})[0]]
 
 
 def test_witness_dini_small_game(small_transcript):
@@ -377,3 +381,96 @@ def test_batched_dq_error_matches_per_sample_loop(small_game):
             assert dq_error(f, x, w.operator, r, budget, i) == loop_dq_error(f, x, w.operator, r, budget, i)
             checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Exact values shared by the witness and Dini reports
+
+
+def _loaded(tr, path):
+    """tr read back from disk: a tree that has shared no exact values yet."""
+    path.mkdir()
+    tr.save(path / "transcript.json")
+    return load_transcript(path / "transcript.json")
+
+
+def _dini_bits(report):
+    return [(r.report.fires, _bits(r.report.forward), _bits(r.report.backward), r.report.scales) for r in report]
+
+
+def test_dini_report_after_the_witness_report_evaluates_nothing_exactly(monkeypatch, small_game, tmp_path):
+    """Along e1, every exact f(x) and f(x +- alpha_k e1) of the Dini report
+    is a sample of the witness report at the same working precision, so
+    the Dini report makes no exact evaluation of the mapping; its reports
+    and the witness values equal those of a fresh transcript, bit for bit."""
+    tr, fresh = _loaded(small_game, tmp_path / "a"), _loaded(small_game, tmp_path / "b")
+    e1 = np.eye(tr.domain.dim)[0]
+    root, calls = tr.final_fun, []
+    assert root not in probe._SHARED
+    evaluate = type(root)._eval_exact
+
+    def counted(self, z):
+        if self is root:
+            calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(type(root), "_eval_exact", counted)
+    witness = witness_bound_report(tr)
+    assert len(calls) > 0
+    calls.clear()
+    dini = witness_dini_report(tr, e1)
+    assert calls == []
+    assert any(_use_exact(r.witness.point(), t) for r in dini for t in r.report.scales)
+    monkeypatch.undo()
+    assert _dini_bits(dini) == _dini_bits(witness_dini_report(fresh, e1))
+    alone = witness_bound_report(_loaded(small_game, tmp_path / "c"))
+    assert _bits([p.value for p in witness]) == _bits([p.value for p in alone])
+
+
+def test_witness_values_after_the_dini_report_are_each_witness_own(small_game, tmp_path):
+    """In the command line's order, Dini report first, the witness report
+    reads the shared values and its dq values keep the bits of dq_error,
+    which shares nothing, at centers and offset points."""
+    tr = _loaded(small_game, tmp_path / "a")
+    witness_dini_report(tr, np.eye(tr.domain.dim)[0], per_round=2, seed=1)
+    assert probe._SHARED[tr.final_fun]
+    report = witness_bound_report(tr, per_round=2, seed=1)
+    assert any(p.witness.offset is not None for p in report)
+    expected = [dq_error(tr.final_fun, w.point(), w.operator, w.alpha, None, 1) for w in witnesses(tr, 2, 1)]
+    assert _bits([p.value for p in report]) == _bits(expected)
+
+
+def test_per_call_probes_share_nothing(small_game, tmp_path):
+    tr = _loaded(small_game, tmp_path / "a")
+    f = tr.final_fun
+    e1 = np.eye(tr.domain.dim)[0]
+    w = [w for w in witnesses(tr, 1, 0) if w.round_k == tr.k_max][0]
+    x, ladder = w.point(), witness_ladder(tr, w)
+    dq_error(f, x, w.operator, w.alpha)
+    dq_profile(f, x, w.operator, ladder)
+    dini_values(f, x, e1, ladder)
+    dini_empty_certificate(f, x, e1, ladder)
+    best_local_linear(f, x, w.alpha, tr.operators)
+    assert f not in probe._SHARED
+
+
+def test_one_point_at_two_precisions_has_two_shared_values():
+    f = NormOf(2)
+    x_e, memo = raw_vector([0.1, 0.2]), {}
+    values = []
+    for dps in (30, 60, 30):
+        with mp.workdps(dps):
+            values.append(probe._exact_value(f, memo, x_e, None))
+    assert len(memo) == 2
+    assert values[0] != values[1] and values[2] is values[0]
+
+
+def test_shared_values_go_with_the_tree(small_game, tmp_path):
+    tr = _loaded(small_game, tmp_path / "a")
+    witness_bound_report(tr)
+    ref, count = weakref.ref(tr.final_fun), len(probe._SHARED)
+    assert ref() in probe._SHARED
+    del tr
+    gc.collect()
+    assert ref() is None
+    assert len(probe._SHARED) == count - 1

@@ -1,13 +1,15 @@
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import ComplexResult, from_man_exp, fzero, mpf_mul, mpf_sqrt
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
 from lipforge.numerics import as_vector, exact_mpf, is_exact_vector, is_mpf
-from lipforge.space import _bounds_2norm, _halton, _power_iteration_2norm, norm_batch, op_norm_matrix, unit_directions
+from lipforge.space import _bounds_2norm, _halton, _power_iteration_2norm, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -260,6 +262,30 @@ def test_diam():
     assert Domain.box([0, 0], [1, 1]).diam() == pytest.approx(math.sqrt(2.0))
     assert Domain.ball([0, 0], 1.0).diam() == 2.0
     assert Domain.box([0, 0], [1, 1], NormKind.SUP).diam() == 1.0
+
+
+@pytest.mark.parametrize("rnd", ["n", "f", "c", "d", "u"])
+def test_sqrt_raw_is_mpf_sqrt(rnd):
+    """math.isqrt and the one-step strip give mpf_sqrt's bits: at zero, at
+    mantissa 1 with even and odd exponents, at exact squares (whose roots
+    end in zeros) and at random values, from 1 to 4076 bits."""
+    rng = random.Random(11)
+    cases = [fzero] + [from_man_exp(1, e) for e in (-9, -8, -1, 0, 1, 2, 7, 1000, 1001)]
+    for _ in range(300):
+        s = from_man_exp(rng.getrandbits(rng.randint(1, 5000)) | 1, rng.randint(-4000, 4000))
+        cases += [s, mpf_mul(s, s), mpf_mul(s, from_man_exp(1, 1))]
+    for prec in (1, 2, 53, 54, 200, 1226, 4076):
+        for s in cases:
+            assert _sqrt_raw(s, prec, rnd) == mpf_sqrt(s, prec, rnd), (s, prec)
+
+
+def test_sqrt_raw_refuses_a_negative_like_mpf_sqrt():
+    neg = from_man_exp(-9, -4)
+    with pytest.raises(ComplexResult) as want:
+        mpf_sqrt(neg, 53, "n")
+    with pytest.raises(ComplexResult) as got:
+        _sqrt_raw(neg, 53, "n")
+    assert str(got.value) == str(want.value)
 
 
 def test_sample_ball_contains_axis_points():

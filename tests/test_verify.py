@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from lipforge import Domain, LinearMap, TargetSet, run_game
 from lipforge.verify import (
+    artifact_suite,
     blend_suite,
     lipschitz_suite,
     net_suite,
@@ -43,3 +46,26 @@ def test_transcript_suite_green(small_transcript):
     results = transcript_suite(small_transcript, per_round=2, budget=8)
     bad = [r for r in results if not r.ok]
     assert not bad, bad
+
+
+def test_artifact_suite_makes_no_full_collection(acceptance_run):
+    """artifact_suite runs with the cyclic collector paused: no generation-2
+    collection starts inside it on the standard tree, and the collector is
+    on again after it."""
+    tree = acceptance_run.transcript.final_fun
+    inside, full = [], []
+
+    def on_collect(phase, info):
+        if phase == "start" and info["generation"] == 2 and inside:
+            full.append(info)
+
+    gc.callbacks.append(on_collect)
+    try:
+        inside.append("artifact_suite")
+        results = artifact_suite(tree)
+        inside.clear()
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert all(r.ok for r in results)
+    assert full == []
+    assert gc.isenabled()
