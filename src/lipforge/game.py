@@ -32,6 +32,7 @@ from .lipfun import (
     MAP,
     Const,
     LipFun,
+    _collector_paused,
     add_const,
     deserialize,
     fun_from_dict,
@@ -442,6 +443,7 @@ def load_transcript(path, function_path=None) -> GameTranscript:
     return transcript
 
 
+@_collector_paused()
 def run_game(
     domain: Domain,
     target: TargetSet,
@@ -457,7 +459,8 @@ def run_game(
     Every operator must have op_norm < 1; they are targeted round-robin.
     The run is deterministic for fixed (target, operators, seed, dps). The
     replay adversary replays the moves of `replay_transcript`, in memory or
-    from load_transcript.
+    from load_transcript. It runs with the cyclic collector paused: the tree
+    it builds holds no cycles.
     """
     ops = tuple(operators)
     if not ops:

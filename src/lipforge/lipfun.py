@@ -142,7 +142,9 @@ def eval_point(f: LipFun, z) -> np.ndarray:
 def eval_batch(f: LipFun, Z: np.ndarray) -> np.ndarray:
     """Vectorized float64 evaluation of an (n, d) array of points. Rows are
     evaluated independently: a row has the same bits in any batch, alone
-    or stacked with others, which lets probes put many points in one call."""
+    or stacked with others, which lets probes put many points in one call.
+    Every float norm and product sums each row on its own, in coordinate
+    order (space.norm_batch, space._products), so this holds on every CPU."""
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[1] != f.in_dim:
         raise LipForgeError("dimension mismatch in batch evaluation")

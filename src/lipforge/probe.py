@@ -44,7 +44,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import Domain, LinearMap, NormKind, _norm_raw, _sqrt_raw, _sum_squares_raw, norm, sample_ball
+from .space import Domain, LinearMap, NormKind, _norm_raw, _sqrt_raw, _sum_squares_raw, norm_batch, sample_ball
 
 # Below this fraction of the base-point scale, float64 differences lose all
 # signal and probes switch to the exact evaluation path.
@@ -170,10 +170,9 @@ def _dq_error(f, x, operator, r, budget, seed, domain, memo) -> float:
     xf = np.asarray([to_float(v) for v in x], dtype=float)
     rf = to_float(r)
     U = np.asarray(sample_ball(np.zeros(d), rf, budget, seed, operator.in_norm))
-    # One batch [x; x + u_1; ...]. The residual norms stay per sample: norm
-    # and norm_batch can round a Euclidean sum differently.
+    # One batch [x; x + u_1; ...]
     F = eval_batch(f, np.vstack([xf, xf + U]))
-    vals = [float(norm(fz - F[0] - operator.float_matrix @ u, operator.out_norm)) / rf for u, fz in zip(U, F[1:])]
+    vals = norm_batch(F[1:] - F[0] - operator.apply_batch(U), operator.out_norm) / rf
     # np.max, unlike max, keeps a NaN
     return float(np.max(vals, initial=0.0))
 

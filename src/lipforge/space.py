@@ -5,7 +5,8 @@ values when a computation needs precision beyond float64). The exact
 evaluator passes tuples of raw libmp values instead (see numerics.py);
 ``_norm_raw``, ``_norm_lt_raw``, ``_root_side`` and ``LinearMap.apply_raw``
 serve it, and the object-array branches of ``norm`` and ``LinearMap.apply``
-delegate to them. Operators are
+delegate to them; ``norm_batch`` and ``_products`` make the same sums in
+float64. Operators are
 real l x d matrices with an operator norm taken with respect to a chosen
 pair of norms on domain and codomain. Domains are boxes or norm balls with
 exact diameter and boundary-distance formulas.
@@ -66,16 +67,12 @@ class NormKind(enum.Enum):
 
 
 def norm(v: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> Scalar:
-    """Vector norm under the given kind; exact in the vector's arithmetic."""
+    """Vector norm under the given kind; exact in the vector's arithmetic.
+    A float vector's norm is norm_batch's one-row case."""
     v = np.asarray(v) if not isinstance(v, np.ndarray) else v
     if is_exact_vector(v):
         return mp.make_mpf(_norm_raw(raw_vector(v), kind))
-    v = np.asarray(v, dtype=float)
-    if kind is NormKind.EUCLIDEAN:
-        return float(math.sqrt(float(np.dot(v, v))))
-    if kind is NormKind.SUP:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.sum(np.abs(v)))
+    return float(norm_batch(np.asarray(v, dtype=float).reshape(1, -1), kind)[0])
 
 
 def _norm_raw(v: tuple, kind: NormKind, exact: bool = False) -> tuple:
@@ -192,12 +189,26 @@ def _norm_le_exact(v: tuple, kind: NormKind, r: tuple) -> bool:
 
 
 def norm_batch(Z: np.ndarray, kind: NormKind) -> np.ndarray:
-    """Row-wise norms of an (n, d) float64 array."""
-    if kind is NormKind.EUCLIDEAN:
-        return np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    """Row-wise norms of an (n, d) float64 array, and every float norm: each
+    row summed from 0.0 over its coordinates in order, as ``_norm_raw`` sums,
+    with elementwise ufuncs (no BLAS, fused multiply-add or pairwise sum), so
+    its bits depend on neither the other rows nor the CPU."""
     if kind is NormKind.SUP:
-        return np.max(np.abs(Z), axis=1)
-    return np.sum(np.abs(Z), axis=1)
+        return np.max(np.abs(Z), axis=1, initial=0.0)
+    acc = np.zeros(len(Z))
+    for z in Z.T:
+        acc += z * z if kind is NormKind.EUCLIDEAN else np.abs(z)
+    return np.sqrt(acc) if kind is NormKind.EUCLIDEAN else acc
+
+
+def _products(Z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``Z @ m.T`` for an (n, d) array and an (l, d) matrix, and every float
+    matrix product, summed as norm_batch sums: ``acc += m[k, j] * z[j]`` from
+    0.0 in coordinate order, as ``LinearMap.apply_raw`` does."""
+    out = np.zeros((len(Z), len(m)))
+    for z, col in zip(Z.T, m.T, strict=True):
+        out += z[:, None] * col
+    return out
 
 
 class CellIndex:
@@ -231,27 +242,30 @@ class CellIndex:
         return [self.table.get(tuple(key), ()) for key in np.floor(Z / self.cell).tolist()]
 
 
-def _power_iteration_2norm(m: np.ndarray) -> float:
-    """Estimate of the largest singular value by power iteration on A^T A,
-    from the normalized all-ones vector: 200 iterations at most, relative
-    tolerance 1e-10. It converges from below, and stays below when the start
-    is orthogonal to the top singular direction."""
-    b = m.T @ m
-    v = np.ones(m.shape[1])
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(200):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(v @ (b @ v))
-        if abs(lam_new - lam) <= 1e-10 * max(lam_new, 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
+def _least_float(proves, t: float) -> float:
+    """The least float that proves accepts, by ulp steps up and then down
+    from the estimate t; proves must accept every float from some point on."""
+    while not proves(t):
+        t = math.nextafter(t, math.inf)
+    while t > 0.0 and proves(down := math.nextafter(t, 0.0)):
+        t = down
+    return t
+
+
+def _norm_up(v: np.ndarray, kind: NormKind) -> float:
+    """The least float at least the norm of the float vector v. The largest
+    |v_j| is exact; the sum of |v_j| and the root of the sum of v_j^2 are
+    proven in Fractions (floats are rationals), stepping from the rounded
+    sum and from math.hypot."""
+    if kind is NormKind.SUP:
+        return float(np.max(np.abs(v), initial=0.0))
+    p = 2 if kind is NormKind.EUCLIDEAN else 1
+    q = sum(abs(Fraction(x)) ** p for x in v.tolist())
+    try:
+        t = math.hypot(*v.tolist()) if p == 2 else float(q)
+    except OverflowError:  # a sum beyond the largest float
+        return math.inf
+    return _least_float(lambda t: t == math.inf or Fraction(t) ** p >= q, t)
 
 
 def _bounds_2norm(m: np.ndarray, t: float) -> bool:
@@ -272,20 +286,26 @@ def _bounds_2norm(m: np.ndarray, t: float) -> bool:
 
 
 def _enumerate_sign_norm(m: np.ndarray, out_kind: NormKind) -> float:
-    """max over x in {-1,+1}^d of ||A x||_out (exact extreme-point sweep)."""
+    """max over x in {-1,+1}^d with x_1 = 1 of ||A x||_out (extreme-point
+    sweep), in blocks of 4096 sign vectors."""
     d = m.shape[1]
     if d > MAX_ENUM_DIM:
         raise LipForgeError(
             f"exact operator norm enumeration limited to dimension {MAX_ENUM_DIM}"
         )
-    best = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=d - 1):
-        x = np.array((1.0,) + signs)
-        best = max(best, float(norm(m @ x, out_kind)))
+    best, count = 0.0, 2 ** (d - 1)
+    for start in range(0, count, 4096):
+        bits = np.arange(start, min(start + 4096, count))[:, None] >> np.arange(d - 1) & 1
+        x = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
+        best = max(best, float(np.max(norm_batch(_products(x, m), out_kind))))
     return best
 
 
 def op_norm_matrix(matrix: np.ndarray, in_norm: NormKind, out_norm: NormKind) -> float:
+    """The operator norm of a float matrix between the two norms. The closed
+    forms (one -> any, sup -> sup, euclidean -> sup) and euclidean ->
+    euclidean are the least float at least the exact norm; the sign
+    enumerations (sup -> euclidean or one, euclidean -> one) are float."""
     m = float_matrix(matrix) if matrix.dtype == object else np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise LipForgeError("operator has non-finite entries")
@@ -293,23 +313,16 @@ def op_norm_matrix(matrix: np.ndarray, in_norm: NormKind, out_norm: NormKind) ->
         return 0.0
     if in_norm is NormKind.ONE:
         # Extreme points of the one-norm ball are +-e_j.
-        return max(float(norm(m[:, j], out_norm)) for j in range(m.shape[1]))
+        return max(_norm_up(col, out_norm) for col in m.T)
     if in_norm is NormKind.SUP:
         if out_norm is NormKind.SUP:
-            return float(np.max(np.sum(np.abs(m), axis=1)))
+            return max(_norm_up(row, NormKind.ONE) for row in m)
         return _enumerate_sign_norm(m, out_norm)
     # euclidean domain
     if out_norm is NormKind.EUCLIDEAN:
-        # power iteration converges from below: move up until the bound is proven
-        t = _power_iteration_2norm(m)
-        if not _bounds_2norm(m, t):
-            svd = float(np.linalg.norm(m, 2))
-            t = t if t > svd else svd
-            while not _bounds_2norm(m, t):
-                t = math.nextafter(t, math.inf)
-        return t
+        return _least_float(lambda t: _bounds_2norm(m, t), float(np.linalg.norm(m, 2)))
     if out_norm is NormKind.SUP:
-        return max(float(np.linalg.norm(m[i])) for i in range(m.shape[0]))
+        return max(_norm_up(row, NormKind.EUCLIDEAN) for row in m)
     # euclidean -> one is the dual pair: ||A||_{2->1} = ||A^T||_{sup->2}
     return _enumerate_sign_norm(m.T, NormKind.EUCLIDEAN)
 
@@ -353,7 +366,7 @@ class LinearMap:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if is_exact_vector(v) or self.matrix.dtype == object:
             return mpf_vector(self.apply_raw(raw_vector(v)))
-        return self.float_matrix @ np.asarray(v, dtype=float)
+        return _products(np.asarray(v, dtype=float)[None], self.float_matrix)[0]
 
     @cached_property
     def _is_identity(self) -> bool:
@@ -384,7 +397,7 @@ class LinearMap:
         return tuple(out)
 
     def apply_batch(self, Z: np.ndarray) -> np.ndarray:
-        return Z @ self.float_matrix.T
+        return _products(Z, self.float_matrix)
 
     def scaled(self, c: Scalar) -> "LinearMap":
         if is_mpf(c) or self.matrix.dtype == object:
@@ -479,12 +492,11 @@ class Domain:
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         """The float dist_to_boundary of each row of an (n, d) array, negative
-        outside the domain. A ball takes one norm per row: a batched
-        Euclidean row sum rounds differently from norm's dot product."""
+        outside the domain; a row's margin does not depend on the others."""
         X = np.asarray(X, dtype=float)
         if self.shape == "box":
             return np.minimum(X - self.lo, self.hi - X).min(axis=1)
-        return np.array([self.radius - norm(x - self.center, self.norm) for x in X], dtype=float)
+        return self.radius - norm_batch(X - self.center, self.norm)
 
     def diam(self) -> float:
         if self.shape == "box":
@@ -571,17 +583,16 @@ def _directions(index: np.ndarray, dim: int, kind: NormKind) -> np.ndarray:
     taking the first attempt a < 64 whose norm exceeds 1e-9, and e_1 if none
     does. It is divided by that norm and shrunk by one part in 2^50, so that
     rounding in the normalization can never push a scaled sample outside a
-    closed ball. Norms stay per row: a batched Euclidean row sum rounds
-    differently from np.dot in a few percent of rows.
+    closed ball. A row's bits do not depend on the other indices.
     """
     v = 2.0 * _halton(index + 7, dim) - 1.0
-    n = np.array([float(norm(row, kind)) for row in v])
+    n = norm_batch(v, kind)
     for attempt in range(1, 64):
         retry = np.flatnonzero(n <= 1e-9)
         if not len(retry):
             break
         v[retry] = 2.0 * _halton(index[retry] + (7 + 977 * attempt), dim) - 1.0
-        n[retry] = [float(norm(row, kind)) for row in v[retry]]
+        n[retry] = norm_batch(v[retry], kind)
     ok = n > 1e-9
     out = v * ((1.0 - 2.0**-50) / np.where(ok, n, 1.0))[:, None]
     out[~ok] = np.eye(dim)[0]

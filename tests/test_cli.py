@@ -438,3 +438,42 @@ def test_log_env_quiet(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("LIPFORGE_LOG", "quiet")
     out = tmp_path / "out"
     assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+
+
+THIN_BOX_CONFIG = SMALL_CONFIG.replace("hi = 1 1", "hi = 0.3 1.2").replace("step = 0.2", "step = 0.05")
+
+# Prints the thin box's diameter and constructs the config in argv[1] into argv[2].
+THIN_BOX_CHILD = """
+import sys
+import lipforge
+from lipforge.cli import main
+print(lipforge.Domain.box([0, 0], [0.3, 1.2]).diam().hex())
+sys.exit(main(["construct", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", "0"]))
+"""
+
+
+def test_thin_box_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    """In child processes under OpenBLAS's Prescott kernel, which does not
+    fuse multiply-adds, and under the default kernel, the thin box has one
+    diameter (the sum 0.3^2 + 1.2^2 rounded twice, then its root) and one
+    function.json and transcript.json. The box's diameter once came from a
+    BLAS dot product that fuses on SkylakeX. Where the default kernel does
+    not fuse either, or numpy is not built on OpenBLAS, the comparison of
+    the two children proves nothing; the pinned diameter still holds."""
+    config = tmp_path / "thin.ini"
+    config.write_text(THIN_BOX_CONFIG)
+    src = str(Path(lipforge.__file__).resolve().parents[1])
+    runs = []
+    for kernel in ("Prescott", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        done = subprocess.run([sys.executable, "-c", THIN_BOX_CHILD, str(config), str(out)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        runs.append((done.stdout.splitlines()[0], (out / "function.json").read_bytes(),
+                     (out / "transcript.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == "0x1.3ca78e19fe93cp+0"

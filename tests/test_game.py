@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -556,3 +557,45 @@ def test_jitter_game_runs(small_setup):
     assert tr.k_max == 3
     assert tr.rounds[1].move.kind == "jitter"
     assert tr.rounds[1].move.shift is not None
+
+
+def test_eval_point_is_its_eval_batch_row_near_deep_patches():
+    """A 4-round stay game on the 0.25 grid with the operators +-[[0.3, 0.1]]:
+    each of 180 points within 1e-8 of a level-2 centre, 20 around each, has
+    the bits alone that its row has in one eval_batch call of them all. A
+    patch evaluates its rows as one group, and a BLAS matrix product took
+    another kernel for a one-row group."""
+    domain = Domain.box([0.0, 0.0], [1.0, 1.0])
+    target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
+    ops = [LinearMap(np.array([[0.3, 0.1]])), LinearMap(np.array([[-0.3, -0.1]]))]
+    tr = run_game(domain, target, ops, "stay", rounds=4, seed=0)
+    rng = np.random.default_rng(0)
+    pts = np.array([c + 1e-8 * rng.uniform(-1, 1, 2) for c in tr.nets.levels[1] for _ in range(20)])
+    f = tr.final_fun
+    assert len(pts) == 180
+    batch = eval_batch(f, pts)
+    for p, row in zip(pts, batch):
+        assert eval_point(f, p).tobytes() == row.tobytes()
+
+
+def test_run_game_makes_no_full_collection(acceptance_run):
+    """run_game runs with the cyclic collector paused: no generation-2
+    collection starts inside it on the standard run, and the collector is
+    on again after it."""
+    a = acceptance_run
+    inside, full = [], []
+
+    def on_collect(phase, info):
+        if phase == "start" and info["generation"] == 2 and inside:
+            full.append(info)
+
+    gc.callbacks.append(on_collect)
+    try:
+        inside.append("run_game")
+        tr = run_game(a.domain, a.target, a.operators, "stay", rounds=8, seed=0)
+        inside.clear()
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert tr.k_max == 8
+    assert full == []
+    assert gc.isenabled()
