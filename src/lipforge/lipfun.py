@@ -508,11 +508,6 @@ class Patch:
         """radius * radius, exact, for the squared-norm ball test."""
         return mpf_mul(self.radius_raw, self.radius_raw)
 
-    @cached_property
-    def scale(self) -> float:
-        """1 + max|center|; float64 resolves radii above FLOAT_RESOLVE_REL of it."""
-        return 1.0 + float(np.max(np.abs(self.center_float), initial=0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class Patched(LipFun):
@@ -525,29 +520,35 @@ class Patched(LipFun):
     norm_kind: NormKind = NormKind.EUCLIDEAN
 
     def __post_init__(self):
-        for p in self.patches:
-            if (p.inner.in_dim, p.inner.out_dim) != (self.outer.in_dim, self.outer.out_dim):
-                raise LipForgeError("patch inner mapping has wrong dimensions")
-            if len(p.center) != self.outer.in_dim:
-                raise LipForgeError("patch center has wrong dimension")
-            if not p.radius > 0:
-                raise LipForgeError("patch radius must be positive")
-            # finiteness of the float copies the index and the float path use;
-            # a deep radius underflows to 0.0 and is still finite
-            if not (np.all(np.isfinite(p.center_float)) and np.isfinite(p.radius_float)):
-                raise LipForgeError("patch center and radius must be finite")
-        centers = np.array([p.center_float for p in self.patches])
-        radii = np.array([p.radius_float for p in self.patches])
-        pads = radii + FLOAT_RESOLVE_REL * np.array([p.scale for p in self.patches])
+        # the first faulty patch names the error, its checks made in this order;
+        # finiteness is that of the float copies the index and the float path
+        # use (a deep radius underflows to 0.0 and is still finite)
+        dims = (self.outer.in_dim, self.outer.out_dim)
+        for n, p in enumerate(self.patches):
+            fault = ("patch inner mapping has wrong dimensions" if (p.inner.in_dim, p.inner.out_dim) != dims
+                     else "patch center has wrong dimension" if len(p.center) != dims[0]
+                     else None if p.radius > 0 else "patch radius must be positive")
+            if fault:
+                break
+        else:
+            n, fault = len(self.patches), None
+        centers = np.array([p.center for p in self.patches[:n]], dtype=float).reshape(n, dims[0])
+        radii = np.array([p.radius for p in self.patches[:n]], dtype=float)
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise LipForgeError("patch center and radius must be finite")
+        if fault:
+            raise LipForgeError(fault)
+        # float64 resolves a patch's radii above its floor, FLOAT_RESOLVE_REL (1 + max|center|)
+        floors = FLOAT_RESOLVE_REL * (1.0 + np.max(np.abs(centers), axis=1, initial=0.0))
+        pads = radii + floors
         index = CellIndex(2.0 * pads.max() if len(pads) else 1e-9)
-        for j, (c, pad) in enumerate(zip(centers, pads.tolist())):
-            index.add(j, c, pad)
+        index.add_rows(centers, pads)
         pairs = [ij for cell in index.table.values() for ij in itertools.combinations(cell, 2)]
         if pairs:
             i, j = np.array(pairs).T
             if np.any(norm_batch(centers[i] - centers[j], self.norm_kind) <= radii[i] + radii[j]):
                 raise LipForgeError("patch overlap")
-        for name, value in (("_centers", centers), ("_radii", radii), ("_index", index)):
+        for name, value in (("_centers", centers), ("_radii", radii), ("_floors", floors.tolist()), ("_index", index)):
             object.__setattr__(self, name, value)
 
     @property
@@ -768,7 +769,7 @@ def _check_patch_continuity(node: Patched):
     n_samples = 64 * d
     resolvable: list[int] = []
     for i, p in enumerate(node.patches):
-        if p.radius_float > FLOAT_RESOLVE_REL * p.scale:
+        if p.radius_float > node._floors[i]:
             resolvable.append(i)
             continue
         with mp.workdps(working_dps_for_scale(p.radius)):
@@ -820,17 +821,17 @@ def _collect_probe_points(f: LipFun, cap: int) -> list[np.ndarray]:
         if len(pts) >= cap:
             return
         if isinstance(node, Patched):
-            for p in node.patches:
+            for p, floor in zip(node.patches, node._floors):
                 c = p.center_float
                 pts.append(c)
                 radii: set[float] = set()
-                if p.radius_float > FLOAT_RESOLVE_REL * p.scale:
+                if p.radius_float > floor:
                     radii.add(p.radius_float)
                 blend_radii(p.inner, radii)
                 d = len(c)
                 eye = np.eye(d)
                 for r in sorted(radii):
-                    if r <= FLOAT_RESOLVE_REL * p.scale:
+                    if r <= floor:
                         continue
                     for axis in range(d):
                         pts.append(c + r * eye[axis])
@@ -903,15 +904,38 @@ def _encode_map(m: LinearMap, memo: dict) -> dict:
 
 
 def _decode_map(obj: dict) -> LinearMap:
-    """A float identity between equal norms decodes to the shared _identity_map."""
     try:
-        in_norm, out_norm, d = NormKind.parse(obj["in_norm"]), NormKind.parse(obj["out_norm"]), len(obj["matrix"])
-        if in_norm is out_norm and obj["matrix"] == [["1.0" if i == j else "0.0" for j in range(d)] for i in range(d)]:
-            return _identity_map(d, in_norm)
+        in_norm, out_norm = NormKind.parse(obj["in_norm"]), NormKind.parse(obj["out_norm"])
         rows = [[decode_scalar(x) for x in row] for row in obj["matrix"]]
         return LinearMap(as_matrix(rows), in_norm, out_norm)
     except (KeyError, TypeError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad linear map") from e
+
+
+def _shared(codec: Codec) -> Codec:
+    """codec, decoding once per distinct JSON value in a call, compared by
+    repr: it tells apart what == does not (1, 1.0 and true; 0.0 and -0.0)."""
+    decode = codec.decode
+
+    def decode_shared(obj, depth: int, memo: dict):
+        key = (decode, repr(obj))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = decode(obj, depth, memo)
+        return value
+
+    return codec._replace(decode=decode_shared)
+
+
+def _make_once(memo: dict, make, fields: dict):
+    """make(**fields), made once per decoding call for the same make and
+    field values: memo maps make and the fields' ids to it. Each field is
+    a value the memo holds, so no id is reused during the call."""
+    key = (make, *map(id, fields.values()))
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make(**fields)
+    return value
 
 
 def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
@@ -934,7 +958,10 @@ def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     return record
 
 
-def _decode_node(obj, depth: int) -> LipFun:
+def _decode_node(obj, depth: int, memo: dict) -> LipFun:
+    """Identical records decode to one node: memo maps the kind and the ids
+    of the decoded fields, values it holds, to the node. Every record is
+    read, so the depth check runs wherever a shared record appears."""
     if depth > MAX_TREE_DEPTH:
         raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -944,26 +971,33 @@ def _decode_node(obj, depth: int) -> LipFun:
         raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
     cls, fields = _KINDS[kind]
     try:
-        return cls(**decode_fields(obj, fields, depth + 1))
+        return _make_once(memo, cls, decode_fields(obj, fields, depth + 1, memo))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise LipForgeError(f"malformed artifact: bad {kind} node") from e
 
 
-_NORM = Codec(lambda kind, depth, memo: kind.value, lambda obj, depth: NormKind.parse(obj))
+def _decode_patches(obj, depth: int, memo: dict) -> tuple:
+    """One Patch per distinct center, radius and inner, one tuple per distinct list."""
+    patches = tuple(_make_once(memo, Patch, decode_fields(p, _PATCH_FIELDS, depth, memo)) for p in obj)
+    return memo.setdefault((tuple, *map(id, patches)), patches)
+
+
+_NORM = _shared(Codec(lambda kind, depth, memo: kind.value, lambda obj, depth, memo: NormKind.parse(obj)))
 # A LinearMap's record, also the transcript's record of an operator.
-MAP = Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, depth: _decode_map(obj))
+MAP = _shared(Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, depth, memo: _decode_map(obj)))
 _NODE = Codec(_encode_node, _decode_node, lambda f: (f,))
+_INT, _SCALAR, _VECTOR = _shared(INT), _shared(SCALAR), _shared(VECTOR)
 
 # A patch's ball skips the constants' finiteness check: Patched refuses a
 # center or radius that is not finite, built or decoded, with its own message.
 _PATCH_FIELDS = (
-    ("center", "center", Codec(VECTOR.encode, lambda obj, depth: decode_vector(obj))),
-    ("radius", "radius", Codec(SCALAR.encode, lambda obj, depth: decode_scalar(obj))),
+    ("center", "center", _shared(Codec(VECTOR.encode, lambda obj, depth, memo: decode_vector(obj)))),
+    ("radius", "radius", _shared(Codec(SCALAR.encode, lambda obj, depth, memo: decode_scalar(obj)))),
     ("inner", "inner", _NODE),
 )
 _PATCHES = Codec(
     lambda patches, depth, memo: [encode_fields(p, _PATCH_FIELDS, depth, memo, {}) for p in patches],
-    lambda obj, depth: tuple(Patch(**decode_fields(p, _PATCH_FIELDS, depth)) for p in obj),
+    _decode_patches,
     lambda patches: [p.inner for p in patches],
 )
 
@@ -971,15 +1005,15 @@ _PATCHES = Codec(
 # each a (JSON key, attribute, codec). The encoder, the decoder and
 # LipFun.children() all read this table.
 _RECORDS: dict[type, tuple[str, tuple[tuple[str, str, Codec], ...]]] = {
-    Const: ("const", (("c", "c", VECTOR), ("in_dim", "in_dim", INT))),
+    Const: ("const", (("c", "c", _VECTOR), ("in_dim", "in_dim", _INT))),
     Linear: ("linear", (("map", "map", MAP),)),
-    Affine: ("affine", (("base", "base", VECTOR), ("map", "map", MAP), ("anchor", "anchor", VECTOR))),
-    NormOf: ("norm_of", (("in_dim", "in_dim", INT), ("sign", "sign", INT), ("norm", "norm_kind", _NORM))),
+    Affine: ("affine", (("base", "base", _VECTOR), ("map", "map", MAP), ("anchor", "anchor", _VECTOR))),
+    NormOf: ("norm_of", (("in_dim", "in_dim", _INT), ("sign", "sign", _INT), ("norm", "norm_kind", _NORM))),
     Sum: ("sum", (("f", "f", _NODE), ("g", "g", _NODE))),
-    Scale: ("scale", (("c", "c", SCALAR), ("f", "f", _NODE))),
-    AddConst: ("add_const", (("f", "f", _NODE), ("p", "p", VECTOR))),
+    Scale: ("scale", (("c", "c", _SCALAR), ("f", "f", _NODE))),
+    AddConst: ("add_const", (("f", "f", _NODE), ("p", "p", _VECTOR))),
     RadialBlend: ("radial_blend", (
-        ("a", "a", SCALAR), ("b", "b", SCALAR), ("f1", "f1", _NODE), ("f2", "f2", _NODE), ("norm", "norm_kind", _NORM),
+        ("a", "a", _SCALAR), ("b", "b", _SCALAR), ("f1", "f1", _NODE), ("f2", "f2", _NODE), ("norm", "norm_kind", _NORM),
     )),
     # outer, norm, patches: the file's order, not the dataclass's
     Patched: ("patched", (("outer", "outer", _NODE), ("norm", "norm_kind", _NORM), ("patches", "patches", _PATCHES))),
@@ -998,7 +1032,7 @@ def fun_from_dict(obj: dict) -> LipFun:
     schema = obj.get("schema")
     if schema != FUN_SCHEMA:
         raise LipForgeError(f"unknown schema version {schema!r}")
-    return _decode_node(obj.get("root"), 0)
+    return _decode_node(obj.get("root"), 0, {})
 
 
 @contextmanager
@@ -1022,7 +1056,6 @@ def serialize(f: LipFun) -> bytes:
 def deserialize(data) -> LipFun:
     with _collector_paused():
         try:
-            obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+            return fun_from_dict(json.loads(data.decode("utf-8") if isinstance(data, bytes) else data))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise LipForgeError("malformed artifact") from e
-        return fun_from_dict(obj)

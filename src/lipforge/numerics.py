@@ -181,10 +181,15 @@ def encode_vector(v) -> list:
 
 
 def decode_vector(obj) -> np.ndarray:
+    """Inverse of encode_vector; its float numerals parse in one numpy call, as float() parses."""
     if not isinstance(obj, list):
         raise LipForgeError("malformed artifact: vector expected")
-    vals = [decode_scalar(x) for x in obj]
-    return as_vector(vals)
+    if all(type(x) is str for x in obj):
+        try:
+            return np.array(obj, dtype=float)
+        except ValueError:
+            pass  # decode_scalar names the bad numeral
+    return as_vector([decode_scalar(x) for x in obj])
 
 
 def as_vector(values) -> np.ndarray:
@@ -232,8 +237,9 @@ def is_exact_vector(v) -> bool:
 
 class Codec(NamedTuple):
     """How a field's value is written and read. encode(value, depth, memo)
-    and decode(obj, depth) get the depth of the record's child nodes, and
-    children(value) lists the child nodes the value holds."""
+    and decode(obj, depth, memo) get the depth of the record's child nodes
+    and the memo of one encoding or decoding call, and children(value) lists
+    the child nodes the value holds."""
 
     encode: Callable
     decode: Callable
@@ -243,11 +249,10 @@ class Codec(NamedTuple):
 def finite(decode, message: str = "non-finite numeral in {obj!r}"):
     """decode, then refuse a NaN or infinite value."""
 
-    def decode_finite(obj, depth: int):
+    def decode_finite(obj, depth: int, memo: dict):
         value = decode(obj)
-        for x in value.tolist() if isinstance(value, np.ndarray) else (value,):
-            if not is_finite(x):
-                raise LipForgeError("malformed artifact: " + message.format(obj=obj))
+        if not all(map(is_finite, value.tolist() if isinstance(value, np.ndarray) else (value,))):
+            raise LipForgeError("malformed artifact: " + message.format(obj=obj))
         return value
 
     return decode_finite
@@ -260,25 +265,25 @@ def encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> d
     return record
 
 
-def decode_fields(obj, fields: tuple, depth: int) -> dict:
+def decode_fields(obj, fields: tuple, depth: int, memo: dict) -> dict:
     """The attributes of a record."""
-    return {attr: codec.decode(obj[key], depth) for key, attr, codec in fields}
+    return {attr: codec.decode(obj[key], depth, memo) for key, attr, codec in fields}
 
 
 def sequence(codec: Codec) -> Codec:
     """A JSON list of values of one codec, decoded to a tuple."""
 
-    def decode(obj, depth: int) -> tuple:
+    def decode(obj, depth: int, memo: dict) -> tuple:
         if not isinstance(obj, list):
             raise TypeError(f"list expected, got {obj!r}")
-        return tuple(codec.decode(x, depth) for x in obj)
+        return tuple(codec.decode(x, depth, memo) for x in obj)
 
     return Codec(lambda values, depth, memo: [codec.encode(v, depth, memo) for v in values], decode)
 
 
 SCALAR = Codec(lambda x, depth, memo: encode_scalar(x), finite(decode_scalar))
 VECTOR = Codec(lambda v, depth, memo: encode_vector(v), finite(decode_vector))
-INT = Codec(lambda n, depth, memo: n, lambda obj, depth: decode_int(obj))
+INT = Codec(lambda n, depth, memo: n, lambda obj, depth, memo: decode_int(obj))
 # Values kept as floats: a sampled distance, a net point, a domain's bounds.
 FLOAT = Codec(SCALAR.encode, finite(lambda obj: to_float(decode_scalar(obj))))
 FLOAT_VECTOR = Codec(VECTOR.encode, finite(lambda obj: float_vector(decode_vector(obj))))

@@ -236,6 +236,13 @@ class CellIndex:
         for key in self._cells(center, pad):
             self.table.setdefault(key, []).append(item)
 
+    def add_rows(self, centers: np.ndarray, pads: np.ndarray) -> None:
+        """add(j, centers[j], pads[j]) for each row j in order, bounds in one numpy pass."""
+        lo, hi = (np.floor((centers + s) / self.cell).astype(np.int64).tolist() for s in (-pads[:, None], pads[:, None]))
+        for j, (a, b) in enumerate(zip(lo, hi)):
+            for key in itertools.product(*[range(x, y + 1) for x, y in zip(a, b)]):
+                self.table.setdefault(key, []).append(j)
+
     def cell_lists(self, Z: np.ndarray) -> list:
         """Each row's cell list. Float keys hash and compare equal to the
         integer ones; NaN and infinite rows match no cell."""
@@ -287,25 +294,45 @@ def _bounds_2norm(m: np.ndarray, t: float) -> bool:
 
 def _enumerate_sign_norm(m: np.ndarray, out_kind: NormKind) -> float:
     """max over x in {-1,+1}^d with x_1 = 1 of ||A x||_out (extreme-point
-    sweep), in blocks of 4096 sign vectors."""
-    d = m.shape[1]
+    sweep) for out one or euclidean, rounded up as _norm_up rounds; inf
+    where the float sweep overflows. A float sweep in blocks of 4096 sign
+    vectors finds the candidates: a value is within gamma_{d+l+2} sum|a_kj|
+    of its exact norm (recursive summation; Higham 2002, ch. 3), so every x
+    whose value is within twice that of the float maximum is evaluated
+    exactly, in integers over the entries' common power-of-two denominator.
+    Sign vectors that tie in float (a diagonal A) each take an exact sum."""
+    l, d = m.shape
     if d > MAX_ENUM_DIM:
         raise LipForgeError(
             f"exact operator norm enumeration limited to dimension {MAX_ENUM_DIM}"
         )
-    best, count = 0.0, 2 ** (d - 1)
+    values, count = [], 2 ** (d - 1)
     for start in range(0, count, 4096):
         bits = np.arange(start, min(start + 4096, count))[:, None] >> np.arange(d - 1) & 1
         x = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits])
-        best = max(best, float(np.max(norm_batch(_products(x, m), out_kind))))
-    return best
+        values.append(norm_batch(_products(x, m), out_kind))
+    values = np.concatenate(values)
+    top = float(values.max())
+    if top == math.inf:
+        return math.inf
+    entries, n = [Fraction(a) for a in m.ravel().tolist()], d + l + 2
+    low = math.nextafter(float(top - Fraction(2 * n, 2**53 - n) * sum(map(abs, entries))), -math.inf)
+    scale, p = max(a.denominator for a in entries), 2 if out_kind is NormKind.EUCLIDEAN else 1
+    rows = [[int(Fraction(a) * scale) for a in row] for row in m.tolist()]
+
+    def exact(i: int) -> int:
+        x = [1] + [1 - 2 * (i >> j & 1) for j in range(d - 1)]
+        return sum(abs(sum(a * s for a, s in zip(row, x))) ** p for row in rows)
+
+    q = Fraction(max(map(exact, np.flatnonzero(values >= low).tolist())), scale**p)
+    return _least_float(lambda t: t == math.inf or Fraction(t) ** p >= q, top)
 
 
 def op_norm_matrix(matrix: np.ndarray, in_norm: NormKind, out_norm: NormKind) -> float:
-    """The operator norm of a float matrix between the two norms. The closed
-    forms (one -> any, sup -> sup, euclidean -> sup) and euclidean ->
-    euclidean are the least float at least the exact norm; the sign
-    enumerations (sup -> euclidean or one, euclidean -> one) are float."""
+    """The operator norm of a float matrix between the two norms: the least
+    float at least the exact norm, from the closed forms (one -> any, sup ->
+    sup, euclidean -> sup), the LDL^T proof (euclidean -> euclidean) and the
+    sign enumerations (sup -> euclidean or one, euclidean -> one)."""
     m = float_matrix(matrix) if matrix.dtype == object else np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise LipForgeError("operator has non-finite entries")
@@ -530,7 +557,7 @@ class Domain:
         try:
             kind, shape = NormKind.parse(obj["norm"]), obj["shape"]
             if shape in _SHAPES:
-                return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], 0))
+                return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], 0, {}))
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError("malformed artifact: bad domain record") from e
         raise LipForgeError(f"malformed artifact: unknown domain shape {obj.get('shape')!r}")

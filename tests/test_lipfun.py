@@ -352,6 +352,63 @@ def test_patched_accepts_a_radius_below_the_float_range():
     assert serialize(fun_from_dict(json.loads(serialize(node)))) == serialize(node)
 
 
+def test_patched_names_the_first_faulty_patch():
+    """Patch 0's non-finite center is the error, although patch 1's wrong
+    dimension is a check that comes earlier for one patch."""
+    inner = Const(np.array([0.0]), 2)
+    patches = (Patch(np.array([np.nan, 0.5]), 0.1, inner), Patch(np.array([0.5, 0.5, 0.5]), 0.1, inner))
+    with pytest.raises(LipForgeError, match="^patch center and radius must be finite$"):
+        Patched(Const(np.array([0.0]), 2), patches)
+
+
+def _reference_patch_fault(outer, patches) -> str | None:
+    """The message of the earlier per-patch loop of Patched.__post_init__."""
+    for p in patches:
+        if (p.inner.in_dim, p.inner.out_dim) != (outer.in_dim, outer.out_dim):
+            return "patch inner mapping has wrong dimensions"
+        if len(p.center) != outer.in_dim:
+            return "patch center has wrong dimension"
+        if not p.radius > 0:
+            return "patch radius must be positive"
+        if not (np.all(np.isfinite(p.center_float)) and np.isfinite(p.radius_float)):
+            return "patch center and radius must be finite"
+    return None
+
+
+def test_patched_refuses_as_the_per_patch_loop():
+    """Seeded patch lists with faults of every kind (and none) at random
+    places, float and mpf constants, are refused with the message of the
+    per-patch loop, whose first faulty patch names the error."""
+    rng = np.random.default_rng(23)
+    outer = Const(np.array([0.0]), 2)
+    faults = [
+        lambda c, r: (c, r, Const(np.array([0.0, 0.0]), 2)),
+        lambda c, r: (np.append(c, 0.5), r, None),
+        lambda c, r: (c, -r, None),
+        lambda c, r: (c, mpmath.mpf(0), None),
+        lambda c, r: (c, float("nan"), None),
+        lambda c, r: (np.array([np.inf, c[1]]), r, None),
+        lambda c, r: (c, mpmath.mpf(2) ** 5000, None),
+        lambda c, r: (np.array([mpmath.mpf(2) ** 5000, mpmath.mpf(c[1])], dtype=object), r, None),
+    ]
+    for _ in range(300):
+        count = int(rng.integers(1, 6))
+        patches = []
+        for j in range(count):
+            c, r, inner = np.array([0.1 + 0.2 * j, 0.5]), 0.01 * (j + 1), None
+            if j % 2:
+                r = mpmath.mpf(2) ** -int(rng.integers(1, 3000))
+            if rng.random() < 0.3:
+                c, r, inner = faults[int(rng.integers(len(faults)))](c, r)
+            patches.append(Patch(c, r, inner or Const(np.array([float(j)]), 2)))
+        want = _reference_patch_fault(outer, patches)
+        if want is None:
+            assert Patched(outer, tuple(patches)).patches == tuple(patches)
+        else:
+            with pytest.raises(LipForgeError, match=f"^{want}$"):
+                Patched(outer, tuple(patches))
+
+
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_overlap_check_agrees_with_all_pairs(d, kind):
@@ -487,6 +544,22 @@ def test_deserialize_refuses_deep_nesting():
     for data in (b"[" * 100_000, "[" * 100_000):
         with pytest.raises(LipForgeError, match="^malformed artifact$"):
             deserialize(data)
+
+
+def test_deserialize_refuses_a_deeply_nested_leaf_at_the_depth_limit():
+    """A constant nested 600 lists deep that the parser reads, at the bottom
+    of a tree MAX_TREE_DEPTH deep, is a malformed artifact, not a
+    RecursionError from the decoder."""
+    from lipforge.lipfun import MAX_TREE_DEPTH
+
+    leaf = "0.5"
+    for _ in range(600):
+        leaf = [leaf]
+    node = {"kind": "const", "c": leaf, "in_dim": 1}
+    for _ in range(MAX_TREE_DEPTH - 1):
+        node = {"kind": "scale", "c": "0.5", "f": node}
+    with pytest.raises(LipForgeError, match="^malformed artifact"):
+        deserialize(json.dumps({"schema": "lipforge-fun/1", "root": node}))
 
 
 def test_codec_makes_no_full_collection(acceptance_run):
@@ -670,25 +743,29 @@ def test_batch_and_point_paths_agree():
 
 
 def test_decoded_identities_are_shared():
-    """Float identities between equal norms decode to the one shared
-    identity map, so a decoded tree certifies its norm once; any other
-    encoding keeps its own map, and every tree re-encodes to its bytes."""
-    x = np.array([0.25, 0.5])
-    translate = Affine(np.zeros(2), LinearMap(np.eye(2), NormKind.SUP, NormKind.SUP), x)
-    f = Sum(Precompose(NormOf(2), translate), Linear(LinearMap(np.eye(2)[:1], NormKind.SUP, NormKind.ONE)))
+    """Identical identity records decode to one map per decoding, so a
+    decoded tree certifies its norm once; any other encoding keeps its own
+    map, another decoding makes its own, and every tree re-encodes to its
+    bytes."""
+    def translate(x):
+        return Affine(np.zeros(2), LinearMap(np.eye(2), NormKind.SUP, NormKind.SUP), np.array(x))
+
+    f = Sum(Sum(Precompose(NormOf(2), translate([0.25, 0.5])), Precompose(NormOf(2), translate([0.5, 0.75]))),
+            Linear(LinearMap(np.eye(2)[:1], NormKind.SUP, NormKind.ONE)))
     data = serialize(f)
     g = deserialize(data)
-    assert g.f.inner_map.map is _identity_map(2, NormKind.SUP)
-    assert g.g.map is not _identity_map(2, NormKind.SUP)
+    assert g.f.f.inner_map.map is g.f.g.inner_map.map
+    assert g.g.map is not g.f.f.inner_map.map
+    assert deserialize(data).f.f.inner_map.map is not g.f.f.inner_map.map
     assert serialize(g) == data
     obj = json.loads(data)
-    record = obj["root"]["f"]["inner_map"]["map"]
+    record = obj["root"]["f"]["f"]["inner_map"]["map"]
     for change in ({"matrix": [["1.0", "-0.0"], ["0.0", "1.0"]]}, {"out_norm": "one"},
                    {"matrix": [[{"m": str(int(i == j)), "e": "0"} for j in range(2)] for i in range(2)]}):
         variant = json.loads(json.dumps(obj))
-        variant["root"]["f"]["inner_map"]["map"] = {**record, **change}
+        variant["root"]["f"]["f"]["inner_map"]["map"] = {**record, **change}
         h = fun_from_dict(variant)
-        assert h.f.inner_map.map is not _identity_map(2, NormKind.SUP)
+        assert h.f.f.inner_map.map is not h.f.g.inner_map.map
         assert json.loads(serialize(h)) == variant
 
 
@@ -875,6 +952,112 @@ def test_codec_on_the_standard_tree(acceptance_run):
     data = serialize(tree)
     assert data == _reference_serialize(tree)
     assert serialize(deserialize(data)) == data
+
+
+def _records(obj) -> list:
+    """Every node record below obj (a dict with a "kind"), in document order."""
+    if isinstance(obj, list):
+        return [r for x in obj for r in _records(x)]
+    if not isinstance(obj, dict):
+        return []
+    return ([obj] if "kind" in obj else []) + [r for x in obj.values() for r in _records(x)]
+
+
+def _nodes(f) -> set:
+    """The ids of the distinct nodes of a tree."""
+    seen, todo = set(), [f]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.children())
+    return seen
+
+
+def test_decoded_standard_tree_has_one_node_per_distinct_record(acceptance_run):
+    """Identical records decode to one node: the decoded standard tree has
+    as many nodes as its function.json has distinct records (compared as
+    JSON text), and fewer than the constructed tree."""
+    tree = acceptance_run.transcript.final_fun
+    data = serialize(tree)
+    records = _records(json.loads(data)["root"])
+    distinct = {json.dumps(r, separators=(",", ":")) for r in records}
+    decoded = deserialize(data)
+    assert len(_nodes(decoded)) == len(distinct) < len(_nodes(tree)) < len(records)
+    assert serialize(decoded) == data
+
+
+@pytest.mark.parametrize("name", [k.value for k in NormKind])
+def test_decoded_codec_trees_have_one_node_per_distinct_record(name):
+    data = serialize(_codec_trees()[name])
+    distinct = {json.dumps(r, separators=(",", ":")) for r in _records(json.loads(data)["root"])}
+    decoded = deserialize(data)
+    assert len(_nodes(decoded)) == len(distinct)
+    assert serialize(decoded) == data
+
+
+_ONE = {"kind": "norm_of", "in_dim": 1, "sign": 1, "norm": "euclidean"}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ({"kind": "const", "c": ["0.5"], "in_dim": 1}, {"kind": "const", "c": ["0.5"], "in_dim": 1.0}),
+        ({"kind": "const", "c": ["0.5"], "in_dim": 1}, {"kind": "const", "c": ["0.5"], "in_dim": True}),
+        ({"kind": "const", "c": ["0.5"], "in_dim": 1.0}, {"kind": "const", "c": ["0.5"], "in_dim": True}),
+        ({"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "one"}, {"kind": "norm_of", "in_dim": 2, "sign": True, "norm": "one"}),
+        ({"kind": "const", "c": ["0.0"], "in_dim": 1}, {"kind": "const", "c": ["-0.0"], "in_dim": 1}),
+        ({"kind": "const", "c": [0.0], "in_dim": 1}, {"kind": "const", "c": [-0.0], "in_dim": 1}),
+        ({"kind": "const", "c": ["1"], "in_dim": 1}, {"kind": "const", "c": [1], "in_dim": 1}),
+        ({"kind": "scale", "c": {"m": "1", "e": "0"}, "f": _ONE}, {"kind": "scale", "c": "1.0", "f": _ONE}),
+        ({"kind": "const", "c": [{"m": "1", "e": "0"}], "in_dim": 1}, {"kind": "const", "c": ["1.0"], "in_dim": 1}),
+    ],
+)
+def test_records_differing_in_a_leaf_type_decode_as_each_alone(a, b):
+    """Two records that differ only in the JSON type of a leaf (1, 1.0 and
+    true; "0.0" and "-0.0"; an {m, e} pair and a numeral) are not one
+    record: side by side, in either order, each decodes and re-encodes as
+    it does alone, or the first refused one is refused with its message."""
+    def alone(record):
+        try:
+            return json.loads(serialize(fun_from_dict({"schema": "lipforge-fun/1", "root": record})))["root"], None
+        except LipForgeError as e:
+            return None, str(e)
+
+    for first, second in ((a, b), (b, a)):
+        doc = {"schema": "lipforge-fun/1", "root": {"kind": "sum", "f": first, "g": second}}
+        (f, f_error), (g, g_error) = alone(first), alone(second)
+        if f_error or g_error:
+            with pytest.raises(LipForgeError) as info:
+                fun_from_dict(doc)
+            assert str(info.value) == (f_error or g_error)
+        else:
+            want = {"schema": "lipforge-fun/1", "root": {"kind": "sum", "f": f, "g": g}}
+            assert serialize(fun_from_dict(doc)) == json.dumps(want, separators=(",", ":")).encode()
+
+
+def test_shared_record_below_the_depth_limit_is_refused():
+    """A record whose subtree fits where it first appears is refused where
+    it appears again too deep, in either order, and accepted one level
+    higher, where the encoder writes it back byte for byte."""
+    from lipforge.lipfun import MAX_TREE_DEPTH
+
+    def chain(height, leaf):
+        for _ in range(height):
+            leaf = {"kind": "scale", "c": "0.5", "f": leaf}
+        return leaf
+
+    shared = chain(100, _ONE)  # its leaf is 100 levels below it
+    for extra, ok in ((MAX_TREE_DEPTH - 101, True), (MAX_TREE_DEPTH - 100, False)):
+        deep = chain(extra, shared)  # the second copy starts 1 + extra levels down
+        for first, second in ((shared, deep), (deep, shared)):
+            doc = {"schema": "lipforge-fun/1", "root": {"kind": "sum", "f": first, "g": second}}
+            if ok:
+                data = json.dumps(doc, separators=(",", ":")).encode()
+                assert serialize(deserialize(data)) == data
+            else:
+                with pytest.raises(LipForgeError, match=f"tree deeper than {MAX_TREE_DEPTH}"):
+                    fun_from_dict(doc)
 
 
 def test_every_node_kind_declares_its_record():

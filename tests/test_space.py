@@ -10,7 +10,7 @@ from mpmath.libmp import ComplexResult, from_man_exp, fzero, mpf_mul, mpf_sqrt
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
 from lipforge.numerics import as_vector, exact_mpf, is_exact_vector, is_mpf
-from lipforge.space import _bounds_2norm, _halton, _products, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
+from lipforge.space import CellIndex, _bounds_2norm, _halton, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -56,10 +56,12 @@ def test_op_norm_diag_against_angle_sweep():
     assert got >= sweep - 1e-6
 
 
-def test_op_norm_power_iteration_degenerate_start():
-    # all-ones start is exactly orthogonal to the top singular direction
-    m = np.array([[1.0, -1.0]])
-    assert LinearMap(m).op_norm == pytest.approx(math.sqrt(2.0), abs=1e-9)
+def test_op_norm_sqrt2_row_is_the_least_upper_float():
+    """[[1, -1]] has norm sqrt(2): op_norm is the least float whose square
+    is at least 2, which is math.sqrt(2) rounded to nearest."""
+    got = LinearMap(np.array([[1.0, -1.0]])).op_norm
+    assert Fraction(got) ** 2 >= 2 > Fraction(math.nextafter(got, 0.0)) ** 2
+    assert got == math.sqrt(2.0)
 
 
 def test_op_norm_sup_and_one_closed_forms():
@@ -118,7 +120,8 @@ def test_op_norm_euclidean_is_an_upper_bound():
 
 
 def test_op_norm_keeps_exact_values():
-    """Operators whose power-iteration value is their norm keep it."""
+    """Operators whose norm is a float get it exactly, and no float below
+    it is proven."""
     for m, want in [
         (np.array([[0.5, 0.0]]), 0.5),
         (np.array([[-0.5, 0.0]]), 0.5),
@@ -146,19 +149,40 @@ def test_bounds_2norm_zero_pivots():
     assert not _bounds_2norm(np.array([[1.0, 1.0]]), math.nan)
 
 
+def exact_sign_norm(m: np.ndarray, p: int) -> Fraction:
+    """The max over x in {-1, +1}^d with x_1 = 1 of sum_k |(A x)_k|^p,
+    exactly: the sup -> one (p = 1) or the square of the sup -> euclidean
+    (p = 2) norm. Floats are dyadic, so the entries are integers over the
+    largest of their denominators."""
+    scale = max(Fraction(x).denominator for x in m.ravel().tolist())
+    a = [[int(Fraction(x) * scale) for x in row] for row in m.tolist()]
+    best = 0
+    for signs in itertools.product((1, -1), repeat=m.shape[1] - 1):
+        x = (1,) + signs
+        best = max(best, sum(abs(sum(r * s for r, s in zip(row, x))) ** p for row in a))
+    return Fraction(best, scale**p)
+
+
+def least_float_root(q: Fraction, p: int) -> float:
+    """The least float t with t^p >= q."""
+    t = float(q) ** (1 / p)
+    while Fraction(t) ** p < q:
+        t = math.nextafter(t, math.inf)
+    while t > 0 and Fraction(math.nextafter(t, 0.0)) ** p >= q:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
 def ref_euclidean_to_one(m: np.ndarray) -> float:
     """The euclidean -> one norm as its own sign enumeration: the max over
-    s in {-1, +1}^l with s_1 = 1 of ||A^T s||_2."""
-    best = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=m.shape[0] - 1):
-        s = np.array((1.0,) + signs)
-        best = max(best, float(norm(_products(s[None], m.T)[0])))
-    return best
+    s in {-1, +1}^l with s_1 = 1 of ||A^T s||_2, exactly, rounded up to the
+    least float whose square is at least its square."""
+    return least_float_root(exact_sign_norm(m.T, 2), 2)
 
 
 def test_op_norm_euclidean_to_one_matches_sign_enumeration():
     """The dual-pair enumeration of A^T gives the same bits as enumerating
-    the signs of A's rows directly."""
+    the signs of A's rows directly, exactly and rounded up."""
     rng = np.random.default_rng(11)
     for _ in range(3000):
         m = rng.normal(size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
@@ -252,6 +276,47 @@ def test_closed_form_op_norms_are_the_least_upper_floats():
             exact = max(sum(abs(Fraction(x)) ** p for x in v) for v in vectors.tolist())
             assert Fraction(got) ** p >= exact
             assert Fraction(math.nextafter(got, 0.0)) ** p < exact
+
+
+@pytest.mark.parametrize("pair", ["sup-euclidean", "sup-one", "euclidean-one"])
+def test_sign_enumeration_op_norms_are_the_least_upper_floats(pair):
+    """sup -> euclidean, sup -> one and euclidean -> one are each the least
+    float at least the exact norm of their sign enumeration, a 2-norm
+    compared through its square. The family holds the row
+    [0.9644753736367113, 0.8057879050414194] and its column, whose float
+    sweeps returned the 2-norm rounded to nearest, 1.2567843467606976,
+    3.4e-18 below the exact square."""
+    rng = np.random.default_rng(17)
+    row = np.array([[0.9644753736367113, 0.8057879050414194]])
+    family = [row, row.T] + [
+        rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)))) * 10.0 ** int(rng.integers(-3, 4))
+        for _ in range(300)
+    ]
+    in_kind, out_kind = (NormKind.parse(name) for name in pair.split("-"))
+    p = 2 if NormKind.EUCLIDEAN in (in_kind, out_kind) else 1
+    for m in family:
+        got = op_norm_matrix(m, in_kind, out_kind)
+        # euclidean -> one is the dual pair, sup -> euclidean of A^T
+        exact = exact_sign_norm(m.T if in_kind is NormKind.EUCLIDEAN else m, p)
+        assert Fraction(got) ** p >= exact, m.tolist()
+        assert Fraction(math.nextafter(got, 0.0)) ** p < exact, m.tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_index_add_rows_is_add_per_row(d):
+    """add_rows lists each row j in the cells add(j, ...) lists it in, in
+    row order, for pads up to half a cell and centers on cell bounds."""
+    rng = np.random.default_rng(29 + d)
+    for _ in range(20):
+        count = int(rng.integers(0, 40))
+        centers = rng.uniform(-1.0, 1.0, size=(count, d))
+        centers[::3] = np.round(centers[::3] * 8) / 8
+        pads = rng.uniform(0.0, 0.125, size=count)
+        bulk, single = CellIndex(0.25), CellIndex(0.25)
+        bulk.add_rows(centers, pads)
+        for j in range(count):
+            single.add(j, centers[j], float(pads[j]))
+        assert bulk.table == single.table
 
 
 def test_op_norm_rejects_nonfinite():
