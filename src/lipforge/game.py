@@ -10,7 +10,7 @@ round's target operator and choosing the reply radius
 
 which keeps s_k < alpha_k / k and certifies that the closed reply ball sits
 inside the offered one (rho_k is the analytic distance bound of the
-linearization, the authority over the sampled estimate). Operators are
+linearization; the nesting rests on it alone). Operators are
 scheduled round-robin. After K rounds the final mapping g_K is within
 s_K of the infinite game's limit, and around each level-k net point the
 difference quotient against the round's operator at scale alpha_k stays
@@ -43,7 +43,6 @@ from .lipfun import (
 from .nets import NetFamily, TargetSet, nested_nets
 from .numerics import (
     CONSTRUCTION_DPS,
-    FLOAT,
     FLOAT_VECTOR,
     INT,
     LIP_ONE_TOL,
@@ -62,18 +61,17 @@ from .numerics import (
     is_finite,
     raw_vector,
     sequence,
-    to_float,
     working_dps_for_scale,
 )
 from .perturb import linearize_near
 from .space import Domain, LinearMap, NormKind, _norm_le_exact, unit_directions
 
-GAME_SCHEMA = "lipforge-game/2"
+GAME_SCHEMA = "lipforge-game/3"
 FUNCTION_FILE = "function.json"
 
 ADVERSARY_KINDS = ("stay", "jitter", "replay")
 
-# Sample size of sup_dist for move distances and rho_sampled.
+# Sample size of sup_dist for an explicit move's distance.
 SUP_BUDGET = 192
 
 
@@ -128,7 +126,6 @@ class MoveRecord:
     beta: Scalar | None
     warp_radius: Scalar | None
     rho_bound: Scalar
-    rho_sampled: float
     net_size: int
 
 
@@ -183,9 +180,6 @@ def player2_move(tr: GameTranscript, move: Move, r_accepted: Scalar, r_offered: 
         s_k = min(alpha / (k + 1), (r_mp - rho_bound) / 2)
         if not (s_k > 0 and s_k < alpha / k):
             raise LipForgeError("reply radius failed its bounds")
-        rho_hat = sup_dist(g, f, tr.domain, SUP_BUDGET, tr.seed * 101 + k, tr.out_norm)
-        if rho_hat > to_float(rho_bound) + 1e-9:
-            raise LipForgeError("sampled distance exceeds the analytic bound")
         record = MoveRecord(
             round_k=k,
             op_index=tr.op_index(k),
@@ -198,7 +192,6 @@ def player2_move(tr: GameTranscript, move: Move, r_accepted: Scalar, r_offered: 
             beta=beta,
             warp_radius=warp_radius,
             rho_bound=rho_bound,
-            rho_sampled=rho_hat,
             net_size=len(gamma),
         )
     tr.rounds.append(record)
@@ -234,7 +227,7 @@ def adversary(tr: GameTranscript, kind: str, replay_rounds: list[MoveRecord] | N
 class GameTranscript:
     """The record of a run: the game's inputs and its rounds, which
     player2_move appends to as the game is played. On disk (schema
-    lipforge-game/2) it names its function.json by sha256 instead of
+    lipforge-game/3) it names its function.json by sha256 instead of
     embedding final_fun; save and load_transcript write and read the pair."""
 
     domain: Domain
@@ -344,7 +337,6 @@ _ROUND_FIELDS = (
     ("beta", "beta", _OPTIONAL_SCALAR),
     ("warp_radius", "warp_radius", _OPTIONAL_SCALAR),
     ("rho_bound", "rho_bound", SCALAR),
-    ("rho_sampled", "rho_sampled", FLOAT),
     ("net_size", "net_size", INT),
 )
 _HEADER_FIELDS = (

@@ -284,6 +284,6 @@ def sequence(codec: Codec) -> Codec:
 SCALAR = Codec(lambda x, depth, memo: encode_scalar(x), finite(decode_scalar))
 VECTOR = Codec(lambda v, depth, memo: encode_vector(v), finite(decode_vector))
 INT = Codec(lambda n, depth, memo: n, lambda obj, depth, memo: decode_int(obj))
-# Values kept as floats: a sampled distance, a net point, a domain's bounds.
+# Values kept as floats: a net point, a domain's bounds, a ball's radius.
 FLOAT = Codec(SCALAR.encode, finite(lambda obj: to_float(decode_scalar(obj))))
 FLOAT_VECTOR = Codec(VECTOR.encode, finite(lambda obj: float_vector(decode_vector(obj))))

@@ -3,8 +3,35 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from lipforge import Domain, LinearMap, TargetSet, run_game
+from lipforge import Const, Domain, LinearMap, TargetSet, run_game, sup_dist
+from lipforge.game import SUP_BUDGET
+from lipforge.numerics import to_float
+
+
+@pytest.fixture(scope="session")
+def sampled_round_distances():
+    """A function that samples ||g_k - g_{k-1}|| in every round of an
+    in-memory transcript (g_0 the zero mapping), asserts each sample is
+    within the round's analytic rho_bound and returns the samples. A sample
+    only bounds the distance from below: a cross-check of rho_bound, not a
+    certificate."""
+
+    def sample(transcript) -> list[float]:
+        prev = Const(np.zeros(transcript.out_dim), transcript.domain.dim)
+        out = []
+        for rec in transcript.rounds:
+            k, center = rec.round_k, rec.move.center(prev)
+            with mp.workdps(transcript.dps):
+                rho = sup_dist(rec.reply_fun, center, transcript.domain, SUP_BUDGET, transcript.seed * 101 + k,
+                               transcript.out_norm)
+            assert rho <= to_float(rec.rho_bound) + 1e-9, f"round {k}: sampled distance {rho:.3e} above rho_bound"
+            out.append(rho)
+            prev = rec.reply_fun
+        return out
+
+    return sample
 
 
 @pytest.fixture(scope="session")

@@ -136,8 +136,6 @@ REFUSED = {
     "tail_bound-not-s": (_set(("tail_bound",), "0.125"), "tail_bound is not the last round's s"),
     "net_size-99": (_set(("rounds", 0, "net_size"), 99), "round 1 has net_size 99"),
     "net_size-past-the-levels": (_drop_last_net_level, "round 3 has net_size"),
-    "rho_sampled-true": (_set(("rounds", 0, "rho_sampled"), True), "bad numeral True"),
-    "rho_sampled-nan": (_set(("rounds", 0, "rho_sampled"), "nan"), "non-finite numeral"),
     "r_accepted-false": (_set(("rounds", 1, "r_accepted"), False), "bad numeral False"),
     "mantissa-true": (_set(("rounds", 1, "r_offered", "m"), True), "bad scalar"),
     "exponent-not-a-string": (_set(("rounds", 1, "r_offered", "e"), -1), "bad scalar"),

@@ -71,7 +71,6 @@ def _fake_record(k, g, s):
         beta=None,
         warp_radius=None,
         rho_bound=exact_mpf(0),
-        rho_sampled=0.0,
         net_size=0,
     )
 
@@ -295,8 +294,9 @@ def test_saved_transcript_names_function_json_by_sha256(tmp_path, small_transcri
     data = (tmp_path / "function.json").read_bytes()
     doc = json.loads((tmp_path / "transcript.json").read_text())
     assert data == serialize(tr.final_fun)
-    assert doc["schema"] == "lipforge-game/2"
+    assert doc["schema"] == "lipforge-game/3"
     assert "final_fun" not in doc
+    assert not any("rho_sampled" in rec for rec in doc["rounds"])
     assert doc["function_sha256"] == hashlib.sha256(data).hexdigest()
     moved = tmp_path / "elsewhere.json"
     (tmp_path / "function.json").rename(moved)
@@ -327,14 +327,18 @@ def test_load_transcript_refuses_another_function_json(tmp_path, small_setup):
 
 
 def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
-    """The old layout, with the tree embedded as final_fun, is not read."""
-    doc = small_transcript.to_dict()
-    del doc["function_sha256"]
-    doc.update(schema="lipforge-game/1", final_fun=fun_to_dict(small_transcript.final_fun))
-    (tmp_path / "transcript.json").write_text(json.dumps(doc))
+    """The old layouts are not read: /1 embedded the tree as final_fun, and
+    /2 stored each round's sampled distance as rho_sampled."""
+    v1 = small_transcript.to_dict()
+    del v1["function_sha256"]
+    v1.update(schema="lipforge-game/1", final_fun=fun_to_dict(small_transcript.final_fun))
+    v2 = small_transcript.to_dict()
+    v2.update(schema="lipforge-game/2", rounds=[{**rec, "rho_sampled": "0.0"} for rec in v2["rounds"]])
     (tmp_path / "function.json").write_bytes(serialize(small_transcript.final_fun))
-    with pytest.raises(LipForgeError, match="unknown schema version 'lipforge-game/1'"):
-        load_transcript(tmp_path / "transcript.json")
+    for doc in (v1, v2):
+        (tmp_path / "transcript.json").write_text(json.dumps(doc))
+        with pytest.raises(LipForgeError, match=f"unknown schema version '{doc['schema']}'"):
+            load_transcript(tmp_path / "transcript.json")
 
 
 def _count_codec_calls(monkeypatch) -> list:
@@ -500,9 +504,10 @@ def test_low_precision_failure_names_its_precision(small_setup):
 
 @pytest.mark.parametrize("out_norm", list(NormKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("in_norm", list(NormKind), ids=lambda k: k.value)
-def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm):
+def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm, sampled_round_distances):
     """A 4-round stay game into R^2 on a box in the in-norm, for each of the
-    nine (in, out) norm pairs: every witness meets 4/k and both suites pass."""
+    nine (in, out) norm pairs: every witness meets 4/k, both suites pass and
+    no sampled round distance exceeds its rho_bound."""
     domain = Domain.box([0.0, 0.0], [1.0, 1.0], in_norm)
     target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
     m = np.array([[0.3, 0.1], [-0.1, 0.2]])
@@ -513,6 +518,7 @@ def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm):
     assert len(probes) == 28 and all(p.ok for p in probes)
     results = verify.transcript_suite(tr) + verify.artifact_suite(tr.final_fun)
     assert [r.name for r in results if not r.ok] == []
+    sampled_round_distances(tr)
 
 
 def test_run_game_at_one_digit(small_setup):
@@ -523,9 +529,10 @@ def test_run_game_at_one_digit(small_setup):
 
 
 @pytest.mark.parametrize("dps", [15, 20])
-def test_run_game_below_the_construction_precision(dps):
+def test_run_game_below_the_construction_precision(dps, sampled_round_distances):
     """Parameters rounded at a low working precision pass the checks made at
-    that precision, and the run passes the transcript and artifact suites."""
+    that precision, the run passes the transcript and artifact suites, and
+    no sampled round distance exceeds its rho_bound."""
     domain = Domain.box([0.0, 0.0], [1.0, 1.0])
     target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
     ops = (LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]])))
@@ -533,6 +540,7 @@ def test_run_game_below_the_construction_precision(dps):
     assert tr.k_max == 4 and tr.dps == dps
     results = verify.transcript_suite(tr) + verify.artifact_suite(tr.final_fun)
     assert [r.name for r in results if not r.ok] == []
+    sampled_round_distances(tr)
 
 
 def test_transcript_operators_and_levels_use_the_map_codec(small_transcript):

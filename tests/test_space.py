@@ -342,10 +342,15 @@ def test_norm_parse_refuses_what_is_not_a_norm_name(value):
         lambda: Domain.box([0.0, math.nan], [1.0, 1.0]),
         lambda: Domain.ball([0.0, math.nan], 1.0),
         lambda: Domain.ball([0.0, 0.0], math.inf),
+        lambda: Domain.decode({**Domain.ball([0.0, 0.0], 1.0).encode(), "radius": True}),
+        lambda: Domain.decode({**Domain.ball([0.0, 0.0], 1.0).encode(), "radius": "nan"}),
     ],
 )
 def test_domain_refuses_non_finite_bounds(make):
-    with pytest.raises(LipForgeError, match="must be finite"):
+    """The constructors refuse a non-finite bound; Domain.decode refuses a
+    ball radius that is not a finite float numeral with the codec's
+    diagnostics."""
+    with pytest.raises(LipForgeError, match=r"must be finite|: bad numeral True$|: non-finite numeral in 'nan'$"):
         make()
 
 
