@@ -6,7 +6,10 @@ semantics are implemented twice:
 
 * ``_eval_batch``, the one float64 evaluator, on (n, d) arrays of points.
   A single float point is a one-row batch, and node constants enter as
-  float64 even when they are stored as mpf;
+  float64 even when they are stored as mpf. A Patched layer is one pass:
+  its unclaimed rows are one batch of the outer mapping and its claimed
+  rows one ``_eval_rows`` pass over the inners they reach, which evaluates
+  inners differing only in their constants together;
 * ``_eval_exact``, the one exact evaluator, used when probing displacements
   finer than float64 resolution (patch radii constructed by deep game rounds
   fall far below 1e-308; see numerics.py). Its vectors are tuples of raw
@@ -28,7 +31,6 @@ outside radius ``b``, radially mixed in between, with certified constant
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,7 +66,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import CellIndex, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
+from .space import CellTable, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
 from .space import _halton, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
@@ -86,6 +88,10 @@ DIRECTIONS_CACHE_SIZE = 2048
 
 # Largest sup-norm gap between inner and outer on a patch sphere that passes.
 CONTINUITY_TOL = 1e-9
+
+# Most sphere samples the float continuity check evaluates in one pass
+# (whole patches' sample sets, at least one patch): it bounds the working set.
+CONTINUITY_BLOCK_ROWS = 32768
 
 
 def _ratio(a: Scalar, num_b: Scalar) -> float:
@@ -513,7 +519,8 @@ class Patch:
 class Patched(LipFun):
     """Outer mapping overridden inside disjoint open balls by inner mappings.
     Balls with ||c_i - c_j|| <= r_i + r_j (float64, the node's norm) are refused
-    as overlapping; only pairs that share a cell of the patch index can be."""
+    as overlapping; only pairs that share a cell of the patch index (a
+    space.CellTable of the balls' padded boxes) can be."""
 
     outer: LipFun
     patches: tuple[Patch, ...]
@@ -541,9 +548,8 @@ class Patched(LipFun):
         # float64 resolves a patch's radii above its floor, FLOAT_RESOLVE_REL (1 + max|center|)
         floors = FLOAT_RESOLVE_REL * (1.0 + np.max(np.abs(centers), axis=1, initial=0.0))
         pads = radii + floors
-        index = CellIndex(2.0 * pads.max() if len(pads) else 1e-9)
-        index.add_rows(centers, pads)
-        pairs = [ij for cell in index.table.values() for ij in itertools.combinations(cell, 2)]
+        index = CellTable(2.0 * pads.max() if len(pads) else 1e-9, centers, pads)
+        pairs = index.pairs()
         if pairs:
             i, j = np.array(pairs).T
             if np.any(norm_batch(centers[i] - centers[j], self.norm_kind) <= radii[i] + radii[j]):
@@ -575,13 +581,13 @@ class Patched(LipFun):
         it, or -1. Each row is tested only against the patches its index
         cell lists, in index order, and the first that contains it wins."""
         claims = np.full(len(Z), -1, dtype=np.intp)
-        cands = self._index.cell_lists(Z)
-        counts = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
-        total = int(counts.sum())
-        if not total:
+        if len(Z) == 1:  # a point (eval_point, resolve): its cell is found in Python
+            pidx = np.array(self._index.point_items(Z[0].tolist()), dtype=np.intp)
+            rows = np.zeros(len(pidx), dtype=np.intp)
+        else:
+            rows, pidx = self._index.candidates(Z)
+        if not len(rows):
             return claims
-        rows = np.repeat(np.arange(len(Z)), counts)
-        pidx = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.intp, count=total)
         hit = norm_batch(Z[rows] - self._centers[pidx], self.norm_kind) < self._radii[pidx]
         rows, pidx = rows[hit], pidx[hit]
         # rows is sorted, so the first hit of each row is its first claimant
@@ -596,8 +602,7 @@ class Patched(LipFun):
         squares against radius^2 (space._norm_lt_raw), which takes the root
         only within a few ulps of the sphere and gives the root's answer."""
         prec, rnd = mp._prec_rounding
-        zf = np.array([raw_to_float(x) for x in z])
-        for idx in self._index.cell_lists(zf[None, :])[0]:
+        for idx in self._index.point_items([raw_to_float(x) for x in z]):
             p = self.patches[idx]
             w = tuple(mpf_sub(x, c, prec, rnd) for x, c in zip(z, p.center_raw))
             if _norm_lt_raw(w, self.norm_kind, p.radius_raw, p.radius_sq):
@@ -611,16 +616,17 @@ class Patched(LipFun):
         return self.patches[idx].inner._eval_exact(z)
 
     def _eval_batch(self, Z):
-        """Rows grouped by claim with one stable sort; each group is one batch
-        of its mapping (outer for the unclaimed), in row order."""
-        out = np.empty((len(Z), self.out_dim))
+        """The unclaimed rows are one batch of outer; the claimed rows are
+        one pass of _eval_rows over the inners they reach."""
         claims = self._claims(Z)
-        order = np.argsort(claims, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(claims[order])) + 1):
-            if len(rows):
-                idx = claims[rows[0]]
-                f = self.outer if idx < 0 else self.patches[idx].inner
-                out[rows] = f._eval_batch(Z[rows])
+        inside = claims >= 0
+        if not inside.any():
+            return self.outer._eval_batch(Z)
+        out = np.empty((len(Z), self.out_dim))
+        if not inside.all():
+            out[~inside] = self.outer._eval_batch(Z[~inside])
+        used, which = np.unique(claims[inside], return_inverse=True)
+        out[inside] = _eval_rows([self.patches[i].inner for i in used.tolist()], which, Z[inside])
         return out
 
 
@@ -651,6 +657,59 @@ class Precompose(LipFun):
 
     def _eval_batch(self, Z):
         return self.f._eval_batch(self.inner_map._eval_batch(Z))
+
+
+def _stack_affine(nodes: list[Affine], which: np.ndarray, Z: np.ndarray):
+    m = nodes[0].map
+    if any(f.map is not m for f in nodes):
+        return None
+    base, anchor = (np.array([getattr(f, attr) for f in nodes]) for attr in ("_base_float", "_anchor_float"))
+    return base[which] + m.apply_batch(Z - anchor[which])
+
+
+def _stack_add_const(nodes: list[AddConst], which: np.ndarray, Z: np.ndarray):
+    return _eval_rows([f.f for f in nodes], which, Z) + np.array([f._p_float for f in nodes])[which]
+
+
+def _stack_precompose(nodes: list[Precompose], which: np.ndarray, Z: np.ndarray):
+    if len({f.f.in_dim for f in nodes}) > 1:
+        return None
+    return _eval_rows([f.f for f in nodes], which, _eval_rows([f.inner_map for f in nodes], which, Z))
+
+
+# How _eval_rows evaluates nodes of one kind in one pass: a function of
+# (nodes, which, Z) that returns None when the nodes do not qualify.
+_STACKED = {Affine: _stack_affine, AddConst: _stack_add_const, Precompose: _stack_precompose}
+
+
+def _eval_rows(nodes: list[LipFun], which: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Row i of Z evaluated with nodes[which[i]], in the bits that node's
+    _eval_batch gives the row; every node is one some row takes. Nodes of
+    one kind whose parts other than their constants are the same objects
+    take one pass over all their rows, each row gathering its own node's
+    constants (_STACKED): an Affine's map, an AddConst's and a Precompose's
+    children, by recursion. The game's patch inners qualify: a layer's
+    inners share the warp or blend, the affine map and the identity map
+    (_identity_map, and one node per distinct record once decoded). Any
+    other mix takes one batch per node."""
+    slots: dict[int, int] = {}
+    slot = [slots.setdefault(id(f), len(slots)) for f in nodes]
+    if len(slots) == 1 or not len(Z):
+        return nodes[0]._eval_batch(Z)
+    if len(slots) < len(nodes):
+        nodes = list({id(f): f for f in nodes}.values())
+        which = np.array(slot)[which]
+    kind = type(nodes[0])
+    stack = _STACKED.get(kind)
+    if stack is not None and all(type(f) is kind for f in nodes):
+        out = stack(nodes, which, Z)
+        if out is not None:
+            return out
+    out = np.empty((len(Z), nodes[0].out_dim))
+    order = np.argsort(which, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(which[order])) + 1):
+        out[rows] = nodes[which[rows[0]]]._eval_batch(Z[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +801,11 @@ def _check_patch_continuity(node: Patched):
     A sphere resolvable in float64 is sampled at 64*d directions seeded by
     the patch index. The directions depend only on (count, dim, seed, norm),
     so they come from a bounded cache: every layer and round of a game, and
-    the re-check in verify, draws each set once.
+    the re-check in verify, draws each set once. The samples of whole
+    patches are evaluated in blocks of at most CONTINUITY_BLOCK_ROWS rows,
+    the outer in one batch and the inners in one _eval_rows pass per block.
+    The first faulty patch in index order names the error, and a NaN gap
+    (inner and outer both infinite in float64) is refused.
 
     A finer sphere, of radius r around x, is bounded from its center as a
     Lipschitz enclosure (S. M. Rump, Verification methods, Acta Numerica
@@ -781,23 +844,18 @@ def _check_patch_continuity(node: Patched):
             bound = mpf_add(_norm_raw(gap, NormKind.SUP), spread, prec, "u")
             if not mpf_le(bound, from_float(CONTINUITY_TOL)):
                 raise LipForgeError(f"patch boundary mismatch bound {raw_to_float(bound):.3e} beyond tolerance")
-    if resolvable:
-        blocks = []
-        for i in resolvable:
-            p = node.patches[i]
-            dirs = _sphere_directions(n_samples, d, i, node.norm_kind)
-            blocks.append(p.center_float + p.radius_float * dirs)
-        all_pts = np.concatenate(blocks)
-        outer_vals = node.outer._eval_batch(all_pts)
-        off = 0
-        for i in resolvable:
-            p = node.patches[i]
-            pts = all_pts[off : off + n_samples]
-            diff = p.inner._eval_batch(pts) - outer_vals[off : off + n_samples]
-            err = float(np.max(np.abs(diff))) if diff.size else 0.0
-            if err > CONTINUITY_TOL:
-                raise LipForgeError(f"patch boundary mismatch {err:.3e} beyond tolerance")
-            off += n_samples
+    per_block = max(1, CONTINUITY_BLOCK_ROWS // max(n_samples, 1))
+    for start in range(0, len(resolvable), per_block):
+        block = resolvable[start : start + per_block]
+        dirs = np.stack([_sphere_directions(n_samples, d, i, node.norm_kind) for i in block])
+        which = np.repeat(np.arange(len(block)), n_samples)
+        pts = (node._centers[block][:, None, :] + node._radii[block][:, None, None] * dirs).reshape(len(which), d)
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap, refused below
+            diff = _eval_rows([node.patches[i].inner for i in block], which, pts) - node.outer._eval_batch(pts)
+        err = np.max(np.abs(diff).reshape(len(block), -1), axis=1, initial=0.0)
+        bad = np.flatnonzero(~(err <= CONTINUITY_TOL))
+        if len(bad):
+            raise LipForgeError(f"patch boundary mismatch {err[bad[0]]:.3e} beyond tolerance")
 
 
 # ---------------------------------------------------------------------------

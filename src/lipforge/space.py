@@ -14,9 +14,11 @@ exact diameter and boundary-distance formulas.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -236,17 +238,82 @@ class CellIndex:
         for key in self._cells(center, pad):
             self.table.setdefault(key, []).append(item)
 
-    def add_rows(self, centers: np.ndarray, pads: np.ndarray) -> None:
-        """add(j, centers[j], pads[j]) for each row j in order, bounds in one numpy pass."""
-        lo, hi = (np.floor((centers + s) / self.cell).astype(np.int64).tolist() for s in (-pads[:, None], pads[:, None]))
-        for j, (a, b) in enumerate(zip(lo, hi)):
-            for key in itertools.product(*[range(x, y + 1) for x, y in zip(a, b)]):
-                self.table.setdefault(key, []).append(j)
 
-    def cell_lists(self, Z: np.ndarray) -> list:
-        """Each row's cell list. Float keys hash and compare equal to the
-        integer ones; NaN and infinite rows match no cell."""
-        return [self.table.get(tuple(key), ()) for key in np.floor(Z / self.cell).tolist()]
+class CellTable:
+    """A CellIndex of fixed boxes, items 0..n-1 added in row order, held in
+    arrays: the distinct cell keys, sorted, and each cell's items, in the
+    order added, as a slice of one flat array. A key is a row of int64 cell
+    coordinates compared whole, as one void item: cells of deep layers are
+    about 4e-12 wide, so coordinates reach about 2.5e11 and no mixed-radix
+    int64 key fits two of them. NaN, infinite and out-of-range points (no
+    box has a coordinate beyond 5e11 cells) match no cell."""
+
+    def __init__(self, cell: float, centers: np.ndarray, pads: np.ndarray):
+        self.cell = float(cell)
+        self._pack = struct.Struct(f"={max(centers.shape[1], 1)}q").pack
+        lo, hi = (np.floor((centers + s) / self.cell).astype(np.int64) for s in (-pads[:, None], pads[:, None]))
+        # every cell of each box, the last axis fastest, as itertools.product lists them
+        spans = hi - lo + 1
+        counts = spans.prod(axis=1)
+        rows = np.repeat(np.arange(len(centers)), counts)
+        k = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keys = np.empty((len(rows), centers.shape[1]), dtype=np.int64)
+        for j in reversed(range(centers.shape[1])):
+            keys[:, j] = lo[rows, j] + k % spans[rows, j]
+            k //= spans[rows, j]
+        flat = self._as_void(keys)
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        first = np.ones(len(flat), dtype=bool)
+        first[1:] = flat[1:] != flat[:-1]
+        self.keys = flat[first]
+        self.starts = np.append(np.flatnonzero(first), len(flat))
+        self.items = rows[order]
+
+    @staticmethod
+    def _as_void(keys: np.ndarray) -> np.ndarray:
+        """Each int64 key row as one void item; a 0-d key row as one zero."""
+        keys = np.ascontiguousarray(keys if keys.shape[1] else np.zeros((len(keys), 1), dtype=np.int64))
+        return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every pair of items that share a cell, once per cell they share."""
+        shared = np.flatnonzero(np.diff(self.starts) > 1).tolist()
+        return [ij for c in shared for ij in itertools.combinations(self.items[self.starts[c]:self.starts[c + 1]].tolist(), 2)]
+
+    def candidates(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, items): each row of Z, in order, once per item its cell lists,
+        the items in the order added."""
+        K = np.floor(Z / self.cell)
+        # only rows that cast to int64 exactly can match; NaN and infinite ones are dropped
+        rows = (abs(K).max(axis=1, initial=0.0) < 2.0**62).nonzero()[0]
+        if not (len(rows) and len(self.keys)):
+            return rows[:0], self.items[:0]
+        q = self._as_void(K[rows].astype(np.int64))
+        cell = np.minimum(self.keys.searchsorted(q), len(self.keys) - 1)
+        hit = self.keys[cell] == q
+        rows, start = rows[hit], self.starts[cell[hit]]
+        counts = self.starts[cell[hit] + 1] - start
+        offsets = (start - counts.cumsum() + counts).repeat(counts)
+        return rows.repeat(counts), self.items[np.arange(len(offsets)) + offsets]
+
+    @cached_property
+    def _key_bytes(self) -> list[bytes]:
+        return self.keys.tolist()
+
+    def point_items(self, z: list[float]) -> list[int]:
+        """The items the cell of one point lists, candidates' answer for a
+        one-row Z, found in Python by bisection over the keys' bytes (void
+        items sort as their bytes do)."""
+        keys = self._key_bytes
+        try:
+            key = self._pack(*map(math.floor, [x / self.cell for x in z] or [0.0]))
+        except (ValueError, OverflowError, struct.error):  # NaN, infinite, beyond int64
+            return []
+        c = bisect.bisect_left(keys, key)
+        if keys[c:c + 1] != [key]:
+            return []
+        return self.items[self.starts[c]:self.starts[c + 1]].tolist()
 
 
 def _least_float(proves, t: float) -> float:
@@ -259,26 +326,32 @@ def _least_float(proves, t: float) -> float:
     return t
 
 
-def _norm_up(v: np.ndarray, kind: NormKind) -> float:
-    """The least float at least the norm of the float vector v. The largest
-    |v_j| is exact; the sum of |v_j| and the root of the sum of v_j^2 are
-    proven in Fractions (floats are rationals), stepping from the rounded
-    sum and from math.hypot."""
-    if kind is NormKind.SUP:
-        return float(np.max(np.abs(v), initial=0.0))
+def _fraction(x) -> Fraction:
+    """A finite float or mpf as the rational it is."""
+    if not is_mpf(x):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _norm_up(v, kind: NormKind) -> float:
+    """The least float at least the norm of the vector of Fractions v, proven
+    in Fractions, stepping from the rounded value (for the root, from
+    math.hypot of the rounded entries)."""
     p = 2 if kind is NormKind.EUCLIDEAN else 1
-    q = sum(abs(Fraction(x)) ** p for x in v.tolist())
+    q = max(map(abs, v), default=Fraction(0)) if kind is NormKind.SUP else sum(abs(x) ** p for x in v)
     try:
-        t = math.hypot(*v.tolist()) if p == 2 else float(q)
-    except OverflowError:  # a sum beyond the largest float
+        t = math.hypot(*map(float, v)) if p == 2 else float(q)
+    except OverflowError:  # a value beyond the largest float
         return math.inf
     return _least_float(lambda t: t == math.inf or Fraction(t) ** p >= q, t)
 
 
 def _bounds_2norm(m: np.ndarray, t: float) -> bool:
     """Whether ||A||_2 <= t, i.e. t^2 I - A^T A is PSD, decided by an exact LDL^T
-    in Fractions (floats are rationals): a negative pivot, or a zero pivot with a
-    nonzero row, refutes it. An infinite t bounds every norm and a NaN none."""
+    in Fractions (the entries are floats or Fractions): a negative pivot, or a
+    zero pivot with a nonzero row, refutes it. An infinite t bounds every norm
+    and a NaN none."""
     if not t < math.inf:
         return t == math.inf
     a = np.array([[Fraction(x) for x in row] for row in m.tolist()], dtype=object)
@@ -292,15 +365,17 @@ def _bounds_2norm(m: np.ndarray, t: float) -> bool:
     return True
 
 
-def _enumerate_sign_norm(m: np.ndarray, out_kind: NormKind) -> float:
+def _enumerate_sign_norm(m: np.ndarray, a: np.ndarray, out_kind: NormKind) -> float:
     """max over x in {-1,+1}^d with x_1 = 1 of ||A x||_out (extreme-point
-    sweep) for out one or euclidean, rounded up as _norm_up rounds; inf
-    where the float sweep overflows. A float sweep in blocks of 4096 sign
-    vectors finds the candidates: a value is within gamma_{d+l+2} sum|a_kj|
-    of its exact norm (recursive summation; Higham 2002, ch. 3), so every x
-    whose value is within twice that of the float maximum is evaluated
-    exactly, in integers over the entries' common power-of-two denominator.
-    Sign vectors that tie in float (a diagonal A) each take an exact sum."""
+    sweep) for out one or euclidean, with a the exact entries (Fractions) and
+    m their float copy, rounded up as _norm_up rounds; inf where the float
+    sweep overflows. A float sweep of m in blocks of 4096 sign vectors finds
+    the candidates: a value is within gamma_{d+l+2} sum|m_kj| of the exact
+    norm of m x (recursive summation; Higham 2002, ch. 3), which is within
+    sum|a_kj - m_kj| of that of A x, so every x whose value is within twice
+    the sum of both of the float maximum is evaluated exactly, in integers
+    over the entries' common power-of-two denominator. Sign vectors that tie
+    in float (a diagonal A) each take an exact sum."""
     l, d = m.shape
     if d > MAX_ENUM_DIM:
         raise LipForgeError(
@@ -315,43 +390,47 @@ def _enumerate_sign_norm(m: np.ndarray, out_kind: NormKind) -> float:
     top = float(values.max())
     if top == math.inf:
         return math.inf
-    entries, n = [Fraction(a) for a in m.ravel().tolist()], d + l + 2
-    low = math.nextafter(float(top - Fraction(2 * n, 2**53 - n) * sum(map(abs, entries))), -math.inf)
-    scale, p = max(a.denominator for a in entries), 2 if out_kind is NormKind.EUCLIDEAN else 1
-    rows = [[int(Fraction(a) * scale) for a in row] for row in m.tolist()]
+    exact, rounded, n = a.ravel().tolist(), [Fraction(y) for y in m.ravel().tolist()], d + l + 2
+    slack = Fraction(2 * n, 2**53 - n) * sum(map(abs, rounded)) + 2 * sum(abs(x - y) for x, y in zip(exact, rounded))
+    low = math.nextafter(float(top - slack), -math.inf)
+    scale, p = max(x.denominator for x in exact), 2 if out_kind is NormKind.EUCLIDEAN else 1
+    rows = [[int(x * scale) for x in row] for row in a.tolist()]
 
-    def exact(i: int) -> int:
+    def exact_norm(i: int) -> int:
         x = [1] + [1 - 2 * (i >> j & 1) for j in range(d - 1)]
         return sum(abs(sum(a * s for a, s in zip(row, x))) ** p for row in rows)
 
-    q = Fraction(max(map(exact, np.flatnonzero(values >= low).tolist())), scale**p)
+    q = Fraction(max(map(exact_norm, np.flatnonzero(values >= low).tolist())), scale**p)
     return _least_float(lambda t: t == math.inf or Fraction(t) ** p >= q, top)
 
 
 def op_norm_matrix(matrix: np.ndarray, in_norm: NormKind, out_norm: NormKind) -> float:
-    """The operator norm of a float matrix between the two norms: the least
-    float at least the exact norm, from the closed forms (one -> any, sup ->
-    sup, euclidean -> sup), the LDL^T proof (euclidean -> euclidean) and the
-    sign enumerations (sup -> euclidean or one, euclidean -> one)."""
+    """The operator norm of a float or mpf matrix between the two norms: the
+    least float at least the exact norm of its entries' exact values, from
+    the closed forms (one -> any, sup -> sup, euclidean -> sup), the LDL^T
+    proof (euclidean -> euclidean) and the sign enumerations (sup ->
+    euclidean or one, euclidean -> one). The float copy only finds
+    candidates and starting points."""
     m = float_matrix(matrix) if matrix.dtype == object else np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(m)):
         raise LipForgeError("operator has non-finite entries")
     if m.size == 0:
         return 0.0
+    a = np.array([[_fraction(x) for x in row] for row in matrix.tolist()], dtype=object)
     if in_norm is NormKind.ONE:
         # Extreme points of the one-norm ball are +-e_j.
-        return max(_norm_up(col, out_norm) for col in m.T)
+        return max(_norm_up(col, out_norm) for col in a.T)
     if in_norm is NormKind.SUP:
         if out_norm is NormKind.SUP:
-            return max(_norm_up(row, NormKind.ONE) for row in m)
-        return _enumerate_sign_norm(m, out_norm)
+            return max(_norm_up(row, NormKind.ONE) for row in a)
+        return _enumerate_sign_norm(m, a, out_norm)
     # euclidean domain
     if out_norm is NormKind.EUCLIDEAN:
-        return _least_float(lambda t: _bounds_2norm(m, t), float(np.linalg.norm(m, 2)))
+        return _least_float(lambda t: _bounds_2norm(a, t), float(np.linalg.norm(m, 2)))
     if out_norm is NormKind.SUP:
-        return max(_norm_up(row, NormKind.EUCLIDEAN) for row in m)
+        return max(_norm_up(row, NormKind.EUCLIDEAN) for row in a)
     # euclidean -> one is the dual pair: ||A||_{2->1} = ||A^T||_{sup->2}
-    return _enumerate_sign_norm(m.T, NormKind.EUCLIDEAN)
+    return _enumerate_sign_norm(m.T, a.T, NormKind.EUCLIDEAN)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ is also the oracle for the squared-radius ball and blend tests, checked
 here a few ulps either side of each sphere.
 """
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ from lipforge.lipfun import (
 )
 from lipforge.numerics import as_vector, exact_mpf, float_vector, raw_vector, to_float, working_dps_for_scale
 from lipforge.probe import _forward_quotients, _use_exact, witness_ladder
-from lipforge.space import _root_side, _sum_squares_raw, sample_ball
+from lipforge.space import CellIndex, _root_side, _sum_squares_raw, sample_ball
 
 # ---------------------------------------------------------------------------
 # Reference: the mpf-object evaluator
@@ -83,8 +85,20 @@ def ref_sub(u, v):
     return as_vector([exact_mpf(u[i]) - exact_mpf(v[i]) for i in range(len(u))])
 
 
+@functools.lru_cache(maxsize=None)
+def ref_cells(node: Patched) -> CellIndex:
+    """The patch index as Patched kept it before CellTable: each ball's box
+    added to a CellIndex in index order, padded by its float floor."""
+    pads = node._radii + np.array(node._floors)
+    index = CellIndex(2.0 * pads.max() if len(pads) else 1e-9)
+    for j, (c, pad) in enumerate(zip(node._centers, pads.tolist())):
+        index.add(j, c, pad)
+    return index
+
+
 def ref_resolve(node: Patched, z):
-    for idx in node._index.cell_lists(float_vector(z)[None, :])[0]:
+    index = ref_cells(node)
+    for idx in index.table.get(tuple(np.floor(float_vector(z) / index.cell).tolist()), ()):
         p = node.patches[idx]
         if ref_norm(ref_sub(z, p.center), node.norm_kind) < exact_mpf(p.radius):
             return idx

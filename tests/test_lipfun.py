@@ -1,6 +1,8 @@
+import functools
 import gc
 import itertools
 import json
+import re
 
 import mpmath
 import numpy as np
@@ -29,17 +31,23 @@ from lipforge import (
     zero_map,
 )
 from lipforge.lipfun import (
+    CONTINUITY_BLOCK_ROWS,
     CONTINUITY_TOL,
     FLOAT_RESOLVE_REL,
     Patch,
     Patched,
+    LipFun,
     Precompose,
+    _check_patch_continuity,
     _identity_map,
     _sphere_directions,
+    add_const,
     fun_from_dict,
     shift_conjugate,
 )
-from lipforge.space import norm_batch, unit_directions
+from lipforge.numerics import as_vector
+from lipforge.space import CellIndex, norm_batch, unit_directions
+from lipforge.verify import artifact_suite
 
 
 @pytest.fixture
@@ -433,6 +441,217 @@ def test_overlap_check_agrees_with_all_pairs(d, kind):
                 Patched(Const(np.array([0.0]), d), patches, kind)
         else:
             Patched(Const(np.array([0.0]), d), patches, kind)
+
+
+# The float evaluator as it was before each patched layer became one pass,
+# kept as the reference: the CellIndex dict behind the earlier _claims, the
+# earlier Patched._eval_batch with one batch per claim group, and the
+# earlier per-patch loop of the float continuity branch.
+
+
+@functools.lru_cache(maxsize=None)
+def _earlier_index(node: Patched) -> CellIndex:
+    """Each ball's box in a CellIndex, in index order, padded by its floor."""
+    pads = node._radii + np.array(node._floors)
+    index = CellIndex(2.0 * pads.max() if len(pads) else 1e-9)
+    for j, (c, pad) in enumerate(zip(node._centers, pads.tolist())):
+        index.add(j, c, pad)
+    return index
+
+
+def _earlier_claims(node: Patched, Z: np.ndarray) -> np.ndarray:
+    index = _earlier_index(node)
+    claims = np.full(len(Z), -1, dtype=np.intp)
+    cands = [index.table.get(tuple(key), ()) for key in np.floor(Z / index.cell).tolist()]
+    counts = np.fromiter(map(len, cands), dtype=np.intp, count=len(cands))
+    total = int(counts.sum())
+    if not total:
+        return claims
+    rows = np.repeat(np.arange(len(Z)), counts)
+    pidx = np.fromiter(itertools.chain.from_iterable(cands), dtype=np.intp, count=total)
+    hit = norm_batch(Z[rows] - node._centers[pidx], node.norm_kind) < node._radii[pidx]
+    rows, pidx = rows[hit], pidx[hit]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    claims[rows[first]] = pidx[first]
+    return claims
+
+
+def _earlier_eval_batch(self: Patched, Z: np.ndarray) -> np.ndarray:
+    out = np.empty((len(Z), self.out_dim))
+    claims = _earlier_claims(self, Z)
+    order = np.argsort(claims, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(claims[order])) + 1):
+        if len(rows):
+            idx = claims[rows[0]]
+            f = self.outer if idx < 0 else self.patches[idx].inner
+            out[rows] = f._eval_batch(Z[rows])
+    return out
+
+
+def _earlier_float_continuity(node: Patched) -> str | None:
+    """The message of the earlier float continuity loop, one patch's inner
+    at a time, with a NaN gap refused; None if every sphere passes."""
+    d = node.in_dim
+    n_samples = 64 * d
+    resolvable = [i for i, p in enumerate(node.patches) if p.radius_float > node._floors[i]]
+    blocks = [node.patches[i].center_float + node.patches[i].radius_float * _sphere_directions(n_samples, d, i, node.norm_kind)
+              for i in resolvable]
+    all_pts = np.concatenate(blocks)
+    outer_vals = node.outer._eval_batch(all_pts)
+    for k, i in enumerate(resolvable):
+        rows = slice(k * n_samples, (k + 1) * n_samples)
+        diff = node.patches[i].inner._eval_batch(all_pts[rows]) - outer_vals[rows]
+        err = float(np.max(np.abs(diff))) if diff.size else 0.0
+        if not err <= CONTINUITY_TOL:
+            return f"patch boundary mismatch {err:.3e} beyond tolerance"
+    return None
+
+
+@pytest.fixture
+def earlier_eval_batch(monkeypatch):
+    """eval_batch with every Patched node evaluated as before."""
+
+    def evaluate(f: LipFun, Z: np.ndarray) -> np.ndarray:
+        with monkeypatch.context() as m:
+            m.setattr(Patched, "_eval_batch", _earlier_eval_batch)
+            return eval_batch(f, Z)
+
+    return evaluate
+
+
+def _near_patches(f: LipFun, rng, per_patch: int) -> np.ndarray:
+    """per_patch points at 0.3 to 1.5 radii around every patch of every
+    distinct Patched node of f, and each patch's center."""
+    d, pts, seen, stack = f.in_dim, [], set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Patched):
+            for p in node.patches:
+                dirs = rng.normal(size=(per_patch, d))
+                dirs /= norm_batch(dirs, node.norm_kind)[:, None]
+                scale = rng.uniform(0.3, 1.5, size=per_patch) * p.radius_float
+                pts += [p.center_float[None, :], p.center_float + scale[:, None] * dirs]
+        stack.extend(node.children())
+    return np.concatenate(pts)
+
+
+def _hand_built_layers(kind: NormKind) -> dict[str, Patched]:
+    """Patched layers on a 6 x 6 grid of centers in the unit square, each of
+    whose inners is one kind of mix: inners that share their map or not,
+    the game's shift-conjugated warps and blends (with mpf constants),
+    node kinds mixed, and Patched nodes inside and outside."""
+    rng = np.random.default_rng(41 + len(kind.value))
+    d, side = 2, 6
+    centers = (np.array(list(itertools.product(range(side), repeat=d)), dtype=float) + 0.5) / side
+    radius = 0.3 / side
+
+    def lin(rows: int, cols: int) -> LinearMap:
+        return LinearMap(rng.uniform(-1, 1, size=(rows, cols)), kind, kind)
+
+    def mpf_vector(v) -> np.ndarray:
+        return as_vector([mpmath.mpf(float(x)) + mpmath.mpf(2) ** -80 for x in v])
+
+    shared = lin(2, d)
+    warp = radial_blend(0.2 * radius, radius, zero_map(d, d), identity(d, kind), kind)
+    psi = radial_blend(0.1 * radius, 0.5 * radius, identity(d, kind), zero_map(d, d), kind)
+    mixed = [
+        lambda c: Const(rng.uniform(-1, 1, size=2), d),
+        lambda c: Const(mpf_vector(rng.uniform(-1, 1, size=2)), d),
+        lambda c: Linear(lin(2, d)),
+        lambda c: Linear(shared),
+        lambda c: Scale(0.5, Linear(shared)),
+        lambda c: Sum(Linear(shared), Const(rng.uniform(-1, 1, size=2), d)),
+        lambda c: AddConst(Linear(lin(2, d)), mpf_vector(rng.uniform(-1, 1, size=2))),
+        lambda c: shift_conjugate(warp, c, kind),
+        lambda c: Precompose(Linear(lin(2, 3)), Linear(lin(3, d))),
+        lambda c: Precompose(Linear(lin(2, 1)), NormOf(d, 1, kind)),
+        lambda c: Affine(rng.uniform(-1, 1, size=2), shared, c),
+    ]
+    inners = {
+        "shared map": [Affine(rng.uniform(-1, 1, size=2), shared, c) for c in centers],
+        "own maps": [Affine(rng.uniform(-1, 1, size=2), lin(2, d), c) for c in centers],
+        "game warps": [shift_conjugate(warp, c, kind) for c in centers],
+        "mpf constants": [Precompose(Affine(mpf_vector(rng.uniform(-1, 1, size=2)), shared, mpf_vector(c)),
+                                     shift_conjugate(psi, mpf_vector(c), kind)) for c in centers],
+        "mixed kinds": [mixed[j % len(mixed)](c) for j, c in enumerate(centers)],
+        "nested patched": [Patched(Affine(rng.uniform(-1, 1, size=2), shared, c),
+                                   (Patch(c, 0.5 * radius, Const(rng.uniform(-1, 1, size=2), d)),
+                                    Patch(c + 0.75 * radius, 0.2 * radius, Linear(shared))), kind) for c in centers],
+    }
+    outer = Patched(Linear(lin(2, d)), tuple(Patch(c, 1.2 * radius, Linear(lin(2, d))) for c in centers[::3] + 0.25 / side), kind)
+    return {name: Patched(outer, tuple(Patch(c, radius, f) for c, f in zip(centers, fs)), kind) for name, fs in inners.items()}
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_layer_pass_gives_the_earlier_bits(kind, earlier_eval_batch):
+    """eval_batch of hand-built layers has the earlier per-group loop's bits:
+    near every patch, at random points and in empty, one-row, NaN and
+    infinite batches."""
+    rng = np.random.default_rng(7)
+    for name, node in _hand_built_layers(kind).items():
+        Z = np.concatenate([_near_patches(node, rng, 8), rng.uniform(-0.2, 1.2, size=(300, 2))])
+        odd = Z[:40].copy()
+        odd[::2, 0], odd[1::4, 1], odd[3::4] = np.nan, np.inf, -np.inf
+        for batch in (Z, Z[:0], Z[:1], Z[200:201], odd, np.concatenate([Z[:50], odd])):
+            with np.errstate(all="ignore"):
+                got, want = eval_batch(node, batch), earlier_eval_batch(node, batch)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_layer_pass_gives_the_earlier_bits_on_the_standard_tree(acceptance_run, earlier_eval_batch):
+    """The standard tree, near every patch of every layer and at random
+    points, has the earlier per-group loop's bits."""
+    f = acceptance_run.transcript.final_fun
+    rng = np.random.default_rng(11)
+    Z = np.concatenate([_near_patches(f, rng, 3), rng.uniform(0.0, 1.0, size=(2000, 2))])
+    assert eval_batch(f, Z).tobytes() == earlier_eval_batch(f, Z).tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 3 * 128, CONTINUITY_BLOCK_ROWS])
+def test_continuity_blocks_name_the_first_faulty_patch(block_rows, monkeypatch):
+    """Over 400 patches, in blocks of one, three or 256 patches, the float
+    check refuses with the first faulty patch's message, as the per-patch
+    loop does: gaps just above the tolerance, large, infinite and NaN."""
+    import lipforge.lipfun as lipfun_mod
+
+    monkeypatch.setattr(lipfun_mod, "CONTINUITY_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(block_rows)
+    centers = (np.array(list(itertools.product(range(20), repeat=2)), dtype=float) + 0.5) / 20
+    outer = NormOf(2)
+    big = add_const(outer, as_vector([mpmath.mpf(2) ** 4000]))
+    faults = [lambda: add_const(outer, [2e-9]), lambda: add_const(outer, [-0.5]), lambda: big,
+              lambda: Scale(0.0, big)]
+    for count in (0, 1, 2, 3, 2, 3):
+        inners = [add_const(outer, [float(rng.uniform(-1e-10, 1e-10))]) for _ in centers]
+        for j in rng.choice(len(centers), size=count, replace=False):
+            inners[j] = faults[int(rng.integers(len(faults)))]()
+        node = Patched(outer, tuple(Patch(c, 0.01, f) for c, f in zip(centers, inners)))
+        with np.errstate(invalid="ignore"):
+            want = _earlier_float_continuity(node)
+        with np.errstate(invalid="ignore"):
+            if want is None:
+                _check_patch_continuity(node)
+            else:
+                with pytest.raises(LipForgeError, match=f"^{re.escape(want)}$"):
+                    _check_patch_continuity(node)
+
+
+def test_a_nan_continuity_gap_is_refused(unit_box):
+    """An inner three times an outer of 2^4000 (mpf constants) meets it
+    nowhere; in float64 both are infinite and the gap is NaN, which is
+    refused by patch() and by artifact_suite's continuity check."""
+    big = mpmath.mpf(2) ** 4000
+    outer, inner = Const(as_vector([big]), 2), Const(as_vector([3 * big]), 2)
+    with pytest.raises(LipForgeError, match="^patch boundary mismatch nan beyond tolerance$"):
+        patch(outer, [((0.5, 0.5), 0.1, inner)], unit_box)
+    with np.errstate(invalid="ignore"):
+        records = {r.name: r for r in artifact_suite(Patched(outer, (Patch(np.array([0.5, 0.5]), 0.1, inner),)))}
+    check = records["artifact patch continuity"]
+    assert not check.ok and check.detail == "patch boundary mismatch nan beyond tolerance"
 
 
 def _assert_stacked_blocks_keep_their_bits(tr):

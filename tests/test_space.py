@@ -10,7 +10,7 @@ from mpmath.libmp import ComplexResult, from_man_exp, fzero, mpf_mul, mpf_sqrt
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
 from lipforge.numerics import as_vector, exact_mpf, is_exact_vector, is_mpf
-from lipforge.space import CellIndex, _bounds_2norm, _halton, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
+from lipforge.space import CellIndex, CellTable, _bounds_2norm, _halton, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
 
 
 def test_norm_examples():
@@ -278,6 +278,60 @@ def test_closed_form_op_norms_are_the_least_upper_floats():
             assert Fraction(math.nextafter(got, 0.0)) ** p < exact
 
 
+
+def mpf_fractions(m: np.ndarray) -> np.ndarray:
+    """The exact values of an object matrix of mpf, as Fractions."""
+    def exact(x) -> Fraction:
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+    return np.array([[exact(x) for x in row] for row in m.tolist()], dtype=object)
+
+
+def exact_op_norm_power(a: np.ndarray, in_kind: NormKind, out_kind: NormKind) -> tuple[Fraction, int]:
+    """(q, p) with q the p-th power of the exact operator norm of the
+    Fraction matrix a, for every pair but euclidean -> euclidean."""
+    E, S, O = NormKind.EUCLIDEAN, NormKind.SUP, NormKind.ONE
+    if in_kind is O:
+        if out_kind is S:
+            return max(abs(x) for x in a.ravel().tolist()), 1
+        p = 2 if out_kind is E else 1
+        return max(sum(abs(x) ** p for x in col) for col in a.T.tolist()), p
+    if (in_kind, out_kind) == (S, S):
+        return max(sum(abs(x) for x in row) for row in a.tolist()), 1
+    if (in_kind, out_kind) == (E, S):
+        return max(sum(x * x for x in row) for row in a.tolist()), 2
+    p = 2 if E in (in_kind, out_kind) else 1
+    return exact_sign_norm(a.T if in_kind is E else a, p), p
+
+
+@pytest.mark.parametrize("out_kind", list(NormKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("in_kind", list(NormKind), ids=lambda k: k.value)
+def test_mpf_op_norms_are_the_least_upper_floats(in_kind, out_kind):
+    """An mpf operator's norm is the least float at least the exact norm of
+    its entries, not of their nearest floats: for the row [1/3, 0] at 60
+    digits, whose nearest float 0.3333333333333333 is below 1/3, its column
+    and seeded matrices of 60-digit quotients, under each of the nine pairs.
+    The Euclidean pair is proven by the exact LDL^T of the entries."""
+    rng = np.random.default_rng(19)
+    with mpmath.workdps(60):
+        third = mpmath.mpf(1) / 3
+        family = [np.array([[third, mpmath.mpf(0)]], dtype=object), np.array([[third], [mpmath.mpf(0)]], dtype=object)]
+        for _ in range(40):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            family.append(np.array([[mpmath.mpf(int(rng.integers(-99, 100))) / int(rng.integers(1, 99))
+                                     for _ in range(shape[1])] for _ in range(shape[0])], dtype=object))
+    for m in family:
+        got = LinearMap(m, in_kind, out_kind).op_norm
+        a = mpf_fractions(m)
+        if (in_kind, out_kind) == (NormKind.EUCLIDEAN, NormKind.EUCLIDEAN):
+            assert _bounds_2norm(a, got) and not _bounds_2norm(a, math.nextafter(got, 0.0))
+            continue
+        q, p = exact_op_norm_power(a, in_kind, out_kind)
+        assert Fraction(got) ** p >= q, m.tolist()
+        assert Fraction(math.nextafter(got, 0.0)) ** p < q, m.tolist()
+    assert LinearMap(family[0], in_kind, out_kind).op_norm == math.nextafter(1 / 3, 1.0)
+
 @pytest.mark.parametrize("pair", ["sup-euclidean", "sup-one", "euclidean-one"])
 def test_sign_enumeration_op_norms_are_the_least_upper_floats(pair):
     """sup -> euclidean, sup -> one and euclidean -> one are each the least
@@ -302,21 +356,42 @@ def test_sign_enumeration_op_norms_are_the_least_upper_floats(pair):
         assert Fraction(math.nextafter(got, 0.0)) ** p < exact, m.tolist()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_cell_index_add_rows_is_add_per_row(d):
-    """add_rows lists each row j in the cells add(j, ...) lists it in, in
-    row order, for pads up to half a cell and centers on cell bounds."""
+def cell_lists(index: CellIndex, Z: np.ndarray) -> list:
+    """The lookup CellTable replaces: each row's list in a CellIndex's dict.
+    Float keys hash and compare equal to the integer ones; NaN and infinite
+    rows match no cell."""
+    return [index.table.get(tuple(key), ()) for key in np.floor(Z / index.cell).tolist()]
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_cell_table_is_add_per_row(d):
+    """CellTable lists each row j in the cells CellIndex.add(j, ...) lists
+    it in, in row order, for pads up to half a cell and centers on cell
+    bounds; candidates and point_items find each query's list as the dict
+    does, for points on cell bounds, far out, huge, infinite and NaN, which
+    candidates drops before casting the cell coordinates to int64."""
     rng = np.random.default_rng(29 + d)
     for _ in range(20):
         count = int(rng.integers(0, 40))
         centers = rng.uniform(-1.0, 1.0, size=(count, d))
         centers[::3] = np.round(centers[::3] * 8) / 8
         pads = rng.uniform(0.0, 0.125, size=count)
-        bulk, single = CellIndex(0.25), CellIndex(0.25)
-        bulk.add_rows(centers, pads)
+        table, single = CellTable(0.25, centers, pads), CellIndex(0.25)
         for j in range(count):
             single.add(j, centers[j], float(pads[j]))
-        assert bulk.table == single.table
+        keys = [tuple(k) for k in table.keys.view(np.int64).reshape(-1, max(d, 1))[:, :d].tolist()]
+        items = [table.items[a:b].tolist() for a, b in zip(table.starts[:-1], table.starts[1:])]
+        assert dict(zip(keys, items)) == single.table
+        assert sorted(table.pairs()) == sorted(ij for cell in single.table.values() for ij in itertools.combinations(cell, 2))
+        Z = np.concatenate([rng.uniform(-1.2, 1.2, size=(60, d)), np.round(rng.uniform(-1, 1, size=(20, d)) * 8) / 8])
+        with np.errstate(invalid="ignore"):
+            Z[::7] *= rng.choice([1e12, 1e300, np.inf, -np.inf, np.nan], size=(len(Z[::7]), d))
+        with np.errstate(all="raise"):  # no NaN or huge coordinate reaches the int64 cast
+            rows, got = table.candidates(Z)
+        want = cell_lists(single, Z)
+        assert rows.tolist() == [i for i, cell in enumerate(want) for _ in cell]
+        assert got.tolist() == [j for cell in want for j in cell]
+        assert [table.point_items(z) for z in Z.tolist()] == [list(cell) for cell in want]
 
 
 def test_op_norm_rejects_nonfinite():

@@ -69,3 +69,18 @@ def test_artifact_suite_makes_no_full_collection(acceptance_run):
     assert all(r.ok for r in results)
     assert full == []
     assert gc.isenabled()
+
+
+def test_artifact_suite_checks_a_shared_patched_node_once(monkeypatch):
+    """A Patched node that the tree reaches twice is one layer, checked once."""
+    import lipforge.verify as verify_mod
+    from lipforge import Const, Sum
+    from lipforge.lipfun import Patch, Patched
+
+    layer = Patched(Const(np.zeros(1), 2), (Patch(np.array([0.5, 0.5]), 0.1, Const(np.zeros(1), 2)),))
+    calls = []
+    check = verify_mod._check_patch_continuity
+    monkeypatch.setattr(verify_mod, "_check_patch_continuity", lambda node: calls.append(node) or check(node))
+    result = {r.name: r for r in artifact_suite(Sum(layer, layer))}["artifact patch continuity"]
+    assert result.ok and result.detail == "patched layers checked: 1"
+    assert calls == [layer]
