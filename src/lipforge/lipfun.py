@@ -1096,13 +1096,21 @@ def fun_from_dict(obj: dict) -> LipFun:
 @contextmanager
 def _collector_paused():
     """The block runs with the cyclic collector off: records, JSON containers
-    and nodes hold no cycles, so a full collection there could free nothing."""
+    and nodes hold no cycles, so a full collection there could free nothing.
+    The block's allocations still count, and the first object allocated
+    after gc.enable() (contextlib's own StopIteration, still inside the
+    block's caller) would start a collection of whatever generation the
+    counts pick, a full one included. So when the youngest generation is
+    past its threshold it alone is collected before the collector is back
+    on, and any full collection starts from the caller's own allocations."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.collect(0)
             gc.enable()
 
 

@@ -804,6 +804,33 @@ def test_codec_makes_no_full_collection(acceptance_run):
     assert full == []
 
 
+def test_collector_pause_ends_without_an_older_collection():
+    """A paused block that allocates past the young threshold, entered with
+    the middle generation due, starts no collection older than the youngest
+    before it returns: the collection due on leaving is a young one."""
+    from lipforge.lipfun import _collector_paused
+
+    inside, started = [], []
+
+    def on_collect(phase, info):
+        if phase == "start" and inside:
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(on_collect)
+    try:
+        for _ in range(gc.get_threshold()[1] + 1):
+            gc.collect(0)  # each young collection counts toward the middle one
+        inside.append(True)
+        with _collector_paused():
+            kept = [[] for _ in range(10 * gc.get_threshold()[0])]
+        inside.clear()
+    finally:
+        gc.callbacks.remove(on_collect)
+    assert len(kept) and set(started) <= {0}
+    assert gc.isenabled()
+
+
 def test_codec_restores_the_collector():
     """The collector is on after a call that returns or raises, and a caller
     that turned it off finds it off."""
