@@ -1,8 +1,9 @@
 """Immutable expression trees for Lipschitz mappings R^d -> R^l.
 
 Every node evaluates exactly (up to arithmetic rounding) and carries a
-certified Lipschitz upper bound computed by structural rules. The node
-semantics are implemented twice:
+certified Lipschitz upper bound computed by structural rules, each rounded
+up once from its exact value (_cert_up). The node semantics are
+implemented twice:
 
 * ``_eval_batch``, the one float64 evaluator, on (n, d) arrays of points.
   A single float point is a one-row batch, and node constants enter as
@@ -19,7 +20,9 @@ semantics are implemented twice:
   A Euclidean norm that only decides a ball or blend branch is compared
   squared, and its root is taken only where that cannot decide the branch
   the root would (space._root_side).
-  Each node converts its constants to raw values once and caches them.
+  Each node kind declares its constants' float64 and raw copies once
+  (_copies, each copy made on first use and cached), as it declares the
+  dimensions it reads from a child or map (_dims).
   ``eval_point`` converts object arrays of mpf at the boundary.
 
 The radial blend node interpolates two mappings between two spheres and is
@@ -32,9 +35,11 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 import numpy as np
 from mpmath import mp
@@ -55,10 +60,10 @@ from .numerics import (
     decode_vector,
     encode_fields,
     encode_vector,
-    exact_mpf,
     exact_raw,
     float_vector,
     is_exact_vector,
+    is_finite,
     is_mpf,
     mpf_vector,
     raw_to_float,
@@ -66,7 +71,7 @@ from .numerics import (
     to_float,
     working_dps_for_scale,
 )
-from .space import CellTable, Domain, LinearMap, NormKind, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
+from .space import CellTable, Domain, LinearMap, NormKind, _fraction, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
 from .space import _halton, norm, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
@@ -94,11 +99,52 @@ CONTINUITY_TOL = 1e-9
 CONTINUITY_BLOCK_ROWS = 32768
 
 
-def _ratio(a: Scalar, num_b: Scalar) -> float:
-    """a / (b - a) computed in the operands' arithmetic, cast to float."""
-    if is_mpf(a) or is_mpf(num_b):
-        return to_float(exact_mpf(a) / (exact_mpf(num_b) - exact_mpf(a)))
-    return a / (num_b - a)
+def _cert_up(formula, *values) -> float:
+    """The least float at least the exact value of formula at values (floats
+    or mpfs, not negative), or inf if one is not finite; formula takes and
+    returns exact rationals as (numerator, denominator > 0) pairs. A
+    certificate is its structural rule at its children's certificates and
+    its stored constants, rounded up once (S. M. Rump, Verification methods,
+    Acta Numerica 2010), so no rounding takes it below the rule's value."""
+    if not all(map(is_finite, values)):
+        return math.inf
+    num, den = formula(*[(_fraction(x) if is_mpf(x) else float(x)).as_integer_ratio() for x in values])
+    try:
+        t = num / den  # rounded to nearest
+    except OverflowError:
+        return math.inf
+    n, d = t.as_integer_ratio()
+    return t if n * den >= num * d else math.nextafter(t, math.inf)
+
+
+def _sum(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _blend_rule(l1, l2, a, b) -> tuple[int, int]:
+    """(l1 + l2)(1 + a/(b - a)), which is (l1 + l2) b / (b - a)."""
+    (sn, sd), (an, ad), (bn, bd) = _sum(l1, l2), a, b
+    return sn * bn * ad, sd * (bn * ad - an * bd)
+
+
+def _copies(attr: str, vector: bool) -> tuple[cached_property, cached_property]:
+    """The float64 copy and the raw libmp copy of the node constant attr,
+    each made on its first use and cached: float_vector and raw_vector for
+    a vector, to_float and exact_raw for a scalar."""
+    get = attrgetter(attr)
+    as_float, as_raw = (float_vector, raw_vector) if vector else (to_float, exact_raw)
+    return cached_property(lambda node: as_float(get(node))), cached_property(lambda node: as_raw(get(node)))
+
+
+def _dims(in_from: str, out_from: str | None = None) -> tuple[property, property]:
+    """in_dim, read from the child or map in_from, and out_dim, from
+    out_from or else in_from. They are not cached: a tree's dimensions walk
+    its outer chain on each call, but a cache per node costs peak memory."""
+    return property(attrgetter(f"{in_from}.in_dim")), property(attrgetter(f"{out_from or in_from}.out_dim"))
 
 
 class LipFun:
@@ -165,20 +211,14 @@ class Const(LipFun):
     def __post_init__(self):
         object.__setattr__(self, "c", self.c if isinstance(self.c, np.ndarray) else as_vector(list(self.c)))
 
+    _c_float, _c_raw = _copies("c", vector=True)
+
     @property
     def out_dim(self) -> int:
         return len(self.c)
 
     def _lip_cert(self) -> float:
         return 0.0
-
-    @cached_property
-    def _c_float(self):
-        return float_vector(self.c)
-
-    @cached_property
-    def _c_raw(self) -> tuple:
-        return raw_vector(self.c)
 
     def _eval_exact(self, z):
         return self._c_raw
@@ -191,13 +231,7 @@ class Const(LipFun):
 class Linear(LipFun):
     map: LinearMap
 
-    @property
-    def in_dim(self) -> int:
-        return self.map.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.map.out_dim
+    in_dim, out_dim = _dims("map")
 
     def _lip_cert(self) -> float:
         return self.map.op_norm
@@ -221,32 +255,12 @@ class Affine(LipFun):
         if len(self.base) != self.map.out_dim or len(self.anchor) != self.map.in_dim:
             raise LipForgeError("affine node dimensions inconsistent")
 
-    @property
-    def in_dim(self) -> int:
-        return self.map.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.map.out_dim
+    in_dim, out_dim = _dims("map")
+    _base_float, _base_raw = _copies("base", vector=True)
+    _anchor_float, _anchor_raw = _copies("anchor", vector=True)
 
     def _lip_cert(self) -> float:
         return self.map.op_norm
-
-    @cached_property
-    def _base_float(self):
-        return float_vector(self.base)
-
-    @cached_property
-    def _anchor_float(self):
-        return float_vector(self.anchor)
-
-    @cached_property
-    def _base_raw(self) -> tuple:
-        return raw_vector(self.base)
-
-    @cached_property
-    def _anchor_raw(self) -> tuple:
-        return raw_vector(self.anchor)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -269,9 +283,7 @@ class NormOf(LipFun):
         if self.sign not in (-1, 1):
             raise LipForgeError("norm node sign must be +-1")
 
-    @property
-    def out_dim(self) -> int:
-        return 1
+    out_dim = 1
 
     def _lip_cert(self) -> float:
         return 1.0
@@ -293,16 +305,10 @@ class Sum(LipFun):
         if (self.f.in_dim, self.f.out_dim) != (self.g.in_dim, self.g.out_dim):
             raise LipForgeError("sum of mappings with different dimensions")
 
-    @property
-    def in_dim(self) -> int:
-        return self.f.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.f.out_dim
+    in_dim, out_dim = _dims("f")
 
     def _lip_cert(self) -> float:
-        return self.f.lip_cert + self.g.lip_cert
+        return _cert_up(_sum, self.f.lip_cert, self.g.lip_cert)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -317,24 +323,11 @@ class Scale(LipFun):
     c: Scalar
     f: LipFun
 
-    @property
-    def in_dim(self) -> int:
-        return self.f.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.f.out_dim
+    in_dim, out_dim = _dims("f")
+    _c_float, _c_raw = _copies("c", vector=False)
 
     def _lip_cert(self) -> float:
-        return to_float(abs(self.c)) * self.f.lip_cert
-
-    @cached_property
-    def _c_float(self) -> float:
-        return to_float(self.c)
-
-    @cached_property
-    def _c_raw(self) -> tuple:
-        return exact_raw(self.c)
+        return _cert_up(_product, abs(self.c), self.f.lip_cert)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -354,24 +347,11 @@ class AddConst(LipFun):
         if len(self.p) != self.f.out_dim:
             raise LipForgeError("added constant has wrong dimension")
 
-    @property
-    def in_dim(self) -> int:
-        return self.f.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.f.out_dim
+    in_dim, out_dim = _dims("f")
+    _p_float, _p_raw = _copies("p", vector=True)
 
     def _lip_cert(self) -> float:
         return self.f.lip_cert
-
-    @cached_property
-    def _p_float(self):
-        return float_vector(self.p)
-
-    @cached_property
-    def _p_raw(self) -> tuple:
-        return raw_vector(self.p)
 
     def _eval_exact(self, z):
         prec, rnd = mp._prec_rounding
@@ -403,32 +383,12 @@ class RadialBlend(LipFun):
         if (self.f1.in_dim, self.f1.out_dim) != (self.f2.in_dim, self.f2.out_dim):
             raise LipForgeError("blended mappings must share dimensions")
 
-    @property
-    def in_dim(self) -> int:
-        return self.f1.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.f1.out_dim
+    in_dim, out_dim = _dims("f1")
+    _a_float, _a_raw = _copies("a", vector=False)
+    _b_float, _b_raw = _copies("b", vector=False)
 
     def _lip_cert(self) -> float:
-        return (self.f1.lip_cert + self.f2.lip_cert) * (1.0 + _ratio(self.a, self.b))
-
-    @cached_property
-    def _a_float(self) -> float:
-        return to_float(self.a)
-
-    @cached_property
-    def _b_float(self) -> float:
-        return to_float(self.b)
-
-    @cached_property
-    def _a_raw(self) -> tuple:
-        return exact_raw(self.a)
-
-    @cached_property
-    def _b_raw(self) -> tuple:
-        return exact_raw(self.b)
+        return _cert_up(_blend_rule, self.f1.lip_cert, self.f2.lip_cert, self.a, self.b)
 
     @cached_property
     def _a_sq(self) -> tuple:
@@ -493,21 +453,8 @@ class Patch:
     radius: Scalar
     inner: LipFun
 
-    @cached_property
-    def center_float(self):
-        return float_vector(self.center)
-
-    @cached_property
-    def radius_float(self) -> float:
-        return to_float(self.radius)
-
-    @cached_property
-    def center_raw(self) -> tuple:
-        return raw_vector(self.center)
-
-    @cached_property
-    def radius_raw(self) -> tuple:
-        return exact_raw(self.radius)
+    center_float, center_raw = _copies("center", vector=True)
+    radius_float, radius_raw = _copies("radius", vector=False)
 
     @cached_property
     def radius_sq(self) -> tuple:
@@ -557,13 +504,7 @@ class Patched(LipFun):
         for name, value in (("_centers", centers), ("_radii", radii), ("_floors", floors.tolist()), ("_index", index)):
             object.__setattr__(self, name, value)
 
-    @property
-    def in_dim(self) -> int:
-        return self.outer.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.outer.out_dim
+    in_dim, out_dim = _dims("outer")
 
     def _lip_cert(self) -> float:
         certs = [self.outer.lip_cert] + [p.inner.lip_cert for p in self.patches]
@@ -641,16 +582,10 @@ class Precompose(LipFun):
         if self.inner_map.out_dim != self.f.in_dim:
             raise LipForgeError("composition dimensions do not chain")
 
-    @property
-    def in_dim(self) -> int:
-        return self.inner_map.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.f.out_dim
+    in_dim, out_dim = _dims("inner_map", "f")
 
     def _lip_cert(self) -> float:
-        return self.f.lip_cert * self.inner_map.lip_cert
+        return _cert_up(_product, self.f.lip_cert, self.inner_map.lip_cert)
 
     def _eval_exact(self, z):
         return self.f._eval_exact(self.inner_map._eval_exact(z))
@@ -831,8 +766,8 @@ def _check_patch_continuity(node: Patched):
     d = node.in_dim
     n_samples = 64 * d
     resolvable: list[int] = []
-    for i, p in enumerate(node.patches):
-        if p.radius_float > node._floors[i]:
+    for i, (p, radius, floor) in enumerate(zip(node.patches, node._radii.tolist(), node._floors)):
+        if radius > floor:
             resolvable.append(i)
             continue
         with mp.workdps(working_dps_for_scale(p.radius)):
@@ -879,12 +814,11 @@ def _collect_probe_points(f: LipFun, cap: int) -> list[np.ndarray]:
         if len(pts) >= cap:
             return
         if isinstance(node, Patched):
-            for p, floor in zip(node.patches, node._floors):
-                c = p.center_float
+            for p, c, radius, floor in zip(node.patches, node._centers, node._radii.tolist(), node._floors):
                 pts.append(c)
                 radii: set[float] = set()
-                if p.radius_float > floor:
-                    radii.add(p.radius_float)
+                if radius > floor:
+                    radii.add(radius)
                 blend_radii(p.inner, radii)
                 d = len(c)
                 eye = np.eye(d)

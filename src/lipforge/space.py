@@ -701,7 +701,8 @@ def _directions(index: np.ndarray, dim: int, kind: NormKind) -> np.ndarray:
         n[retry] = norm_batch(v[retry], kind)
     ok = n > 1e-9
     out = v * ((1.0 - 2.0**-50) / np.where(ok, n, 1.0))[:, None]
-    out[~ok] = np.eye(dim)[0]
+    if not ok.all():  # e_1 only where a row needs it: R^0 has none
+        out[~ok] = np.eye(dim)[0]
     return out
 
 

@@ -324,6 +324,21 @@ def test_verify_corrupted_artifact(config_path, tmp_path, capsys):
     assert "FAIL" in out_text
 
 
+def test_verify_a_zero_dimensional_patched_artifact(tmp_path, capsys):
+    """R^0 is one point, which the patch claims, and its patch sphere is
+    empty: verify gives a verdict, with no unit vector of R^0 asked for."""
+    import numpy as np
+
+    from lipforge import serialize
+    from lipforge.lipfun import Const, Patch, Patched
+
+    tree = Patched(Const(np.array([1.0]), 0), (Patch(np.zeros(0), 0.5, Const(np.array([2.0]), 0)),))
+    art = tmp_path / "function.json"
+    art.write_bytes(serialize(tree))
+    assert main(["verify", "--artifact", str(art)]) == 0
+    assert capsys.readouterr().out.endswith("3/3 checks passed\n")
+
+
 def test_eval_command(config_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["construct", "--config", str(config_path), "--out", str(out)])

@@ -502,12 +502,28 @@ def test_low_precision_failure_names_its_precision(small_setup):
         run_game(domain, target, ops, "stay", rounds=3, dps=4)
 
 
+# sha256 of each norm pair's serialized final tree. The benchmark pins only
+# Euclidean runs, so these alone pin the bytes of RadialBlend and Patched
+# nodes under the sup and one norms.
+PAIR_FUNCTION_SHA256 = {
+    ("euclidean", "euclidean"): "196e0324a92f39b4d5c9fd35ebafc505fb73a3d88adba3510d48c8ad73f854ca",
+    ("euclidean", "sup"): "747310d3b407d3f86fd36b8dfd1caa61be470d78d0d4ea27e890c7acb8466bd2",
+    ("euclidean", "one"): "1e050e18c672caede7acf154ace0f71dc5fc0dce64582e0bc10178f7862c025e",
+    ("sup", "euclidean"): "6c45e23cf48304620549c7c01ecc202a908c1981334af769ac32b1aca69847bd",
+    ("sup", "sup"): "02cbe6ee071803239b28f4d5b5742d5fd611a75d11bce27721b4f56ce5d29127",
+    ("sup", "one"): "c8e1d7a644b7af6309c83444b12baa71e6d8bf6e0e088612f0b775dcbac14d34",
+    ("one", "euclidean"): "aed6fee6f5e876b2729e0db2bc617bce4d4e6fd8b3f106740abeb57339856c96",
+    ("one", "sup"): "233ca2636ed183e86f50d89f303f87093afa7774062f83a703fe3206406a21dd",
+    ("one", "one"): "613ac2882bf7e4ab87a6f2d6d852396657e022cb9d48868766428ea5254d5c42",
+}
+
+
 @pytest.mark.parametrize("out_norm", list(NormKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("in_norm", list(NormKind), ids=lambda k: k.value)
 def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm, sampled_round_distances):
     """A 4-round stay game into R^2 on a box in the in-norm, for each of the
-    nine (in, out) norm pairs: every witness meets 4/k, both suites pass and
-    no sampled round distance exceeds its rho_bound."""
+    nine (in, out) norm pairs: every witness meets 4/k, both suites pass, no
+    sampled round distance exceeds its rho_bound and the tree's bytes are pinned."""
     domain = Domain.box([0.0, 0.0], [1.0, 1.0], in_norm)
     target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.25)
     m = np.array([[0.3, 0.1], [-0.1, 0.2]])
@@ -519,6 +535,8 @@ def test_every_norm_pair_plays_a_certified_game(in_norm, out_norm, sampled_round
     results = verify.transcript_suite(tr) + verify.artifact_suite(tr.final_fun)
     assert [r.name for r in results if not r.ok] == []
     sampled_round_distances(tr)
+    digest = hashlib.sha256(serialize(tr.final_fun)).hexdigest()
+    assert digest == PAIR_FUNCTION_SHA256[in_norm.value, out_norm.value]
 
 
 def test_run_game_at_one_digit(small_setup):

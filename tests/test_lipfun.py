@@ -2,7 +2,9 @@ import functools
 import gc
 import itertools
 import json
+import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -38,6 +40,7 @@ from lipforge.lipfun import (
     Patched,
     LipFun,
     Precompose,
+    RadialBlend,
     _check_patch_continuity,
     _identity_map,
     _sphere_directions,
@@ -93,6 +96,44 @@ def test_lip_cert_rules():
     assert Sum(Scale(0.3, identity(2)), Scale(0.2, identity(2))).lip_cert == pytest.approx(0.5)
     assert AddConst(NormOf(3), np.array([7.0])).lip_cert == 1.0
     assert Const(np.array([3.0, 1.0]), 2).lip_cert == 0.0
+
+
+def _lin(x: float) -> Linear:
+    """A mapping of R whose certificate is x >= 0: a 1x1 operator norm is exact."""
+    return Linear(LinearMap(np.array([[x]])))
+
+
+def _rational(x) -> Fraction:
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if isinstance(x, mpmath.mpf) else Fraction(x)
+
+
+# Each node kind's certificate formula, at its children's certificates l1
+# and l2 and its constants c (a scale) or a < b (blend radii).
+CERT_FORMULAS = {
+    "sum": (lambda l1, l2, c, a, b: Sum(_lin(l1), _lin(l2)), lambda l1, l2, c, a, b: l1 + l2),
+    "scale": (lambda l1, l2, c, a, b: Scale(c, _lin(l1)), lambda l1, l2, c, a, b: abs(c) * l1),
+    "precompose": (lambda l1, l2, c, a, b: Precompose(_lin(l1), _lin(l2)), lambda l1, l2, c, a, b: l1 * l2),
+    "radial_blend": (lambda l1, l2, c, a, b: RadialBlend(a, b, _lin(l1), _lin(l2)),
+                     lambda l1, l2, c, a, b: (l1 + l2) * (1 + a / (b - a))),
+}
+
+
+@pytest.mark.parametrize("kind", list(CERT_FORMULAS))
+def test_lip_cert_is_the_least_float_above_its_formula(kind):
+    """A certificate is its formula's exact value at its children's
+    certificates and its stored constants, float or mpf, rounded up once:
+    never below that value, and the least float that is not."""
+    make, formula = CERT_FORMULAS[kind]
+    rng = np.random.default_rng(11)
+    with mpmath.workdps(60):
+        for trial in range(200):
+            l1, l2, c, a, width = rng.uniform(0.01, 1.0, size=5).tolist()
+            if trial % 2:  # constants stored as 60-digit mpfs, as the game stores them
+                c, a, width = mpmath.mpf(c) / 3, mpmath.mpf(a) / 3, mpmath.mpf(width) / 7
+            c, b = -c if trial % 4 > 1 else c, a + width
+            exact = formula(*map(_rational, (l1, l2, c, a, b)))
+            cert = make(l1, l2, c, a, b).lip_cert
+            assert Fraction(cert) >= exact and Fraction(math.nextafter(cert, 0.0)) < exact, (trial, cert)
 
 
 def test_lipschitz_bound_sampled_pairs():

@@ -71,6 +71,21 @@ def test_artifact_suite_makes_no_full_collection(acceptance_run):
     assert gc.isenabled()
 
 
+def test_artifact_suite_passes_a_zero_dimensional_patched_tree():
+    """R^0 is one point, inside the patch, so the layer is its inner and the
+    patch sphere has no point to sample: continuity holds with nothing drawn."""
+    from lipforge import Const, deserialize, serialize
+    from lipforge.lipfun import Patch, Patched
+
+    tree = Patched(Const(np.array([1.0]), 0), (Patch(np.zeros(0), 0.5, Const(np.array([2.0]), 0)),))
+    results = artifact_suite(deserialize(serialize(tree)))
+    assert [(r.name, r.ok) for r in results] == [
+        ("artifact round-trip", True),
+        ("artifact quotient <= certificate", True),
+        ("artifact patch continuity", True),
+    ]
+
+
 def test_artifact_suite_checks_a_shared_patched_node_once(monkeypatch):
     """A Patched node that the tree reaches twice is one layer, checked once."""
     import lipforge.verify as verify_mod
