@@ -496,11 +496,9 @@ class Patched(LipFun):
         floors = FLOAT_RESOLVE_REL * (1.0 + np.max(np.abs(centers), axis=1, initial=0.0))
         pads = radii + floors
         index = CellTable(2.0 * pads.max() if len(pads) else 1e-9, centers, pads)
-        pairs = index.pairs()
-        if pairs:
-            i, j = np.array(pairs).T
-            if np.any(norm_batch(centers[i] - centers[j], self.norm_kind) <= radii[i] + radii[j]):
-                raise LipForgeError("patch overlap")
+        i, j = index.pairs()
+        if np.any(norm_batch(centers[i] - centers[j], self.norm_kind) <= radii[i] + radii[j]):
+            raise LipForgeError("patch overlap")
         for name, value in (("_centers", centers), ("_radii", radii), ("_floors", floors.tolist()), ("_index", index)):
             object.__setattr__(self, name, value)
 
@@ -523,7 +521,7 @@ class Patched(LipFun):
         cell lists, in index order, and the first that contains it wins."""
         claims = np.full(len(Z), -1, dtype=np.intp)
         if len(Z) == 1:  # a point (eval_point, resolve): its cell is found in Python
-            pidx = np.array(self._index.point_items(Z[0].tolist()), dtype=np.intp)
+            pidx = self._index.point_items(Z[0].tolist())
             rows = np.zeros(len(pidx), dtype=np.intp)
         else:
             rows, pidx = self._index.candidates(Z)
@@ -543,7 +541,7 @@ class Patched(LipFun):
         squares against radius^2 (space._norm_lt_raw), which takes the root
         only within a few ulps of the sphere and gives the root's answer."""
         prec, rnd = mp._prec_rounding
-        for idx in self._index.point_items([raw_to_float(x) for x in z]):
+        for idx in self._index.point_items([raw_to_float(x) for x in z]).tolist():
             p = self.patches[idx]
             w = tuple(mpf_sub(x, c, prec, rnd) for x, c in zip(z, p.center_raw))
             if _norm_lt_raw(w, self.norm_kind, p.radius_raw, p.radius_sq):
@@ -857,10 +855,14 @@ def sup_dist(
     d = f.in_dim
     per_axis = max(2, int(round(budget ** (1.0 / d))))
     pts = [domain.grid(per_axis)]
+
+    def inside(X: np.ndarray) -> np.ndarray:  # membership in the closed domain, widened by 1e-12
+        return domain.margins(X) >= -1e-12
+
     special = _collect_probe_points(f, 4 * budget) + _collect_probe_points(g, 4 * budget)
     if special:
         sp = np.asarray(special, dtype=float)
-        keep = np.array([domain.contains(p) for p in sp])
+        keep = inside(sp)
         if keep.any():
             pts.append(sp[keep])
     lo, hi = domain.bounding_box()
@@ -868,7 +870,7 @@ def sup_dist(
     base = (seed & 0x7FFFFFFF) * 613 + 29
     while len(extra) < max(0, budget - sum(len(p) for p in pts)):
         cand = lo + (hi - lo) * _halton(np.array([base + 17 * len(extra)]), d)[0]
-        if domain.contains(cand):
+        if inside(cand[None])[0]:
             extra.append(cand)
         base += 1
     if extra:

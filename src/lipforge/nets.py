@@ -4,6 +4,7 @@ Level k keeps only target points whose boundary distance is at least 2^-k
 and extends the previous level to a maximal 2^-k-separated subset (greedy,
 input order). Maximality is relative to the finite representation of the
 target set; the union over levels is dense in it at resolution 2^-k_max.
+The greedy walk and `separation` find near points in a space.CellTable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LipForgeError
-from .space import CellIndex, Domain, NormKind, _halton, norm_batch
+from .space import CellTable, Domain, NormKind, _halton, norm_batch
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,24 @@ class TargetSet:
         return len(self.points)
 
 
-def _walk_index(points: np.ndarray, delta: float) -> tuple[CellIndex, float]:
-    """An empty CellIndex and the pad that lists points closer than delta together."""
-    pad = delta / 2 + 1e-12 * (1.0 + float(np.max(np.abs(points), initial=0.0)))
-    return CellIndex(2 * pad), pad
-
-
 def separation(points: np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> float:
     """Minimum pairwise distance; +inf for fewer than two points. The distance
-    from the first point to the rest bounds it, and sets the cell index pad."""
+    best from the first point to the rest bounds it: the points are boxes
+    x +- best in one CellTable, and each is compared with the earlier points
+    its own cell lists, so memory stays linear in the points."""
     pts = np.asarray(points, dtype=float)
     if len(pts) < 2:
         return math.inf
     best = float(np.min(norm_batch(pts[1:] - pts[0], kind)))
     if not best > 0:
         return best
-    index, pad = _walk_index(pts, best)
+    pad = best + 1e-12 * (1.0 + float(np.max(np.abs(pts))))
+    table = CellTable(2 * pad, pts, np.full(len(pts), pad))
     for i, p in enumerate(pts):
-        near = index.near(p, pad)
-        if near:
+        near = table.point_items(p.tolist())
+        near = near[:near.searchsorted(i)]
+        if len(near):
             best = min(best, float(norm_batch(pts[near] - p, kind).min()))
-        index.add(i, p, pad)
     return best
 
 
@@ -114,24 +112,27 @@ def greedy_net(points: np.ndarray, delta: float, seed_set: np.ndarray | None = N
     """Maximal delta-separated subset containing seed_set (greedy, input order).
 
     The seed set must itself be delta-separated; the result is maximal with
-    respect to the input list: no remaining input point can be added. Each
-    seed, then point, is compared with the chosen points listed near it.
+    respect to the input list: no remaining input point can be added. The
+    seeds, then the points, are boxes x +- delta in one CellTable, so a point
+    closer than delta to x is listed in x's own cell. Each point kept is
+    compared with the later points still free there, which it rules out.
     """
     pts = np.asarray(points, dtype=float)
     seeds = np.asarray(seed_set if seed_set is not None else (), dtype=float)
     walk = np.concatenate([a for a in (seeds, pts) if len(a)] or [pts])
-    index, pad = _walk_index(walk, delta)
-    chosen = 0
+    pad = delta + 1e-12 * (1.0 + float(np.max(np.abs(walk), initial=0.0)))
+    table = CellTable(2 * pad, walk, np.full(len(walk), pad))
+    free = np.ones(len(walk), dtype=bool)
     for i, p in enumerate(walk):
-        near = index.near(p, pad)
-        if near and norm_batch(walk[near] - p, kind).min() < delta:
+        if not free[i]:
             if i < len(seeds):
                 raise LipForgeError("seed set violates separation")
             continue
-        walk[chosen] = p
-        index.add(chosen, p, pad)
-        chosen += 1
-    return walk[:chosen].copy()
+        near = table.point_items(p.tolist())
+        near = near[near.searchsorted(i, side="right"):]
+        near = near[free[near]]
+        free[near[norm_batch(p - walk[near], kind) < delta]] = False
+    return walk[free]
 
 
 @dataclass(frozen=True)

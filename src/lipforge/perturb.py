@@ -94,7 +94,9 @@ def choose_s(points: np.ndarray, domain: Domain) -> float:
     sep = separation(pts, domain.norm)
     if sep == 0.0:
         raise LipForgeError("zero separation in point set")
-    margin = min(float(domain.dist_to_boundary(p)) for p in pts)
+    margin = float(domain.margins(pts).min())
+    if margin < 0.0:
+        raise LipForgeError("point outside domain")
     if margin <= 0.0:
         raise LipForgeError("zero boundary margin in point set")
     s = min(0.99, sep / 4.0, margin / 4.0)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -39,12 +38,10 @@ from .numerics import (
     encode_fields,
     exact_mpf,
     float_matrix,
-    float_vector,
     is_exact_vector,
     is_mpf,
     mpf_vector,
     raw_vector,
-    to_float,
 )
 
 # Sign-vector enumeration for exact mixed-pair operator norms is exponential
@@ -213,40 +210,18 @@ def _products(Z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-class CellIndex:
-    """The package's fixed-radius near-neighbour index (Bentley 1975): a hash
-    table from the cells of side `cell` to the items whose box center +- pad
-    meets them, in the order they were added. Items less than 2 pad apart in
-    any of the three norms have meeting boxes, so they share a cell; callers
-    widen pads by 1e-12 (1 + max|x|) against the rounding of cell bounds.
-    """
-
-    def __init__(self, cell: float):
-        self.cell = cell
-        self.table: dict[tuple[int, ...], list] = {}
-
-    def _cells(self, center: np.ndarray, pad: float):
-        lo, hi = (np.floor((center + s) / self.cell).astype(np.int64).tolist() for s in (-pad, pad))
-        return itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
-
-    def near(self, center: np.ndarray, pad: float) -> list:
-        """Items listed in the cells the box meets, once per cell listing them."""
-        return [item for key in self._cells(center, pad) for item in self.table.get(key, ())]
-
-    def add(self, item, center: np.ndarray, pad: float) -> None:
-        """List item in every cell its box meets."""
-        for key in self._cells(center, pad):
-            self.table.setdefault(key, []).append(item)
-
-
 class CellTable:
-    """A CellIndex of fixed boxes, items 0..n-1 added in row order, held in
-    arrays: the distinct cell keys, sorted, and each cell's items, in the
-    order added, as a slice of one flat array. A key is a row of int64 cell
-    coordinates compared whole, as one void item: cells of deep layers are
-    about 4e-12 wide, so coordinates reach about 2.5e11 and no mixed-radix
-    int64 key fits two of them. NaN, infinite and out-of-range points (no
-    box has a coordinate beyond 5e11 cells) match no cell."""
+    """The package's fixed-radius near-neighbour index (Bentley 1975): items
+    0..n-1 listed, in row order, in the cells of side `cell` that their boxes
+    center +- pad meet. A point less than pad from a center lies in that box,
+    so its cell lists the item, and items less than 2 pad apart in any of the
+    three norms share a cell; callers widen pads by 1e-12 (1 + max|x|)
+    against the rounding of cell bounds. Held in arrays: the sorted distinct
+    cell keys, and each cell's items as a slice of one flat array. A key is a
+    row of int64 cell coordinates compared whole, as one void item: cells of
+    deep layers are about 4e-12 wide, so coordinates reach about 2.5e11 and
+    no mixed-radix int64 key fits two of them. NaN, infinite and out-of-range
+    points (no box has a coordinate beyond 5e11 cells) match no cell."""
 
     def __init__(self, cell: float, centers: np.ndarray, pads: np.ndarray):
         self.cell = float(cell)
@@ -276,10 +251,14 @@ class CellTable:
         keys = np.ascontiguousarray(keys if keys.shape[1] else np.zeros((len(keys), 1), dtype=np.int64))
         return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """Every pair of items that share a cell, once per cell they share."""
-        shared = np.flatnonzero(np.diff(self.starts) > 1).tolist()
-        return [ij for c in shared for ij in itertools.combinations(self.items[self.starts[c]:self.starts[c + 1]].tolist(), 2)]
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j): every pair of items that share a cell, i listed before j,
+        once per cell they share."""
+        pos = np.arange(len(self.items))
+        later = np.repeat(self.starts[1:], np.diff(self.starts)) - pos - 1
+        i = np.repeat(pos, later)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+        return self.items[i], self.items[j]
 
     def candidates(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, items): each row of Z, in order, once per item its cell lists,
@@ -301,19 +280,19 @@ class CellTable:
     def _key_bytes(self) -> list[bytes]:
         return self.keys.tolist()
 
-    def point_items(self, z: list[float]) -> list[int]:
+    def point_items(self, z: list[float]) -> np.ndarray:
         """The items the cell of one point lists, candidates' answer for a
-        one-row Z, found in Python by bisection over the keys' bytes (void
-        items sort as their bytes do)."""
+        one-row Z, as a slice of items: the cell is found in Python by
+        bisection over the keys' bytes (void items sort as their bytes do)."""
         keys = self._key_bytes
         try:
             key = self._pack(*map(math.floor, [x / self.cell for x in z] or [0.0]))
         except (ValueError, OverflowError, struct.error):  # NaN, infinite, beyond int64
-            return []
+            return self.items[:0]
         c = bisect.bisect_left(keys, key)
         if keys[c:c + 1] != [key]:
-            return []
-        return self.items[self.starts[c]:self.starts[c + 1]].tolist()
+            return self.items[:0]
+        return self.items[self.starts[c]:self.starts[c + 1]]
 
 
 def _least_float(proves, t: float) -> float:
@@ -563,43 +542,32 @@ class Domain:
     def dim(self) -> int:
         return len(self.lo) if self.shape == "box" else len(self.center)
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Membership in the closed domain, widened by 1e-12."""
-        if self.shape == "box":
-            xf = float_vector(x) if is_exact_vector(x) else np.asarray(x, dtype=float)
-            return bool(np.all(xf >= self.lo - 1e-12) and np.all(xf <= self.hi + 1e-12))
-        return to_float(norm(_sub(x, self.center), self.norm)) <= self.radius + 1e-12
-
     def dist_to_boundary(self, x: np.ndarray) -> Scalar:
-        """Exact distance from an interior point to the domain boundary.
+        """Distance from an interior point to the domain boundary: a float
+        point's margins row, an exact point's in its own arithmetic.
 
         Raises if x lies outside the domain.
         """
-        if self.shape == "box":
-            if is_exact_vector(x):
-                vals = []
-                for i in range(len(self.lo)):
-                    vals.append(exact_mpf(x[i]) - exact_mpf(self.lo[i]))
-                    vals.append(exact_mpf(self.hi[i]) - exact_mpf(x[i]))
-                d = min(vals)
-                if d < 0:
-                    raise LipForgeError("point outside domain")
-                return d
-            xf = np.asarray(x, dtype=float)
-            d = float(np.min(np.minimum(xf - self.lo, self.hi - xf)))
-            if d < 0:
-                raise LipForgeError("point outside domain")
-            return d
-        r = norm(_sub(x, self.center), self.norm)
-        out = (exact_mpf(self.radius) - r) if is_mpf(r) else (self.radius - r)
+        if not is_exact_vector(x):
+            out = float(self.margins(np.asarray(x, dtype=float)[None])[0])
+        elif self.shape == "box":
+            out = min(min(exact_mpf(a) - exact_mpf(lo), exact_mpf(hi) - exact_mpf(a))
+                      for a, lo, hi in zip(x, self.lo, self.hi, strict=True))
+        else:
+            w = as_vector([exact_mpf(a) - exact_mpf(c) for a, c in zip(x, self.center, strict=True)])
+            out = exact_mpf(self.radius) - norm(w, self.norm)
         if out < 0:
             raise LipForgeError("point outside domain")
         return out
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        """The float dist_to_boundary of each row of an (n, d) array, negative
-        outside the domain; a row's margin does not depend on the others."""
+        """The float distance of each row of an (n, d) array to the boundary,
+        negative outside the domain; a row's margin does not depend on the
+        others. Rows of another dimension than the domain's are refused."""
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            got = f"dimension {X.shape[1]}" if X.ndim == 2 else f"shape {X.shape}"
+            raise LipForgeError(f"points of {got} in a domain of dimension {self.dim}")
         if self.shape == "box":
             return np.minimum(X - self.lo, self.hi - X).min(axis=1)
         return self.radius - norm_batch(X - self.center, self.norm)
@@ -647,12 +615,6 @@ _SHAPES = {
     "box": (("lo", "lo", FLOAT_VECTOR), ("hi", "hi", FLOAT_VECTOR)),
     "ball": (("center", "center", FLOAT_VECTOR), ("radius", "radius", FLOAT)),
 }
-
-
-def _sub(x, c):
-    if is_exact_vector(x):
-        return as_vector([exact_mpf(x[i]) - exact_mpf(c[i]) for i in range(len(c))])
-    return np.asarray(x, dtype=float) - np.asarray(c, dtype=float)
 
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)

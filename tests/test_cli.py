@@ -449,6 +449,21 @@ def test_net_command(config_path, tmp_path, capsys):
     assert "level" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["construct", "net"])
+@pytest.mark.parametrize("rows", ["0.5 0.5 0.5\n0.25 0.25 0.25\n", "0.5\n0.25\n"], ids=["3d", "1d"])
+def test_points_of_another_dimension_are_refused(tmp_path, capsys, command, rows):
+    """A points file whose rows are not of the box's dimension ends construct
+    and net with one error line naming both dimensions, not a traceback."""
+    (tmp_path / "pts.txt").write_text(rows)
+    p = tmp_path / "pts.ini"
+    p.write_text(SMALL_CONFIG.replace(GRID_TARGET, f"[target]\nkind = points\nfile = {tmp_path / 'pts.txt'}\n"))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    d = len(rows.split("\n")[0].split())
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"points of dimension {d} in a domain of dimension 2" in err
+
+
 def test_log_env_quiet(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("LIPFORGE_LOG", "quiet")
     out = tmp_path / "out"

@@ -47,7 +47,9 @@ from lipforge.lipfun import (
 )
 from lipforge.numerics import as_vector, exact_mpf, float_vector, raw_vector, to_float, working_dps_for_scale
 from lipforge.probe import _forward_quotients, _use_exact, witness_ladder
-from lipforge.space import CellIndex, _root_side, _sum_squares_raw, sample_ball
+from lipforge.space import _root_side, _sum_squares_raw, sample_ball
+
+from cell_index import CellIndex
 
 # ---------------------------------------------------------------------------
 # Reference: the mpf-object evaluator

@@ -49,8 +49,10 @@ from lipforge.lipfun import (
     shift_conjugate,
 )
 from lipforge.numerics import as_vector
-from lipforge.space import CellIndex, norm_batch, unit_directions
+from lipforge.space import norm_batch, unit_directions
 from lipforge.verify import artifact_suite
+
+from cell_index import CellIndex
 
 
 @pytest.fixture
@@ -183,6 +185,15 @@ def test_patch_escaping_domain_rejected(unit_box):
     inner = Const(np.array([0.0]), 2)
     with pytest.raises(LipForgeError, match="escapes"):
         patch(Const(np.array([0.0]), 2), [(np.array([0.05, 0.5]), 0.1, inner)], unit_box)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_patch_refuses_balls_of_another_dimension(unit_box, d):
+    """Balls in R^d on a 2-D domain are refused by name, where 3-D centers
+    failed in numpy and 1-D ones broadcast against the box."""
+    inner = Const(np.array([0.0]), d)
+    with pytest.raises(LipForgeError, match=f"^points of dimension {d} in a domain of dimension 2$"):
+        patch(Const(np.array([0.0]), d), [(np.full(d, 0.5), 0.1, inner)], unit_box)
 
 
 def test_patch_boundary_mismatch_rejected(unit_box):

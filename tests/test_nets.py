@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from lipforge import (
     TargetSet,
     greedy_net,
     nested_nets,
+    norm,
     restrict,
     separation,
 )
@@ -210,6 +212,12 @@ def test_separation_agrees_with_all_pairs(d, kind):
     for _ in range(20):
         pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(4, 120)), d))
         assert separation(pts, kind) == ref_separation(pts, kind)
+    # empty, one-point and 0-dimensional inputs, with the CellIndex walk's answers
+    assert separation(np.empty((0, d)), kind) == math.inf
+    assert separation(np.full((1, d), 0.25), kind) == math.inf
+    assert separation(np.zeros((0, 0)), kind) == math.inf
+    assert separation(np.zeros((1, 0)), kind) == math.inf
+    assert separation(np.zeros((3, 0)), kind) == 0.0
 
 
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
@@ -229,6 +237,25 @@ def test_greedy_net_agrees_with_rescan(d, kind):
             for greedy in (greedy_net, ref_greedy_net):
                 with pytest.raises(LipForgeError, match="seed set violates separation"):
                     greedy(pts, delta, seed_set=bad, kind=kind)
+    # empty, one-point and 0-dimensional inputs, with the CellIndex walk's answers
+    low, high = np.full((1, d), 0.25), np.full((1, d), 0.5)
+    both = np.concatenate([high, low]) if kind is NormKind.ONE and d > 1 else high
+    for pts, seeds, want in [
+        (np.empty((0, d)), None, np.empty((0, d))),
+        (np.empty((0, d)), np.empty((0, d)), np.empty((0, d))),
+        (np.empty((0, d)), high, high),
+        (low, None, low),
+        (low, high, both),
+        (np.zeros((0, 0)), None, np.zeros((0, 0))),
+        (np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((1, 0))),
+        (np.zeros((3, 0)), None, np.zeros((1, 0))),
+        (np.zeros((3, 0)), np.zeros((1, 0)), np.zeros((1, 0))),
+    ]:
+        net = greedy_net(pts, 0.5, seed_set=seeds, kind=kind)
+        assert net.shape == want.shape and np.array_equal(net, want)
+    for seeds in (np.zeros((2, d)), np.zeros((2, 0))):
+        with pytest.raises(LipForgeError, match="seed set violates separation"):
+            greedy_net(np.empty((0, seeds.shape[1])), 0.5, seed_set=seeds, kind=kind)
 
 
 def test_nested_nets_fine_grid_memory(unit_box):
@@ -245,6 +272,69 @@ def test_nested_nets_fine_grid_memory(unit_box):
     assert peak < 32 * 2**20
 
 
+def test_separation_memory_with_an_outlier_before_a_cluster():
+    """A first point far from a dense cluster bounds the separation loosely,
+    so one cell lists the whole cluster; separation still runs in memory
+    linear in the points (every pair of that cell, built at once, peaks at
+    about 370 MB here)."""
+    pts = np.concatenate([[[0.0, 0.0]], 0.495 + 0.01 * np.random.default_rng(1).random((2000, 2))])
+    tracemalloc.start()
+    try:
+        got = separation(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == min(float(norm_batch(pts[:i] - p, NormKind.EUCLIDEAN).min()) for i, p in enumerate(pts) if i)
+    assert peak < 4 * 2**20
+
+
+def _net_pin_input(name: str):
+    """(target, domain, k_max) of a net pin."""
+    square, cube = Domain.box([0.0, 0.0], [1.0, 1.0]), Domain.box([0.0] * 3, [1.0] * 3)
+    if name.startswith("grid"):
+        step, k_max = {"grid-0.05": (0.05, 8), "grid-0.02": (0.02, 8)}[name]
+        return TargetSet.grid([0.0, 0.0], [1.0, 1.0], step), square, k_max
+    if name == "cube-0.1":
+        return TargetSet.grid([0.0] * 3, [1.0] * 3, 0.1), cube, 6
+    domain = {
+        "halton-cube-sup": Domain.box([0.0] * 3, [1.0] * 3, NormKind.SUP),
+        "halton-cube-one": Domain.box([0.0] * 3, [1.0] * 3, NormKind.ONE),
+        "halton-ball": Domain.ball([0.1, -0.2], 1.0),
+    }[name]
+    return TargetSet.low_discrepancy(domain, 2000, seed=3), domain, 7
+
+
+# sha256 of nested_nets(...).to_csv(): the standard (0.05) grid, the wide
+# run's cube, the 0.02 grid, and 2000 Halton targets (seed 3) in a 3-D box
+# under the sup and one norms and in a Euclidean disc
+NET_SHA256 = {
+    "grid-0.05": "1c9d4e895be88d73d2e6d56eb06ea7c64c1070d480a330b0382d32654bdbb5a4",
+    "cube-0.1": "25c2d6a6d0cff8f3a75b339b2a0c505650434167ec34e01df76074535983d4a4",
+    "grid-0.02": "766682eb6f026b318c518c3f680d9834a633184a8250a67c0b4da532261cce70",
+    "halton-cube-sup": "b525028e191ee551f12e18275a683d014e7d70a57f99114f78e9bd27aa27c974",
+    "halton-cube-one": "e98b351f04f7a5524606c74c8777b22207390f122568a0978fee8531f381e455",
+    "halton-ball": "f8e5d9fc0f677b409a062bb70be78ec09dc09332cf1ab2530ee148ee8e01228d",
+}
+
+
+@pytest.mark.parametrize("name", list(NET_SHA256))
+def test_net_family_bytes_are_pinned(name):
+    """The nets' CSV, byte for byte, on grids and Halton clouds in all three norms."""
+    target, domain, k_max = _net_pin_input(name)
+    family = nested_nets(target, domain, k_max)
+    assert hashlib.sha256(family.to_csv().encode()).hexdigest() == NET_SHA256[name]
+
+
+@pytest.mark.parametrize("points", [[[0.5, 0.5, 0.5]], [[0.5], [0.25]], np.empty((0, 3))], ids=["3d", "1d", "empty-3d"])
+def test_nested_nets_refuse_targets_of_another_dimension(unit_box, points):
+    """Target rows of another dimension than the domain's are refused by
+    name: 3-D rows in a 2-D box failed in numpy, and 1-D rows broadcast
+    into a 1-D net family."""
+    target = TargetSet.from_points(points)
+    with pytest.raises(LipForgeError, match=f"^points of dimension {target.points.shape[1]} in a domain of dimension 2$"):
+        nested_nets(target, unit_box, 3)
+
+
 def loop_low_discrepancy(domain, count, seed):
     """TargetSet.low_discrepancy's points drawn one index at a time."""
     lo, hi = domain.bounding_box()
@@ -253,11 +343,12 @@ def loop_low_discrepancy(domain, count, seed):
     while len(pts) < count and idx < 10_000_000:
         cand = lo + (hi - lo) * _halton(np.array([idx]), domain.dim)[0]
         idx += 1
-        try:
-            inside = domain.dist_to_boundary(cand) > 0
-        except LipForgeError:
-            inside = False
-        if inside:
+        # the per-point float margin, as dist_to_boundary once computed it
+        if domain.shape == "box":
+            margin = float(np.min(np.minimum(cand - domain.lo, domain.hi - cand)))
+        else:
+            margin = domain.radius - float(norm(cand - domain.center, domain.norm))
+        if margin > 0:
             pts.append(cand)
     return np.asarray(pts) if pts else np.empty((0, domain.dim))
 

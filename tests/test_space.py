@@ -10,7 +10,9 @@ from mpmath.libmp import ComplexResult, from_man_exp, fzero, mpf_mul, mpf_sqrt
 
 from lipforge import Domain, LinearMap, LipForgeError, NormKind, norm, sample_ball
 from lipforge.numerics import as_vector, exact_mpf, is_exact_vector, is_mpf
-from lipforge.space import CellIndex, CellTable, _bounds_2norm, _halton, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
+from lipforge.space import CellTable, _bounds_2norm, _halton, _sqrt_raw, norm_batch, op_norm_matrix, unit_directions
+
+from cell_index import CellIndex
 
 
 def test_norm_examples():
@@ -382,7 +384,9 @@ def test_cell_table_is_add_per_row(d):
         keys = [tuple(k) for k in table.keys.view(np.int64).reshape(-1, max(d, 1))[:, :d].tolist()]
         items = [table.items[a:b].tolist() for a, b in zip(table.starts[:-1], table.starts[1:])]
         assert dict(zip(keys, items)) == single.table
-        assert sorted(table.pairs()) == sorted(ij for cell in single.table.values() for ij in itertools.combinations(cell, 2))
+        i, j = table.pairs()
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(ij for cell in single.table.values() for ij in itertools.combinations(cell, 2))
+        assert np.all(i < j)
         Z = np.concatenate([rng.uniform(-1.2, 1.2, size=(60, d)), np.round(rng.uniform(-1, 1, size=(20, d)) * 8) / 8])
         with np.errstate(invalid="ignore"):
             Z[::7] *= rng.choice([1e12, 1e300, np.inf, -np.inf, np.nan], size=(len(Z[::7]), d))
@@ -391,7 +395,7 @@ def test_cell_table_is_add_per_row(d):
         want = cell_lists(single, Z)
         assert rows.tolist() == [i for i, cell in enumerate(want) for _ in cell]
         assert got.tolist() == [j for cell in want for j in cell]
-        assert [table.point_items(z) for z in Z.tolist()] == [list(cell) for cell in want]
+        assert [table.point_items(z).tolist() for z in Z.tolist()] == [list(cell) for cell in want]
 
 
 def test_op_norm_rejects_nonfinite():
@@ -465,8 +469,10 @@ def test_dist_to_boundary_vanishes_on_boundary():
 @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("shape", ["box", "ball"])
 def test_margins_match_dist_to_boundary_bit_for_bit(shape, kind):
-    """margins is the float dist_to_boundary of each row, negated by the
-    same rounding outside the domain."""
+    """margins is, row by row, the per-point float formula dist_to_boundary
+    once had: min(x - lo, hi - x) over the axes of a box, radius minus the
+    distance to the center of a ball. dist_to_boundary gives it for a point
+    inside and refuses a point outside."""
     if shape == "box":
         domain = Domain.box([-0.3, 0.1, 0.0], [0.7, 1.3, 0.9], kind)
     else:
@@ -475,15 +481,37 @@ def test_margins_match_dist_to_boundary_bit_for_bit(shape, kind):
     X = np.random.default_rng(5).uniform(lo - 0.4, hi + 0.4, size=(400, 3))
     outside = 0
     for x, m in zip(X, domain.margins(X).tolist()):
-        try:
-            want = float(domain.dist_to_boundary(x))
-        except LipForgeError:
-            assert m < 0
-            outside += 1
-            continue
+        if shape == "box":
+            want = float(np.min(np.minimum(x - domain.lo, domain.hi - x)))
+        else:
+            want = domain.radius - float(norm(x - domain.center, kind))
         assert m == want
+        if m < 0:
+            outside += 1
+            with pytest.raises(LipForgeError, match="point outside domain"):
+                domain.dist_to_boundary(x)
+        else:
+            assert domain.dist_to_boundary(x) == want
     assert 0 < outside < len(X)
     assert domain.margins(np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("rows", [np.zeros((2, 1)), np.full((2, 3), 0.5), np.empty((0, 3)), np.full(2, 0.5)],
+                         ids=["1d", "3d", "empty-3d", "flat"])
+def test_margins_refuse_rows_of_another_dimension(shape, rows):
+    """Rows of another dimension than the domain's, and an array that is not
+    a list of rows, are refused by name, where numpy would broadcast 1-D rows
+    or fail on the shapes; dist_to_boundary refuses such a point, float or
+    exact."""
+    domain = Domain.box([0.0, 0.0], [1.0, 1.0]) if shape == "box" else Domain.ball([0.5, 0.5], 0.5)
+    got = r"shape \(2,\)" if rows.ndim == 1 else f"dimension {rows.shape[1]}"
+    with pytest.raises(LipForgeError, match=f"^points of {got} in a domain of dimension 2$"):
+        domain.margins(rows)
+    with pytest.raises(LipForgeError, match="^points of dimension 3 in a domain of dimension 2$"):
+        domain.dist_to_boundary(np.full(3, 0.5))
+    with pytest.raises(ValueError):  # an exact point's coordinates are zipped with the domain's, strictly
+        domain.dist_to_boundary(as_vector([mpmath.mpf(0.5)] * 3))
 
 
 def test_diam():
