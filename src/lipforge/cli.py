@@ -29,7 +29,7 @@ from .game import check_dps, load_transcript, read_artifact, run_game
 from .lipfun import deserialize, eval_batch
 from .nets import TargetSet, nested_nets
 from .numerics import CONSTRUCTION_DPS, LipForgeError, exact_mpf, to_float
-from .probe import WitnessProbe, witness_bound_report, witness_dini_report
+from .probe import WitnessProbe, _direction, witness_bound_report, witness_dini_report
 from .space import Domain, LinearMap, NormKind
 
 log = logging.getLogger("lipforge")
@@ -276,12 +276,13 @@ def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], d: int) -> list
 def cmd_probe(args) -> int:
     transcript = load_transcript(args.transcript, args.artifact)
     text = args.dini_direction
-    direction = np.eye(transcript.domain.dim)[0] if text is None else np.asarray(_parse_floats(text), dtype=float)
+    direction = np.eye(transcript.domain.dim)[0] if text is None else _parse_floats(text)
+    # a bad direction is refused before any probing
+    direction = _direction(transcript.final_fun, direction)
     out = Path(args.out)
     seed = args.seed if args.seed is not None else transcript.seed
-    # the Dini report first: it refuses a bad direction before any probing
-    dini = witness_dini_report(transcript, direction, min_round=args.min_round, per_round=args.per_round, seed=seed)
-
+    # the witness report first: along an axis, the Dini report's exact values
+    # are all among those it shares (probe._SHARED)
     report = witness_bound_report(transcript, per_round=args.per_round, budget=args.budget, seed=seed)
     by_round: dict[int, list[WitnessProbe]] = {}
     for r in report:
@@ -301,6 +302,7 @@ def cmd_probe(args) -> int:
         summary.append(f"round {k}: witnesses={len(probes)} max_dq={worst!r} bound={probes[0].bound!r}")
         plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), worst)
 
+    dini = witness_dini_report(transcript, direction, min_round=args.min_round, per_round=args.per_round, seed=seed)
     fired = sum(1 for r in dini if r.report.fires)
     summary.append("")
     summary.append("sub-gradient emptiness certificates")

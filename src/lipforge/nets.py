@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +152,19 @@ class NetFamily:
     @property
     def k_max(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def _holding(self) -> dict[tuple, list[int]]:
+        held: dict[tuple, list[int]] = {}
+        for k, lvl in enumerate(self.levels, start=1):
+            for p in lvl.tolist():
+                held.setdefault(tuple(p), []).append(k)
+        return held
+
+    def levels_of(self, point) -> list[int]:
+        """The levels k whose net holds the point, its coordinates compared
+        as floats; every level's membership is listed once per family."""
+        return self._holding.get(tuple(float(c) for c in point), [])
 
     def validate(self, domain: Domain, target: TargetSet | None = None) -> None:
         """Assert the nesting/separation/margin/exact membership invariants."""

@@ -18,12 +18,26 @@ The exact path runs on raw libmp values through the tree's exact evaluator
 its quotients have the bits of the same expressions written with mpf objects.
 All reports carry the ladder that produced them; claims are scoped to those
 scales.
+
+The witness report's dq errors are independent of each other, so on a
+multi-core host it deals the witnesses out to forked worker processes
+(``_fan_out``). The workers share the tree copy-on-write, read the exact
+values shared before the fork and send back their dq values and the exact
+values they added, which join ``_SHARED``; each value is computed by the
+same code at the same precision, so the report has the bits and the shared
+values of the inline loop. Below ``2 * _CHUNK_MIN`` witnesses, on one usable
+CPU, without the fork start method, in a daemon process or beside another
+live thread, the report runs inline.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 import weakref
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from mpmath import mp
@@ -92,9 +106,17 @@ def _point_scale(x) -> float:
     return max(1.0, max(vals) if vals else 0.0)
 
 
+def _exact_flags(x, scales) -> list[bool]:
+    """Whether x is probed exactly at each scale: x is an exact vector, or
+    the scale is 0 or below FLOAT_PROBE_REL of x's scale."""
+    if is_exact_vector(x):
+        return [True] * len(scales)
+    limit = FLOAT_PROBE_REL * _point_scale(x)
+    return [rf == 0.0 or rf < limit for rf in map(to_float, scales)]
+
+
 def _use_exact(x, r) -> bool:
-    rf = to_float(r)
-    return is_exact_vector(x) or rf == 0.0 or rf < FLOAT_PROBE_REL * _point_scale(x)
+    return _exact_flags(x, (r,))[0]
 
 
 # Exact values of a final mapping that its witness and Dini reports share
@@ -215,18 +237,18 @@ def _forward_quotients(f: LipFun, probes, directions, memo: dict) -> list[list[l
     direction; the others are exact at the scale's working precision, with
     one f(x) per scale for all directions, read from and kept in memo."""
     V = np.asarray(directions)
-    rows = []
-    for x, ladder in probes:
-        ts = [to_float(t) for t in ladder.radii if not _use_exact(x, t)]
+    rows, flags = [], [_exact_flags(x, ladder.radii) for x, ladder in probes]
+    for (x, ladder), exact in zip(probes, flags):
+        ts = [to_float(t) for t, e in zip(ladder.radii, exact) if not e]
         if ts:
             xf = np.asarray([to_float(c) for c in x], dtype=float)
             rows += [xf[None, :], xf + (np.asarray(ts)[:, None, None] * V).reshape(-1, len(xf))]
     vals = iter(eval_batch(f, np.vstack(rows))[:, 0].tolist() if rows else ())
     out = []
-    for x, ladder in probes:
+    for (x, ladder), exact in zip(probes, flags):
         x_e, fx, quotients = raw_vector(x), None, [[] for _ in directions]
-        for t in ladder.radii:
-            if not _use_exact(x, t):
+        for t, e in zip(ladder.radii, exact):
+            if not e:
                 if fx is None:
                     fx = next(vals)
                 for q in quotients:
@@ -318,6 +340,87 @@ class WitnessProbe:
         return self.value <= self.bound + 1e-9
 
 
+# Forking pays from this many witnesses a chunk: forking the workers takes
+# 0.01-0.025 s, an exact witness of the standard run about 1.5 ms, and the
+# tier-1 games (up to 164 witnesses) stay inline.
+_CHUNK_MIN = 100
+
+
+def _serve(conn, work, chunks: list, memo: dict) -> None:
+    """A forked worker: for each chunk index the parent sends, until None,
+    it sends back the chunk's values up to its first failure, that failure,
+    and the memo entries the chunk added (a dict keeps insertion order)."""
+    for i in iter(conn.recv, None):
+        start, values, error = len(memo), [], None
+        try:
+            for item in chunks[i]:
+                values.append(work(item, memo))
+        except Exception as exc:
+            error = exc
+        conn.send((values, error, dict(islice(memo.items(), start, None))))
+
+
+def _fan_out(work, items: list, memo: dict) -> list:
+    """[work(item, memo) for item in items], with the same values and memo
+    contents, from forked workers when that can pay. The items are dealt
+    round-robin into chunks of at least _CHUNK_MIN, and the parent hands a
+    chunk to each worker that is free; a worker reads the memo it inherited
+    and sends back its values and the entries it added. The parent starts
+    no thread: beside a process pool's three threads the standard probe
+    run's peak resident memory was about 6 MB higher. A failure raises the
+    first in item order, as inline, and no worker outlives the call."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # up to four chunks a worker, so one that finishes early takes another
+    n = min(len(items) // _CHUNK_MIN, 4 * cpus)
+    if (n < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return [work(item, memo) for item in items]
+    ctx, chunks = multiprocessing.get_context("fork"), [items[i::n] for i in range(n)]
+    parts, todo, workers, busy = [None] * n, iter(range(n)), [], {}
+    try:
+        # frozen, the inherited heap is not walked (so not copied) by the workers' collector
+        gc.freeze()
+        try:
+            for _ in range(min(cpus, n)):
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_serve, args=(child, work, chunks, memo), daemon=True)
+                proc.start()
+                workers.append((conn, proc))
+                child.close()  # so a worker that dies ends its pipe
+                busy[conn] = next(todo)
+                conn.send(busy[conn])
+        finally:
+            gc.unfreeze()
+        while busy:
+            for conn in wait(list(busy)):
+                parts[busy.pop(conn)] = conn.recv()
+                i = next(todo, None)
+                conn.send(i)
+                if i is not None:
+                    busy[conn] = i
+    except BaseException:
+        for _, proc in workers:
+            proc.terminate()
+        raise
+    finally:
+        for conn, proc in workers:
+            proc.join()
+            conn.close()
+    failed = {i + n * len(values): error for i, (values, error, _) in enumerate(parts) if error}
+    if failed:
+        # no local keeps the error raised, so its traceback and this frame form no cycle
+        parts.clear()
+        raise failed.pop(min(failed))
+    out = [None] * len(items)
+    for i, (values, _, added) in enumerate(parts):
+        out[i::n] = values
+        memo.update(added)
+    return out
+
+
 def witness_bound_report(
     transcript: GameTranscript,
     per_round: int = 1,
@@ -326,14 +429,15 @@ def witness_bound_report(
 ) -> list[WitnessProbe]:
     """dq error of the final mapping at every witness, at that witness's
     construction scale, against the bound 4/k. Exact values are shared
-    with the Dini report (_SHARED)."""
+    with the Dini report (_SHARED). The witnesses' dq errors are
+    independent, so from 2 * _CHUNK_MIN witnesses on they are computed by
+    forked workers (_fan_out), with the bits and shared values of the
+    inline loop."""
     fun = transcript.final_fun
-    memo = _SHARED.setdefault(fun, {})
-    out = []
-    for w in witnesses(transcript, per_round, seed):
-        val = _dq_error(fun, w.point(), w.operator, w.alpha, budget, seed, None, memo)
-        out.append(WitnessProbe(w, val, 4.0 / w.round_k))
-    return out
+    ws = witnesses(transcript, per_round, seed)
+    values = _fan_out(lambda w, memo: _dq_error(fun, w.point(), w.operator, w.alpha, budget, seed, None, memo),
+                      ws, _SHARED.setdefault(fun, {}))
+    return [WitnessProbe(w, val, 4.0 / w.round_k) for w, val in zip(ws, values)]
 
 
 def witness_ladder(transcript: GameTranscript, w: Witness) -> ScaleLadder:
@@ -343,12 +447,9 @@ def witness_ladder(transcript: GameTranscript, w: Witness) -> ScaleLadder:
     this covers all rounds from the center's first appearance on)."""
     margin = to_float(transcript.domain.dist_to_boundary(w.center))
     scales: list[Scalar] = list(ScaleLadder.geometric(margin / 2.0, LADDER_RATIO, LADDER_STEPS).radii)
-    key = np.array([float(c) for c in w.center])
+    held = transcript.nets.levels_of(w.center)
     for rec in transcript.rounds:
-        if rec.net_size == 0 or rec.round_k > transcript.nets.k_max:
-            continue
-        level = transcript.nets.level(rec.round_k)
-        if np.any(np.all(level == key, axis=1)):
+        if rec.net_size and rec.round_k <= transcript.nets.k_max and rec.round_k in held:
             scales.append(rec.alpha)
     uniq: list[Scalar] = []
     for s in sorted(scales, reverse=True):

@@ -226,24 +226,36 @@ class CellTable:
     def __init__(self, cell: float, centers: np.ndarray, pads: np.ndarray):
         self.cell = float(cell)
         self._pack = struct.Struct(f"={max(centers.shape[1], 1)}q").pack
-        lo, hi = (np.floor((centers + s) / self.cell).astype(np.int64) for s in (-pads[:, None], pads[:, None]))
-        # every cell of each box, the last axis fastest, as itertools.product lists them
-        spans = hi - lo + 1
-        counts = spans.prod(axis=1)
-        rows = np.repeat(np.arange(len(centers)), counts)
-        k = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        keys = np.empty((len(rows), centers.shape[1]), dtype=np.int64)
-        for j in reversed(range(centers.shape[1])):
-            keys[:, j] = lo[rows, j] + k % spans[rows, j]
-            k //= spans[rows, j]
-        flat = self._as_void(keys)
+        flat, counts = self._box_cells(centers, pads)
         order = np.argsort(flat, kind="stable")
+        # the sorted keys replace the unsorted ones and are dropped before the
+        # items are listed, so at most three arrays of all entries are alive
         flat = flat[order]
         first = np.ones(len(flat), dtype=bool)
         first[1:] = flat[1:] != flat[:-1]
         self.keys = flat[first]
         self.starts = np.append(np.flatnonzero(first), len(flat))
-        self.items = rows[order]
+        del flat, first
+        self.items = np.repeat(np.arange(len(centers)), counts)[order]
+
+    def _box_cells(self, centers: np.ndarray, pads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The key of every cell that each box center +- pad meets, box by
+        box, the last axis fastest (as itertools.product lists them), and
+        each box's count. Keys are built column by column in place, with one
+        temporary column at a time."""
+        lo, spans = (np.floor((centers + s) / self.cell).astype(np.int64) for s in (-pads[:, None], pads[:, None]))
+        spans -= lo - 1
+        counts = spans.prod(axis=1)
+        k = np.arange(counts.sum())
+        k -= np.repeat(np.cumsum(counts) - counts, counts)
+        keys = np.empty((len(k), centers.shape[1]), dtype=np.int64)
+        for j in reversed(range(centers.shape[1])):
+            span = np.repeat(spans[:, j], counts)
+            np.remainder(k, span, out=keys[:, j])
+            k //= span
+            del span
+            keys[:, j] += np.repeat(lo[:, j], counts)
+        return self._as_void(keys), counts
 
     @staticmethod
     def _as_void(keys: np.ndarray) -> np.ndarray:

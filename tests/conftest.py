@@ -1,3 +1,4 @@
+import multiprocessing
 import time
 from types import SimpleNamespace
 
@@ -65,3 +66,12 @@ def small_game(request):
     lo, hi = [0.0] * d, [1.0] * d
     ops = (LinearMap(np.array([[0.5] + [0.0] * (d - 1)])), LinearMap(np.array([[-0.5] + [0.0] * (d - 1)])))
     return run_game(Domain.box(lo, hi), TargetSet.grid(lo, hi, 0.25), ops, "stay", rounds=4, seed=0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails any test that leaves a live child process, such as a forked
+    worker of the witness report."""
+    yield
+    left = multiprocessing.active_children()
+    assert left == [], f"live child processes after the test: {left}"

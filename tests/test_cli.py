@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lipforge
+from lipforge import cli
 from lipforge.cli import load_config, main
 from lipforge.numerics import LipForgeError
 
@@ -410,6 +411,40 @@ def test_probe_refuses_a_bad_dini_direction(config_path, tmp_path, capsys, direc
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "probe").exists()
+
+
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_probe_refuses_a_bad_direction_before_any_probing(tmp_path, capsys, monkeypatch, out_dim):
+    """The direction is checked before the witness report runs, with the
+    Dini report's messages: a mapping into R^2 has no one-sided derivative
+    probes, and a zero direction is refused."""
+    rows = "rows = 2\nop1 = 0.5 0 0 0.5\nop2 = -0.5 0 0 -0.5\n" if out_dim == 2 else "rows = 1\nop1 = 0.5 0\nop2 = -0.5 0\n"
+    config = tmp_path / "run.ini"
+    config.write_text(SMALL_CONFIG.replace("rows = 1\nop1 = 0.5 0\nop2 = -0.5 0\n", rows))
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "witness_bound_report", lambda *a, **k: pytest.fail("probed before the check"))
+    args = ["probe", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json"),
+            "--out", str(out / "probe")]
+    message = "one-sided derivative probes need scalar codomain" if out_dim == 2 else "direction must be finite and nonzero"
+    assert main(args + ([] if out_dim == 2 else ["--dini-direction", "0 0"])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "probe").exists()
+
+
+def test_probe_runs_the_witness_report_before_the_dini_report(config_path, tmp_path, capsys, monkeypatch):
+    """The Dini report runs last, so along e1 its exact values are ones the
+    witness report already shared."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    order = []
+    for name in ("witness_bound_report", "witness_dini_report"):
+        report = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _r=report, _n=name, **k: order.append(_n) or _r(*a, **k))
+    assert main(["probe", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json"),
+                 "--out", str(out / "probe")]) == 0
+    assert order == ["witness_bound_report", "witness_dini_report"]
 
 
 @pytest.mark.parametrize("command", ["eval", "probe"])

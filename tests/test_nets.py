@@ -364,3 +364,16 @@ def test_low_discrepancy_matches_per_index_loop():
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
     assert len(TargetSet.low_discrepancy(domains[0], 1000, 25706)) == 365
+
+
+def test_levels_of_compares_points_as_floats(unit_box):
+    """levels_of lists the levels whose rows equal the point as floats, as a
+    per-level comparison of every row does: -0.0 finds 0.0, NaN finds
+    nothing, and a point of no level gets no level."""
+    family = nested_nets(TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.05), unit_box, 8)
+    queries = [row for lvl in family.levels for row in lvl[::7]] + [np.array([0.5, 0.5 + 1e-16]), np.array([0.3, 0.7])]
+    for x in queries:
+        assert family.levels_of(x) == [k for k, lvl in enumerate(family.levels, 1) if np.any(np.all(lvl == x, axis=1))]
+    zero = NetFamily((np.array([[0.0, 0.5]]), np.array([[0.0, 0.5], [np.nan, 0.5]])))
+    assert zero.levels_of(np.array([-0.0, 0.5])) == [1, 2]
+    assert zero.levels_of(np.array([np.nan, 0.5])) == []

@@ -1,5 +1,11 @@
 import gc
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -240,6 +246,16 @@ def test_ladder_refuses_a_non_finite_scale(radii):
         ScaleLadder(radii)
 
 
+def test_exact_flags_of_a_point_match_use_exact_at_each_scale():
+    """An exact point is probed exactly at every scale; a float point only
+    at 0 and below FLOAT_PROBE_REL of its scale (here max|x| = 2)."""
+    scales = (1.0, 3e-11, 1.9e-11, 0.0)
+    x = np.array([2.0, -0.5])
+    assert probe._exact_flags(x, scales) == [False, False, True, True]
+    assert probe._exact_flags(as_vector([mpmath.mpf(2), mpmath.mpf(-0.5)]), scales) == [True] * 4
+    assert [_use_exact(x, r) for r in scales] == probe._exact_flags(x, scales)
+
+
 def test_ladder_validation():
     with pytest.raises(LipForgeError, match="decreasing"):
         ScaleLadder((0.5, 0.5))
@@ -398,16 +414,9 @@ def _dini_bits(report):
     return [(r.report.fires, _bits(r.report.forward), _bits(r.report.backward), r.report.scales) for r in report]
 
 
-def test_dini_report_after_the_witness_report_evaluates_nothing_exactly(monkeypatch, small_game, tmp_path):
-    """Along e1, every exact f(x) and f(x +- alpha_k e1) of the Dini report
-    is a sample of the witness report at the same working precision, so
-    the Dini report makes no exact evaluation of the mapping; its reports
-    and the witness values equal those of a fresh transcript, bit for bit."""
-    tr, fresh = _loaded(small_game, tmp_path / "a"), _loaded(small_game, tmp_path / "b")
-    e1 = np.eye(tr.domain.dim)[0]
-    root, calls = tr.final_fun, []
-    assert root not in probe._SHARED
-    evaluate = type(root)._eval_exact
+def _counted_exact(monkeypatch, root) -> list:
+    """The exact evaluations of root made in this process, from now on."""
+    calls, evaluate = [], type(root)._eval_exact
 
     def counted(self, z):
         if self is root:
@@ -415,6 +424,18 @@ def test_dini_report_after_the_witness_report_evaluates_nothing_exactly(monkeypa
         return evaluate(self, z)
 
     monkeypatch.setattr(type(root), "_eval_exact", counted)
+    return calls
+
+
+def test_dini_report_after_the_witness_report_evaluates_nothing_exactly(monkeypatch, small_game, tmp_path):
+    """Along e1, every exact f(x) and f(x +- alpha_k e1) of the Dini report
+    is a sample of the witness report at the same working precision, so
+    the Dini report makes no exact evaluation of the mapping; its reports
+    and the witness values equal those of a fresh transcript, bit for bit."""
+    tr, fresh = _loaded(small_game, tmp_path / "a"), _loaded(small_game, tmp_path / "b")
+    e1 = np.eye(tr.domain.dim)[0]
+    assert tr.final_fun not in probe._SHARED
+    calls = _counted_exact(monkeypatch, tr.final_fun)
     witness = witness_bound_report(tr)
     assert len(calls) > 0
     calls.clear()
@@ -474,3 +495,151 @@ def test_shared_values_go_with_the_tree(small_game, tmp_path):
     gc.collect()
     assert ref() is None
     assert len(probe._SHARED) == count - 1
+
+
+# ---------------------------------------------------------------------------
+# The witness report fanned out over forked workers
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Forces _fan_out's pooled path on the small games: chunks of 4
+    witnesses and two usable CPUs, whatever the host has."""
+    monkeypatch.setattr(probe, "_CHUNK_MIN", 4)
+    monkeypatch.setattr(probe.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(probe.os, "cpu_count", lambda: 2)
+
+
+def _inline(monkeypatch, call):
+    """call() with _fan_out kept in this process."""
+    with monkeypatch.context() as inline:
+        inline.setattr(probe, "_CHUNK_MIN", 10**9)
+        return call()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("per_round", [1, 2])
+def test_pooled_witness_report_has_the_inline_bits_and_shared_values(small_game, tmp_path, monkeypatch, pooled,
+                                                                     per_round, seed):
+    """The forked workers' dq values equal the inline loop's bit for bit, at
+    centers and offset points, and they leave the same shared values; the
+    parent evaluates nothing exactly itself."""
+    inline_tr, pooled_tr = _loaded(small_game, tmp_path / "a"), _loaded(small_game, tmp_path / "b")
+    inline = _inline(monkeypatch, lambda: witness_bound_report(inline_tr, per_round=per_round, seed=seed))
+    calls = _counted_exact(monkeypatch, pooled_tr.final_fun)
+    report = witness_bound_report(pooled_tr, per_round=per_round, seed=seed)
+    assert calls == []
+    key = lambda p: (p.witness.round_k, [repr(c) for c in p.witness.point()], p.bound)
+    assert [key(p) for p in report] == [key(p) for p in inline]
+    assert any(p.witness.offset is not None for p in report) == (per_round > 1)
+    assert _bits([p.value for p in report]) == _bits([p.value for p in inline])
+    shared = probe._SHARED[pooled_tr.final_fun]
+    assert shared and shared == probe._SHARED[inline_tr.final_fun]
+
+
+def test_pooled_witness_report_in_both_report_orders(small_game, tmp_path, monkeypatch, pooled):
+    """After the pooled witness report the Dini report evaluates nothing
+    exactly, and both reports keep the bits of a fresh transcript's in
+    either order."""
+    e1 = np.eye(small_game.domain.dim)[0]
+    fresh = _loaded(small_game, tmp_path / "fresh")
+    witness_alone = _inline(monkeypatch, lambda: witness_bound_report(_loaded(small_game, tmp_path / "alone")))
+    dini_alone = witness_dini_report(fresh, e1)
+
+    tr = _loaded(small_game, tmp_path / "witness-first")
+    calls = _counted_exact(monkeypatch, tr.final_fun)
+    witness = witness_bound_report(tr)
+    dini = witness_dini_report(tr, e1)
+    assert calls == []
+    assert any(_use_exact(r.witness.point(), t) for r in dini for t in r.report.scales)
+    assert _dini_bits(dini) == _dini_bits(dini_alone)
+    assert _bits([p.value for p in witness]) == _bits([p.value for p in witness_alone])
+
+    tr = _loaded(small_game, tmp_path / "dini-first")
+    dini = witness_dini_report(tr, e1)
+    witness = witness_bound_report(tr)
+    assert _dini_bits(dini) == _dini_bits(dini_alone)
+    assert _bits([p.value for p in witness]) == _bits([p.value for p in witness_alone])
+
+
+def test_a_failing_worker_raises_the_first_failure_in_witness_order(small_game, monkeypatch, pooled):
+    """Witnesses 5 and 8 fail; 8 is dealt to an earlier chunk than 5, and
+    its worker may finish first, but the report raises witness 5's error,
+    with its message, as the inline loop does, and leaves no child."""
+    ws = witnesses(small_game, 1, 0)
+    failing = {ws[5].point().tobytes(): 5, ws[8].point().tobytes(): 8}
+    dq = probe._dq_error
+
+    def failing_dq(f, x, *rest):
+        if x.tobytes() in failing:
+            raise LipForgeError(f"witness {failing[x.tobytes()]} fails")
+        return dq(f, x, *rest)
+
+    monkeypatch.setattr(probe, "_dq_error", failing_dq)
+    n = min(len(ws) // probe._CHUNK_MIN, 8)
+    assert 8 % n < 5 % n
+    with pytest.raises(LipForgeError, match=r"^witness 5 fails$"):
+        witness_bound_report(small_game)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(LipForgeError, match=r"^witness 5 fails$"):
+        _inline(monkeypatch, lambda: witness_bound_report(small_game))
+
+
+def test_a_worker_bug_reaches_the_caller_and_leaves_no_child(small_game, monkeypatch, pooled):
+    """An error that is not a LipForgeError ends the pool, and reaches the
+    caller as itself."""
+    monkeypatch.setattr(probe, "_dq_error", lambda *a: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        witness_bound_report(small_game)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dying_worker_ends_the_report_and_leaves_no_child(small_game, monkeypatch, pooled):
+    """A worker that exits mid-chunk ends its pipe: the report raises, and
+    the other worker, waiting for its next chunk, is stopped."""
+    dying = witnesses(small_game, 1, 0)[5].point().tobytes()
+    dq = probe._dq_error
+    monkeypatch.setattr(probe, "_dq_error", lambda f, x, *rest: os._exit(3) if x.tobytes() == dying else dq(f, x, *rest))
+    with pytest.raises(EOFError):
+        witness_bound_report(small_game)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("reason", ["one-cpu", "live-thread", "no-fork", "daemon"])
+def test_witness_report_runs_inline_when_forking_cannot_pay(small_game, tmp_path, monkeypatch, pooled, reason):
+    """One usable CPU, another live thread, no fork start method or a daemon
+    process keep the report in this process, with the same bits."""
+    tr = _loaded(small_game, tmp_path / "a")
+    expected = witness_bound_report(tr)
+    thread = None
+    if reason == "one-cpu":
+        monkeypatch.setattr(probe.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(probe.os, "cpu_count", lambda: 1)
+    elif reason == "live-thread":
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+    elif reason == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: pytest.fail("the report forked"))
+    tr = _loaded(small_game, tmp_path / "b")
+    calls = _counted_exact(monkeypatch, tr.final_fun)
+    try:
+        report = witness_bound_report(tr)
+    finally:
+        if thread is not None:
+            release.set()
+            thread.join()
+    assert len(calls) > 0
+    assert _bits([p.value for p in report]) == _bits([p.value for p in expected])
+
+
+def test_importing_lipforge_imports_no_multiprocessing():
+    """The fan-out imports multiprocessing when it forks, so set-up does not."""
+    code = "import sys, lipforge; print('multiprocessing' in sys.modules)"
+    src = str(Path(probe.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "False\n"

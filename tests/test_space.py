@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -396,6 +397,23 @@ def test_cell_table_is_add_per_row(d):
         assert rows.tolist() == [i for i, cell in enumerate(want) for _ in cell]
         assert got.tolist() == [j for cell in want for j in cell]
         assert [table.point_items(z).tolist() for z in Z.tolist()] == [list(cell) for cell in want]
+
+
+def test_cell_table_builds_in_three_arrays_of_its_entries():
+    """100,000 dense 2-D boxes, each meeting 4 cells, list 400,000 entries in
+    at most 20 MiB traced: 16.8 MiB measured, about 44 bytes an entry (the
+    unsorted and sorted 16-byte keys and the 8-byte order); with every
+    temporary alive until the sort it took 30.1 MiB."""
+    centers = 0.45 + 0.1 * np.random.default_rng(0).random((100_000, 2))
+    pads = np.full(len(centers), 2.0**-8 + 2e-12)
+    tracemalloc.start()
+    try:
+        table = CellTable(2 * pads[0], centers, pads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.items) == 400_000
+    assert peak < 20 * 2**20
 
 
 def test_op_norm_rejects_nonfinite():
