@@ -35,10 +35,7 @@ from .lipfun import (
     _collector_paused,
     add_const,
     deserialize,
-    fun_from_dict,
-    fun_to_dict,
     serialize,
-    sup_dist,
 )
 from .nets import NetFamily, TargetSet, nested_nets
 from .numerics import (
@@ -71,18 +68,15 @@ FUNCTION_FILE = "function.json"
 
 ADVERSARY_KINDS = ("stay", "jitter", "replay")
 
-# Sample size of sup_dist for an explicit move's distance.
-SUP_BUDGET = 192
-
 
 @dataclass(frozen=True)
 class Move:
-    """Player I's move: its center is the previous reply (stay), the previous
-    reply plus a constant shift (jitter) or a given mapping (explicit)."""
+    """Player I's move: its center is the previous reply (stay) or the
+    previous reply plus a constant shift (jitter), so its distance to the
+    previous reply is ||shift|| and its nesting is decided exactly."""
 
     kind: str
     shift: np.ndarray | None = None
-    fun: LipFun | None = None
 
     def __post_init__(self):
         if self.kind not in _MOVES:
@@ -93,17 +87,12 @@ class Move:
 
     def center(self, g_prev: LipFun) -> LipFun:
         """The move's center, given the previous reply's center."""
-        if self.kind == "jitter":
-            return add_const(g_prev, self.shift)
-        return g_prev if self.kind == "stay" else self.fun
+        return add_const(g_prev, self.shift) if self.kind == "jitter" else g_prev
 
-    def nested(self, r: Scalar, s_prev: Scalar, out_norm: NormKind) -> bool | None:
+    def nested(self, r: Scalar, s_prev: Scalar, out_norm: NormKind) -> bool:
         """Whether ||shift|| + r <= s_prev, the ball of radius r around the
         center inside the previous reply ball, decided exactly in binary
-        rationals (a stay's shift is zero). None for an explicit move, whose
-        distance to the previous reply can only be sampled."""
-        if self.kind == "explicit":
-            return None
+        rationals (a stay's shift is zero)."""
         shift = self.shift if self.kind == "jitter" else ()
         room = mpf_sub(exact_raw(s_prev), exact_raw(r))
         return all(is_finite(x) for x in shift) and _norm_le_exact(raw_vector(shift), out_norm, room)
@@ -133,9 +122,7 @@ def validate_move(tr: GameTranscript, move: Move, r: Scalar) -> Scalar:
     """Accept Player I's move, shrinking the radius to 2^-k (1 - ||L_k||).
 
     For rounds past the first, requires dist(center, previous reply) + r <=
-    previous reply radius: exactly for stay and jitter moves (Move.nested);
-    an explicit move's distance is sampled, a lower estimate, so its nesting
-    is checked on the sample, not certified.
+    previous reply radius, decided exactly by Move.nested.
     """
     k = tr.next_round
     if not r > 0:
@@ -147,13 +134,8 @@ def validate_move(tr: GameTranscript, move: Move, r: Scalar) -> Scalar:
     if f.lip_cert > 1.0 + LIP_ONE_TOL:
         raise LipForgeError("move center is not certified 1-Lipschitz")
     with mp.workdps(tr.dps):
-        if k >= 2:
-            nested = move.nested(r, s_prev, tr.out_norm)
-            if nested is None:
-                rho = sup_dist(f, g_prev, tr.domain, SUP_BUDGET, tr.seed * 31 + k, tr.out_norm)
-                nested = exact_mpf(rho) + exact_mpf(r) <= exact_mpf(s_prev)
-            if not nested:
-                raise LipForgeError("move not nested in the previous ball")
+        if k >= 2 and not move.nested(r, s_prev, tr.out_norm):
+            raise LipForgeError("move not nested in the previous ball")
         L = tr.operators[tr.op_index(k)]
         cap = exact_mpf(2) ** -k * (1 - exact_mpf(L.op_norm))
         return min(exact_mpf(r), cap)
@@ -308,9 +290,6 @@ def _decode_move(obj, depth: int, memo: dict) -> Move:
 _MOVES = {
     "stay": (),
     "jitter": (("shift", "shift", Codec(VECTOR.encode, finite(decode_vector, "jitter shift is not finite"))),),
-    "explicit": (
-        ("fun", "fun", Codec(lambda f, depth, memo: fun_to_dict(f), lambda obj, depth, memo: fun_from_dict(obj))),
-    ),
 }
 _OPTIONAL_SCALAR = Codec(
     lambda x, depth, memo: None if x is None else SCALAR.encode(x, depth, memo),

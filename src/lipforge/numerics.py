@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Union
 import mpmath
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import finf, fnan, fninf, from_float, from_man_exp
+from mpmath.libmp import finf, fnan, fninf, from_float, from_int, from_man_exp
 from mpmath.libmp import to_float as _libmp_to_float
 
 Scalar = Union[float, mpmath.mpf]
@@ -66,10 +66,14 @@ def is_finite(x: Scalar) -> bool:
 
 
 def exact_mpf(x) -> mpmath.mpf:
-    """Convert a float/int to mpf without rounding (both are binary rationals)."""
+    """Convert a float/int to mpf without rounding (both are binary
+    rationals), whatever the working precision: mpmath.mpf(x) would round
+    to it."""
     if is_mpf(x):
         return x
-    return mpmath.mpf(x)
+    if isinstance(x, int):
+        return mp.make_mpf(from_int(x))
+    return mp.make_mpf(_float_raw(float(x)))
 
 
 # Tree constants, grid coordinates and matrix entries repeat across nodes, so
@@ -81,7 +85,7 @@ def _float_raw(x: float) -> tuple:
 
 def exact_raw(x) -> tuple:
     """Raw libmp value of a float/mpf without rounding: the ``_mpf_`` of
-    ``exact_mpf(x)`` at any working precision of at least 53 bits."""
+    ``exact_mpf(x)``."""
     if is_mpf(x):
         return x._mpf_
     return _float_raw(float(x))

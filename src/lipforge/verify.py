@@ -253,8 +253,8 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
     """Reply-radius bounds, ball nesting and the 4/k witness bound. The
     radius and nesting inequalities are decided exactly, in libmp
     arithmetic without a precision, from the stored record: a reply ball's
-    nesting from the analytic rho_bound, a move's from the stored move,
-    except for an explicit move, whose distance was sampled in play."""
+    nesting from the analytic rho_bound, a move's from the stored move
+    (Move.nested)."""
     out = []
     prev = None
     for rec in transcript.rounds:
@@ -265,10 +265,8 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
         ok2 = mpf_le(mpf_add(exact_raw(rec.rho_bound), s), exact_raw(rec.r_accepted))
         out.append(CheckResult(f"round {k} reply ball nested", bool(ok2)))
         if prev is not None:
-            ok3, detail = rec.move.nested(rec.r_accepted, prev.s, transcript.out_norm), ""
-            if ok3 is None:
-                ok3, detail = exact_mpf(rec.r_accepted) <= exact_mpf(prev.s), "distance sampled in play"
-            out.append(CheckResult(f"round {k} move nested in round {k - 1}", bool(ok3), detail))
+            ok3 = rec.move.nested(rec.r_accepted, prev.s, transcript.out_norm)
+            out.append(CheckResult(f"round {k} move nested in round {k - 1}", ok3))
         prev = rec
     probes = witness_bound_report(transcript, per_round=per_round, budget=budget)
     bad = [p for p in probes if not p.ok]

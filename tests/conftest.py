@@ -7,7 +7,6 @@ import pytest
 from mpmath import mp
 
 from lipforge import Const, Domain, LinearMap, TargetSet, run_game, sup_dist
-from lipforge.game import SUP_BUDGET
 from lipforge.numerics import to_float
 
 
@@ -25,7 +24,7 @@ def sampled_round_distances():
         for rec in transcript.rounds:
             k, center = rec.round_k, rec.move.center(prev)
             with mp.workdps(transcript.dps):
-                rho = sup_dist(rec.reply_fun, center, transcript.domain, SUP_BUDGET, transcript.seed * 101 + k,
+                rho = sup_dist(rec.reply_fun, center, transcript.domain, 192, transcript.seed * 101 + k,
                                transcript.out_norm)
             assert rho <= to_float(rec.rho_bound) + 1e-9, f"round {k}: sampled distance {rho:.3e} above rho_bound"
             out.append(rho)

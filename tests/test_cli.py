@@ -249,7 +249,6 @@ def test_probe_and_verify_refuse_another_function_json(tmp_path, capsys):
 
 def test_probe_and_verify_decode_the_tree_once(config_path, tmp_path, monkeypatch):
     """probe and verify read the artifact pair with one decode of the tree."""
-    import lipforge.game as game_mod
     import lipforge.lipfun as lipfun_mod
 
     out = tmp_path / "out"
@@ -261,8 +260,7 @@ def test_probe_and_verify_decode_the_tree_once(config_path, tmp_path, monkeypatc
         decoded.append(obj)
         return original(obj)
 
-    for mod in (game_mod, lipfun_mod):
-        monkeypatch.setattr(mod, "fun_from_dict", counting)
+    monkeypatch.setattr(lipfun_mod, "fun_from_dict", counting)
     pair = ["--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json")]
     assert main(["probe", *pair, "--out", str(out)]) == 0
     assert len(decoded) == 1
@@ -283,6 +281,22 @@ def test_verify_transcript_alone_checks_its_mapping(config_path, tmp_path, capsy
     alone = capsys.readouterr().out
     assert "artifact patch continuity" in alone
     assert alone == pair
+
+
+def test_verify_refuses_an_explicit_move(config_path, tmp_path, capsys):
+    """A round whose move carries its own mapping, an explicit move, is no
+    move kind: its distance to the previous reply could only be sampled."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    doc = json.loads((out / "transcript.json").read_text())
+    doc["rounds"][1]["move"] = {"kind": "explicit", "fun": json.loads((out / "function.json").read_text())}
+    (out / "transcript.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(out / "transcript.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert "malformed artifact: unknown move kind 'explicit'" in err
+    assert "Traceback" not in err
 
 
 def test_verify_selftest(capsys):

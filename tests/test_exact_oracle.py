@@ -432,6 +432,19 @@ def test_identity_apply_is_the_loop(working):
     assert not LinearMap(np.eye(3)[:2])._is_identity
 
 
+def test_exact_mpf_is_exact_at_every_precision():
+    """A float or an int converts to the same binary rational at 1 digit as
+    at 60: mpmath.mpf would round 0.2 to 51 * 2^-8 at dps 1."""
+    values = (0.2, -0.3, 1 / 3, 2.0**-1074, 1e308, 0.0, 3, -(2**80 + 1), np.float64(0.7))
+    ref = [mpmath.libmp.from_float(x) if isinstance(x, float) else mpmath.libmp.from_int(x) for x in values]
+    for dps in (1, 4, 15, 60):
+        with mp.workdps(dps):
+            assert [exact_mpf(x)._mpf_ for x in values] == ref, dps
+    with mp.workdps(1):
+        assert exact_mpf(0.2)._mpf_ == mpmath.libmp.from_man_exp(3602879701896397, -54)
+        assert mpmath.mpf(0.2)._mpf_ == mpmath.libmp.from_man_exp(51, -8)
+
+
 def test_root_side_at_every_small_precision():
     """_root_side against the rounded root for precisions of 1-6 bits,
     where the band is widest relative to the spacing of the numbers, on a

@@ -17,7 +17,6 @@ from lipforge import (
     NormOf,
     Scale,
     TargetSet,
-    add_const,
     adversary,
     eval_batch,
     eval_point,
@@ -55,7 +54,7 @@ def small_transcript(small_setup):
 
 def _fresh_record(small_setup, rounds=4):
     domain, target, ops = small_setup
-    return GameTranscript(domain, ops, nested_nets(target, domain, rounds), "explicit")
+    return GameTranscript(domain, ops, nested_nets(target, domain, rounds), "stay")
 
 
 def _fake_record(k, g, s):
@@ -80,15 +79,13 @@ def test_move_refuses_an_unknown_kind_or_a_missing_field():
         Move("wobble")
     with pytest.raises(LipForgeError, match="jitter move without shift"):
         Move("jitter")
-    with pytest.raises(LipForgeError, match="explicit move without fun"):
-        Move("explicit", shift=np.zeros(1))
+    with pytest.raises(LipForgeError, match="unknown move kind 'explicit'"):
+        Move("explicit")
 
 
 def test_move_center():
     g = Const(np.zeros(1), 2)
-    f = Scale(0.5, NormOf(2))
     assert Move("stay").center(g) is g
-    assert Move("explicit", fun=f).center(g) is f
     jitter = Move("jitter", np.array([0.25])).center(g)
     assert jitter.f is g and jitter.p.tolist() == [0.25]
 
@@ -107,7 +104,6 @@ def test_move_nested_decides_exactly(kind, r):
     assert Move("stay").nested(1.0, 1.0, kind) is True
     assert Move("stay").nested(1.0, below, kind) is False
     assert Move("jitter", np.array([np.nan, 0.0])).nested(0.0, 1.0, kind) is False
-    assert Move("explicit", fun=Const(np.zeros(2), 2)).nested(r, 1.0, kind) is None
 
 
 def test_validate_move_shrinks_radius(small_setup):
@@ -122,7 +118,7 @@ def test_validate_move_shrinks_radius(small_setup):
 
 def test_validate_move_first_round_unconstrained(small_setup):
     tr = _fresh_record(small_setup)
-    accepted = validate_move(tr, Move("explicit", fun=Const(np.zeros(1), 2)), 0.5)
+    accepted = validate_move(tr, Move("stay"), 0.5)
     assert to_float(accepted) == pytest.approx(0.25)
 
 
@@ -130,9 +126,8 @@ def test_validate_move_rejects_unnested(small_setup):
     tr = _fresh_record(small_setup)
     g = Const(np.zeros(1), 2)
     tr.rounds.append(_fake_record(1, g, 0.001))
-    far = Move("explicit", fun=Const(np.array([5.0]), 2))
     with pytest.raises(LipForgeError, match="not nested"):
-        validate_move(tr, far, 0.0005)
+        validate_move(tr, Move("jitter", np.array([5.0])), 0.0005)
     # a NaN distance (a shift holding NaN) does not certify nesting
     with pytest.raises(LipForgeError, match="not nested"):
         validate_move(tr, Move("jitter", np.array([np.nan])), 0.0005)
@@ -141,18 +136,23 @@ def test_validate_move_rejects_unnested(small_setup):
 def test_validate_move_rejects_bad_radius_and_cert(small_setup):
     tr = _fresh_record(small_setup)
     with pytest.raises(LipForgeError, match="positive"):
-        validate_move(tr, Move("explicit", fun=Const(np.zeros(1), 2)), 0.0)
-    with pytest.raises(LipForgeError, match="1-Lipschitz"):
-        validate_move(tr, Move("explicit", fun=Scale(2.0, NormOf(2))), 0.5)
+        validate_move(tr, Move("stay"), 0.0)
+    # a move's center is the previous reply, stay or shifted: a reply of
+    # another output dimension, or not 1-Lipschitz, is refused in it
+    for g, message in ((Const(np.zeros(2), 2), "wrong dimensions"), (Scale(2.0, NormOf(2)), "1-Lipschitz")):
+        tr.rounds[:] = [_fake_record(1, g, 1.0)]
+        for move in (Move("stay"), Move("jitter", np.zeros(g.out_dim))):
+            with pytest.raises(LipForgeError, match=message):
+                validate_move(tr, move, 0.5)
 
 
 def test_player2_round_identity(small_setup):
     tr = _fresh_record(small_setup)
-    f = Const(np.zeros(1), 2)
-    move = Move("explicit", fun=f)
+    move = Move("stay")
     rec = player2_move(tr, move, validate_move(tr, move, 0.5))
-    # round 1 on the 0.2-grid has an empty net: reply is the move itself
-    assert rec.net_size == 0 and rec.reply_fun is f
+    # round 1 on the 0.2-grid has an empty net: reply is the move's center,
+    # the zero mapping of the notional ball before the first round
+    assert rec.net_size == 0 and serialize(rec.reply_fun) == serialize(Const(np.zeros(1), 2))
     move2, r2 = adversary(tr, "stay")
     rec2 = player2_move(tr, move2, validate_move(tr, move2, r2))
     assert rec2.net_size > 0
@@ -343,7 +343,6 @@ def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
 
 def _count_codec_calls(monkeypatch) -> list:
     """Record every fun_to_dict and fun_from_dict call from here on."""
-    import lipforge.game as game_mod
     import lipforge.lipfun as lipfun_mod
 
     calls = []
@@ -354,8 +353,7 @@ def _count_codec_calls(monkeypatch) -> list:
             calls.append(name)
             return original(obj)
 
-        for mod in (game_mod, lipfun_mod):
-            monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(lipfun_mod, name, wrapper)
     return calls
 
 
@@ -378,49 +376,6 @@ def test_replay_from_memory_encodes_no_tree(monkeypatch, tmp_path, small_setup, 
     assert [rec.move.kind for rec in replayed[1].rounds] == ["jitter"] * 3
 
 
-def test_explicit_moves_replay_bit_identical(monkeypatch, tmp_path, small_setup):
-    """Rounds played with player2_move on explicit move centers, saved and
-    loaded, replay to the same function.json without encoding or decoding
-    the recorded centers again."""
-    domain, target, ops = small_setup
-    tr = GameTranscript(domain, ops, nested_nets(target, domain, 3), "explicit")
-    f = Scale(0.5, NormOf(2))
-    for k in (1, 2, 3):
-        if k > 1:
-            g_prev, s_prev = tr.previous()
-            f = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object))
-            r = exact_mpf(s_prev) / 4
-        else:
-            r = exact_mpf(0.5)
-        move = Move("explicit", fun=f)
-        player2_move(tr, move, validate_move(tr, move, r), r_offered=r)
-    tr.save(tmp_path / "transcript.json")
-    loaded = load_transcript(tmp_path / "transcript.json")
-    assert [(rec.move.kind, rec.move.shift) for rec in loaded.rounds] == [("explicit", None)] * 3
-    assert all(serialize(a.move.fun) == serialize(b.move.fun) for a, b in zip(loaded.rounds, tr.rounds))
-    calls = _count_codec_calls(monkeypatch)
-    replayed = run_game(domain, target, ops, "replay", rounds=3, seed=0, replay_transcript=loaded)
-    assert calls == []
-    monkeypatch.undo()
-    assert serialize(replayed.final_fun) == (tmp_path / "function.json").read_bytes()
-
-
-def test_transcript_suite_marks_explicit_moves_sampled(small_setup):
-    """An explicit move's distance was sampled in play, so the suite checks
-    its nesting on the radii alone and says so."""
-    domain, target, ops = small_setup
-    tr = GameTranscript(domain, ops, nested_nets(target, domain, 2), "explicit")
-    f, r = Scale(0.5, NormOf(2)), exact_mpf(0.5)
-    for k in (1, 2):
-        move = Move("explicit", fun=f)
-        player2_move(tr, move, validate_move(tr, move, r), r_offered=r)
-        g_prev, s_prev = tr.previous()
-        f, r = add_const(g_prev, np.array([exact_mpf(s_prev) / 8], dtype=object)), exact_mpf(s_prev) / 4
-    results = {c.name: c for c in verify.transcript_suite(tr)}
-    assert all(c.ok for c in results.values())
-    assert results["round 2 move nested in round 1"].detail == "distance sampled in play"
-
-
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -431,7 +386,7 @@ def test_transcript_suite_marks_explicit_moves_sampled(small_setup):
         ("move", {"kind": "jitter"}, "jitter move without shift"),
         ("move", {"kind": "jitter", "shift": ["nan"]}, "jitter shift is not finite"),
         ("move", {"kind": "jitter", "shift": ["inf"]}, "jitter shift is not finite"),
-        ("move", {"kind": "explicit"}, "explicit move without fun"),
+        ("move", {"kind": "explicit"}, "unknown move kind 'explicit'"),
         ("round", 0, "round record 2 is numbered 0"),
         ("round", 3, "round record 2 is numbered 3"),
         ("op_index", 2, "round 2 names operator 2 of 2"),
@@ -497,9 +452,17 @@ def test_low_precision_failure_names_its_precision(small_setup):
     """On the 0.2 grid the affine layer's constants, rounded at 4 digits,
     miss the outer mapping on the patch spheres; the error says so."""
     domain, target, ops = small_setup
-    with pytest.raises(LipForgeError, match=r"^round 2: patch boundary mismatch .* in the affine layer, "
+    with pytest.raises(LipForgeError, match=r"^round 3: patch boundary mismatch .* in the affine layer, "
                                             r"whose constants are rounded at dps 4$"):
         run_game(domain, target, ops, "stay", rounds=3, dps=4)
+
+
+def test_stay_game_plays_at_seven_digits(small_setup):
+    """At dps 7 the grid's float coordinates and the operators' entries enter
+    the construction unrounded (exact_mpf), so the patch spheres meet."""
+    domain, target, ops = small_setup
+    tr = run_game(domain, target, ops, "stay", rounds=3, dps=7)
+    assert tr.k_max == 3 and tr.dps == 7
 
 
 # sha256 of each norm pair's serialized final tree. The benchmark pins only
