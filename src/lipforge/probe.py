@@ -27,7 +27,9 @@ values they added, which join ``_SHARED``; each value is computed by the
 same code at the same precision, so the report has the bits and the shared
 values of the inline loop. Below ``2 * _CHUNK_MIN`` witnesses, on one usable
 CPU, without the fork start method, in a daemon process or beside another
-live thread, the report runs inline.
+live thread, the report runs inline. Those conditions (``_fork_cpus``) and
+the workers' start, terminate and join (``_forked``) are shared with
+``verify.artifact_suite``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import gc
 import os
 import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -360,47 +363,42 @@ def _serve(conn, work, chunks: list, memo: dict) -> None:
         conn.send((values, error, dict(islice(memo.items(), start, None))))
 
 
-def _fan_out(work, items: list, memo: dict) -> list:
-    """[work(item, memo) for item in items], with the same values and memo
-    contents, from forked workers when that can pay. The items are dealt
-    round-robin into chunks of at least _CHUNK_MIN, and the parent hands a
-    chunk to each worker that is free; a worker reads the memo it inherited
-    and sends back its values and the entries it added. The parent starts
-    no thread: beside a process pool's three threads the standard probe
-    run's peak resident memory was about 6 MB higher. A failure raises the
-    first in item order, as inline, and no worker outlives the call."""
+def _fork_cpus() -> int:
+    """The CPUs that forked workers may use: those this process may run on,
+    or 1, which keeps the caller inline, without the fork start method, in a
+    daemon process (which may not have children) or beside another live
+    thread (a fork copies only the calling thread)."""
     import multiprocessing
-    from multiprocessing.connection import wait
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    # up to four chunks a worker, so one that finishes early takes another
-    n = min(len(items) // _CHUNK_MIN, 4 * cpus)
-    if (n < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon or threading.active_count() > 1):
-        return [work(item, memo) for item in items]
-    ctx, chunks = multiprocessing.get_context("fork"), [items[i::n] for i in range(n)]
-    parts, todo, workers, busy = [None] * n, iter(range(n)), [], {}
+    if ("fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextmanager
+def _forked(targets: list):
+    """Forks one daemon worker per target, which runs target(conn) on its
+    end of a pipe, and yields the parent's ends in target order. A worker
+    that dies closes its end, so the parent's recv raises EOFError. An
+    exception in the block terminates the workers, and on every exit they
+    are joined and the pipes closed: no worker outlives the block."""
+    import multiprocessing
+
+    ctx, workers = multiprocessing.get_context("fork"), []
     try:
         # frozen, the inherited heap is not walked (so not copied) by the workers' collector
         gc.freeze()
         try:
-            for _ in range(min(cpus, n)):
+            for target in targets:
                 conn, child = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(child, work, chunks, memo), daemon=True)
+                proc = ctx.Process(target=target, args=(child,), daemon=True)
                 proc.start()
                 workers.append((conn, proc))
                 child.close()  # so a worker that dies ends its pipe
-                busy[conn] = next(todo)
-                conn.send(busy[conn])
         finally:
             gc.unfreeze()
-        while busy:
-            for conn in wait(list(busy)):
-                parts[busy.pop(conn)] = conn.recv()
-                i = next(todo, None)
-                conn.send(i)
-                if i is not None:
-                    busy[conn] = i
+        yield [conn for conn, _ in workers]
     except BaseException:
         for _, proc in workers:
             proc.terminate()
@@ -409,6 +407,35 @@ def _fan_out(work, items: list, memo: dict) -> list:
         for conn, proc in workers:
             proc.join()
             conn.close()
+
+
+def _fan_out(work, items: list, memo: dict) -> list:
+    """[work(item, memo) for item in items], with the same values and memo
+    contents, from forked workers (_forked) when that can pay. The items
+    are dealt round-robin into chunks of at least _CHUNK_MIN, and the parent
+    hands a chunk to each worker that is free; a worker reads the memo it
+    inherited and sends back its values and the entries it added. The
+    parent starts no thread: beside a process pool's three threads the
+    standard probe run's peak resident memory was about 6 MB higher. A
+    failure raises the first in item order, as inline."""
+    if len(items) < 2 * _CHUNK_MIN or (cpus := _fork_cpus()) < 2:
+        return [work(item, memo) for item in items]
+    from multiprocessing.connection import wait
+
+    # up to four chunks a worker, so one that finishes early takes another
+    n = min(len(items) // _CHUNK_MIN, 4 * cpus)
+    chunks, parts, todo, busy = [items[i::n] for i in range(n)], [None] * n, iter(range(n)), {}
+    with _forked([lambda conn: _serve(conn, work, chunks, memo)] * min(cpus, n)) as conns:
+        for conn in conns:
+            busy[conn] = next(todo)
+            conn.send(busy[conn])
+        while busy:
+            for conn in wait(list(busy)):
+                parts[busy.pop(conn)] = conn.recv()
+                i = next(todo, None)
+                conn.send(i)
+                if i is not None:
+                    busy[conn] = i
     failed = {i + n * len(values): error for i, (values, error, _) in enumerate(parts) if error}
     if failed:
         # no local keeps the error raised, so its traceback and this frame form no cycle

@@ -10,7 +10,9 @@ nesting and the per-round witness bound of the final mapping.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp
@@ -38,7 +40,7 @@ from .nets import TargetSet, greedy_net, nested_nets, restrict
 from .numerics import LipForgeError, exact_mpf, exact_raw, to_float, working_dps_for_scale
 from .game import GameTranscript
 from .perturb import linearize_near
-from .probe import witness_bound_report
+from .probe import _fork_cpus, _forked, witness_bound_report
 from .space import Domain, LinearMap, NormKind, norm_batch, sample_ball
 
 
@@ -56,7 +58,8 @@ def _sample_pairs(rng: np.random.Generator, d: int, count: int, span: float) -> 
 
 
 def _quotient_check(f: LipFun, rng: np.random.Generator, pairs: int, span: float) -> float:
-    """Worst sampled Lipschitz quotient relative to the certified bound."""
+    """The worst Euclidean Lipschitz quotient of f over pairs sampled in
+    [-span, span]^d: the raw quotient, for the caller to compare with a bound."""
     X, Y = _sample_pairs(rng, f.in_dim, pairs, span)
     gap = norm_batch(X - Y, NormKind.EUCLIDEAN)
     keep = gap > 1e-12
@@ -205,48 +208,82 @@ def perturb_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
+# Forking the worker pays from about this many patches in a tree's distinct
+# layers. On a 2-core host (medians of 15 pairs, in each of two sets), 70
+# patches (3 rounds of the standard run) ran 1-11 ms slower forked, 164 (a
+# 3-D 4-round game) 1-30 ms faster and 316 (4 rounds) 28-54 ms faster.
+_FORK_MIN_PATCHES = 150
+
+
+def _patched_layers(fun: LipFun):
+    """Yields each distinct Patched node of the tree once, keyed by id, in
+    the pre-order of a recursive walk."""
+    seen, stack = set(), [fun]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Patched):
+                yield node
+            stack.extend(reversed(node.children()))
+
+
+def _continuity(fun: LipFun) -> tuple[int, str]:
+    """Checks the continuity of each distinct Patched layer, in the order of
+    _patched_layers, up to the first that fails: (layers checked, that
+    failure or '')."""
+    checked = 0
+    for node in _patched_layers(fun):
+        checked += 1
+        try:
+            _check_patch_continuity(node)
+        except LipForgeError as e:
+            return checked, str(e)
+    return checked, ""
+
+
+def _quotient_and_continuity(fun: LipFun, rng: np.random.Generator) -> tuple[float, int, str, list]:
+    """artifact_suite's checks after the round trip: the worst quotient of
+    10,000 pairs drawn from rng, then _continuity(fun), and a list that
+    holds the error either raised, other than a continuity failure, for the
+    caller to raise."""
+    try:
+        return (_quotient_check(fun, rng, 10_000, 1.0), *_continuity(fun), [])
+    except Exception as exc:
+        return 0.0, 0, "", [exc]
+
+
 @_collector_paused()
 def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
-    """Serialization round-trip, certified-bound and patch-continuity checks
+    """Serialization round-trip, sampled quotient and patch-continuity checks
     for a stored tree, run with the cyclic collector paused. Continuity is
-    checked once per distinct Patched node, however often the tree reaches it."""
+    checked once per distinct Patched node, however often the tree reaches
+    it, in the pre-order of a recursive walk, and the first failure is
+    reported. When the layers hold _FORK_MIN_PATCHES patches or more and a
+    forked worker can run (probe._fork_cpus), one forked worker runs the
+    quotient and continuity checks while this process runs the round trip;
+    the records are those of the inline path, details included."""
     rng = np.random.default_rng(seed + 3)
-    out = []
-    clone = deserialize(serialize(fun))
     Z = rng.uniform(0.05, 0.95, size=(1000, fun.in_dim))
-    gap = float(np.max(np.abs(eval_batch(fun, Z) - eval_batch(clone, Z))))
-    del clone
-    out.append(CheckResult("artifact round-trip", gap == 0.0, f"gap={gap:.3e}"))
-    worst = _quotient_check(fun, rng, 10_000, 1.0)
-    out.append(
+    sizes = accumulate((len(node.patches) for node in _patched_layers(fun)), initial=0)
+    fork = any(size >= _FORK_MIN_PATCHES for size in sizes) and _fork_cpus() > 1
+    with _forked([lambda conn: conn.send(_quotient_and_continuity(fun, rng))]) if fork else nullcontext() as conns:
+        clone = deserialize(serialize(fun))
+        gap = float(np.max(np.abs(eval_batch(fun, Z) - eval_batch(clone, Z))))
+        del clone
+        worst, checked, failure, errors = conns[0].recv() if conns else _quotient_and_continuity(fun, rng)
+    if errors:
+        # raised from no local, so its traceback and this frame form no cycle
+        raise errors.pop()
+    return [
+        CheckResult("artifact round-trip", gap == 0.0, f"gap={gap:.3e}"),
         CheckResult(
             "artifact quotient <= certificate",
             worst <= fun.lip_cert + 1e-9,
             f"worst={worst:.9f} cert={fun.lip_cert:.9f}",
-        )
-    )
-    # each distinct node once, keyed by id, in the pre-order of a recursive walk
-    checked, failure, seen, stack = 0, "", set(), [fun]
-    while stack and not failure:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Patched):
-            checked += 1
-            try:
-                _check_patch_continuity(node)
-            except LipForgeError as e:
-                failure = str(e)
-        stack.extend(reversed(node.children()))
-    out.append(
-        CheckResult(
-            "artifact patch continuity",
-            not failure,
-            failure or f"patched layers checked: {checked}",
-        )
-    )
-    return out
+        ),
+        CheckResult("artifact patch continuity", not failure, failure or f"patched layers checked: {checked}"),
+    ]
 
 
 def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int | None = None) -> list[CheckResult]:
