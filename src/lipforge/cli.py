@@ -69,13 +69,24 @@ def _parse_floats(text: str) -> list[float]:
         raise LipForgeError(f"not a list of decimals: {text!r}") from None
 
 
+def _read_text(p: Path, what: str) -> str:
+    """p's text; a file that is missing, cannot be read or is not UTF-8 is
+    refused with a message that names it as what."""
+    if not p.exists():
+        raise LipForgeError(f"{what} not found: {p}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except OSError as e:
+        raise LipForgeError(f"{what} {p}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise LipForgeError(f"{what} {p}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def load_config(path: str) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise LipForgeError(f"config not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(p.read_text(encoding="utf-8"))
+        parser.read_string(_read_text(p, "config"))
     except configparser.Error as e:
         raise LipForgeError(f"config {path}: {e}") from e
 
@@ -97,11 +108,9 @@ def load_config(path: str) -> RunConfig:
     def read_points(file: str) -> TargetSet:
         # relative to the config; an absolute file name replaces the directory
         fpath = p.parent / file
-        if not fpath.exists():
-            raise LipForgeError(f"file not found: {fpath}")
         rows = [
             _parse_floats(line)
-            for line in fpath.read_text(encoding="utf-8").splitlines()
+            for line in _read_text(fpath, "file").splitlines()
             if line.strip() and not line.lstrip().startswith("#")
         ]
         if len({len(row) for row in rows}) > 1:
@@ -253,7 +262,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], d: int) -> list[str]:
+def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], worst: dict[int, float], d: int) -> list[str]:
     """probe_report.csv: one row per witness, then one summary row per round."""
     lines = ["k," + ",".join(f"x{i + 1}" for i in range(d)) + ",op,scale,dq,bound,ok"]
     for pr in report:
@@ -267,8 +276,7 @@ def _probe_rows(report, by_round: dict[int, list[WitnessProbe]], d: int) -> list
     for k in sorted(by_round):
         probes = by_round[k]
         ok = sum(1 for p in probes if p.ok)
-        worst = max(p.value for p in probes)
-        fields = [str(k)] + [""] * d + ["summary", "", repr(worst), repr(probes[0].bound), f"{ok}/{len(probes)}"]
+        fields = [str(k)] + [""] * d + ["summary", "", repr(worst[k]), repr(probes[0].bound), f"{ok}/{len(probes)}"]
         lines.append(",".join(fields))
     return lines
 
@@ -287,7 +295,9 @@ def cmd_probe(args) -> int:
     by_round: dict[int, list[WitnessProbe]] = {}
     for r in report:
         by_round.setdefault(r.witness.round_k, []).append(r)
-    lines = _probe_rows(report, by_round, transcript.domain.dim)
+    # np.max, unlike max, keeps a NaN wherever it is
+    worst = {k: float(np.max([p.value for p in probes])) for k, probes in by_round.items()}
+    lines = _probe_rows(report, by_round, worst, transcript.domain.dim)
     ok_count = sum(1 for r in report if r.ok)
     summary = [
         "witness difference-quotient report",
@@ -297,10 +307,9 @@ def cmd_probe(args) -> int:
     plot_points = {}
     for k in sorted(by_round):
         probes = by_round[k]
-        worst = max(p.value for p in probes)
         rec = transcript.rounds[k - 1]
-        summary.append(f"round {k}: witnesses={len(probes)} max_dq={worst!r} bound={probes[0].bound!r}")
-        plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), worst)
+        summary.append(f"round {k}: witnesses={len(probes)} max_dq={worst[k]!r} bound={probes[0].bound!r}")
+        plot_points[k] = (float(mpmath.log10(exact_mpf(rec.alpha))), worst[k])
 
     dini = witness_dini_report(transcript, direction, min_round=args.min_round, per_round=args.per_round, seed=seed)
     fired = sum(1 for r in dini if r.report.fires)
@@ -434,7 +443,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LipForgeError as e:
+    except (LipForgeError, OSError) as e:
+        # an OSError is a file the command could not write
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -349,7 +349,10 @@ def read_artifact(path) -> bytes:
     p = Path(path)
     if not p.exists():
         raise LipForgeError(f"artifact not found: {p}")
-    return p.read_bytes()
+    try:
+        return p.read_bytes()
+    except OSError as e:
+        raise LipForgeError(f"artifact {p}: {e.strerror}") from e
 
 
 def _check_transcript(tr: GameTranscript, tail_bound: Scalar) -> None:

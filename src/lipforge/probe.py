@@ -20,16 +20,17 @@ All reports carry the ladder that produced them; claims are scoped to those
 scales.
 
 The witness report's dq errors are independent of each other, so on a
-multi-core host it deals the witnesses out to forked worker processes
-(``_fan_out``). The workers share the tree copy-on-write, read the exact
-values shared before the fork and send back their dq values and the exact
-values they added, which join ``_SHARED``; each value is computed by the
-same code at the same precision, so the report has the bits and the shared
-values of the inline loop. Below ``2 * _CHUNK_MIN`` witnesses, on one usable
-CPU, without the fork start method, in a daemon process or beside another
-live thread, the report runs inline. Those conditions (``_fork_cpus``) and
-the workers' start, terminate and join (``_forked``) are shared with
-``verify.artifact_suite``.
+host with n >= 2 usable CPUs it deals the witnesses round-robin into n
+shares: this process computes the first and n - 1 forked workers the
+others (``_in_parallel``). The workers share the tree copy-on-write, read
+the exact values shared before the fork and send back their dq values and
+the exact values they added, which join ``_SHARED``; each value is
+computed by the same code at the same precision, so the report has the
+bits and the shared values of the inline loop. Below ``2 * _CHUNK_MIN``
+witnesses, on one usable CPU, without the fork start method, in a daemon
+process or beside another live thread, the report runs inline. Those
+conditions (``_fork_cpus``) and the fork helper (``_in_parallel``) are
+shared with ``verify.artifact_suite``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import gc
 import os
 import threading
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -343,24 +344,10 @@ class WitnessProbe:
         return self.value <= self.bound + 1e-9
 
 
-# Forking pays from this many witnesses a chunk: forking the workers takes
+# Forking pays from this many witnesses a share: forking a worker takes
 # 0.01-0.025 s, an exact witness of the standard run about 1.5 ms, and the
 # tier-1 games (up to 164 witnesses) stay inline.
 _CHUNK_MIN = 100
-
-
-def _serve(conn, work, chunks: list, memo: dict) -> None:
-    """A forked worker: for each chunk index the parent sends, until None,
-    it sends back the chunk's values up to its first failure, that failure,
-    and the memo entries the chunk added (a dict keeps insertion order)."""
-    for i in iter(conn.recv, None):
-        start, values, error = len(memo), [], None
-        try:
-            for item in chunks[i]:
-                values.append(work(item, memo))
-        except Exception as exc:
-            error = exc
-        conn.send((values, error, dict(islice(memo.items(), start, None))))
 
 
 def _fork_cpus() -> int:
@@ -376,13 +363,22 @@ def _fork_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@contextmanager
-def _forked(targets: list):
-    """Forks one daemon worker per target, which runs target(conn) on its
-    end of a pipe, and yields the parent's ends in target order. A worker
-    that dies closes its end, so the parent's recv raises EOFError. An
-    exception in the block terminates the workers, and on every exit they
-    are joined and the pipes closed: no worker outlives the block."""
+def _reply(task, conn) -> None:
+    """A forked worker: sends back (task(), None), or (None, the error task raised)."""
+    try:
+        result = task(), None
+    except Exception as exc:
+        result = None, exc
+    conn.send(result)
+
+
+def _in_parallel(tasks: list) -> list:
+    """[task() for task in tasks]: the first task runs in this process and
+    each other in a forked daemon worker, which sends back its value or its
+    error over a pipe. A worker that dies closes its pipe, so the parent's
+    recv raises EOFError. An error in this process terminates the workers,
+    and on every exit they are joined: no worker outlives the call. The
+    first error in task order is raised."""
     import multiprocessing
 
     ctx, workers = multiprocessing.get_context("fork"), []
@@ -390,15 +386,15 @@ def _forked(targets: list):
         # frozen, the inherited heap is not walked (so not copied) by the workers' collector
         gc.freeze()
         try:
-            for target in targets:
+            for task in tasks[1:]:
                 conn, child = ctx.Pipe()
-                proc = ctx.Process(target=target, args=(child,), daemon=True)
+                proc = ctx.Process(target=_reply, args=(task, child), daemon=True)
                 proc.start()
                 workers.append((conn, proc))
                 child.close()  # so a worker that dies ends its pipe
         finally:
             gc.unfreeze()
-        yield [conn for conn, _ in workers]
+        results = [(tasks[0](), None)] + [conn.recv() for conn, _ in workers]
     except BaseException:
         for _, proc in workers:
             proc.terminate()
@@ -407,45 +403,29 @@ def _forked(targets: list):
         for conn, proc in workers:
             proc.join()
             conn.close()
-
-
-def _fan_out(work, items: list, memo: dict) -> list:
-    """[work(item, memo) for item in items], with the same values and memo
-    contents, from forked workers (_forked) when that can pay. The items
-    are dealt round-robin into chunks of at least _CHUNK_MIN, and the parent
-    hands a chunk to each worker that is free; a worker reads the memo it
-    inherited and sends back its values and the entries it added. The
-    parent starts no thread: beside a process pool's three threads the
-    standard probe run's peak resident memory was about 6 MB higher. A
-    failure raises the first in item order, as inline."""
-    if len(items) < 2 * _CHUNK_MIN or (cpus := _fork_cpus()) < 2:
-        return [work(item, memo) for item in items]
-    from multiprocessing.connection import wait
-
-    # up to four chunks a worker, so one that finishes early takes another
-    n = min(len(items) // _CHUNK_MIN, 4 * cpus)
-    chunks, parts, todo, busy = [items[i::n] for i in range(n)], [None] * n, iter(range(n)), {}
-    with _forked([lambda conn: _serve(conn, work, chunks, memo)] * min(cpus, n)) as conns:
-        for conn in conns:
-            busy[conn] = next(todo)
-            conn.send(busy[conn])
-        while busy:
-            for conn in wait(list(busy)):
-                parts[busy.pop(conn)] = conn.recv()
-                i = next(todo, None)
-                conn.send(i)
-                if i is not None:
-                    busy[conn] = i
-    failed = {i + n * len(values): error for i, (values, error, _) in enumerate(parts) if error}
+    failed = [i for i, (_, error) in enumerate(results) if error is not None]
     if failed:
-        # no local keeps the error raised, so its traceback and this frame form no cycle
-        parts.clear()
-        raise failed.pop(min(failed))
-    out = [None] * len(items)
-    for i, (values, _, added) in enumerate(parts):
-        out[i::n] = values
-        memo.update(added)
-    return out
+        # a worker's error comes unpickled, without a traceback; raised from
+        # no local, it and this frame form no cycle
+        raise results.pop(failed[0])[1]
+    return [value for value, _ in results]
+
+
+def _share(work, items: list, memo: dict) -> tuple:
+    """[work(item, memo) for item in items] up to the first failure, that
+    failure or None, and the memo entries the share added (a dict keeps
+    insertion order). The failure keeps neither its traceback nor the errors
+    chained to it, as a worker's loses them when it is pickled: their frames
+    lead back to the caller's, whose locals hold the failure, a cycle that
+    would keep the tree alive until the next collection."""
+    start, values, error = len(memo), [], None
+    try:
+        for item in items:
+            values.append(work(item, memo))
+    except Exception as exc:
+        error = exc.with_traceback(None)
+        error.__cause__ = error.__context__ = None
+    return values, error, dict(islice(memo.items(), start, None))
 
 
 def witness_bound_report(
@@ -457,13 +437,31 @@ def witness_bound_report(
     """dq error of the final mapping at every witness, at that witness's
     construction scale, against the bound 4/k. Exact values are shared
     with the Dini report (_SHARED). The witnesses' dq errors are
-    independent, so from 2 * _CHUNK_MIN witnesses on they are computed by
-    forked workers (_fan_out), with the bits and shared values of the
-    inline loop."""
-    fun = transcript.final_fun
+    independent, so from 2 * _CHUNK_MIN witnesses on, on n >= 2 usable
+    CPUs, they are dealt round-robin into n shares of at least _CHUNK_MIN;
+    this process computes share 0 and n - 1 forked workers the others
+    (_in_parallel). A worker reads the values shared before the fork and
+    sends back its dq values and the values it added. The report has the
+    bits and shared values of the inline loop, and a failure raises the
+    first in witness order, as inline."""
+    fun, memo = transcript.final_fun, _SHARED.setdefault(transcript.final_fun, {})
     ws = witnesses(transcript, per_round, seed)
-    values = _fan_out(lambda w, memo: _dq_error(fun, w.point(), w.operator, w.alpha, budget, seed, None, memo),
-                      ws, _SHARED.setdefault(fun, {}))
+    work = lambda w, memo: _dq_error(fun, w.point(), w.operator, w.alpha, budget, seed, None, memo)
+    n = len(ws) // _CHUNK_MIN
+    n = min(n, _fork_cpus()) if n > 1 else 1
+    if n == 1:
+        values = [work(w, memo) for w in ws]
+    else:
+        parts = _in_parallel([partial(_share, work, ws[i::n], memo) for i in range(n)])
+        failed = {i + n * len(part): error for i, (part, error, _) in enumerate(parts) if error}
+        if failed:
+            # no local keeps the error raised, so its traceback and this frame form no cycle
+            parts.clear()
+            raise failed.pop(min(failed))
+        values = [None] * len(ws)
+        for i, (part, _, added) in enumerate(parts):
+            values[i::n] = part
+            memo.update(added)
     return [WitnessProbe(w, val, 4.0 / w.round_k) for w, val in zip(ws, values)]
 
 

@@ -10,7 +10,6 @@ nesting and the per-round witness bound of the final mapping.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -40,7 +39,7 @@ from .nets import TargetSet, greedy_net, nested_nets, restrict
 from .numerics import LipForgeError, exact_mpf, exact_raw, to_float, working_dps_for_scale
 from .game import GameTranscript
 from .perturb import linearize_near
-from .probe import _fork_cpus, _forked, witness_bound_report
+from .probe import _fork_cpus, _in_parallel, witness_bound_report
 from .space import Domain, LinearMap, NormKind, norm_batch, sample_ball
 
 
@@ -242,17 +241,6 @@ def _continuity(fun: LipFun) -> tuple[int, str]:
     return checked, ""
 
 
-def _quotient_and_continuity(fun: LipFun, rng: np.random.Generator) -> tuple[float, int, str, list]:
-    """artifact_suite's checks after the round trip: the worst quotient of
-    10,000 pairs drawn from rng, then _continuity(fun), and a list that
-    holds the error either raised, other than a continuity failure, for the
-    caller to raise."""
-    try:
-        return (_quotient_check(fun, rng, 10_000, 1.0), *_continuity(fun), [])
-    except Exception as exc:
-        return 0.0, 0, "", [exc]
-
-
 @_collector_paused()
 def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
     """Serialization round-trip, sampled quotient and patch-continuity checks
@@ -260,21 +248,25 @@ def artifact_suite(fun: LipFun, seed: int = 0) -> list[CheckResult]:
     checked once per distinct Patched node, however often the tree reaches
     it, in the pre-order of a recursive walk, and the first failure is
     reported. When the layers hold _FORK_MIN_PATCHES patches or more and a
-    forked worker can run (probe._fork_cpus), one forked worker runs the
-    quotient and continuity checks while this process runs the round trip;
-    the records are those of the inline path, details included."""
+    forked worker can run (probe._fork_cpus), this process runs the round
+    trip while one forked worker runs the quotient and continuity checks
+    (probe._in_parallel); the records are those of the inline path,
+    details included."""
     rng = np.random.default_rng(seed + 3)
     Z = rng.uniform(0.05, 0.95, size=(1000, fun.in_dim))
-    sizes = accumulate((len(node.patches) for node in _patched_layers(fun)), initial=0)
-    fork = any(size >= _FORK_MIN_PATCHES for size in sizes) and _fork_cpus() > 1
-    with _forked([lambda conn: conn.send(_quotient_and_continuity(fun, rng))]) if fork else nullcontext() as conns:
+
+    def round_trip() -> float:
         clone = deserialize(serialize(fun))
-        gap = float(np.max(np.abs(eval_batch(fun, Z) - eval_batch(clone, Z))))
-        del clone
-        worst, checked, failure, errors = conns[0].recv() if conns else _quotient_and_continuity(fun, rng)
-    if errors:
-        # raised from no local, so its traceback and this frame form no cycle
-        raise errors.pop()
+        return float(np.max(np.abs(eval_batch(fun, Z) - eval_batch(clone, Z))))
+
+    def checks() -> tuple[float, int, str]:
+        return _quotient_check(fun, rng, 10_000, 1.0), *_continuity(fun)
+
+    sizes = accumulate((len(node.patches) for node in _patched_layers(fun)), initial=0)
+    if any(size >= _FORK_MIN_PATCHES for size in sizes) and _fork_cpus() > 1:
+        gap, (worst, checked, failure) = _in_parallel([round_trip, checks])
+    else:
+        gap, (worst, checked, failure) = round_trip(), checks()
     return [
         CheckResult("artifact round-trip", gap == 0.0, f"gap={gap:.3e}"),
         CheckResult(
@@ -307,7 +299,8 @@ def transcript_suite(transcript: GameTranscript, per_round: int = 1, budget: int
         prev = rec
     probes = witness_bound_report(transcript, per_round=per_round, budget=budget)
     bad = [p for p in probes if not p.ok]
-    worst = max((p.value * p.witness.round_k / 4.0 for p in probes), default=0.0)
+    # np.max, unlike max, keeps a NaN wherever it is
+    worst = float(np.max([p.value * p.witness.round_k / 4.0 for p in probes], initial=0.0))
     out.append(
         CheckResult(
             "witness bound 4/k",

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,30 @@ def test_probe_missing_artifact(tmp_path, capsys):
     assert "artifact not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["verify-dir", "eval-dir", "config-dir", "config-latin1", "out-file"])
+def test_file_errors_are_one_error_line(config_path, tmp_path, capsys, case):
+    """A directory given as an artifact or a config, a config that is not
+    UTF-8 and an --out that is a file each end in one error line, exit 1."""
+    art, conf, out = str(tmp_path / "dir"), str(config_path), str(tmp_path / "out")
+    (tmp_path / "dir").mkdir()
+    if case == "config-dir":
+        conf = art
+    elif case == "config-latin1":
+        config_path.write_bytes(SMALL_CONFIG.replace("[game]", "[game]\n# r\xe9glages").encode("latin-1"))
+    elif case == "out-file":
+        Path(out).write_text("")
+    argv = {"verify-dir": ["verify", "--artifact", art],
+            "eval-dir": ["eval", "--artifact", art, "--out", out, "--lo", "0 0", "--hi", "1 1"]}.get(
+        case, ["construct", "--config", conf, "--out", out])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    message = {"verify-dir": f"artifact {art}: Is a directory", "eval-dir": f"artifact {art}: Is a directory",
+               "config-dir": f"config {art}: Is a directory", "config-latin1": "not UTF-8 text",
+               "out-file": "File exists"}[case]
+    assert message in err
+
+
 def test_probe_and_verify_refuse_another_function_json(tmp_path, capsys):
     """A function.json changed by one byte, or written by another seed's
     run, ends probe and verify with an error line, not a traceback."""
@@ -445,6 +470,29 @@ def test_probe_refuses_a_bad_direction_before_any_probing(tmp_path, capsys, monk
     assert main(args + ([] if out_dim == 2 else ["--dini-direction", "0 0"])) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "probe").exists()
+
+
+def test_a_nan_dq_shows_as_its_round_worst(config_path, tmp_path, capsys, monkeypatch):
+    """A NaN dq after finite ones in its round is that round's worst, in the
+    summary row of probe_report.csv and in probe_summary.txt."""
+    out = tmp_path / "out"
+    assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
+    report = cli.witness_bound_report
+
+    def with_a_nan(*a, **k):
+        probes = report(*a, **k)
+        last = max(p.witness.round_k for p in probes)
+        assert sum(p.witness.round_k == last for p in probes) > 1
+        return probes[:-1] + [replace(probes[-1], value=float("nan"))]
+
+    monkeypatch.setattr(cli, "witness_bound_report", with_a_nan)
+    assert main(["probe", "--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json"),
+                 "--out", str(out / "probe")]) == 1
+    rows = (out / "probe" / "probe_report.csv").read_text().splitlines()
+    assert rows[-1].startswith("3,,,summary,,nan,")
+    assert [r for r in rows[:-1] if ",summary," in r and ",nan," in r] == []
+    summary = (out / "probe" / "probe_summary.txt").read_text()
+    assert "round 3: witnesses=" in summary and "max_dq=nan " in summary
 
 
 def test_probe_runs_the_witness_report_before_the_dini_report(config_path, tmp_path, capsys, monkeypatch):

@@ -503,32 +503,50 @@ def test_shared_values_go_with_the_tree(small_game, tmp_path):
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Forces _fan_out's pooled path on the small games: chunks of 4
-    witnesses and two usable CPUs, whatever the host has."""
+    """Forces the pooled witness report on the small games: shares of at
+    least 4 witnesses and two usable CPUs, whatever the host has, so this
+    process computes share 0 and one forked worker share 1."""
     monkeypatch.setattr(probe, "_CHUNK_MIN", 4)
     monkeypatch.setattr(probe.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(probe.os, "cpu_count", lambda: 2)
 
 
 def _inline(monkeypatch, call):
-    """call() with _fan_out kept in this process."""
+    """call() with the witness report kept in this process."""
     with monkeypatch.context() as inline:
         inline.setattr(probe, "_CHUNK_MIN", 10**9)
         return call()
+
+
+def _share0_evaluations(tr, calls: list, per_round: int = 1, seed: int = 0) -> list:
+    """The exact evaluations of tr's mapping, as counted into calls, that the
+    inline loop makes over share 0 of the pooled witness report (every
+    second witness) from an empty memo; calls is left empty."""
+    ws = witnesses(tr, per_round, seed)
+    assert min(len(ws) // probe._CHUNK_MIN, 2) == 2
+    memo = {}
+    for w in ws[::2]:
+        probe._dq_error(tr.final_fun, w.point(), w.operator, w.alpha, None, seed, None, memo)
+    share0 = calls[:]
+    calls.clear()
+    assert share0
+    return share0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("per_round", [1, 2])
 def test_pooled_witness_report_has_the_inline_bits_and_shared_values(small_game, tmp_path, monkeypatch, pooled,
                                                                      per_round, seed):
-    """The forked workers' dq values equal the inline loop's bit for bit, at
-    centers and offset points, and they leave the same shared values; the
-    parent evaluates nothing exactly itself."""
+    """The pooled report's dq values equal the inline loop's bit for bit, at
+    centers and offset points, and they leave the same shared values; this
+    process makes exactly the exact evaluations of share 0's witnesses, and
+    the worker all those of share 1."""
     inline_tr, pooled_tr = _loaded(small_game, tmp_path / "a"), _loaded(small_game, tmp_path / "b")
     inline = _inline(monkeypatch, lambda: witness_bound_report(inline_tr, per_round=per_round, seed=seed))
     calls = _counted_exact(monkeypatch, pooled_tr.final_fun)
+    share0 = _share0_evaluations(pooled_tr, calls, per_round, seed)
     report = witness_bound_report(pooled_tr, per_round=per_round, seed=seed)
-    assert calls == []
+    assert calls == share0
     key = lambda p: (p.witness.round_k, [repr(c) for c in p.witness.point()], p.bound)
     assert [key(p) for p in report] == [key(p) for p in inline]
     assert any(p.witness.offset is not None for p in report) == (per_round > 1)
@@ -538,9 +556,9 @@ def test_pooled_witness_report_has_the_inline_bits_and_shared_values(small_game,
 
 
 def test_pooled_witness_report_in_both_report_orders(small_game, tmp_path, monkeypatch, pooled):
-    """After the pooled witness report the Dini report evaluates nothing
-    exactly, and both reports keep the bits of a fresh transcript's in
-    either order."""
+    """After the pooled witness report, whose exact evaluations in this
+    process are share 0's, the Dini report evaluates nothing exactly, and
+    both reports keep the bits of a fresh transcript's in either order."""
     e1 = np.eye(small_game.domain.dim)[0]
     fresh = _loaded(small_game, tmp_path / "fresh")
     witness_alone = _inline(monkeypatch, lambda: witness_bound_report(_loaded(small_game, tmp_path / "alone")))
@@ -548,7 +566,10 @@ def test_pooled_witness_report_in_both_report_orders(small_game, tmp_path, monke
 
     tr = _loaded(small_game, tmp_path / "witness-first")
     calls = _counted_exact(monkeypatch, tr.final_fun)
+    share0 = _share0_evaluations(tr, calls)
     witness = witness_bound_report(tr)
+    assert calls == share0
+    calls.clear()
     dini = witness_dini_report(tr, e1)
     assert calls == []
     assert any(_use_exact(r.witness.point(), t) for r in dini for t in r.report.scales)
@@ -563,9 +584,10 @@ def test_pooled_witness_report_in_both_report_orders(small_game, tmp_path, monke
 
 
 def test_a_failing_worker_raises_the_first_failure_in_witness_order(small_game, monkeypatch, pooled):
-    """Witnesses 5 and 8 fail; 8 is dealt to an earlier chunk than 5, and
-    its worker may finish first, but the report raises witness 5's error,
-    with its message, as the inline loop does, and leaves no child."""
+    """Witnesses 5 and 8 fail; 8 is in share 0, which this process computes
+    while the worker computes share 1, which holds 5, but the report raises
+    witness 5's error, with its message, as the inline loop does, and
+    leaves no child."""
     ws = witnesses(small_game, 1, 0)
     failing = {ws[5].point().tobytes(): 5, ws[8].point().tobytes(): 8}
     dq = probe._dq_error
@@ -576,8 +598,7 @@ def test_a_failing_worker_raises_the_first_failure_in_witness_order(small_game, 
         return dq(f, x, *rest)
 
     monkeypatch.setattr(probe, "_dq_error", failing_dq)
-    n = min(len(ws) // probe._CHUNK_MIN, 8)
-    assert 8 % n < 5 % n
+    assert min(len(ws) // probe._CHUNK_MIN, 2) == 2
     with pytest.raises(LipForgeError, match=r"^witness 5 fails$"):
         witness_bound_report(small_game)
     assert multiprocessing.active_children() == []
@@ -586,20 +607,22 @@ def test_a_failing_worker_raises_the_first_failure_in_witness_order(small_game, 
 
 
 def test_a_worker_bug_reaches_the_caller_and_leaves_no_child(small_game, monkeypatch, pooled):
-    """An error that is not a LipForgeError ends the pool, and reaches the
-    caller as itself."""
-    monkeypatch.setattr(probe, "_dq_error", lambda *a: 1 // 0)
+    """An error that is not a LipForgeError, raised in the worker only,
+    reaches the caller as itself."""
+    parent, dq = os.getpid(), probe._dq_error
+    monkeypatch.setattr(probe, "_dq_error", lambda *a: 1 // 0 if os.getpid() != parent else dq(*a))
     with pytest.raises(ZeroDivisionError):
         witness_bound_report(small_game)
     assert multiprocessing.active_children() == []
 
 
 def test_a_dying_worker_ends_the_report_and_leaves_no_child(small_game, monkeypatch, pooled):
-    """A worker that exits mid-chunk ends its pipe: the report raises, and
-    the other worker, waiting for its next chunk, is stopped."""
-    dying = witnesses(small_game, 1, 0)[5].point().tobytes()
-    dq = probe._dq_error
-    monkeypatch.setattr(probe, "_dq_error", lambda f, x, *rest: os._exit(3) if x.tobytes() == dying else dq(f, x, *rest))
+    """A worker that exits mid-share ends its pipe: the report raises
+    EOFError. Only the worker exits: the nets are nested, so witness 5's
+    point recurs in this process's share."""
+    dying, parent, dq = witnesses(small_game, 1, 0)[5].point().tobytes(), os.getpid(), probe._dq_error
+    monkeypatch.setattr(probe, "_dq_error", lambda f, x, *rest: os._exit(3) if x.tobytes() == dying
+                        and os.getpid() != parent else dq(f, x, *rest))
     with pytest.raises(EOFError):
         witness_bound_report(small_game)
     assert multiprocessing.active_children() == []
@@ -637,7 +660,7 @@ def test_witness_report_runs_inline_when_forking_cannot_pay(small_game, tmp_path
 
 
 def test_importing_lipforge_imports_no_multiprocessing():
-    """The fan-out imports multiprocessing when it forks, so set-up does not."""
+    """The witness report imports multiprocessing when it forks, so set-up does not."""
     code = "import sys, lipforge; print('multiprocessing' in sys.modules)"
     src = str(Path(probe.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

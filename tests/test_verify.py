@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ def small_transcript():
     target = TargetSet.grid([0.0, 0.0], [1.0, 1.0], 0.2)
     ops = (LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]])))
     return run_game(domain, target, ops, "stay", rounds=3, seed=0)
+
+
+def test_a_nan_witness_is_the_worst_ratio(small_transcript, monkeypatch):
+    """A NaN dq after finite ones is the witness bound's worst ratio."""
+    report = verify_mod.witness_bound_report
+
+    def with_a_nan(*a, **k):
+        probes = report(*a, **k)
+        return probes[:-1] + [replace(probes[-1], value=float("nan"))]
+
+    monkeypatch.setattr(verify_mod, "witness_bound_report", with_a_nan)
+    result = transcript_suite(small_transcript)[-1]
+    assert result.name == "witness bound 4/k" and not result.ok
+    assert result.detail.endswith(" violations=1 worst_ratio=nan")
 
 
 def test_stock_selftest_green():
