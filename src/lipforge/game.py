@@ -274,12 +274,12 @@ class GameTranscript:
         p.write_text(json.dumps(self._document(data), separators=(",", ":")), encoding="utf-8")
 
 
-def _decode_move(obj, depth: int, memo: dict) -> Move:
+def _decode_move(obj, memo: dict) -> Move:
     """A stored move; Move refuses an unknown kind or a missing field."""
     if not isinstance(obj, dict):
         raise LipForgeError("malformed artifact: round move is not a record")
     kind = obj.get("kind")
-    fields = {attr: codec.decode(obj[key], depth, memo) for key, attr, codec in _MOVES.get(kind, ()) if key in obj}
+    fields = {attr: codec.decode(obj[key], memo) for key, attr, codec in _MOVES.get(kind, ()) if key in obj}
     try:
         return Move(kind, **fields)
     except LipForgeError as e:
@@ -293,12 +293,12 @@ _MOVES = {
 }
 _OPTIONAL_SCALAR = Codec(
     lambda x, depth, memo: None if x is None else SCALAR.encode(x, depth, memo),
-    lambda obj, depth, memo: None if obj is None else SCALAR.decode(obj, depth, memo),
+    lambda obj, memo: None if obj is None else SCALAR.decode(obj, memo),
 )
 _POINTS = sequence(FLOAT_VECTOR)
 # An empty net level decodes to shape (0, 0); _check_transcript holds the
 # others to the domain's dimension.
-_LEVELS = sequence(Codec(_POINTS.encode, lambda obj, depth, memo: np.asarray(_POINTS.decode(obj, depth, memo) or np.empty((0, 0)))))
+_LEVELS = sequence(Codec(_POINTS.encode, lambda obj, memo: np.asarray(_POINTS.decode(obj, memo) or np.empty((0, 0)))))
 
 # transcript.json is "schema", the header fields, then "function_sha256";
 # save and load_transcript read these tables.
@@ -320,18 +320,18 @@ _ROUND_FIELDS = (
 )
 _HEADER_FIELDS = (
     # informational: replay takes the moves from the rounds
-    ("adversary", "adversary_kind", Codec(lambda kind, depth, memo: kind, lambda obj, depth, memo: obj)),
+    ("adversary", "adversary_kind", Codec(lambda kind, depth, memo: kind, lambda obj, memo: obj)),
     ("seed", "seed", INT),
     ("dps", "dps", INT),
-    ("domain", "domain", Codec(lambda domain, depth, memo: domain.encode(), lambda obj, depth, memo: Domain.decode(obj))),
+    ("domain", "domain", Codec(lambda domain, depth, memo: domain.encode(), lambda obj, memo: Domain.decode(obj))),
     ("operators", "operators", sequence(MAP)),
     ("net_levels", "nets", Codec(
         lambda nets, depth, memo: _LEVELS.encode(nets.levels, depth, memo),
-        lambda obj, depth, memo: NetFamily(_LEVELS.decode(obj, depth, memo)),
+        lambda obj, memo: NetFamily(_LEVELS.decode(obj, memo)),
     )),
     ("rounds", "rounds", sequence(Codec(
         lambda rec, depth, memo: encode_fields(rec, _ROUND_FIELDS, depth, memo, {}),
-        lambda obj, depth, memo: MoveRecord(reply_fun=None, **decode_fields(obj, _ROUND_FIELDS, depth, memo)),
+        lambda obj, memo: MoveRecord(reply_fun=None, **decode_fields(obj, _ROUND_FIELDS, memo)),
     ))),
     # derived: the last round's s, written for readers of the file
     ("tail_bound", "tail_bound", SCALAR),
@@ -405,7 +405,7 @@ def load_transcript(path, function_path=None) -> GameTranscript:
         raise LipForgeError(f"artifact mismatch: {fp} has sha256 {digest}, the transcript names {named}")
     final_fun = deserialize(data)
     try:
-        fields = decode_fields(obj, _HEADER_FIELDS, 0, {})
+        fields = decode_fields(obj, _HEADER_FIELDS, {})
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise LipForgeError("malformed artifact: bad transcript record") from e
     tail_bound = fields.pop("tail_bound")

@@ -911,11 +911,11 @@ def _shared(codec: Codec) -> Codec:
     repr: it tells apart what == does not (1, 1.0 and true; 0.0 and -0.0)."""
     decode = codec.decode
 
-    def decode_shared(obj, depth: int, memo: dict):
+    def decode_shared(obj, memo: dict):
         key = (decode, repr(obj))
         value = memo.get(key)
         if value is None:
-            value = memo[key] = decode(obj, depth, memo)
+            value = memo[key] = decode(obj, memo)
         return value
 
     return codec._replace(decode=decode_shared)
@@ -952,41 +952,70 @@ def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
     return record
 
 
-def _decode_node(obj, depth: int, memo: dict) -> LipFun:
-    """Identical records decode to one node: memo maps the kind and the ids
-    of the decoded fields, values it holds, to the node. Every record is
-    read, so the depth check runs wherever a shared record appears."""
-    if depth > MAX_TREE_DEPTH:
-        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise LipForgeError("malformed artifact: node record expected")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}")
-    cls, fields = _KINDS[kind]
+_REACH = "reach"  # memo key: the reach of the record being decoded
+
+
+def _decode_record(obj, memo: dict) -> tuple:
+    """obj, a node record whose child records are decoded, as (node, reach,
+    error). A failure is returned as error, which the parent raises when it
+    reads the field (_node_of), so the first failure in document order is
+    the one reported. reach is the deepest level below obj read before the
+    walk stops: the subtree's height, or the depth of the failure."""
+    memo[_REACH] = 0
     try:
-        return _make_once(memo, cls, decode_fields(obj, fields, depth + 1, memo))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
-        raise LipForgeError(f"malformed artifact: bad {kind} node") from e
+        try:
+            kind = obj["kind"]
+            cls, fields = _KINDS[kind]
+        except (TypeError, KeyError):  # not a record, or a kind not in _KINDS
+            if not isinstance(obj, dict) or "kind" not in obj:
+                raise LipForgeError("malformed artifact: node record expected") from None
+            raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}") from None
+        try:
+            return _make_once(memo, cls, decode_fields(obj, fields, memo)), memo[_REACH], None
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
+            raise LipForgeError(f"malformed artifact: bad {kind} node") from e
+    except Exception as e:  # deferred, not handled: _node_of raises it
+        # alone: the frames of its traceback and its causes' lead back to the
+        # records that hold it, a cycle that keeps the tree until a collection
+        e.__cause__ = e.__context__ = None
+        return None, memo[_REACH], e.with_traceback(None)
 
 
-def _decode_patches(obj, depth: int, memo: dict) -> tuple:
+def _node_of(child: tuple, memo: dict) -> LipFun:
+    """A decoded child record's node, or its failure raised."""
+    node, reach, error = child
+    if reach >= memo[_REACH]:
+        memo[_REACH] = reach + 1
+    if error is not None:
+        raise error
+    return node
+
+
+def _close_patches(patches, memo: dict):
+    """patches with each patch's inner record decoded."""
+    for p in patches if isinstance(patches, list) else ():
+        if isinstance(p, dict) and "inner" in p:
+            p["inner"] = _decode_record(p["inner"], memo)
+    return patches
+
+
+def _decode_patches(obj, memo: dict) -> tuple:
     """One Patch per distinct center, radius and inner, one tuple per distinct list."""
-    patches = tuple(_make_once(memo, Patch, decode_fields(p, _PATCH_FIELDS, depth, memo)) for p in obj)
+    patches = tuple(_make_once(memo, Patch, decode_fields(p, _PATCH_FIELDS, memo)) for p in obj)
     return memo.setdefault((tuple, *map(id, patches)), patches)
 
 
-_NORM = _shared(Codec(lambda kind, depth, memo: kind.value, lambda obj, depth, memo: NormKind.parse(obj)))
+_NORM = _shared(Codec(lambda kind, depth, memo: kind.value, lambda obj, memo: NormKind.parse(obj)))
 # A LinearMap's record, also the transcript's record of an operator.
-MAP = _shared(Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, depth, memo: _decode_map(obj)))
-_NODE = Codec(_encode_node, _decode_node, lambda f: (f,))
+MAP = _shared(Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, memo: _decode_map(obj)))
+_NODE = Codec(_encode_node, _node_of, lambda f: (f,))
 _INT, _SCALAR, _VECTOR = _shared(INT), _shared(SCALAR), _shared(VECTOR)
 
 # A patch's ball skips the constants' finiteness check: Patched refuses a
 # center or radius that is not finite, built or decoded, with its own message.
 _PATCH_FIELDS = (
-    ("center", "center", _shared(Codec(VECTOR.encode, lambda obj, depth, memo: decode_vector(obj)))),
-    ("radius", "radius", _shared(Codec(SCALAR.encode, lambda obj, depth, memo: decode_scalar(obj)))),
+    ("center", "center", _shared(Codec(VECTOR.encode, lambda obj, memo: decode_vector(obj)))),
+    ("radius", "radius", _shared(Codec(SCALAR.encode, lambda obj, memo: decode_scalar(obj)))),
     ("inner", "inner", _NODE),
 )
 _PATCHES = Codec(
@@ -1014,6 +1043,12 @@ _RECORDS: dict[type, tuple[str, tuple[tuple[str, str, Codec], ...]]] = {
     Precompose: ("precompose", (("f", "f", _NODE), ("inner_map", "inner_map", _NODE))),
 }
 _KINDS = {kind: (cls, fields) for cls, (kind, fields) in _RECORDS.items()}
+# How the parser's hook decodes the child records of each kind's record.
+_CLOSERS = {
+    kind: tuple((key, _decode_record if codec is _NODE else _close_patches) for key, _, codec in fields
+                if codec in (_NODE, _PATCHES))
+    for kind, (_, fields) in _KINDS.items()
+}
 
 
 def fun_to_dict(f: LipFun) -> dict:
@@ -1021,12 +1056,44 @@ def fun_to_dict(f: LipFun) -> dict:
 
 
 def fun_from_dict(obj: dict) -> LipFun:
-    if not isinstance(obj, dict):
+    """The tree of a parsed document, read from its text as deserialize
+    reads bytes: json.dumps is exact for anything json.loads returns, so
+    both give one outcome, and the schema is checked first."""
+    return deserialize(json.dumps(obj))
+
+
+def _read_tree(text: str) -> LipFun:
+    """The tree of a lipforge-fun/1 text, decoded as it is parsed: the
+    parser hands close each JSON object it completes, and the child records
+    of a node record are decoded then (_CLOSERS), so the whole JSON tree
+    never exists. A record is decoded when its holder closes, as only the
+    holder knows that a node belongs there: a record where a scalar belongs
+    is refused by the scalar's codec as written, but for its own child
+    records, shown decoded. Failures wait in place (_decode_record) until
+    the schema is checked and the root is read."""
+    memo: dict = {}
+
+    def close(record: dict) -> dict:
+        if "kind" in record and type(kind := record["kind"]) is str and kind in _CLOSERS:
+            for key, decode in _CLOSERS[kind]:
+                if key in record:
+                    record[key] = decode(record[key], memo)
+        return record
+
+    doc = json.loads(text, object_hook=close)
+    if not isinstance(doc, dict):
         raise LipForgeError("malformed artifact")
-    schema = obj.get("schema")
-    if schema != FUN_SCHEMA:
+    if (schema := doc.get("schema")) != FUN_SCHEMA:
         raise LipForgeError(f"unknown schema version {schema!r}")
-    return _decode_node(obj.get("root"), 0, {})
+    node, reach, error = _decode_record(doc.get("root"), memo)
+    if reach > MAX_TREE_DEPTH:
+        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
+    if error is not None:
+        try:
+            raise error
+        finally:  # this frame, in the error's traceback, keeps neither it nor the records
+            doc = error = None
+    return node
 
 
 @contextmanager
@@ -1056,8 +1123,11 @@ def serialize(f: LipFun) -> bytes:
 
 
 def deserialize(data) -> LipFun:
+    """The tree of function.json's bytes or text (schema lipforge-fun/1),
+    decoded as it is parsed (_read_tree). Text that is not JSON, or nests
+    past the parser's recursion limit, is a malformed artifact."""
     with _collector_paused():
         try:
-            return fun_from_dict(json.loads(data.decode("utf-8") if isinstance(data, bytes) else data))
+            return _read_tree(data.decode("utf-8") if isinstance(data, bytes) else data)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise LipForgeError("malformed artifact") from e

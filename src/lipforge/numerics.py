@@ -241,9 +241,9 @@ def is_exact_vector(v) -> bool:
 
 class Codec(NamedTuple):
     """How a field's value is written and read. encode(value, depth, memo)
-    and decode(obj, depth, memo) get the depth of the record's child nodes
-    and the memo of one encoding or decoding call, and children(value) lists
-    the child nodes the value holds."""
+    gets the depth of the record's child nodes, encode and decode(obj, memo)
+    the memo of one encoding or decoding call, and children(value) lists the
+    child nodes the value holds."""
 
     encode: Callable
     decode: Callable
@@ -253,7 +253,7 @@ class Codec(NamedTuple):
 def finite(decode, message: str = "non-finite numeral in {obj!r}"):
     """decode, then refuse a NaN or infinite value."""
 
-    def decode_finite(obj, depth: int, memo: dict):
+    def decode_finite(obj, memo: dict):
         value = decode(obj)
         if not all(map(is_finite, value.tolist() if isinstance(value, np.ndarray) else (value,))):
             raise LipForgeError("malformed artifact: " + message.format(obj=obj))
@@ -269,25 +269,29 @@ def encode_fields(obj, fields: tuple, depth: int, memo: dict, record: dict) -> d
     return record
 
 
-def decode_fields(obj, fields: tuple, depth: int, memo: dict) -> dict:
-    """The attributes of a record."""
-    return {attr: codec.decode(obj[key], depth, memo) for key, attr, codec in fields}
+def decode_fields(obj, fields: tuple, memo: dict) -> dict:
+    """The attributes of a record (a loop, as a comprehension's own frame
+    slows decoding)."""
+    attrs = {}
+    for key, attr, codec in fields:
+        attrs[attr] = codec.decode(obj[key], memo)
+    return attrs
 
 
 def sequence(codec: Codec) -> Codec:
     """A JSON list of values of one codec, decoded to a tuple."""
 
-    def decode(obj, depth: int, memo: dict) -> tuple:
+    def decode(obj, memo: dict) -> tuple:
         if not isinstance(obj, list):
             raise TypeError(f"list expected, got {obj!r}")
-        return tuple(codec.decode(x, depth, memo) for x in obj)
+        return tuple(codec.decode(x, memo) for x in obj)
 
     return Codec(lambda values, depth, memo: [codec.encode(v, depth, memo) for v in values], decode)
 
 
 SCALAR = Codec(lambda x, depth, memo: encode_scalar(x), finite(decode_scalar))
 VECTOR = Codec(lambda v, depth, memo: encode_vector(v), finite(decode_vector))
-INT = Codec(lambda n, depth, memo: n, lambda obj, depth, memo: decode_int(obj))
+INT = Codec(lambda n, depth, memo: n, lambda obj, memo: decode_int(obj))
 # Values kept as floats: a net point, a domain's bounds, a ball's radius.
 FLOAT = Codec(SCALAR.encode, finite(lambda obj: to_float(decode_scalar(obj))))
 FLOAT_VECTOR = Codec(VECTOR.encode, finite(lambda obj: float_vector(decode_vector(obj))))

@@ -217,7 +217,13 @@ def dq_profile(f: LipFun, x, operator: LinearMap, ladder: ScaleLadder,
     values = []
     for i, r in enumerate(ladder.radii):
         values.append(dq_error(f, x, operator, r, None, i, domain))
-    return DqProfile(tuple(ladder.radii), tuple(values), min(values))
+    return DqProfile(tuple(ladder.radii), tuple(values), _least(values))
+
+
+def _least(values) -> float:
+    """The least of values, NaN if any is: min keeps a NaN only when it
+    comes first, and a NaN must stop every certificate."""
+    return float(np.min(values))
 
 
 def _direction(f: LipFun, v) -> np.ndarray:
@@ -280,7 +286,7 @@ def dini_lower(f: LipFun, x, v, ladder: ScaleLadder) -> float:
     """Ladder surrogate for the lower one-sided derivative along v: the
     minimum forward quotient over the ladder (an upper bound for the true
     liminf at these scales)."""
-    return min(dini_values(f, x, v, ladder))
+    return _least(dini_values(f, x, v, ladder))
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,7 @@ class DiniReport:
     @classmethod
     def of(cls, forward, backward, ladder: ScaleLadder) -> "DiniReport":
         """Fires when both one-sided lower quotients are below -DINI_TOL."""
-        fires = min(forward) < -DINI_TOL and min(backward) < -DINI_TOL
+        fires = _least(forward) < -DINI_TOL and _least(backward) < -DINI_TOL
         return cls(fires, tuple(forward), tuple(backward), DINI_TOL, tuple(ladder.radii))
 
 

@@ -616,7 +616,7 @@ class Domain:
         try:
             kind, shape = NormKind.parse(obj["norm"]), obj["shape"]
             if shape in _SHAPES:
-                return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], 0, {}))
+                return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], {}))
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError("malformed artifact: bad domain record") from e
         raise LipForgeError(f"malformed artifact: unknown domain shape {obj.get('shape')!r}")

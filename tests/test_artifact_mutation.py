@@ -17,7 +17,9 @@ import pytest
 from mpmath import mp
 from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_mul, mpf_sub
 
-from lipforge import Domain, LinearMap, LipForgeError, TargetSet, eval_batch, load_transcript, run_game, verify
+from lipforge import (
+    Domain, LinearMap, LipForgeError, TargetSet, deserialize, eval_batch, load_transcript, run_game, serialize, verify,
+)
 from lipforge.cli import main
 from lipforge.lipfun import fun_from_dict
 from lipforge.numerics import decode_scalar, encode_scalar, exact_raw
@@ -86,6 +88,23 @@ def test_function_json_mutations_end_in_a_mapping_or_a_diagnostic(jitter_pair):
 
     escaped = _escapes(_mutations(doc, 400, seed=1), attempt)
     assert not escaped, f"{len(escaped)} of 400 escaped:\n" + "\n".join(escaped[:20])
+
+
+def test_function_json_mutations_read_alike_as_bytes_and_as_a_document(jitter_pair):
+    """Each mutated function.json has one outcome whether deserialize reads
+    its bytes or fun_from_dict its parsed document: the same diagnostic, or
+    a mapping that encodes to the same bytes."""
+    doc = json.loads((jitter_pair / "function.json").read_bytes())
+
+    def outcome(decode, arg):
+        try:
+            return serialize(decode(arg))
+        except LipForgeError as e:
+            return str(e)
+
+    for path, value, mutated in _mutations(doc, 400, seed=1):
+        from_bytes = outcome(deserialize, json.dumps(mutated).encode())
+        assert from_bytes == outcome(fun_from_dict, mutated), f"{'/'.join(map(str, path))} = {value!r}"
 
 
 def test_transcript_json_mutations_end_in_a_replay_or_a_diagnostic(jitter_pair, tmp_path):

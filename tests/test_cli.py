@@ -279,13 +279,13 @@ def test_probe_and_verify_decode_the_tree_once(config_path, tmp_path, monkeypatc
     out = tmp_path / "out"
     assert main(["construct", "--config", str(config_path), "--out", str(out)]) == 0
     decoded = []
-    original = lipfun_mod.fun_from_dict
+    original = lipfun_mod._read_tree
 
-    def counting(obj):
-        decoded.append(obj)
-        return original(obj)
+    def counting(text):
+        decoded.append(text)
+        return original(text)
 
-    monkeypatch.setattr(lipfun_mod, "fun_from_dict", counting)
+    monkeypatch.setattr(lipfun_mod, "_read_tree", counting)
     pair = ["--artifact", str(out / "function.json"), "--transcript", str(out / "transcript.json")]
     assert main(["probe", *pair, "--out", str(out)]) == 0
     assert len(decoded) == 1

@@ -1447,3 +1447,125 @@ def test_decoder_refuses_an_overflowing_integer():
     obj = {"schema": "lipforge-fun/1", "root": {"kind": "const", "c": ["0.5"], "in_dim": 1e400}}
     with pytest.raises(LipForgeError, match="bad const node"):
         fun_from_dict(obj)
+
+
+def _chain(height, leaf):
+    """leaf under `height` scale records."""
+    for _ in range(height):
+        leaf = {"kind": "scale", "c": "0.5", "f": leaf}
+    return leaf
+
+
+_CONST_ONE = {"kind": "const", "c": ["1.0"], "in_dim": 1}
+_BAD_SCALAR = "malformed artifact: bad scalar {'kind': 'const', 'c': ['1.0'], 'in_dim': 1}"
+
+
+def _doc(root, schema="lipforge-fun/1"):
+    return {"schema": schema, "root": root}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema": "lipforge-fun/9", "root": {"kind": "nope"}}, "unknown schema version 'lipforge-fun/9'"),
+        ({"schema": "lipforge-fun/2", "nodes": [{"kind": "const", "c": ["0"], "in_dim": 1}], "root": 0},
+         "unknown schema version 'lipforge-fun/2'"),
+        ([_doc(_ONE)], "malformed artifact"),
+        # a record where a scalar belongs is a bad scalar, shown as written
+        (_doc({"kind": "scale", "c": _CONST_ONE, "f": _ONE}), _BAD_SCALAR),
+        (_doc({"kind": "const", "c": [_CONST_ONE], "in_dim": 1}), _BAD_SCALAR),
+        (_doc({"kind": "norm_of", "in_dim": 1, "sign": 1, "norm": _CONST_ONE}),
+         "unknown norm {'kind': 'const', 'c': ['1.0'], 'in_dim': 1}; expected euclidean, sup or one"),
+        # the first failure in document order names the error, however deep
+        (_doc({"kind": "scale", "c": "x", "f": {"kind": "nope"}}), "malformed artifact: bad numeral 'x'"),
+        (_doc({"kind": "add_const", "f": {"kind": "nope"}, "p": ["x"]}), "malformed artifact: unknown node kind 'nope'"),
+        (_doc({"kind": "sum", "f": _chain(3, {"kind": "scale", "c": "y", "f": _ONE}), "g": {"kind": "nope"}}),
+         "malformed artifact: bad numeral 'y'"),
+        (_doc({"kind": "sum", "f": _chain(3, {"kind": "sum", "f": _ONE}), "g": {"kind": "const", "c": "x"}}),
+         "malformed artifact: bad sum node"),
+        (_doc({"kind": "sum", "f": _ONE, "g": 5}), "malformed artifact: node record expected"),
+        (_doc({"kind": "sum", "f": _ONE, "g": {"kind": "const", "c": ["0.5", "0.5"], "in_dim": 1}}),
+         "sum of mappings with different dimensions"),
+        (_doc({"kind": "patched", "outer": _ONE, "norm": "euclidean",
+               "patches": [{"center": ["0.5"], "radius": "x", "inner": {"kind": "nope"}}]}),
+         "malformed artifact: bad numeral 'x'"),
+        (_doc({"kind": "patched", "outer": _ONE, "norm": "euclidean",
+               "patches": [{"center": ["0.5"], "radius": "0.1", "inner": {"kind": "nope"}}]}),
+         "malformed artifact: unknown node kind 'nope'"),
+        (_doc({"kind": "patched", "outer": _ONE, "norm": "euclidean",
+               "patches": [{"center": ["0.5"], "radius": "0.1"}, {"inner": {"kind": "nope"}}]}),
+         "malformed artifact: bad patched node"),
+        # the depth limit: the deepest level read before the first failure
+        (_doc(_chain(200, _ONE)), None),
+        (_doc(_chain(201, _ONE)), "tree deeper than 200"),
+        (_doc(_chain(201, {"kind": "nope"})), "tree deeper than 200"),
+        (_doc(_chain(200, {"kind": "nope"})), "malformed artifact: unknown node kind 'nope'"),
+        (_doc({"kind": "sum", "f": {"kind": "scale", "c": "x", "f": _ONE}, "g": _chain(250, _ONE)}),
+         "malformed artifact: bad numeral 'x'"),
+        (_doc({"kind": "sum", "f": _chain(250, _ONE), "g": {"kind": "nope"}}), "tree deeper than 200"),
+        (_doc({"kind": "sum", "f": {"kind": "nope"}, "g": _chain(250, _ONE)}), "malformed artifact: unknown node kind 'nope'"),
+        (_doc({"kind": "scale", "c": "x", "f": _chain(250, _ONE)}), "malformed artifact: bad numeral 'x'"),
+    ],
+)
+def test_decoder_reports_the_first_failure_in_document_order(doc, message):
+    """deserialize and fun_from_dict check the schema first, then report the
+    failure a walk of the records in document order meets first, with the
+    same message; a tree deeper than MAX_TREE_DEPTH is refused where that
+    walk would first step below it."""
+    for decode, arg in ((deserialize, json.dumps(doc).encode()), (fun_from_dict, doc)):
+        if message is None:
+            assert serialize(decode(arg)) == json.dumps(doc, separators=(",", ":")).encode()
+            continue
+        with pytest.raises(LipForgeError) as info:
+            decode(arg)
+        assert str(info.value) == message
+
+
+def test_decode_peak_stays_within_four_times_the_file(acceptance_run):
+    """Records become nodes as the parser closes them, so decoding the
+    standard function.json never holds its whole JSON tree: the traced peak
+    stays within four times the file's bytes (about nine when the JSON tree
+    was built first)."""
+    import tracemalloc
+
+    data = serialize(acceptance_run.transcript.final_fun)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        deserialize(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(data), f"peak {peak} B is {peak / len(data):.2f} times the {len(data)} B file"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda root: root["f"].update(c="x"),
+        lambda root: root.update(kind="nope"),
+        lambda root: root["f"]["f"].pop("outer"),
+        lambda root: root["f"]["f"]["patches"][3].update(radius="x"),
+        lambda root: root["f"]["f"]["patches"][3]["inner"].update(kind=7),
+    ],
+    ids=["scalar", "root-kind", "missing-field", "patch-radius", "inner-kind"],
+)
+def test_a_refused_tree_leaves_no_cycles(small_game, edit):
+    """A refused tree leaves nothing for the cyclic collector: the error
+    holds no frame that leads back to the records and nodes decoded."""
+    doc = json.loads(serialize(small_game.final_fun))
+    edit(doc["root"])
+    data = json.dumps(doc).encode()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            deserialize(data)
+        except LipForgeError as e:
+            message = str(e)
+        assert message.startswith("malformed artifact")
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

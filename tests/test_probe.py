@@ -666,3 +666,31 @@ def test_importing_lipforge_imports_no_multiprocessing():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout == "False\n"
+
+
+_NAN_ORDERS = {"nan-first": [float("nan"), -1.0, -2.0], "nan-last": [-1.0, -2.0, float("nan")]}
+
+
+@pytest.mark.parametrize("quotients", _NAN_ORDERS.values(), ids=_NAN_ORDERS.keys())
+def test_a_nan_quotient_anywhere_stops_the_dini_certificate(quotients):
+    """A NaN forward or backward quotient stops the certificate from firing,
+    wherever it sits on the ladder."""
+    ladder = ScaleLadder((0.5, 0.25, 0.125))
+    below = [-1.0, -1.0, -1.0]
+    assert probe.DiniReport.of(below, below, ladder).fires
+    assert not probe.DiniReport.of(quotients, below, ladder).fires
+    assert not probe.DiniReport.of(below, quotients, ladder).fires
+
+
+@pytest.mark.parametrize("quotients", _NAN_ORDERS.values(), ids=_NAN_ORDERS.keys())
+def test_minima_over_the_ladder_keep_a_nan(quotients, monkeypatch):
+    """dq_profile's score and dini_lower are NaN, as a plain float, when any
+    value on the ladder is."""
+    ladder = ScaleLadder((0.5, 0.25, 0.125))
+    f, a = Linear(LinearMap(np.array([[1.0]]))), LinearMap(np.array([[1.0]]))
+    monkeypatch.setattr(probe, "dq_error", lambda f, x, op, r, budget, seed, domain: quotients[seed])
+    monkeypatch.setattr(probe, "dini_values", lambda f, x, v, ladder: list(quotients))
+    for value in (dq_profile(f, [0.5], a, ladder).score, dini_lower(f, [0.5], [1.0], ladder)):
+        assert type(value) is float and value != value
+    monkeypatch.setattr(probe, "dini_values", lambda f, x, v, ladder: [-1.0, np.float64(-2.0), 0.5])
+    assert type(dini_lower(f, [0.5], [1.0], ladder)) is float
