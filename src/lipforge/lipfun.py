@@ -957,10 +957,13 @@ _REACH = "reach"  # memo key: the reach of the record being decoded
 
 def _decode_record(obj, memo: dict) -> tuple:
     """obj, a node record whose child records are decoded, as (node, reach,
-    error). A failure is returned as error, which the parent raises when it
+    error). A diagnostic, or a RecursionError where the parser's nesting
+    meets this hook, is returned as error, which the parent raises when it
     reads the field (_node_of), so the first failure in document order is
-    the one reported. reach is the deepest level below obj read before the
-    walk stops: the subtree's height, or the depth of the failure."""
+    the one reported and the height check still comes first; any other
+    exception is a fault of the program and propagates at once. reach is
+    the deepest level below obj read before the walk stops: the subtree's
+    height, or the depth of the failure."""
     memo[_REACH] = 0
     try:
         try:
@@ -974,7 +977,7 @@ def _decode_record(obj, memo: dict) -> tuple:
             return _make_once(memo, cls, decode_fields(obj, fields, memo)), memo[_REACH], None
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
             raise LipForgeError(f"malformed artifact: bad {kind} node") from e
-    except Exception as e:  # deferred, not handled: _node_of raises it
+    except (LipForgeError, RecursionError) as e:  # deferred, not handled: _node_of raises it
         # alone: the frames of its traceback and its causes' lead back to the
         # records that hold it, a cycle that keeps the tree until a collection
         e.__cause__ = e.__context__ = None

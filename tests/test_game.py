@@ -342,11 +342,12 @@ def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
 
 
 def _count_codec_calls(monkeypatch) -> list:
-    """Record every fun_to_dict and fun_from_dict call from here on."""
+    """Record every fun_to_dict call and every decode from here on: _read_tree
+    is the one decode entry, which deserialize and fun_from_dict both reach."""
     import lipforge.lipfun as lipfun_mod
 
     calls = []
-    for name in ("fun_to_dict", "fun_from_dict"):
+    for name in ("fun_to_dict", "_read_tree"):
         original = getattr(lipfun_mod, name)
 
         def wrapper(obj, name=name, original=original):

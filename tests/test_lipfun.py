@@ -1521,6 +1521,25 @@ def test_decoder_reports_the_first_failure_in_document_order(doc, message):
         assert str(info.value) == message
 
 
+def test_decoder_fault_leaves_at_once_with_its_traceback(monkeypatch):
+    """A fault of the program in the record decoder is no diagnostic: it is
+    not held back for document order, so the depth limit does not hide it,
+    and it keeps the traceback of where it happened."""
+    import lipforge.lipfun as lipfun_mod
+
+    make_once = lipfun_mod._make_once
+
+    def broken(memo, make, fields):
+        if make is lipfun_mod.NormOf:
+            raise AttributeError("broken constructor")
+        return make_once(memo, make, fields)
+
+    monkeypatch.setattr(lipfun_mod, "_make_once", broken)
+    with pytest.raises(AttributeError, match="broken constructor") as info:
+        deserialize(json.dumps(_doc(_chain(250, _ONE))))
+    assert info.traceback[-1].name == "broken"
+
+
 def test_decode_peak_stays_within_four_times_the_file(acceptance_run):
     """Records become nodes as the parser closes them, so decoding the
     standard function.json never holds its whole JSON tree: the traced peak
