@@ -56,6 +56,7 @@ from .numerics import (
     exact_raw,
     finite,
     is_finite,
+    quote,
     raw_vector,
     sequence,
     working_dps_for_scale,
@@ -80,7 +81,7 @@ class Move:
 
     def __post_init__(self):
         if self.kind not in _MOVES:
-            raise LipForgeError(f"unknown move kind {self.kind!r}")
+            raise LipForgeError(f"unknown move kind {quote(self.kind)}")
         for key, attr, _codec in _MOVES[self.kind]:
             if getattr(self, attr) is None:
                 raise LipForgeError(f"{self.kind} move without {key}")
@@ -397,7 +398,7 @@ def load_transcript(path, function_path=None) -> GameTranscript:
         raise LipForgeError("malformed artifact") from e
     schema = obj.get("schema") if isinstance(obj, dict) else None
     if schema != GAME_SCHEMA:
-        raise LipForgeError(f"unknown schema version {schema!r}")
+        raise LipForgeError(f"unknown schema version {quote(schema)}")
     fp = Path(path).with_name(FUNCTION_FILE) if function_path is None else function_path
     data = read_artifact(fp)
     digest, named = hashlib.sha256(data).hexdigest(), obj.get("function_sha256")

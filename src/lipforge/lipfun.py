@@ -28,7 +28,7 @@ implemented twice:
 The radial blend node interpolates two mappings between two spheres and is
 the basic gluing device: equal to ``f1`` inside radius ``a``, to ``f2``
 outside radius ``b``, radially mixed in between, with certified constant
-``(Lip f1 + Lip f2) * (1 + a/(b-a))``.
+``(Lip f1 + Lip f2) * (1 + a/(b-a))`` for pieces that vanish at the origin.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ from operator import attrgetter
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_float, from_int
+from mpmath.libmp import from_float, from_int, fzero
 from mpmath.libmp import mpf_add, mpf_div, mpf_ge, mpf_le, mpf_mul, mpf_sub
 
 from .numerics import (
+    CONSTRUCTION_DPS,
     INT,
     SCALAR,
     VECTOR,
@@ -66,13 +67,14 @@ from .numerics import (
     is_finite,
     is_mpf,
     mpf_vector,
+    quote,
     raw_to_float,
     raw_vector,
     to_float,
     working_dps_for_scale,
 )
 from .space import CellTable, Domain, LinearMap, NormKind, _fraction, _norm_lt_raw, _norm_raw, _root_side, _sqrt_raw, _sum_squares_raw
-from .space import _halton, norm, norm_batch, unit_directions
+from .space import _halton, norm_batch, unit_directions
 
 FUN_SCHEMA = "lipforge-fun/1"
 # Deepest node level (root = 0) that serialization accepts. Tree walks are
@@ -129,6 +131,13 @@ def _blend_rule(l1, l2, a, b) -> tuple[int, int]:
     """(l1 + l2)(1 + a/(b - a)), which is (l1 + l2) b / (b - a)."""
     (sn, sd), (an, ad), (bn, bd) = _sum(l1, l2), a, b
     return sn * bn * ad, sd * (bn * ad - an * bd)
+
+
+def _as_vectors(node, *attrs: str):
+    """Pack each vector constant attr of node that is not an ndarray by as_vector."""
+    for attr in attrs:
+        if not isinstance(v := getattr(node, attr), np.ndarray):
+            object.__setattr__(node, attr, as_vector(list(v)))
 
 
 def _copies(attr: str, vector: bool) -> tuple[cached_property, cached_property]:
@@ -209,7 +218,7 @@ class Const(LipFun):
     in_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c", self.c if isinstance(self.c, np.ndarray) else as_vector(list(self.c)))
+        _as_vectors(self, "c")
 
     _c_float, _c_raw = _copies("c", vector=True)
 
@@ -252,6 +261,7 @@ class Affine(LipFun):
     anchor: np.ndarray
 
     def __post_init__(self):
+        _as_vectors(self, "base", "anchor")
         if len(self.base) != self.map.out_dim or len(self.anchor) != self.map.in_dim:
             raise LipForgeError("affine node dimensions inconsistent")
 
@@ -340,10 +350,13 @@ class Scale(LipFun):
 
 @dataclass(frozen=True, eq=False)
 class AddConst(LipFun):
+    """z -> f(z) + p, also named add_const."""
+
     f: LipFun
     p: np.ndarray
 
     def __post_init__(self):
+        _as_vectors(self, "p")
         if len(self.p) != self.f.out_dim:
             raise LipForgeError("added constant has wrong dimension")
 
@@ -363,12 +376,13 @@ class AddConst(LipFun):
 
 @dataclass(frozen=True, eq=False)
 class RadialBlend(LipFun):
-    """Radial interpolation between f1 (inside a) and f2 (outside b).
-
-    Both mappings must vanish at the origin; use the radial_blend factory,
-    which verifies this, for user-facing construction. The exact evaluator
-    keeps a^2 and b^2 exactly and takes the Euclidean norm's root only in
-    the mid shell or within a few ulps of a sphere (see _eval_exact).
+    """Radial interpolation between f1 (inside a) and f2 (outside b), also
+    named radial_blend. Its certificate needs f1(0) = f2(0) = 0, which every
+    blend, built or decoded, meets exactly: both are evaluated at the origin
+    at CONSTRUCTION_DPS digits, so a nonzero piece passes only if it cancels
+    to zero there. The exact evaluator keeps a^2 and b^2 exactly and takes
+    the Euclidean norm's root only in the mid shell or within a few ulps of
+    a sphere (see _eval_exact).
     """
 
     a: Scalar
@@ -382,6 +396,9 @@ class RadialBlend(LipFun):
             raise LipForgeError("radial blend requires 0 < a < b")
         if (self.f1.in_dim, self.f1.out_dim) != (self.f2.in_dim, self.f2.out_dim):
             raise LipForgeError("blended mappings must share dimensions")
+        with mp.workdps(CONSTRUCTION_DPS):
+            if any(x != fzero for f in (self.f1, self.f2) for x in f._eval_exact((fzero,) * self.in_dim)):
+                raise LipForgeError("blended mappings must vanish at the origin")
 
     in_dim, out_dim = _dims("f1")
     _a_float, _a_raw = _copies("a", vector=False)
@@ -452,6 +469,9 @@ class Patch:
     center: np.ndarray
     radius: Scalar
     inner: LipFun
+
+    def __post_init__(self):
+        _as_vectors(self, "center")
 
     center_float, center_raw = _copies("center", vector=True)
     radius_float, radius_raw = _copies("radius", vector=False)
@@ -657,8 +677,7 @@ def zero_map(in_dim: int, out_dim: int) -> Const:
     return Const(np.zeros(out_dim), in_dim)
 
 
-def add_const(f: LipFun, p) -> AddConst:
-    return AddConst(f, p if isinstance(p, np.ndarray) else as_vector(list(p)))
+add_const, radial_blend = AddConst, RadialBlend
 
 
 @lru_cache(maxsize=None)
@@ -677,24 +696,6 @@ def shift_conjugate(map_fun: LipFun, x: np.ndarray, norm_kind: NormKind) -> LipF
     return AddConst(Precompose(map_fun, translate), x)
 
 
-def radial_blend(a: Scalar, b: Scalar, f1: LipFun, f2: LipFun,
-                 norm_kind: NormKind = NormKind.EUCLIDEAN) -> RadialBlend:
-    """Glue f1 (inside radius a) to f2 (outside radius b), radially blended.
-
-    Requires 0 < a < b and f1(0) = f2(0) = 0. The certified constant is
-    (Lip f1 + Lip f2) * (1 + a/(b-a)); a sum above one is permitted and the
-    certificate scales accordingly.
-    """
-    if not (a > 0 and a < b):
-        raise LipForgeError("radial blend requires 0 < a < b")
-    z0 = np.zeros(f1.in_dim)
-    for fi in (f1, f2):
-        v = eval_point(fi, z0)
-        if to_float(norm(v, NormKind.SUP)) > 1e-12:
-            raise LipForgeError("blended mappings must vanish at the origin")
-    return RadialBlend(a, b, f1, f2, norm_kind)
-
-
 def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     """Override `outer` inside disjoint balls, certifying continuity.
 
@@ -702,15 +703,7 @@ def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     Each inner mapping must meet the outer one on its sphere, up to
     CONTINUITY_TOL: see _check_patch_continuity.
     """
-    def as_patch(p) -> Patch:
-        if isinstance(p, Patch):
-            return p
-        center, radius, inner = p
-        if not isinstance(center, np.ndarray):
-            center = np.asarray(center, dtype=float)
-        return Patch(center, radius, inner)
-
-    node = Patched(outer, tuple(as_patch(p) for p in patches), domain.norm)
+    node = Patched(outer, tuple(p if isinstance(p, Patch) else Patch(*p) for p in patches), domain.norm)
     if node.patches and not np.all(domain.margins(node._centers) > node._radii):
         raise LipForgeError("patch ball escapes the domain interior")
     _check_patch_continuity(node)
@@ -972,7 +965,7 @@ def _decode_record(obj, memo: dict) -> tuple:
         except (TypeError, KeyError):  # not a record, or a kind not in _KINDS
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise LipForgeError("malformed artifact: node record expected") from None
-            raise LipForgeError(f"malformed artifact: unknown node kind {kind!r}") from None
+            raise LipForgeError(f"malformed artifact: unknown node kind {quote(kind)}") from None
         try:
             return _make_once(memo, cls, decode_fields(obj, fields, memo)), memo[_REACH], None
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
@@ -1087,7 +1080,7 @@ def _read_tree(text: str) -> LipFun:
     if not isinstance(doc, dict):
         raise LipForgeError("malformed artifact")
     if (schema := doc.get("schema")) != FUN_SCHEMA:
-        raise LipForgeError(f"unknown schema version {schema!r}")
+        raise LipForgeError(f"unknown schema version {quote(schema)}")
     node, reach, error = _decode_record(doc.get("root"), memo)
     if reach > MAX_TREE_DEPTH:
         raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")

@@ -47,6 +47,11 @@ class LipForgeError(Exception):
     """Base class for all contract violations raised by this package."""
 
 
+def quote(obj) -> str:
+    """repr(obj) as a diagnostic quotes it: cut to 200 characters and '...'."""
+    return text if len(text := repr(obj)) <= 200 else text[:200] + "..."
+
+
 def is_mpf(x) -> bool:
     return isinstance(x, mpmath.mpf)
 
@@ -153,27 +158,25 @@ def decode_scalar(obj) -> Scalar:
             man, exp = obj["m"], obj["e"]
             # the strings encode_scalar writes: int() would take a bool or truncate a float
             if type(man) is not str or type(exp) is not str:
-                raise TypeError(f"strings expected, got {man!r} and {exp!r}")
+                raise TypeError(f"strings expected, got {quote(man)} and {quote(exp)}")
             man, exp = int(man), int(exp)
         except (KeyError, ValueError, TypeError) as e:
-            raise LipForgeError(f"malformed artifact: bad scalar {obj!r}") from e
+            raise LipForgeError(f"malformed artifact: bad scalar {quote(obj)}") from e
         # from_man_exp without a precision normalizes exactly, zero included
         return mp.make_mpf(from_man_exp(man, exp))
-    if isinstance(obj, str):
+    # a numeral string or a JSON number; True and False are ints to Python but not numerals
+    if type(obj) in (str, int, float):
         try:
             return float(obj)
-        except ValueError as e:
-            raise LipForgeError(f"malformed artifact: bad numeral {obj!r}") from e
-    # a JSON number; True and False are ints to Python but not numerals
-    if type(obj) in (int, float):
-        return float(obj)
-    raise LipForgeError(f"malformed artifact: bad numeral {obj!r}")
+        except ValueError:
+            pass
+    raise LipForgeError(f"malformed artifact: bad numeral {quote(obj)}")
 
 
 def decode_int(obj) -> int:
     """A JSON integer as stored; TypeError on a bool, float or string, which int() would coerce."""
     if type(obj) is not int:
-        raise TypeError(f"integer expected, got {obj!r}")
+        raise TypeError(f"integer expected, got {quote(obj)}")
     return obj
 
 
@@ -250,13 +253,13 @@ class Codec(NamedTuple):
     children: Callable = lambda value: ()
 
 
-def finite(decode, message: str = "non-finite numeral in {obj!r}"):
+def finite(decode, message: str = "non-finite numeral in {obj}"):
     """decode, then refuse a NaN or infinite value."""
 
     def decode_finite(obj, memo: dict):
         value = decode(obj)
         if not all(map(is_finite, value.tolist() if isinstance(value, np.ndarray) else (value,))):
-            raise LipForgeError("malformed artifact: " + message.format(obj=obj))
+            raise LipForgeError("malformed artifact: " + message.format(obj=quote(obj)))
         return value
 
     return decode_finite
@@ -283,7 +286,7 @@ def sequence(codec: Codec) -> Codec:
 
     def decode(obj, memo: dict) -> tuple:
         if not isinstance(obj, list):
-            raise TypeError(f"list expected, got {obj!r}")
+            raise TypeError(f"list expected, got {quote(obj)}")
         return tuple(codec.decode(x, memo) for x in obj)
 
     return Codec(lambda values, depth, memo: [codec.encode(v, depth, memo) for v in values], decode)

@@ -41,6 +41,7 @@ from .numerics import (
     is_exact_vector,
     is_mpf,
     mpf_vector,
+    quote,
     raw_vector,
 )
 
@@ -61,7 +62,7 @@ class NormKind(enum.Enum):
         except (AttributeError, ValueError):
             # a non-string (a number, null, a list or an object) has no strip
             raise LipForgeError(
-                f"unknown norm {text!r}; expected euclidean, sup or one"
+                f"unknown norm {quote(text)}; expected euclidean, sup or one"
             ) from None
 
 
@@ -619,7 +620,7 @@ class Domain:
                 return cls(shape, kind, **decode_fields(obj, _SHAPES[shape], {}))
         except (KeyError, ValueError, TypeError) as e:
             raise LipForgeError("malformed artifact: bad domain record") from e
-        raise LipForgeError(f"malformed artifact: unknown domain shape {obj.get('shape')!r}")
+        raise LipForgeError(f"malformed artifact: unknown domain shape {quote(obj.get('shape'))}")
 
 
 # A domain's record after its shape and norm, as Domain.encode writes it.

@@ -230,3 +230,56 @@ def test_cli_reports_a_nan_round_scalar_as_an_error(jitter_pair, tmp_path, capsy
     args = ["--artifact", str(tmp_path / "function.json"), "--transcript", str(tmp_path / "transcript.json")]
     assert main([command, *args] + (["--out", str(tmp_path / "out")] if command == "probe" else [])) == 1
     assert "error: malformed artifact: non-finite numeral" in capsys.readouterr().err
+
+
+def _misplace_in_function(place):
+    def edit(fun_doc, root):
+        leaf = {"kind": "norm_of", "in_dim": 2, "sign": 1, "norm": "euclidean"}
+        fun_doc["root"] = {
+            "scale-c": {"kind": "scale", "c": root, "f": leaf},
+            "vector-entry": {"kind": "const", "c": ["0.5", root], "in_dim": 2},
+            "norm": dict(leaf, norm=root),
+            "node-kind": {"kind": root},
+            "long-vector": {"kind": "const", "c": ["nan"] + ["0.5"] * 5000, "in_dim": 2},
+            "long-numeral": {"kind": "scale", "c": "x" * 5000, "f": leaf},
+        }.get(place, leaf)
+        if place == "schema":
+            fun_doc["schema"] = root
+
+    return edit
+
+
+MISPLACED = {
+    **{place: ("function.json", _misplace_in_function(place), prefix) for place, prefix in (
+        ("scale-c", "malformed artifact: bad scalar {'kind': 'add_const', 'f': ("),
+        ("vector-entry", "malformed artifact: bad scalar {'kind': 'add_const', 'f': ("),
+        ("norm", "unknown norm {'kind': 'add_const', 'f': ("),
+        ("node-kind", "malformed artifact: unknown node kind {'kind': 'add_const', 'f': ("),
+        ("long-vector", "malformed artifact: non-finite numeral in ['nan', '0.5', "),
+        ("long-numeral", "malformed artifact: bad numeral 'xxx"),
+        ("schema", "unknown schema version {'kind': 'add_const', 'f': ("),
+    )},
+    "move-kind": ("transcript.json", lambda doc, root: doc["rounds"][1].update(move={"kind": "x" * 5000}),
+                  "malformed artifact: unknown move kind 'xxx"),
+    "game-schema": ("transcript.json", lambda doc, root: doc.update(schema=root), "unknown schema version {'kind': "),
+}
+
+
+@pytest.mark.parametrize("name, edit, prefix", MISPLACED.values(), ids=MISPLACED.keys())
+def test_a_diagnostic_quotes_at_most_200_characters_of_a_value(jitter_pair, tmp_path, name, edit, prefix):
+    """A malformed value is quoted in its first 200 characters and '...':
+    the whole tree's root record misplaced as a scalar, a norm, a node kind
+    or a schema, a long vector or numeral, a long move kind."""
+    root = json.loads((jitter_pair / "function.json").read_bytes())["root"]
+    for part in ("function.json", "transcript.json"):
+        (tmp_path / part).write_bytes((jitter_pair / part).read_bytes())
+    doc = json.loads((tmp_path / name).read_bytes())
+    edit(doc, root)
+    (tmp_path / name).write_text(json.dumps(doc))
+    with pytest.raises(LipForgeError) as info:
+        if name == "function.json":
+            deserialize((tmp_path / name).read_bytes())
+        else:
+            load_transcript(tmp_path / name)
+    message = str(info.value)
+    assert message.startswith(prefix) and "..." in message and len(message) <= 300, (len(message), message[:400])

@@ -84,6 +84,81 @@ def test_blend_requires_ordered_radii():
         radial_blend(2.0, 1.0, zero_map(1, 1), identity(1))
 
 
+def test_each_node_kind_has_one_constructor():
+    assert radial_blend is RadialBlend and add_const is AddConst
+
+
+def _blend_record(f1: dict, a="0.25", b="0.5") -> dict:
+    zero = {"kind": "const", "c": ["0.0"], "in_dim": 1}
+    return {"kind": "radial_blend", "a": a, "b": b, "f1": f1, "f2": zero, "norm": "euclidean"}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # below the 1e-12 a float test would forgive, at radii where it makes a slope of 1e-7
+        lambda: radial_blend(1e-6, 2e-6, Const(np.array([1e-13]), 1), zero_map(1, 1)),
+        lambda: radial_blend(0.5, 1.0, zero_map(1, 1), Const(as_vector([mpmath.mpf(2) ** -300]), 1)),
+        # a quotient of 4 across the shell, which a certificate of 0 would miss
+        lambda: deserialize(json.dumps(_doc(_blend_record({"kind": "const", "c": ["1.0"], "in_dim": 1}))).encode()),
+        lambda: fun_from_dict(_doc(_blend_record({"kind": "const", "c": ["1.0"], "in_dim": 1}))),
+    ],
+    ids=["built-1e-13", "built-2^-300", "deserialize", "fun_from_dict"],
+)
+def test_blend_refuses_a_piece_that_does_not_vanish_at_the_origin(make):
+    with pytest.raises(LipForgeError, match="^blended mappings must vanish at the origin$"):
+        make()
+
+
+def test_blend_decides_vanishing_at_construction_precision():
+    """The pieces are evaluated at the origin at CONSTRUCTION_DPS digits,
+    whatever the caller's precision: 1 + 2^-100 - 1 is 0 at 15 digits but
+    not at 60, and 0.75 - 0.75 is exactly 0 at both."""
+    tiny = AddConst(Sum(Const(np.array([1.0]), 1), Const(np.array([2.0 ** -100]), 1)), [-1.0])
+    cancels = AddConst(Const(np.array([0.75]), 1), [-0.75])
+    with mpmath.workdps(15):
+        assert eval_point(tiny, as_vector([mpmath.mpf(0)]))[0] == 0
+        with pytest.raises(LipForgeError, match="must vanish at the origin"):
+            radial_blend(1.0, 2.0, tiny, identity(1))
+        assert radial_blend(1.0, 2.0, cancels, identity(1)).lip_cert == 2.0
+
+
+def test_blend_checks_dimensions_before_vanishing():
+    with pytest.raises(LipForgeError, match="blended mappings must share dimensions"):
+        radial_blend(1.0, 2.0, Const(np.array([1.0]), 1), Const(np.array([0.0, 0.0]), 1))
+
+
+def test_a_non_vanishing_decoded_blend_waits_for_document_order():
+    """The refusal is a diagnostic of the decoder: an earlier failure is
+    reported first, and it comes before a later one."""
+    blend = _blend_record({"kind": "const", "c": ["1.0"], "in_dim": 1})
+    for root, message in (
+        ({"kind": "sum", "f": {"kind": "scale", "c": "x", "f": _ONE}, "g": blend}, "malformed artifact: bad numeral 'x'"),
+        ({"kind": "sum", "f": blend, "g": {"kind": "nope"}}, "blended mappings must vanish at the origin"),
+    ):
+        with pytest.raises(LipForgeError) as info:
+            deserialize(json.dumps(_doc(root)))
+        assert str(info.value) == message
+
+
+def test_vector_constants_given_as_lists_are_packed():
+    """AddConst and Affine pack a list as Const does, so the node evaluates
+    on both paths and writes the bytes of its packed twin; an ndarray is
+    kept as the same object."""
+    m = LinearMap(np.array([[1.0, 0.0]]))
+    for listed, packed in (
+        (AddConst(NormOf(2), [1.0]), AddConst(NormOf(2), np.array([1.0]))),
+        (Affine([0.5], m, [0.25, 0.25]), Affine(np.array([0.5]), m, np.array([0.25, 0.25]))),
+    ):
+        assert eval_point(listed, [0.5, 0.5])[0] == eval_point(packed, [0.5, 0.5])[0]
+        assert eval_batch(listed, np.array([[0.5, 0.5]]))[0, 0] == eval_batch(packed, np.array([[0.5, 0.5]]))[0, 0]
+        exact = as_vector([mpmath.mpf(0.5), mpmath.mpf(0.5)])
+        assert eval_point(listed, exact)[0] == eval_point(packed, exact)[0]
+        assert serialize(listed) == serialize(packed)
+    c = np.array([0.5])
+    assert Const(c, 2).c is c and AddConst(NormOf(2), c).p is c and Affine(c, m, np.array([0.0, 0.0])).base is c
+
+
 def test_blend_deviation_bound_with_zero_inside():
     # with the inner mapping zero, the blend stays within a * Lip(f2) of f2
     phi = radial_blend(1.0, 2.0, zero_map(1, 1), identity(1))
