@@ -59,7 +59,6 @@ from .numerics import (
     decode_fields,
     decode_scalar,
     decode_vector,
-    encode_fields,
     encode_vector,
     exact_raw,
     float_vector,
@@ -925,30 +924,21 @@ def _make_once(memo: dict, make, fields: dict):
     return value
 
 
-def _encode_node(f: LipFun, depth: int, memo: dict) -> dict:
-    """The record of f, a node at the given depth. memo maps id(node) to the
-    depth and record of its last encoding in this call: a record made at
-    depth d is reused at any depth up to d, where its subtree fits under
-    MAX_TREE_DEPTH too, and a deeper visit encodes again, so a tree that is
-    too deep fails as if every visit were encoded."""
-    if depth > MAX_TREE_DEPTH:
-        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
-    hit = memo.get(id(f))
-    if hit is not None and depth <= hit[0]:
-        return hit[1]
-    decl = _RECORDS.get(type(f))
-    if decl is None:
-        raise LipForgeError(f"cannot serialize node {type(f).__name__}")
-    kind, fields = decl
-    record = encode_fields(f, fields, depth + 1, memo, {"kind": kind})
-    memo[id(f)] = (depth, record)
-    return record
-
-
 _REACH = "reach"  # memo key: the reach of the record being decoded
 
 
-def _decode_record(obj, memo: dict) -> tuple:
+class _Decoded(tuple):
+    """A child record as the parser's hook leaves it in its holder: (node,
+    reach, error) (_decode_record). A diagnostic that quotes the holder
+    shows it as its record kind."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<refused record>" if self[0] is None else f"<{_RECORDS[type(self[0])][0]} record>"
+
+
+def _decode_record(obj, memo: dict) -> _Decoded:
     """obj, a node record whose child records are decoded, as (node, reach,
     error). A diagnostic, or a RecursionError where the parser's nesting
     meets this hook, is returned as error, which the parent raises when it
@@ -967,17 +957,17 @@ def _decode_record(obj, memo: dict) -> tuple:
                 raise LipForgeError("malformed artifact: node record expected") from None
             raise LipForgeError(f"malformed artifact: unknown node kind {quote(kind)}") from None
         try:
-            return _make_once(memo, cls, decode_fields(obj, fields, memo)), memo[_REACH], None
+            return _Decoded((_make_once(memo, cls, decode_fields(obj, fields, memo)), memo[_REACH], None))
         except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
             raise LipForgeError(f"malformed artifact: bad {kind} node") from e
     except (LipForgeError, RecursionError) as e:  # deferred, not handled: _node_of raises it
         # alone: the frames of its traceback and its causes' lead back to the
         # records that hold it, a cycle that keeps the tree until a collection
         e.__cause__ = e.__context__ = None
-        return None, memo[_REACH], e.with_traceback(None)
+        return _Decoded((None, memo[_REACH], e.with_traceback(None)))
 
 
-def _node_of(child: tuple, memo: dict) -> LipFun:
+def _node_of(child: _Decoded, memo: dict) -> LipFun:
     """A decoded child record's node, or its failure raised."""
     node, reach, error = child
     if reach >= memo[_REACH]:
@@ -1004,7 +994,7 @@ def _decode_patches(obj, memo: dict) -> tuple:
 _NORM = _shared(Codec(lambda kind, depth, memo: kind.value, lambda obj, memo: NormKind.parse(obj)))
 # A LinearMap's record, also the transcript's record of an operator.
 MAP = _shared(Codec(lambda m, depth, memo: _encode_map(m, memo), lambda obj, memo: _decode_map(obj)))
-_NODE = Codec(_encode_node, _node_of, lambda f: (f,))
+_NODE = Codec(None, _node_of, lambda f: (f,))  # written by _write_node
 _INT, _SCALAR, _VECTOR = _shared(INT), _shared(SCALAR), _shared(VECTOR)
 
 # A patch's ball skips the constants' finiteness check: Patched refuses a
@@ -1014,14 +1004,10 @@ _PATCH_FIELDS = (
     ("radius", "radius", _shared(Codec(SCALAR.encode, lambda obj, memo: decode_scalar(obj)))),
     ("inner", "inner", _NODE),
 )
-_PATCHES = Codec(
-    lambda patches, depth, memo: [encode_fields(p, _PATCH_FIELDS, depth, memo, {}) for p in patches],
-    _decode_patches,
-    lambda patches: [p.inner for p in patches],
-)
+_PATCHES = Codec(None, _decode_patches, lambda patches: [p.inner for p in patches])  # written by _write_record
 
 # The record of each node kind: its JSON kind, then its fields in file order,
-# each a (JSON key, attribute, codec). The encoder, the decoder and
+# each a (JSON key, attribute, codec). The writer (_WRITER), the decoder and
 # LipFun.children() all read this table.
 _RECORDS: dict[type, tuple[str, tuple[tuple[str, str, Codec], ...]]] = {
     Const: ("const", (("c", "c", _VECTOR), ("in_dim", "in_dim", _INT))),
@@ -1047,8 +1033,53 @@ _CLOSERS = {
 }
 
 
-def fun_to_dict(f: LipFun) -> dict:
-    return {"schema": FUN_SCHEMA, "root": _encode_node(f, 0, {})}
+# Writes a value as json.dumps(value, separators=(",", ":")) does.
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+# The text that opens each record, a node kind's (_RECORDS) or a patch's, then
+# its fields, each opened by its key (plain names, which JSON quotes as is).
+_WRITER = {cls: ("{" + (f'"kind":"{kind}",' if kind else ""), tuple(
+    (f'{"," if i else ""}"{key}":', attr, codec) for i, (key, attr, codec) in enumerate(fields)))
+    for cls, (kind, fields) in {**_RECORDS, Patch: (None, _PATCH_FIELDS)}.items()}
+
+
+def _write_node(f: LipFun, depth: int, memo: dict, out: list) -> None:
+    """Append the JSON text of f's record, f a node at the given depth, to
+    out. memo maps id(node) to the depth and span of out of its last writing
+    in this call: a span written at depth d is copied (its references) at
+    any depth up to d, where its subtree fits under MAX_TREE_DEPTH too, and
+    a deeper visit writes it again, so a tree that is too deep fails as if
+    every visit were written."""
+    if depth > MAX_TREE_DEPTH:
+        raise LipForgeError(f"tree deeper than {MAX_TREE_DEPTH}")
+    hit = memo.get(id(f))
+    if hit is not None and depth <= hit[0]:
+        out += out[hit[1]:hit[2]]
+        return
+    if type(f) not in _RECORDS:
+        raise LipForgeError(f"cannot serialize node {type(f).__name__}")
+    start = len(out)
+    _write_record(f, depth + 1, memo, out)
+    memo[id(f)] = (depth, start, len(out))
+
+
+def _write_record(obj, depth: int, memo: dict, out: list) -> None:
+    """Append the JSON text of obj's record (_WRITER) to out: child nodes at
+    depth, patches record by record, other fields as json.dumps would."""
+    opening, fields = _WRITER[type(obj)]
+    out.append(opening)
+    for key, attr, codec in fields:
+        if codec is _NODE:
+            out.append(key)
+            _write_node(getattr(obj, attr), depth, memo, out)
+        elif codec is _PATCHES:
+            out.append(key + "[")
+            for i, p in enumerate(getattr(obj, attr)):
+                out.append("," if i else "")
+                _write_record(p, depth, memo, out)
+            out.append("]")
+        else:
+            out.append(key + _JSON(codec.encode(getattr(obj, attr), depth, memo)))
+    out.append("}")
 
 
 def fun_from_dict(obj: dict) -> LipFun:
@@ -1065,7 +1096,7 @@ def _read_tree(text: str) -> LipFun:
     never exists. A record is decoded when its holder closes, as only the
     holder knows that a node belongs there: a record where a scalar belongs
     is refused by the scalar's codec as written, but for its own child
-    records, shown decoded. Failures wait in place (_decode_record) until
+    records, shown by kind (_Decoded). Failures wait in place (_decode_record) until
     the schema is checked and the root is read."""
     memo: dict = {}
 
@@ -1114,8 +1145,13 @@ def _collector_paused():
 
 
 def serialize(f: LipFun) -> bytes:
+    """function.json's bytes for f, its records written as text (_write_node)."""
+    out = [f'{{"schema":"{FUN_SCHEMA}","root":']
     with _collector_paused():
-        return json.dumps(fun_to_dict(f), separators=(",", ":")).encode("utf-8")
+        _write_node(f, 0, {}, out)
+    out.append("}")
+    text, out = "".join(out), None  # the fragments go before the bytes are made
+    return text.encode()
 
 
 def deserialize(data) -> LipFun:

@@ -24,6 +24,7 @@ as the mpf expression it replaces, without an mpf object per operation.
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
@@ -48,8 +49,38 @@ class LipForgeError(Exception):
 
 
 def quote(obj) -> str:
-    """repr(obj) as a diagnostic quotes it: cut to 200 characters and '...'."""
-    return text if len(text := repr(obj)) <= 200 else text[:200] + "..."
+    """repr(obj) as a diagnostic quotes it: on one line, cut to 200
+    characters and '...'. It is written piece by piece (_repr_pieces) up to
+    the cut, so a large value costs no more than the characters kept."""
+    text = ""
+    for piece in _repr_pieces(obj):
+        text += piece
+        if len(text) > 200:
+            return text[:200] + "..."
+    return text
+
+
+def _repr_pieces(obj):
+    """repr(obj) in pieces, each on one line: the items of a list, tuple or
+    dict as they come, a string from its first 201 characters, anything
+    else by its repr with each line break and the space around it as one
+    space."""
+    if type(obj) is list or type(obj) is tuple:
+        yield "[" if type(obj) is list else "("
+        for i, x in enumerate(obj):
+            yield ", " if i else ""
+            yield from _repr_pieces(x)
+        yield "]" if type(obj) is list else ",)" if len(obj) == 1 else ")"
+    elif type(obj) is dict:
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield ", " if i else ""
+            yield from _repr_pieces(k)
+            yield ": "
+            yield from _repr_pieces(v)
+        yield "}"
+    else:
+        yield re.sub(r"\s*\n\s*", " ", repr(obj[:201] if type(obj) is str else obj))
 
 
 def is_mpf(x) -> bool:
@@ -246,7 +277,8 @@ class Codec(NamedTuple):
     """How a field's value is written and read. encode(value, depth, memo)
     gets the depth of the record's child nodes, encode and decode(obj, memo)
     the memo of one encoding or decoding call, and children(value) lists the
-    child nodes the value holds."""
+    child nodes the value holds. encode is None for a field that
+    lipfun's record writer writes itself: a child node or a patch list."""
 
     encode: Callable
     decode: Callable

@@ -249,15 +249,19 @@ def _misplace_in_function(place):
     return edit
 
 
+# The jitter pair's root record with its child record decoded, as the
+# function.json decoder quotes it: the child by its kind, in full.
+_ROOT_QUOTED = "{'kind': 'add_const', 'f': <scale record>, 'p': [{'m': '"
+
 MISPLACED = {
     **{place: ("function.json", _misplace_in_function(place), prefix) for place, prefix in (
-        ("scale-c", "malformed artifact: bad scalar {'kind': 'add_const', 'f': ("),
-        ("vector-entry", "malformed artifact: bad scalar {'kind': 'add_const', 'f': ("),
-        ("norm", "unknown norm {'kind': 'add_const', 'f': ("),
-        ("node-kind", "malformed artifact: unknown node kind {'kind': 'add_const', 'f': ("),
+        ("scale-c", "malformed artifact: bad scalar " + _ROOT_QUOTED),
+        ("vector-entry", "malformed artifact: bad scalar " + _ROOT_QUOTED),
+        ("norm", "unknown norm " + _ROOT_QUOTED),
+        ("node-kind", "malformed artifact: unknown node kind " + _ROOT_QUOTED),
         ("long-vector", "malformed artifact: non-finite numeral in ['nan', '0.5', "),
         ("long-numeral", "malformed artifact: bad numeral 'xxx"),
-        ("schema", "unknown schema version {'kind': 'add_const', 'f': ("),
+        ("schema", "unknown schema version " + _ROOT_QUOTED),
     )},
     "move-kind": ("transcript.json", lambda doc, root: doc["rounds"][1].update(move={"kind": "x" * 5000}),
                   "malformed artifact: unknown move kind 'xxx"),
@@ -267,9 +271,11 @@ MISPLACED = {
 
 @pytest.mark.parametrize("name, edit, prefix", MISPLACED.values(), ids=MISPLACED.keys())
 def test_a_diagnostic_quotes_at_most_200_characters_of_a_value(jitter_pair, tmp_path, name, edit, prefix):
-    """A malformed value is quoted in its first 200 characters and '...':
-    the whole tree's root record misplaced as a scalar, a norm, a node kind
-    or a schema, a long vector or numeral, a long move kind."""
+    """A malformed value is quoted in its first 200 characters and '...': a
+    long vector or numeral, a long move kind, the whole tree's root record
+    as the transcript's schema. The root record misplaced in function.json
+    as a scalar, a norm, a node kind or a schema is quoted whole, as its
+    child record shows by its kind."""
     root = json.loads((jitter_pair / "function.json").read_bytes())["root"]
     for part in ("function.json", "transcript.json"):
         (tmp_path / part).write_bytes((jitter_pair / part).read_bytes())
@@ -282,4 +288,5 @@ def test_a_diagnostic_quotes_at_most_200_characters_of_a_value(jitter_pair, tmp_
         else:
             load_transcript(tmp_path / name)
     message = str(info.value)
-    assert message.startswith(prefix) and "..." in message and len(message) <= 300, (len(message), message[:400])
+    assert message.startswith(prefix) and len(message) <= 300, (len(message), message[:400])
+    assert message.endswith("...") != prefix.endswith(_ROOT_QUOTED) and "\n" not in message, message

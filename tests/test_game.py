@@ -30,7 +30,6 @@ from lipforge import (
 )
 from lipforge import game, verify
 from lipforge.game import MoveRecord, player2_move
-from lipforge.lipfun import fun_to_dict
 from lipforge.numerics import exact_mpf, to_float, working_dps_for_scale
 from lipforge.space import norm, sample_ball
 
@@ -331,7 +330,7 @@ def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
     /2 stored each round's sampled distance as rho_sampled."""
     v1 = small_transcript.to_dict()
     del v1["function_sha256"]
-    v1.update(schema="lipforge-game/1", final_fun=fun_to_dict(small_transcript.final_fun))
+    v1.update(schema="lipforge-game/1", final_fun=json.loads(serialize(small_transcript.final_fun)))
     v2 = small_transcript.to_dict()
     v2.update(schema="lipforge-game/2", rounds=[{**rec, "rho_sampled": "0.0"} for rec in v2["rounds"]])
     (tmp_path / "function.json").write_bytes(serialize(small_transcript.final_fun))
@@ -342,17 +341,19 @@ def test_load_transcript_refuses_schema_v1(tmp_path, small_transcript):
 
 
 def _count_codec_calls(monkeypatch) -> list:
-    """Record every fun_to_dict call and every decode from here on: _read_tree
-    is the one decode entry, which deserialize and fun_from_dict both reach."""
+    """Record every node written and every decode from here on: _write_node
+    is the one encode entry, which serialize reaches for each record written,
+    and _read_tree the one decode entry, which deserialize and fun_from_dict
+    both reach."""
     import lipforge.lipfun as lipfun_mod
 
     calls = []
-    for name in ("fun_to_dict", "_read_tree"):
+    for name in ("_write_node", "_read_tree"):
         original = getattr(lipfun_mod, name)
 
-        def wrapper(obj, name=name, original=original):
+        def wrapper(*args, name=name, original=original):
             calls.append(name)
-            return original(obj)
+            return original(*args)
 
         monkeypatch.setattr(lipfun_mod, name, wrapper)
     return calls

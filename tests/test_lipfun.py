@@ -1307,10 +1307,12 @@ def _codec_trees() -> dict:
             kind,
         )
         trees[kind.value] = Sum(tree, Scale(0.5, shared))
+    # a layer without patches writes "patches":[]
+    trees["no-patches"] = Patched(NormOf(2), (), NormKind.SUP)
     return trees
 
 
-@pytest.mark.parametrize("name", [k.value for k in NormKind])
+@pytest.mark.parametrize("name", list(_codec_trees()))
 def test_codec_writes_and_reads_the_reference_records(name):
     tree = _codec_trees()[name]
     data = serialize(tree)
@@ -1631,6 +1633,89 @@ def test_decode_peak_stays_within_four_times_the_file(acceptance_run):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(data), f"peak {peak} B is {peak / len(data):.2f} times the {len(data)} B file"
+
+
+def test_encode_peak_stays_within_four_times_the_file(acceptance_run):
+    """serialize writes each record's text as it walks the tree, so it never
+    holds a record dict for the standard tree: the traced peak stays within
+    four times the file's bytes (about five when the dicts were built first)."""
+    import tracemalloc
+
+    tree = acceptance_run.transcript.final_fun
+    size = len(serialize(tree))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        serialize(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * size, f"peak {peak} B is {peak / size:.2f} times the {size} B file"
+
+
+def test_a_misplaced_tree_is_refused_as_fast_as_the_file_decodes(acceptance_run):
+    """The standard tree's root record where a scale's c belongs is decoded
+    record by record and then refused as a bad scalar: the diagnostic quotes
+    200 characters at most, whatever the subtrees decoded below them, so the
+    refusal takes about as long as decoding the valid file (best of three,
+    interleaved); quoting the decoded subtrees whole took 18 times as long."""
+    import time
+
+    data = serialize(acceptance_run.transcript.final_fun)
+    root = json.loads(data)["root"]
+    misplaced = json.dumps(_doc({"kind": "scale", "c": root, "f": _ONE})).encode()
+    valid, refused = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        deserialize(data)
+        t1 = time.perf_counter()
+        with pytest.raises(LipForgeError, match="bad scalar") as info:
+            deserialize(misplaced)
+        refused.append(time.perf_counter() - t1)
+        valid.append(t1 - t0)
+    assert len(str(info.value)) <= len("malformed artifact: bad scalar ") + 203
+    assert min(refused) <= 2 * min(valid), (refused, valid)
+
+
+def test_quote_is_repr_on_one_line_cut_at_200_characters():
+    """quote gives repr's bytes up to 200 characters, and its first 200 and
+    '...' beyond, for the values a parsed document holds; a line break in a
+    repr, as a numpy matrix has, becomes one space."""
+    from lipforge.numerics import quote
+
+    short = [
+        {"kind": "const", "c": ["1.0"], "in_dim": 1},
+        [], (), {}, (1,), (1, "a"), [None, True, False, -0.0, 1e300, 10**40],
+        "it's", 'say "x"', "it's \"x\"", "line\nbreak", {"m": "5", "e": "-3"},
+        [[[]], {"a": {"b": ("c",)}}],
+    ]
+    for value in short:
+        assert quote(value) == repr(value)
+    long = [
+        ["0.5"] * 100, {str(i): [i] * 3 for i in range(50)}, "x" * 5000, [[["y" * 300]]],
+        tuple(range(100)), [[[[[]]]]] * 60,
+    ]
+    for value in long:
+        assert quote(value) == repr(value)[:200] + "...", value
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    assert quote(deep) == "[" * 200 + "..."
+    assert quote(np.eye(2)) == "array([[1., 0.], [0., 1.]])"
+    assert quote({"m": np.eye(2)}) == "{'m': array([[1., 0.], [0., 1.]])}"
+
+
+def test_a_misplaced_record_is_quoted_on_one_line_with_its_children_by_kind():
+    """A sum of two linear records where a scale's c belongs is refused in a
+    one-line message that shows the sum's decoded children by their kind."""
+    identity = {"matrix": [["1.0", "0.0"], ["0.0", "1.0"]], "in_norm": "euclidean", "out_norm": "euclidean"}
+    linear = {"kind": "linear", "map": identity}
+    misplaced = {"kind": "scale", "c": {"kind": "sum", "f": linear, "g": linear}, "f": _ONE}
+    with pytest.raises(LipForgeError) as info:
+        deserialize(json.dumps(_doc(misplaced)).encode())
+    assert str(info.value) == (
+        "malformed artifact: bad scalar {'kind': 'sum', 'f': <linear record>, 'g': <linear record>}"
+    )
 
 
 @pytest.mark.parametrize(
