@@ -21,9 +21,16 @@ implemented twice:
   squared, and its root is taken only where that cannot decide the branch
   the root would (space._root_side).
   Each node kind declares its constants' float64 and raw copies once
-  (_copies, each copy made on first use and cached), as it declares the
-  dimensions it reads from a child or map (_dims).
+  (_copies, each copy made on first use and kept on the node by
+  numerics.cached, which gives a node no attribute dict), as it declares
+  the dimensions it reads from a child or map (_dims).
   ``eval_point`` converts object arrays of mpf at the boundary.
+
+Construction shares nodes as the decoder shares equal records: identity,
+zero_map and shift_conjugate's translations are one node per key among the
+nodes alive (_shared_node), so a built tree has the distinct nodes of the
+tree its function.json decodes to, but for nodes over equal operators that
+were built apart (each round scales its own operator).
 
 The radial blend node interpolates two mappings between two spheres and is
 the basic gluing device: equal to ``f1`` inside radius ``a``, to ``f2``
@@ -36,9 +43,10 @@ from __future__ import annotations
 import gc
 import json
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -56,6 +64,7 @@ from .numerics import (
     Scalar,
     as_matrix,
     as_vector,
+    cached,
     decode_fields,
     decode_scalar,
     decode_vector,
@@ -139,13 +148,13 @@ def _as_vectors(node, *attrs: str):
             object.__setattr__(node, attr, as_vector(list(v)))
 
 
-def _copies(attr: str, vector: bool) -> tuple[cached_property, cached_property]:
+def _copies(attr: str, vector: bool) -> tuple[cached, cached]:
     """The float64 copy and the raw libmp copy of the node constant attr,
     each made on its first use and cached: float_vector and raw_vector for
     a vector, to_float and exact_raw for a scalar."""
     get = attrgetter(attr)
     as_float, as_raw = (float_vector, raw_vector) if vector else (to_float, exact_raw)
-    return cached_property(lambda node: as_float(get(node))), cached_property(lambda node: as_raw(get(node)))
+    return cached(lambda node: as_float(get(node))), cached(lambda node: as_raw(get(node)))
 
 
 def _dims(in_from: str, out_from: str | None = None) -> tuple[property, property]:
@@ -164,7 +173,7 @@ class LipFun:
     def __call__(self, z) -> np.ndarray:
         return eval_point(self, z)
 
-    @cached_property
+    @cached
     def lip_cert(self) -> float:
         return self._lip_cert()
 
@@ -406,11 +415,11 @@ class RadialBlend(LipFun):
     def _lip_cert(self) -> float:
         return _cert_up(_blend_rule, self.f1.lip_cert, self.f2.lip_cert, self.a, self.b)
 
-    @cached_property
+    @cached
     def _a_sq(self) -> tuple:
         return mpf_mul(self._a_raw, self._a_raw)
 
-    @cached_property
+    @cached
     def _b_sq(self) -> tuple:
         return mpf_mul(self._b_raw, self._b_raw)
 
@@ -475,7 +484,7 @@ class Patch:
     center_float, center_raw = _copies("center", vector=True)
     radius_float, radius_raw = _copies("radius", vector=False)
 
-    @cached_property
+    @cached
     def radius_sq(self) -> tuple:
         """radius * radius, exact, for the squared-norm ball test."""
         return mpf_mul(self.radius_raw, self.radius_raw)
@@ -668,31 +677,72 @@ def _eval_rows(nodes: list[LipFun], which: np.ndarray, Z: np.ndarray) -> np.ndar
 # Construction helpers
 
 
+# The nodes construction shares, as the decoder shares equal records (J.-C.
+# Filliatre and S. Conchon, Type-safe modular hash-consing, 2006): one node
+# per key among the nodes alive, so a key's node goes with its last tree.
+_SHARED_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_node(key: tuple, make) -> LipFun:
+    """The live node kept under key, or make()'s, kept under it from now."""
+    node = _SHARED_NODES.get(key)
+    if node is None:
+        node = _SHARED_NODES[key] = make()
+    return node
+
+
 def identity(d: int, norm_kind: NormKind = NormKind.EUCLIDEAN) -> Linear:
-    return Linear(_identity_map(d, norm_kind))
+    """The identity of R^d under the norm: one node per (d, norm)."""
+    return _shared_node((Linear, d, norm_kind), lambda: Linear(_identity_map(d, norm_kind)))
 
 
 def zero_map(in_dim: int, out_dim: int) -> Const:
-    return Const(np.zeros(out_dim), in_dim)
+    """The zero mapping R^in_dim -> R^out_dim: one node per pair of
+    dimensions, its constant a read-only zero vector."""
+    return _shared_node((Const, in_dim, out_dim), lambda: Const(_zeros(out_dim), in_dim))
 
 
 add_const, radial_blend = AddConst, RadialBlend
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _zeros(d: int) -> np.ndarray:
+    """One read-only float64 zero vector per dimension."""
+    return _read_only(np.zeros(d))
 
 
 @lru_cache(maxsize=None)
 def _identity_map(d: int, norm_kind: NormKind) -> LinearMap:
     """One read-only identity LinearMap per (d, norm), so its operator norm
     is computed once, not once per translation."""
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return LinearMap(eye, norm_kind, norm_kind)
+    return LinearMap(_read_only(np.eye(d)), norm_kind, norm_kind)
+
+
+def _exact_key(v: np.ndarray) -> tuple:
+    """v's stored value, never rounded: its dtype and bytes, or for an object
+    array each entry's raw libmp value and whether it is an mpf, which
+    encode_scalar writes as a mantissa and exponent, not as a float."""
+    if v.dtype != object:
+        return v.dtype.str, v.tobytes()
+    return v.dtype.str, tuple((is_mpf(x), exact_raw(x)) for x in v.tolist())
 
 
 def shift_conjugate(map_fun: LipFun, x: np.ndarray, norm_kind: NormKind) -> LipFun:
-    """z -> x + map_fun(z - x) for a coordinate mapping R^d -> R^d."""
+    """z -> x + map_fun(z - x) for a coordinate mapping R^d -> R^d. The
+    translation z -> z - x is one node per d, norm and exact anchor
+    (_exact_key: a float and an mpf anchor of equal value write different
+    records), anchored at a read-only copy of x, so every layer and round
+    that conjugates at a center shares it, as the decoded tree does."""
     d = map_fun.in_dim
-    translate = Affine(np.zeros(d), _identity_map(d, norm_kind), x)
-    return AddConst(Precompose(map_fun, translate), x)
+    x = np.array(x) if isinstance(x, np.ndarray) else as_vector(list(x))
+    key = (Affine, d, norm_kind, *_exact_key(x))
+    translate = _shared_node(key, lambda: Affine(_zeros(d), _identity_map(d, norm_kind), _read_only(x)))
+    return AddConst(Precompose(map_fun, translate), translate.anchor)
 
 
 def patch(outer: LipFun, patches, domain: Domain) -> Patched:
@@ -1089,6 +1139,23 @@ def fun_from_dict(obj: dict) -> LipFun:
     return deserialize(json.dumps(obj))
 
 
+class _LongInt(str):
+    """A JSON integer of more digits than int() converts (its limit is
+    sys.get_int_max_str_digits()), kept as its numeral: a value that no
+    codec takes, so the decoder refuses it where it stands, in document
+    order, and quotes it as written."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _parse_int(numeral: str):
+    try:
+        return int(numeral)
+    except ValueError:
+        return _LongInt(numeral)
+
+
 def _read_tree(text: str) -> LipFun:
     """The tree of a lipforge-fun/1 text, decoded as it is parsed: the
     parser hands close each JSON object it completes, and the child records
@@ -1097,7 +1164,8 @@ def _read_tree(text: str) -> LipFun:
     holder knows that a node belongs there: a record where a scalar belongs
     is refused by the scalar's codec as written, but for its own child
     records, shown by kind (_Decoded). Failures wait in place (_decode_record) until
-    the schema is checked and the root is read."""
+    the schema is checked and the root is read. An integer too long for
+    int() is read as a _LongInt, which waits as any refused value does."""
     memo: dict = {}
 
     def close(record: dict) -> dict:
@@ -1107,7 +1175,7 @@ def _read_tree(text: str) -> LipFun:
                     record[key] = decode(record[key], memo)
         return record
 
-    doc = json.loads(text, object_hook=close)
+    doc = json.loads(text, object_hook=close, parse_int=_parse_int)
     if not isinstance(doc, dict):
         raise LipForgeError("malformed artifact")
     if (schema := doc.get("schema")) != FUN_SCHEMA:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .numerics import LipForgeError
+from .numerics import LipForgeError, cached
 from .space import CellTable, Domain, NormKind, _halton, norm_batch
 
 
@@ -153,7 +152,7 @@ class NetFamily:
     def k_max(self) -> int:
         return len(self.levels)
 
-    @cached_property
+    @cached
     def _holding(self) -> dict[tuple, list[int]]:
         held: dict[tuple, list[int]] = {}
         for k, lvl in enumerate(self.levels, start=1):

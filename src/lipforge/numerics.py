@@ -48,6 +48,28 @@ class LipForgeError(Exception):
     """Base class for all contract violations raised by this package."""
 
 
+class cached:
+    """A property computed on its first read per instance and then stored on
+    the instance under its own name, which later reads find before this
+    (non-data) descriptor. The value is stored by object.__setattr__, so it
+    works on frozen dataclasses, and CPython keeps it among the instance's
+    inline attribute values; functools.cached_property writes through
+    instance.__dict__, which builds a dict on every instance it caches on."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 def quote(obj) -> str:
     """repr(obj) as a diagnostic quotes it: on one line, cut to 200
     characters and '...'. It is written piece by piece (_repr_pieces) up to

@@ -20,7 +20,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from mpmath import mp
@@ -34,6 +33,7 @@ from .numerics import (
     Scalar,
     as_matrix,
     as_vector,
+    cached,
     decode_fields,
     encode_fields,
     exact_mpf,
@@ -289,7 +289,7 @@ class CellTable:
         offsets = (start - counts.cumsum() + counts).repeat(counts)
         return rows.repeat(counts), self.items[np.arange(len(offsets)) + offsets]
 
-    @cached_property
+    @cached
     def _key_bytes(self) -> list[bytes]:
         return self.keys.tolist()
 
@@ -449,15 +449,15 @@ class LinearMap:
     def in_dim(self) -> int:
         return self.matrix.shape[1]
 
-    @cached_property
+    @cached
     def op_norm(self) -> float:
         return op_norm_matrix(self.matrix, self.in_norm, self.out_norm)
 
-    @cached_property
+    @cached
     def float_matrix(self) -> np.ndarray:
         return float_matrix(self.matrix)
 
-    @cached_property
+    @cached
     def _raw_matrix(self) -> tuple:
         return tuple(raw_vector(row) for row in self.matrix)
 
@@ -466,7 +466,7 @@ class LinearMap:
             return mpf_vector(self.apply_raw(raw_vector(v)))
         return _products(np.asarray(v, dtype=float)[None], self.float_matrix)[0]
 
-    @cached_property
+    @cached
     def _is_identity(self) -> bool:
         """Whether the matrix is exactly the identity (checked once per map,
         so decoded translations take the fast path of apply_raw too)."""

@@ -290,3 +290,34 @@ def test_a_diagnostic_quotes_at_most_200_characters_of_a_value(jitter_pair, tmp_
     message = str(info.value)
     assert message.startswith(prefix) and len(message) <= 300, (len(message), message[:400])
     assert message.endswith("...") != prefix.endswith(_ROOT_QUOTED) and "\n" not in message, message
+
+
+# A JSON integer of 5,001 digits, past the 4,300 that int() converts by default.
+_LONG_INT = "1" + "0" * 5000
+
+LONG_INTS = {
+    "in-dim": ('{"schema":"lipforge-fun/1","root":{"kind":"const","c":["0.5"],"in_dim":%s}}',
+               "malformed artifact: bad const node"),
+    "vector-entry": ('{"schema":"lipforge-fun/1","root":{"kind":"const","c":["0.5",-%s],"in_dim":2}}',
+                     "malformed artifact: bad numeral -1000"),
+    "norm": ('{"schema":"lipforge-fun/1","root":{"kind":"norm_of","in_dim":2,"sign":1,"norm":%s}}',
+             "unknown norm 1000"),
+    "schema-first": ('{"schema":"lipforge-fun/0","root":{"kind":"const","c":["0.5"],"in_dim":%s}}',
+                     "unknown schema version 'lipforge-fun/0'"),
+}
+
+
+@pytest.mark.parametrize("text, prefix", LONG_INTS.values(), ids=LONG_INTS.keys())
+def test_an_integer_past_the_digit_limit_is_a_diagnostic(tmp_path, capsys, text, prefix):
+    """An integer too long for int() is refused where it stands, after the
+    schema, and quoted as written; the command line prints one error line."""
+    path = tmp_path / "function.json"
+    path.write_text(text % _LONG_INT)
+    with pytest.raises(LipForgeError) as info:
+        deserialize(path.read_bytes())
+    message = str(info.value)
+    assert message.startswith(prefix) and len(message) <= 300, message[:400]
+    args = ["--artifact", str(path), "--out", str(tmp_path / "eval"), "--lo", "0 0", "--hi", "1 1", "--per-axis", "2"]
+    assert main(["eval", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: " + prefix), err[:400]

@@ -22,12 +22,14 @@ from lipforge import (
     NormOf,
     Scale,
     Sum,
+    TargetSet,
     deserialize,
     eval_batch,
     eval_point,
     identity,
     patch,
     radial_blend,
+    run_game,
     serialize,
     sup_dist,
     zero_map,
@@ -48,8 +50,8 @@ from lipforge.lipfun import (
     fun_from_dict,
     shift_conjugate,
 )
-from lipforge.numerics import as_vector
-from lipforge.space import norm_batch, unit_directions
+from lipforge.numerics import as_vector, cached
+from lipforge.space import CellTable, norm_batch, unit_directions
 from lipforge.verify import artifact_suite
 
 from cell_index import CellIndex
@@ -1369,6 +1371,84 @@ def test_decoded_codec_trees_have_one_node_per_distinct_record(name):
     decoded = deserialize(data)
     assert len(_nodes(decoded)) == len(distinct)
     assert serialize(decoded) == data
+
+
+def _translation(conjugate: AddConst) -> Affine:
+    """The translation node z -> z - x of shift_conjugate's result."""
+    return conjugate.f.inner_map
+
+
+@pytest.mark.parametrize(
+    "step, adversary, rounds, count",
+    [(0.05, "stay", 4, 1106), (0.25, "jitter", 3, 153)],
+    ids=["std-grid-4-stay", "pair-3-jitter"],
+)
+def test_a_built_game_tree_has_the_distinct_nodes_of_its_decoded_twin(step, adversary, rounds, count):
+    """Construction shares each center's translation, the identity and the
+    zero map, as decoding shares equal records, so a built game tree has as
+    many distinct nodes as the tree its bytes decode to."""
+    lo, hi = [0.0, 0.0], [1.0, 1.0]
+    ops = [LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]]))]
+    tree = run_game(Domain.box(lo, hi), TargetSet.grid(lo, hi, step), ops, adversary, rounds=rounds, seed=0).final_fun
+    assert len(_nodes(tree)) == len(_nodes(deserialize(serialize(tree)))) == count
+
+
+def test_identity_zero_map_and_translations_are_one_node_per_key():
+    """identity and zero_map give one node per key, the zero constant
+    read-only; shift_conjugate gives one translation per dimension, norm and
+    exact anchor, anchored at a copy of the caller's vector."""
+    assert identity(2) is identity(2, NormKind.EUCLIDEAN)
+    assert identity(2, NormKind.SUP) is not identity(2) and identity(3) is not identity(2)
+    zero = zero_map(2, 3)
+    assert zero is zero_map(2, 3) and zero is not zero_map(3, 3) and zero is not zero_map(2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        zero.c[0] = 1.0
+    x = np.array([0.25, 0.5])
+    warp = _translation(shift_conjugate(identity(2), x, NormKind.EUCLIDEAN))
+    assert _translation(shift_conjugate(zero_map(2, 2), x.copy(), NormKind.EUCLIDEAN)) is warp
+    assert _translation(shift_conjugate(identity(2, NormKind.SUP), x, NormKind.SUP)) is not warp
+    x[0] = 0.75  # the caller's vector is copied: the shared node keeps its anchor
+    assert warp.anchor.tolist() == [0.25, 0.5] and not warp.anchor.flags.writeable
+    # equal values stored apart: an mpf anchor, and 0.0 against -0.0
+    exact = _translation(shift_conjugate(identity(2), as_vector([mpmath.mpf(0.25), mpmath.mpf(0.5)]), NormKind.EUCLIDEAN))
+    assert exact is not warp and serialize(exact) != serialize(warp)
+    signed = [_translation(shift_conjugate(identity(2), np.array([z, 0.5]), NormKind.EUCLIDEAN)) for z in (0.0, -0.0)]
+    assert signed[0] is not signed[1] and serialize(signed[0]) != serialize(signed[1])
+
+
+def test_cached_computes_once_per_instance():
+    """numerics.cached computes on the first read of each instance only, on
+    frozen dataclasses and on a plain class, and is itself when read from
+    the class."""
+    def linear_map():
+        return LinearMap(np.array([[0.5, 0.25], [0.0, 1.0]]))
+
+    instances = [
+        (Affine, "_anchor_float", lambda: Affine(np.zeros(2), linear_map(), np.array([0.5, 0.5]))),
+        (LipFun, "lip_cert", lambda: Affine(np.zeros(2), linear_map(), np.array([0.5, 0.5]))),
+        (Patch, "radius_sq", lambda: Patch(np.zeros(2), 0.5, identity(2))),
+        (LinearMap, "op_norm", linear_map),
+        (CellTable, "_key_bytes", lambda: CellTable(0.5, np.zeros((1, 2)), np.ones(1))),
+    ]
+    for cls, name, make in instances:
+        descriptor = vars(cls)[name]
+        assert isinstance(descriptor, cached) and getattr(cls, name) is descriptor
+        func, calls = descriptor.func, []
+
+        def counted(instance):
+            calls.append(id(instance))
+            return func(instance)
+
+        descriptor.func = counted
+        try:
+            objs = [make(), make()]
+            for obj in objs:
+                value = getattr(obj, name)
+                assert getattr(obj, name) is value
+            assert calls == [id(obj) for obj in objs], (cls, name)
+            assert np.array_equal(value, func(objs[1])), (cls, name)
+        finally:
+            descriptor.func = func
 
 
 _ONE = {"kind": "norm_of", "in_dim": 1, "sign": 1, "norm": "euclidean"}
