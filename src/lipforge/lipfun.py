@@ -27,10 +27,10 @@ implemented twice:
   ``eval_point`` converts object arrays of mpf at the boundary.
 
 Construction shares nodes as the decoder shares equal records: identity,
-zero_map and shift_conjugate's translations are one node per key among the
-nodes alive (_shared_node), so a built tree has the distinct nodes of the
-tree its function.json decodes to, but for nodes over equal operators that
-were built apart (each round scales its own operator).
+zero_map, shift_conjugate's translations and linearize_near's scaled
+operators and affine patch nodes are one per key among the nodes alive
+(_shared_node), so a built tree has the distinct nodes of the tree its
+function.json decodes to.
 
 The radial blend node interpolates two mappings between two spheres and is
 the basic gluing device: equal to ``f1`` inside radius ``a``, to ``f2``
@@ -95,11 +95,6 @@ MAX_TREE_DEPTH = 200
 # fraction of the center scale; below it the sphere collapses onto the
 # center at float64 resolution and contracts are checked exactly instead.
 FLOAT_RESOLVE_REL = 1e-12
-
-# Sphere-direction sets kept by _sphere_directions. Continuity checks sweep
-# the patch seeds 0..n-1 in order, so an LRU smaller than one layer's patch
-# count would never hit; construction and verification draw the same sets.
-DIRECTIONS_CACHE_SIZE = 2048
 
 # Largest sup-norm gap between inner and outer on a patch sphere that passes.
 CONTINUITY_TOL = 1e-9
@@ -677,13 +672,14 @@ def _eval_rows(nodes: list[LipFun], which: np.ndarray, Z: np.ndarray) -> np.ndar
 # Construction helpers
 
 
-# The nodes construction shares, as the decoder shares equal records (J.-C.
-# Filliatre and S. Conchon, Type-safe modular hash-consing, 2006): one node
-# per key among the nodes alive, so a key's node goes with its last tree.
+# The nodes (and operators) construction shares, as the decoder shares
+# equal records (J.-C. Filliatre and S. Conchon, Type-safe modular
+# hash-consing, 2006): one per key among the nodes alive, so a key's node
+# goes with its last tree.
 _SHARED_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _shared_node(key: tuple, make) -> LipFun:
+def _shared_node(key: tuple, make):
     """The live node kept under key, or make()'s, kept under it from now."""
     node = _SHARED_NODES.get(key)
     if node is None:
@@ -724,12 +720,14 @@ def _identity_map(d: int, norm_kind: NormKind) -> LinearMap:
 
 
 def _exact_key(v: np.ndarray) -> tuple:
-    """v's stored value, never rounded: its dtype and bytes, or for an object
-    array each entry's raw libmp value and whether it is an mpf, which
-    encode_scalar writes as a mantissa and exponent, not as a float."""
+    """v's stored value, never rounded, as a flat tuple: its dtype and bytes,
+    or for an object array its dtype and each entry's raw libmp value if it
+    is an mpf (encode_scalar writes a mantissa and exponent) and else the
+    hex of its float (it writes the float's repr). The raw values are the
+    entries' own tuples, so a key kept in _SHARED_NODES copies none."""
     if v.dtype != object:
         return v.dtype.str, v.tobytes()
-    return v.dtype.str, tuple((is_mpf(x), exact_raw(x)) for x in v.tolist())
+    return (v.dtype.str, *(x._mpf_ if is_mpf(x) else float(x).hex() for x in v.tolist()))
 
 
 def shift_conjugate(map_fun: LipFun, x: np.ndarray, norm_kind: NormKind) -> LipFun:
@@ -759,26 +757,16 @@ def patch(outer: LipFun, patches, domain: Domain) -> Patched:
     return node
 
 
-@lru_cache(maxsize=DIRECTIONS_CACHE_SIZE)
-def _sphere_directions(count: int, dim: int, seed: int, kind: NormKind) -> np.ndarray:
-    """unit_directions(count, dim, seed, kind), drawn once per key and shared
-    read-only. Each miss calls the module name unit_directions, so a wrapper
-    bound to that name sees every draw."""
-    dirs = unit_directions(count, dim, seed=seed, kind=kind)
-    dirs.setflags(write=False)
-    return dirs
-
-
 def _check_patch_continuity(node: Patched):
     """Compare every inner mapping with the outer one on its patch sphere, up
     to CONTINUITY_TOL in the sup norm.
 
     A sphere resolvable in float64 is sampled at 64*d directions seeded by
-    the patch index. The directions depend only on (count, dim, seed, norm),
-    so they come from a bounded cache: every layer and round of a game, and
-    the re-check in verify, draws each set once. The samples of whole
-    patches are evaluated in blocks of at most CONTINUITY_BLOCK_ROWS rows,
-    the outer in one batch and the inners in one _eval_rows pass per block.
+    the patch index. The samples of whole patches are evaluated in blocks of
+    at most CONTINUITY_BLOCK_ROWS rows: one unit_directions call draws the
+    block's direction sets, one set per patch seed, and the outer is
+    evaluated in one batch and the inners in one _eval_rows pass. No set is
+    kept after its block.
     The first faulty patch in index order names the error, and a NaN gap
     (inner and outer both infinite in float64) is refused.
 
@@ -822,7 +810,7 @@ def _check_patch_continuity(node: Patched):
     per_block = max(1, CONTINUITY_BLOCK_ROWS // max(n_samples, 1))
     for start in range(0, len(resolvable), per_block):
         block = resolvable[start : start + per_block]
-        dirs = np.stack([_sphere_directions(n_samples, d, i, node.norm_kind) for i in block])
+        dirs = unit_directions(n_samples, d, np.array(block, dtype=np.int64), node.norm_kind)
         which = np.repeat(np.arange(len(block)), n_samples)
         pts = (node._centers[block][:, None, :] + node._radii[block][:, None, None] * dirs).reshape(len(which), d)
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap, refused below

@@ -39,6 +39,8 @@ from .lipfun import (
     LipFun,
     Precompose,
     Scale,
+    _exact_key,
+    _shared_node,
     add_const,
     eval_point,
     identity,
@@ -192,14 +194,20 @@ def linearize_near(
         P = patch(identity(d, domain.norm), warp_patches, domain)
         g0 = Precompose(f_shift, P)
 
-        # Affine layer: plant base + T (z - x) inside the beta-ball.
-        T = operator.scaled(params.blow_up)
+        # Affine layer: plant base + T (z - x) inside the beta-ball. T and
+        # each h_x are one per exact value, as the decoder shares equal
+        # records, so a round that repeats an earlier one's operator and
+        # bases shares its nodes; T is shared, so id(T) stands for its value.
+        scaled = operator.scaled(params.blow_up)
+        key = (LinearMap, scaled.in_norm, scaled.out_norm, scaled.matrix.shape, *_exact_key(scaled.matrix.reshape(-1)))
+        T = _shared_node(key, lambda: scaled)
         psi = radial_blend(alpha, beta, identity(d, domain.norm), zero_map(d, d), domain.norm)
         affine_patches = []
         for x in pts:
             x_exact = as_vector([exact_mpf(v) for v in x])
             base = eval_point(f_shift, x_exact)
-            h_x = Affine(base, T, x_exact)
+            key = (Affine, *_exact_key(base), id(T), *_exact_key(x_exact))
+            h_x = _shared_node(key, lambda: Affine(base, T, x_exact))
             inner = Precompose(h_x, shift_conjugate(psi, x, domain.norm))
             affine_patches.append((x, beta, inner))
         try:

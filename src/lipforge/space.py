@@ -20,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -632,28 +633,53 @@ _SHAPES = {
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
+# Most entries of a base's table of low-digit partial sums (_low_digits).
+HALTON_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=None)
+def _low_digits(base: int) -> tuple[np.ndarray, float]:
+    """The table of a base's m lowest digits, for the largest m with
+    base^m <= HALTON_TABLE_SIZE: entry j is j's radical inverse accumulated
+    over m digits as _halton does (read-only), with the factor f after those
+    m steps."""
+    m = 1
+    while base ** (m + 1) <= HALTON_TABLE_SIZE:
+        m += 1
+    j, sums, f = np.arange(base**m), np.zeros(base**m), 1.0
+    for _ in range(m):
+        f /= base
+        j, digit = np.divmod(j, base)
+        sums += f * digit
+    sums.setflags(write=False)
+    return sums, f
+
 
 def _halton(index: np.ndarray, dim: int) -> np.ndarray:
     """The Halton points (van der Corput radical inverses in the first dim
     prime bases) of an int64 index array, one row per index. Each element
     is accumulated digit by digit as ``f /= base; r += f * (i % base)``, the
-    lowest digit first, all axes in one pass; a digit past an index's last
-    one is 0 and adds 0.0, which changes nothing, so an element's bits do
-    not depend on the other indices or axes of the batch."""
+    lowest digit first. The low digits are read from the base's table of
+    partial sums (_low_digits), which made those same steps, and each axis
+    then adds its remaining digits, one pass per digit of the largest index,
+    into buffers reused by every axis and digit; a digit past an index's
+    last one is 0 and adds 0.0, which changes nothing, so an element's bits
+    do not depend on the other indices or axes of the batch."""
     if dim > len(_HALTON_BASES):
         raise LipForgeError("low-discrepancy sampler limited to dimension 10")
-    bases = np.array(_HALTON_BASES[:dim])
-    out = np.zeros((len(index), dim))
-    i = np.repeat(index[:, None], dim, axis=1)
-    # buffers reused by every digit: fresh temporaries per digit fragmented
-    # the heap under the cached direction sets (wide-build peak RSS +3%)
-    digit, term = np.empty_like(i), np.empty_like(out)
-    f = np.ones(dim)
-    # base 2 takes the most digits: the bit length of the largest index
-    for _ in range(int(index.max(initial=0)).bit_length()):
-        f /= bases
-        np.divmod(i, bases, out=(i, digit))
-        out += np.multiply(f, digit, out=term)
+    out = np.empty((len(index), dim))
+    high, digit, r, term = np.empty_like(index), np.empty_like(index), np.empty(len(index)), np.empty(len(index))
+    for axis, base in enumerate(_HALTON_BASES[:dim]):
+        sums, f = _low_digits(base)
+        np.divmod(index, len(sums), out=(high, digit))
+        np.take(sums, digit, out=r)
+        top = int(high.max(initial=0))
+        while top:
+            top //= base
+            f /= base
+            np.divmod(high, base, out=(high, digit))
+            r += np.multiply(f, digit, out=term)
+        out[:, axis] = r
     return out
 
 
@@ -681,11 +707,17 @@ def _directions(index: np.ndarray, dim: int, kind: NormKind) -> np.ndarray:
     return out
 
 
-def unit_directions(count: int, dim: int, seed: int, kind: NormKind = NormKind.EUCLIDEAN) -> np.ndarray:
+def unit_directions(count: int, dim: int, seed: int | np.ndarray, kind: NormKind = NormKind.EUCLIDEAN) -> np.ndarray:
     """count deterministic unit directions of the `kind` norm for a seed:
-    _directions of the indices base + 13 i, i < count."""
-    base = (seed & 0x7FFFFFFF) * 131 + 1
-    return _directions(base + 13 * np.arange(count, dtype=np.int64), dim, kind)
+    _directions of the indices base + 13 i, i < count, with base
+    (seed & 0x7FFFFFFF) * 131 + 1. An int seed, masked before numpy sees
+    it, gives a (count, dim) array; an int array of seeds gives one such set
+    per seed, each the int call's bits, drawn in one pass."""
+    if isinstance(seed, int):  # a Python int may be negative or past int64
+        seed &= 0x7FFFFFFF
+    base = (np.asarray(seed, dtype=np.int64) & 0x7FFFFFFF) * 131 + 1
+    index = base[..., None] + 13 * np.arange(count, dtype=np.int64)
+    return _directions(index.reshape(-1), dim, kind).reshape(*base.shape, count, dim)
 
 
 def sample_ball(

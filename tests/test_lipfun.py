@@ -45,13 +45,12 @@ from lipforge.lipfun import (
     RadialBlend,
     _check_patch_continuity,
     _identity_map,
-    _sphere_directions,
     add_const,
     fun_from_dict,
     shift_conjugate,
 )
 from lipforge.numerics import as_vector, cached
-from lipforge.space import CellTable, norm_batch, unit_directions
+from lipforge.space import CellTable, _halton, norm_batch, unit_directions
 from lipforge.verify import artifact_suite
 
 from cell_index import CellIndex
@@ -345,33 +344,48 @@ def test_decoded_deep_off_axis_mismatch_fails_verify():
     assert "mismatch" in results["artifact patch continuity"].detail
 
 
-@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
-def test_sphere_directions_cached_and_read_only(kind):
-    _sphere_directions.cache_clear()
-    dirs = _sphere_directions(128, 2, 5, kind)
-    assert np.array_equal(dirs, unit_directions(128, 2, seed=5, kind=kind))
-    assert _sphere_directions(128, 2, 5, kind) is dirs
-    with pytest.raises(ValueError):
-        dirs[0, 0] = 0.0
-
-
-def test_patch_draws_each_direction_set_once(unit_box, monkeypatch):
+def test_patch_draws_each_block_s_directions_in_one_call(unit_box, monkeypatch):
+    """patch() calls lipfun.unit_directions once per block of the float
+    continuity check, with the block's patch indices as seeds, and keeps no
+    set: a second patch() of the same patches draws them again."""
     import lipforge.lipfun as lipfun_mod
 
     drawn = []
 
     def counting(count, dim, seed, kind=NormKind.EUCLIDEAN):
-        drawn.append((count, dim, seed, kind))
-        return unit_directions(count, dim, seed=seed, kind=kind)
+        drawn.append((count, dim, seed.tolist(), kind))
+        return unit_directions(count, dim, seed, kind)
 
     monkeypatch.setattr(lipfun_mod, "unit_directions", counting)
-    _sphere_directions.cache_clear()
+    monkeypatch.setattr(lipfun_mod, "CONTINUITY_BLOCK_ROWS", 2 * 128)
     centers = [np.array([0.25, 0.25]), np.array([0.75, 0.25]), np.array([0.5, 0.75])]
     patches = [(c, 0.1, NormOf(2)) for c in centers]
     for _ in range(2):
         patch(NormOf(2), patches, unit_box)
-    assert drawn == [(128, 2, i, NormKind.EUCLIDEAN) for i in range(len(centers))]
-    _sphere_directions.cache_clear()
+    assert drawn == [(128, 2, [0, 1], NormKind.EUCLIDEAN), (128, 2, [2], NormKind.EUCLIDEAN)] * 2
+
+
+def test_continuity_check_keeps_no_direction_set():
+    """The float continuity check of a 500-patch 2-D layer holds no memory
+    after it returns (traced, with the Halton digit tables built first): its
+    direction sets, 1 MB in all, live for their block only."""
+    import tracemalloc
+
+    _halton(np.array([0], dtype=np.int64), 2)
+    centers = (np.array(list(itertools.product(range(25), range(20))), dtype=float) + 0.5) / 25
+    inner = NormOf(2, norm_kind=NormKind.SUP)
+    node = Patched(inner, tuple(Patch(c, 0.01, inner) for c in centers), NormKind.SUP)
+    node._centers, node._radii, node._floors  # the node's own caches, built before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _check_patch_continuity(node)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
 
 
 def test_patch_identity_inner_changes_nothing(unit_box):
@@ -624,7 +638,7 @@ def _earlier_float_continuity(node: Patched) -> str | None:
     d = node.in_dim
     n_samples = 64 * d
     resolvable = [i for i, p in enumerate(node.patches) if p.radius_float > node._floors[i]]
-    blocks = [node.patches[i].center_float + node.patches[i].radius_float * _sphere_directions(n_samples, d, i, node.norm_kind)
+    blocks = [node.patches[i].center_float + node.patches[i].radius_float * unit_directions(n_samples, d, i, node.norm_kind)
               for i in resolvable]
     all_pts = np.concatenate(blocks)
     outer_vals = node.outer._eval_batch(all_pts)
@@ -1354,13 +1368,14 @@ def _nodes(f) -> set:
 def test_decoded_standard_tree_has_one_node_per_distinct_record(acceptance_run):
     """Identical records decode to one node: the decoded standard tree has
     as many nodes as its function.json has distinct records (compared as
-    JSON text), and fewer than the constructed tree."""
+    JSON text), as many as the constructed tree, which shares them too, and
+    fewer than its records."""
     tree = acceptance_run.transcript.final_fun
     data = serialize(tree)
     records = _records(json.loads(data)["root"])
     distinct = {json.dumps(r, separators=(",", ":")) for r in records}
     decoded = deserialize(data)
-    assert len(_nodes(decoded)) == len(distinct) < len(_nodes(tree)) < len(records)
+    assert len(_nodes(decoded)) == len(distinct) == len(_nodes(tree)) < len(records)
     assert serialize(decoded) == data
 
 
@@ -1380,13 +1395,16 @@ def _translation(conjugate: AddConst) -> Affine:
 
 @pytest.mark.parametrize(
     "step, adversary, rounds, count",
-    [(0.05, "stay", 4, 1106), (0.25, "jitter", 3, 153)],
-    ids=["std-grid-4-stay", "pair-3-jitter"],
+    [(0.05, "stay", 4, 1106), (0.25, "jitter", 3, 153), (0.25, "stay", 8, 442)],
+    ids=["std-grid-4-stay", "pair-3-jitter", "quarter-grid-8-stay"],
 )
 def test_a_built_game_tree_has_the_distinct_nodes_of_its_decoded_twin(step, adversary, rounds, count):
-    """Construction shares each center's translation, the identity and the
-    zero map, as decoding shares equal records, so a built game tree has as
-    many distinct nodes as the tree its bytes decode to."""
+    """Construction shares each center's translation, the identity, the zero
+    map, and each round's scaled operator and affine patch nodes by exact
+    value, as decoding shares equal records, so a built game tree has as
+    many distinct nodes as the tree its bytes decode to. In the 8-round
+    quarter-grid game rounds 7 and 8 repeat the operators and bases of
+    rounds 5 and 6."""
     lo, hi = [0.0, 0.0], [1.0, 1.0]
     ops = [LinearMap(np.array([[0.5, 0.0]])), LinearMap(np.array([[-0.5, 0.0]]))]
     tree = run_game(Domain.box(lo, hi), TargetSet.grid(lo, hi, step), ops, adversary, rounds=rounds, seed=0).final_fun

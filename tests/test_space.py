@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -645,8 +646,16 @@ def ref_sample_ball(c, r, budget, seed, kind=NormKind.EUCLIDEAN):
 
 
 def test_halton_matches_per_index_loop():
+    """Bit for bit, dims 1 to 10: small indices, the edges of each base's
+    table of low digits (base^m - 1, base^m, base^m + 1 for the largest
+    base^m <= 4096, and the same around base^2m and 3 base^m), and indices
+    drawn up to 2^40."""
     idx = [0, 1, 2, 3, 7, 977, 2**20 + 1, 2**31 - 1, 389 * (2**31 - 1) + 1, 2**53 + 7]
     idx += list(range(100, 400, 7))
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        size = base ** max(m for m in range(1, 13) if base**m <= 4096)
+        idx += [edge + step for edge in (size, size**2, 3 * size) for step in (-1, 0, 1)]
+    idx += np.random.default_rng(40).integers(0, 2**40, size=400, endpoint=True).tolist() + [2**40 - 1, 2**40]
     for dim in range(1, 11):
         got = _halton(np.array(idx, dtype=np.int64), dim)
         assert got.tobytes() == np.stack([ref_halton_point(i, dim) for i in idx]).tobytes()
@@ -666,6 +675,52 @@ def test_unit_directions_match_direction_loop(kind):
                 base = (seed & 0x7FFFFFFF) * 131 + 1
                 loop = np.stack([ref_direction(base + 13 * i, dim, kind) for i in range(count)])
                 assert unit_directions(count, dim, seed, kind).tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_array_seeds_draw_the_int_calls_sets(kind):
+    """An int array of seeds gives one set per seed, each equal bit for bit
+    to the int call's, in dims 1 to 3; an empty array gives no set."""
+    seeds = [0, 1, 7, 360, 728, 2**31 - 1, 2131090643]
+    for dim in (1, 2, 3):
+        for count in (1, 64 * dim):
+            got = unit_directions(count, dim, np.array(seeds, dtype=np.int64), kind)
+            assert got.shape == (len(seeds), count, dim)
+            for one, seed in zip(got, seeds):
+                assert one.tobytes() == unit_directions(count, dim, seed, kind).tobytes()
+        assert unit_directions(5, dim, np.array([], dtype=np.int64), kind).shape == (0, 5, dim)
+
+
+def test_int_seeds_are_masked_to_31_bits():
+    """A Python int seed, negative or past int64, is masked to its low 31
+    bits before numpy sees it."""
+    for seed in (-1, 2**31, 2**63 + 5, 2**70):
+        want = unit_directions(128, 2, seed & 0x7FFFFFFF)
+        assert unit_directions(128, 2, seed).tobytes() == want.tobytes()
+        assert unit_directions(128, 2, np.array([seed & 0x7FFFFFFF])).tobytes() == want.tobytes()
+
+
+# sha256 of the direction sets the float continuity check draws, seed after
+# seed: the standard run's 2-D layers (128 directions, seeds 0-360) and the
+# 3-D cube's (192 directions, seeds 0-728), under each norm.
+DIRECTION_SET_PINS = {
+    ("std", "euclidean"): "21b0670bc54f77a654c16c7acaf7040dba25845c5ef0457a199e57e0fe96c42d",
+    ("std", "sup"): "9daa0b8be573bb6d283be7d7ff7ba615726211f1e28a73621f995a4b9fa61c1b",
+    ("std", "one"): "f2c592de7d9c47fdf497c67e60cf75efaf30d31cb7702dfe03f811a7947e6038",
+    ("wide", "euclidean"): "6f03e4cc7d22fca215fac31eb0359fd7fb3867ce6a73c4d55d2d039e119b6712",
+    ("wide", "sup"): "0e2771481ba92d2ccabdfb75e961a271f2de96687e078dd2ec8495b64a22a262",
+    ("wide", "one"): "a4c4d74743b310739b8ba208117fcc06a4c121fc8bf5c60457f3a982cae909c4",
+}
+
+
+@pytest.mark.parametrize("layer, count, dim, seeds", [("std", 128, 2, 361), ("wide", 192, 3, 729)])
+@pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+def test_direction_sets_match_their_pins(layer, count, dim, seeds, kind):
+    """Drawn per seed and for all seeds in one call, the sets hash to the pins."""
+    one_call = unit_directions(count, dim, np.arange(seeds), kind)
+    per_seed = b"".join(unit_directions(count, dim, seed, kind).tobytes() for seed in range(seeds))
+    assert one_call.tobytes() == per_seed
+    assert hashlib.sha256(per_seed).hexdigest() == DIRECTION_SET_PINS[layer, kind.value]
 
 
 # Seed 802172880 makes the first 1-d sample_ball direction (j = 1) shorter
